@@ -332,12 +332,12 @@ def load_fields(path, mesh: SimplicialMesh) -> dict[str, FeField]:
             names = fh.readline().split()
             if len(names) != n_fields:
                 raise ValueError("field name count mismatch")
-            table = np.loadtxt(fh, max_rows=n_nodes, ndmin=2, dtype=float)
+            table = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
+                               dtype=float).reshape(n_nodes, n_fields)
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
     if n_nodes != mesh.n_nodes:
         raise InvalidArgumentError(
             f"field file has {n_nodes} nodes, mesh has {mesh.n_nodes}")
-    table = table.reshape(n_nodes, n_fields)
     return {name: FeField(mesh=mesh, values=table[:, j], name=name)
             for j, name in enumerate(names)}

@@ -1,11 +1,12 @@
 """L2-projection of P1 fields between non-matching meshes.
 
 The projection solves M u_proj = P u on the target mesh, where M is the
-target mass matrix and P couples target and donor shape functions. P is
-assembled by quadrature over target elements, optionally subdivided into
-congruent sub-simplices; donor basis values at quadrature points come from
-point location. In 1-d the sub-intervals are additionally aligned with
-donor nodes, which makes the cross-mesh integrals exact for P1 data.
+target mass matrix and P couples target and donor shape functions. In 1-d,
+P is exact: every target element is cut at the donor nodes inside it, and
+each piece, on which both shape functions are linear, is integrated by the
+2-point Gauss rule. In 2-d, P is assembled by a degree-4 rule on each of
+the 4 congruent sub-triangles of every target element. Donor basis values
+at quadrature points come from point location.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import CoverageError, InvalidArgumentError, PointNotFoundError
 from .fem import FeField, SparseSpd, cg_solve, reference_rule
 from .mesh import SimplicialMesh, locate_points
 
-DEFAULT_QUAD_DEGREE = 4
-DEFAULT_SUB_SPLITS = 2
+QUAD_DEGREE_2D = 4
+SUB_SPLITS_2D = 2
 
 
 @dataclass
@@ -31,8 +32,6 @@ class ProjectionOperator:
     target: SimplicialMesh
     M: SparseSpd                  # target mass matrix
     P: sp.csr_matrix              # (target nodes) x (donor nodes)
-    quad_degree: int
-    sub_splits: int
 
     def partition_defect(self) -> float:
         """max |P 1_donor - M 1_target|; both sides equal the integrals of
@@ -42,28 +41,39 @@ class ProjectionOperator:
         return float(np.max(np.abs(self.P @ ones_d - self.M.dot(ones_t))))
 
 
-def _subdivided_rule_1d(degree: int, cuts: np.ndarray, sub_splits: int):
-    """Points/weights on [0, 1] composed of Gauss rules on each piece
-    between consecutive `cuts`, each piece split into sub_splits parts."""
-    base = reference_rule(1, degree)
-    t = base.points[:, 1]
-    w = base.weights
-    edges = np.unique(np.concatenate([[0.0], cuts, [1.0]]))
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(lo, hi, sub_splits + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            pts.append(a + (b - a) * t)
-            wts.append((b - a) * w)
-    return np.concatenate(pts), np.concatenate(wts)
+def _donor_cut_points_1d(donor: SimplicialMesh, target: SimplicialMesh,
+                         eids: np.ndarray):
+    """Quadrature for target elements eids on their common refinement with
+    the donor: each element is cut at the donor nodes strictly inside it and
+    every piece gets the 2-point Gauss rule, exact for the quadratic
+    integrand. Returns (owner element, points, target barycentrics, weights)."""
+    x0 = target.nodes[target.elements[eids, 0], 0]
+    x1 = target.nodes[target.elements[eids, 1], 0]
+    d = np.sort(donor.nodes[:, 0])
+    first = np.searchsorted(d, x0 + 1e-14, side="right")
+    n_cuts = np.maximum(np.searchsorted(d, x1 - 1e-14) - first, 0)
+    starts = np.cumsum(n_cuts) - n_cuts            # first cut of each element
+    cut_loc = np.repeat(np.arange(eids.size), n_cuts)
+    cuts = d[np.arange(cut_loc.size) - starts[cut_loc] + first[cut_loc]]
+    # the pieces of an element with cuts c1 < ... < cn: [x0, c1], ..., [cn, x1]
+    lo = np.insert(cuts, starts, x0)
+    hi = np.insert(cuts, starts + n_cuts, x1)
+    loc = np.repeat(np.arange(eids.size), n_cuts + 1)
+
+    gauss = reference_rule(1, 3)
+    phys = (lo[:, None] + (hi - lo)[:, None] * gauss.points[None, :, 1]).reshape(-1)
+    loc = np.repeat(loc, gauss.weights.size)
+    t = (phys - x0[loc]) / (x1 - x0)[loc]
+    weights = ((hi - lo)[:, None] * gauss.weights[None, :]).reshape(-1)
+    return eids[loc], phys[:, None], np.column_stack([1.0 - t, t]), weights
 
 
-def _subdivided_rule_2d(degree: int, sub_splits: int):
-    """Rule on the reference triangle subdivided into sub_splits^2
-    congruent subtriangles; returns barycentric points and weights that
-    sum to the reference measure 1/2."""
-    base = reference_rule(2, degree)
-    s = max(1, sub_splits)
+def _subdivided_rule_2d():
+    """Degree-QUAD_DEGREE_2D rule on the reference triangle subdivided into
+    SUB_SPLITS_2D^2 congruent subtriangles; returns barycentric points and
+    weights that sum to the reference measure 1/2."""
+    base = reference_rule(2, QUAD_DEGREE_2D)
+    s = SUB_SPLITS_2D
 
     def lattice(i, j):
         return np.array([1.0 - (i + j) / s, i / s, j / s])
@@ -82,50 +92,29 @@ def _subdivided_rule_2d(degree: int, sub_splits: int):
     return np.vstack(pts), np.concatenate(wts)
 
 
-def build_projection(donor: SimplicialMesh, target: SimplicialMesh,
-                     quad_degree: int = DEFAULT_QUAD_DEGREE,
-                     sub_splits: int = DEFAULT_SUB_SPLITS) -> ProjectionOperator:
+def build_projection(donor: SimplicialMesh,
+                     target: SimplicialMesh) -> ProjectionOperator:
     """Assemble the cross-mesh coupling P and the target mass matrix M."""
     if donor.dim != target.dim:
         raise InvalidArgumentError("donor and target dimensions differ")
     M = fem.assemble_mass(target)
-    ref = 1.0 if target.dim == 1 else 0.5
-    measures = target.element_measures()
     k = target.dim + 1
+    if target.dim == 2:
+        bary, wref = _subdivided_rule_2d()
+        measures = target.element_measures()
 
     rows, cols, vals = [], [], []
     chunk = 2048
-    donor_coords = donor.nodes[:, 0] if donor.dim == 1 else None
-    if donor.dim == 1:
-        donor_coords = np.sort(donor_coords)
-    if target.dim == 2:
-        bary, wref = _subdivided_rule_2d(quad_degree, sub_splits)
-
     for start in range(0, target.n_elems, chunk):
         eids = np.arange(start, min(start + chunk, target.n_elems))
-        corners = target.nodes[target.elements[eids]]     # (ne, k, dim)
         if target.dim == 1:
-            pts_list, tb_list, w_list, owner = [], [], [], []
-            for loc, e in enumerate(eids):
-                x0, x1 = corners[loc, 0, 0], corners[loc, 1, 0]
-                inside = donor_coords[(donor_coords > x0 + 1e-14)
-                                      & (donor_coords < x1 - 1e-14)]
-                cuts = (inside - x0) / (x1 - x0)
-                t, w = _subdivided_rule_1d(quad_degree, cuts, sub_splits)
-                pts_list.append(x0 + (x1 - x0) * t)
-                tb_list.append(np.column_stack([1.0 - t, t]))
-                w_list.append(w * measures[e] / ref)
-                owner.append(np.full(t.size, loc))
-            phys = np.concatenate(pts_list).reshape(-1, 1)
-            tbary = np.vstack(tb_list)
-            weights = np.concatenate(w_list)
-            owner = np.concatenate(owner)
+            owner, phys, tbary, weights = _donor_cut_points_1d(donor, target, eids)
         else:
-            nq = bary.shape[0]
+            corners = target.nodes[target.elements[eids]]     # (ne, 3, 2)
             phys = np.einsum("eki,qk->eqi", corners, bary).reshape(-1, 2)
             tbary = np.tile(bary, (len(eids), 1))
-            weights = (measures[eids, None] / ref * wref[None, :]).reshape(-1)
-            owner = np.repeat(np.arange(len(eids)), nq)
+            weights = (measures[eids, None] / 0.5 * wref[None, :]).reshape(-1)
+            owner = np.repeat(eids, wref.size)
 
         try:
             d_eids, d_bary = locate_points(donor, phys)
@@ -135,7 +124,7 @@ def build_projection(donor: SimplicialMesh, target: SimplicialMesh,
                 f"target quadrature points not covered by donor mesh: {exc}",
                 points=offending) from exc
 
-        t_nodes = target.elements[eids][owner]            # (npts, k)
+        t_nodes = target.elements[owner]                  # (npts, k)
         d_nodes = donor.elements[d_eids]                  # (npts, kd)
         contrib = (weights[:, None, None]
                    * tbary[:, :, None] * d_bary[:, None, :])
@@ -146,8 +135,7 @@ def build_projection(donor: SimplicialMesh, target: SimplicialMesh,
     P = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(target.n_nodes, donor.n_nodes)).tocsr()
-    return ProjectionOperator(donor=donor, target=target, M=M, P=P,
-                              quad_degree=quad_degree, sub_splits=sub_splits)
+    return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 
 def project(op: ProjectionOperator, u: FeField, tol: float = 1e-12) -> FeField:
@@ -157,6 +145,17 @@ def project(op: ProjectionOperator, u: FeField, tol: float = 1e-12) -> FeField:
     rhs = op.P @ u.values
     sol = cg_solve(op.M, rhs, tol=tol)
     return FeField(mesh=op.target, values=sol, name=u.name)
+
+
+def projection_residual(op: ProjectionOperator, u: FeField,
+                        proj: FeField) -> float:
+    """Relative residual |M proj - P u| / |P u| of a projection of u; 0
+    when P u vanishes."""
+    rhs = op.P @ u.values
+    nrm = float(np.linalg.norm(rhs))
+    if nrm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(op.M.dot(proj.values) - rhs) / nrm)
 
 
 def rank_check(op: ProjectionOperator) -> int:

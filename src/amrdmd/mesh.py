@@ -585,12 +585,12 @@ def load_mesh(path) -> SimplicialMesh:
             if len(first) != 3:
                 raise ValueError("expected 'dim n_nodes n_elems'")
             dim, n_nodes, n_elems = (int(v) for v in first)
-            nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2, dtype=float)
-            elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2, dtype=np.int64)
+            nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
+                               dtype=float).reshape(n_nodes, dim)
+            elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
+                                  dtype=np.int64).reshape(n_elems, dim + 1)
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
-    nodes = nodes.reshape(n_nodes, dim)
-    elements = elements.reshape(n_elems, dim + 1)
     elements = _normalize_elements(dim, nodes, elements)
     mesh = SimplicialMesh(dim=dim, nodes=nodes, elements=elements,
                           level=np.zeros(n_elems, dtype=np.int64))

@@ -116,14 +116,10 @@ def cmd_project(args) -> int:
             fields = {}
             worst = 0.0
             for name, values in entry.fields.items():
-                proj = l2projection.project(op, FeField(entry.mesh, values,
-                                                        name=name))
+                u = FeField(entry.mesh, values, name=name)
+                proj = l2projection.project(op, u)
                 fields[name] = proj.values
-                rhs = op.P @ values
-                nrm = float(np.linalg.norm(rhs))
-                if nrm > 0:
-                    res = float(np.linalg.norm(op.M.dot(proj.values) - rhs) / nrm)
-                    worst = max(worst, res)
+                worst = max(worst, l2projection.projection_residual(op, u, proj))
             snapshots.append((entry.time_str, target, fields))
             _say(args, f"snapshot {entry.index}: projection residual {worst:.3e}")
         store.write_store(out, snapshots, force=True)

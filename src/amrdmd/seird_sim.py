@@ -8,7 +8,7 @@ linear-dynamics series used as ground truth for the decomposition code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,8 @@ from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
+PICARD_TOL = 1e-8       # relative update that ends the Picard loop
+PICARD_MAX = 25         # Picard iterations before a step fails
 
 
 @dataclass
@@ -47,6 +49,8 @@ class SeirdParams:
     t_end: float = 44.0         # final time, days
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise InvalidArgumentError("model parameters must be finite")
         rates = [self.beta_i, self.beta_e, self.alpha, self.gamma_e,
                  self.gamma_i, self.delta, self.nu_s, self.nu_e, self.nu_i,
                  self.nu_r, self.A_e]
@@ -54,9 +58,10 @@ class SeirdParams:
             raise InvalidArgumentError("model rates must be nonnegative")
         if self.dt <= 0 or self.t_end <= 0:
             raise InvalidArgumentError("dt and t_end must be positive")
-        j = self.dt_o / self.dt
-        if abs(j - round(j)) > 1e-9 or round(j) < 1:
-            raise InvalidArgumentError("dt_o must be an integer multiple of dt")
+        for name, value in (("dt_o", self.dt_o), ("t_end", self.t_end)):
+            j = value / self.dt
+            if abs(j - round(j)) > 1e-9 or round(j) < 1:
+                raise InvalidArgumentError(f"{name} must be an integer multiple of dt")
 
     @property
     def output_every(self) -> int:
@@ -64,10 +69,7 @@ class SeirdParams:
 
     @property
     def n_steps(self) -> int:
-        n = self.t_end / self.dt
-        if abs(n - round(n)) > 1e-9:
-            raise InvalidArgumentError("t_end must be an integer number of steps")
-        return int(round(n))
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -127,18 +129,14 @@ def _element_data(mesh):
     return el, h
 
 
-def _mass_coo(mesh, coef=None):
+def _mass_coo(mesh, coef):
     """Triples of the P1 mass matrix weighted by a nodal coefficient."""
     el, h = _element_data(mesh)
-    if coef is None:
-        m11 = m22 = h / 3.0
-        m12 = h / 6.0
-    else:
-        c1 = coef[el[:, 0]]
-        c2 = coef[el[:, 1]]
-        m11 = h * (3 * c1 + c2) / 12.0
-        m12 = h * (c1 + c2) / 12.0
-        m22 = h * (c1 + 3 * c2) / 12.0
+    c1 = coef[el[:, 0]]
+    c2 = coef[el[:, 1]]
+    m11 = h * (3 * c1 + c2) / 12.0
+    m12 = h * (c1 + c2) / 12.0
+    m22 = h * (c1 + 3 * c2) / 12.0
     rows = np.concatenate([el[:, 0], el[:, 0], el[:, 1], el[:, 1]])
     cols = np.concatenate([el[:, 0], el[:, 1], el[:, 0], el[:, 1]])
     vals = np.concatenate([m11, m12, m12, m22])
@@ -173,11 +171,6 @@ def _product_load(mesh, factors):
     return rhs
 
 
-def _plain_mass(mesh) -> sp.csr_matrix:
-    r, c, v = _mass_coo(mesh)
-    return sp.coo_matrix((v, (r, c)), shape=(mesh.n_nodes,) * 2).tocsr()
-
-
 def _dirichlet_node(mesh):
     right = mesh.nodes[:, 0].max()
     return int(np.where(np.abs(mesh.nodes[:, 0] - right) <= 1e-12)[0][0])
@@ -199,16 +192,18 @@ def _solve_system(coo_parts, rhs, bc_node, tol=1e-12):
     return cg_solve(A, rhs, tol=tol)
 
 
-def step(state: SeirdState, params: SeirdParams, dirichlet_right: bool = True,
-         picard_tol: float = 1e-8, picard_max: int = 25) -> SeirdState:
+def step(state: SeirdState, params: SeirdParams,
+         dirichlet_right: bool = True) -> SeirdState:
     """Advance one time step: P1 Galerkin in space, BDF2 in time (backward
     Euler on the first step), Picard iteration on the lagged nonlinear
-    couplings (products s*i, s*e and the population-weighted diffusion)."""
+    couplings (products s*i, s*e and the population-weighted diffusion)
+    until the largest relative update is <= PICARD_TOL, else StepError after
+    PICARD_MAX iterations. dirichlet_right pins all fields to 0 at x = 1."""
     mesh = state.mesh
     u = state.fields
     up = state.prev_fields
     dt = params.dt
-    M = _plain_mass(mesh)
+    M = fem.assemble_mass(mesh).matrix
     bc = _dirichlet_node(mesh) if dirichlet_right else None
 
     if up is None:
@@ -218,11 +213,11 @@ def step(state: SeirdState, params: SeirdParams, dirichlet_right: bool = True,
         c0 = 1.5 / dt
         hist = {c: (M @ (2.0 * u[c] - 0.5 * up[c])) / dt for c in COMPARTMENTS}
 
-    mass_part = _mass_coo(mesh)
-    c0_mass = (mass_part[0], mass_part[1], c0 * mass_part[2])
+    M_coo = M.tocoo()
+    c0_mass = (M_coo.row, M_coo.col, c0 * M_coo.data)
 
     lag = {c: u[c].copy() for c in COMPARTMENTS}
-    for iteration in range(picard_max):
+    for iteration in range(PICARD_MAX):
         n_pop = lag["s"] + lag["e"] + lag["i"] + lag["r"]
         if params.A_e > 0:
             sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
@@ -266,12 +261,12 @@ def step(state: SeirdState, params: SeirdParams, dirichlet_right: bool = True,
             scale = max(float(np.max(np.abs(new[c]))), 1e-14)
             change = max(change, float(np.max(np.abs(new[c] - lag[c]))) / scale)
         lag = new
-        if change <= picard_tol:
+        if change <= PICARD_TOL:
             break
     else:
         raise StepError(
             f"Picard iteration stalled at t={state.time + dt:.4g} "
-            f"(last update {change:.3e} > {picard_tol:g})")
+            f"(last update {change:.3e} > {PICARD_TOL:g})")
 
     return SeirdState(mesh=mesh, fields=new,
                       prev_fields={c: u[c].copy() for c in COMPARTMENTS},
@@ -360,54 +355,39 @@ class SeirdRunResult:
 
 
 def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
-                  reference_mesh: SimplicialMesh | None = None,
-                  base_mesh: SimplicialMesh | None = None,
-                  n_base_elements: int = 125,
-                  domain=(0.0, 1.0),
-                  keep_adaptive: bool = True) -> SeirdRunResult:
-    """Run the adaptive SEIRD simulation, projecting every output snapshot
-    onto the reference mesh (defaults to the uniformly refined base mesh).
-    """
-    if base_mesh is None:
-        base_mesh = build_interval_mesh(domain[0], domain[1], n_base_elements)
-    init_mesh = uniform_refine(base_mesh, policy.initial_uniform_levels)
-    reference = reference_mesh if reference_mesh is not None else init_mesh
+                  n_base_elements: int = 125) -> SeirdRunResult:
+    """Run the adaptive SEIRD simulation on [0, 1], keeping every output
+    snapshot on its adaptive mesh and projecting it onto the reference
+    mesh: n_base_elements uniform elements refined initial_uniform_levels
+    times, which is also the initial mesh."""
+    reference = uniform_refine(build_interval_mesh(0.0, 1.0, n_base_elements),
+                               policy.initial_uniform_levels)
 
-    init = seird_initial_conditions(init_mesh)
-    state = SeirdState(mesh=init_mesh,
+    init = seird_initial_conditions(reference)
+    state = SeirdState(mesh=reference,
                        fields={c: init[c].values.copy() for c in COMPARTMENTS},
                        prev_fields=None, time=0.0, step_index=0)
 
     dt_o_frac = Fraction(str(params.dt_o))
     times, projected, adaptive, residuals = [], [], [], []
-    op_cache = {}
-
-    def operator_for(mesh):
-        key = id(mesh)
-        if key not in op_cache:
-            op_cache.clear()    # one donor mesh alive at a time
-            op_cache[key] = l2projection.build_projection(mesh, reference)
-        return op_cache[key]
+    op = None
 
     def emit(state, out_index):
-        op = operator_for(state.mesh)
+        nonlocal op
+        if op is None or op.donor is not state.mesh:
+            op = l2projection.build_projection(state.mesh, reference)
         snap = {}
         worst = 0.0
         for c in COMPARTMENTS:
             f = FeField(state.mesh, state.fields[c], name=c)
             proj = l2projection.project(op, f)
             snap[c] = proj.values
-            rhs = op.P @ f.values
-            nrm = np.linalg.norm(rhs)
-            if nrm > 0:
-                worst = max(worst, float(
-                    np.linalg.norm(op.M.dot(proj.values) - rhs) / nrm))
+            worst = max(worst, l2projection.projection_residual(op, f, proj))
         times.append(out_index * dt_o_frac)
         projected.append(snap)
         residuals.append(worst)
-        if keep_adaptive:
-            adaptive.append((state.mesh,
-                             {c: state.fields[c].copy() for c in COMPARTMENTS}))
+        adaptive.append((state.mesh,
+                         {c: state.fields[c].copy() for c in COMPARTMENTS}))
 
     emit(state, 0)
     out_every = params.output_every
@@ -422,7 +402,7 @@ def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
     pop_adapt = qoi_metrics.population_series(
         float_times,
         [{c: FeField(m, v[c], name=c) for c in qoi_metrics.COMPARTMENTS}
-         for m, v in adaptive]) if keep_adaptive else None
+         for m, v in adaptive])
     pop_proj = qoi_metrics.population_series(
         float_times,
         [{c: FeField(reference, snap[c], name=c)
@@ -575,8 +555,7 @@ class IndicatorDemoArtifacts:
     report: IndicatorDemoReport
 
 
-def indicator_projection_demo(quad_degree: int = 4,
-                              sub_splits: int = 2) -> IndicatorDemoArtifacts:
+def indicator_projection_demo() -> IndicatorDemoArtifacts:
     """Adaptive interpolation of a box indicator projected onto a matching
     structured mesh and a finer jittered mesh; reports sizes and sup-norms.
     """
@@ -585,7 +564,7 @@ def indicator_projection_demo(quad_degree: int = 4,
     unstructured = build_jittered_mesh()
     projections = {}
     for name, target in (("structured", structured), ("unstructured", unstructured)):
-        op = l2projection.build_projection(donor, target, quad_degree, sub_splits)
+        op = l2projection.build_projection(donor, target)
         projections[name] = l2projection.project(op, chi)
     report = IndicatorDemoReport(
         donor_elements=donor.n_elems,

@@ -50,9 +50,9 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_refined_interval(rng, n_base=5, passes=2):
-    """A 1-d mesh after a couple of random refine/coarsen rounds."""
-    m = mesh_mod.build_interval_mesh(0.0, 1.0, n_base)
+def random_refined_interval(rng, n_base=5, passes=2, lo=0.0, hi=1.0):
+    """A 1-d mesh on [lo, hi] after a couple of random refinement rounds."""
+    m = mesh_mod.build_interval_mesh(lo, hi, n_base)
     for _ in range(passes):
         flags = [int(e) for e in range(m.n_elems) if rng.random() < 0.5]
         if flags:

@@ -287,7 +287,7 @@ def test_criterion_7_mean_conservation():
             nt += 1
         donor = M.build_interval_mesh(0.0, 1.0, nd)
         target = M.build_interval_mesh(0.0, 1.0, nt)
-        op = L2.build_projection(donor, target)   # defaults: degree 4, splits 2
+        op = L2.build_projection(donor, target)   # exact on donor-cut pieces
         u = fem.FeField(donor, rng.uniform(0.5, 1.5, size=donor.n_nodes))
         proj = L2.project(op, u, tol=1e-13)
         base = abs(fem.integrate(u))

@@ -268,6 +268,13 @@ class TestFieldIO:
         for f in fields:
             np.testing.assert_array_equal(back[f.name].values, f.values)
 
+    def test_short_file_rejected(self, tmp_path):
+        m = M.build_interval_mesh(0, 1, 2)
+        path = tmp_path / "short.field.txt"
+        path.write_text("3 2\ns e\n0 1\n0.5 1\n")         # one node row missing
+        with pytest.raises(InvalidArgumentError):
+            fem.load_fields(path, m)
+
     def test_node_count_mismatch(self, tmp_path):
         m = M.build_interval_mesh(0, 1, 3)
         fem.save_fields([fem.FeField(m, np.zeros(4))], tmp_path / "f.field.txt")

@@ -1,10 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrdmd import fem, l2projection as L2, mesh as M
 from amrdmd.errors import CoverageError, InvalidArgumentError
 
-from conftest import composite_integral_1d, piecewise_linear_1d
+from conftest import (composite_integral_1d, piecewise_linear_1d,
+                      random_refined_interval)
+
+
+def basis_supports_1d(mesh):
+    """Per node, the interval on which its hat function is nonzero."""
+    order = np.argsort(mesh.nodes[:, 0])
+    xs = mesh.nodes[order, 0]
+    lo = np.empty(mesh.n_nodes)
+    hi = np.empty(mesh.n_nodes)
+    lo[order] = np.concatenate([xs[:1], xs[:-1]])
+    hi[order] = np.concatenate([xs[1:], xs[-1:]])
+    return lo, hi
+
+
+def hat(mesh, i):
+    e = np.zeros(mesh.n_nodes)
+    e[i] = 1.0
+    return piecewise_linear_1d(mesh, e)
 
 
 def cross_mesh_l2_error(donor_field, target_field, n=20_000):
@@ -58,6 +78,48 @@ class TestBuildProjection:
                 Nj = piecewise_linear_1d(donor, ej)
                 ref = composite_integral_1d(lambda x: Ni(x) * Nj(x), 0, 1)
                 assert P[i, j] == pytest.approx(ref, abs=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_donor=st.integers(1, 6),
+           n_target=st.integers(1, 6),
+           span=st.sampled_from([(0.0, 1.0), (0.25, 0.75), (0.0, 0.5),
+                                 (0.2, 0.9)]))
+    def test_exact_coupling_on_random_interval_pairs(self, seed, n_donor,
+                                                     n_target, span):
+        # non-nested pairs, shared nodes (0, 1 and common dyadic points) and
+        # targets on a strict sub-interval of the donor
+        rng = np.random.default_rng(seed)
+        donor = random_refined_interval(rng, n_base=n_donor)
+        target = random_refined_interval(rng, n_base=n_target, lo=span[0],
+                                         hi=span[1])
+        op = L2.build_projection(donor, target)
+        P = op.P.toarray()
+        t_lo, t_hi = basis_supports_1d(target)
+        d_lo, d_hi = basis_supports_1d(donor)
+        for i in range(target.n_nodes):
+            Ni = hat(target, i)
+            for j in range(donor.n_nodes):
+                a, b = max(t_lo[i], d_lo[j]), min(t_hi[i], d_hi[j])
+                if a >= b:
+                    assert P[i, j] == 0.0
+                    continue
+                Nj = hat(donor, j)
+                n = max(1000, int((b - a) / 1e-5))
+                ref = composite_integral_1d(lambda x: Ni(x) * Nj(x), a, b, n)
+                assert P[i, j] == pytest.approx(ref, abs=1e-8)
+        assert op.partition_defect() <= 1e-14
+
+        u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
+        proj = L2.project(op, u)
+        # the donor field is linear between the breakpoints, so the
+        # trapezoid rule over them is its exact integral on the span
+        xd = donor.nodes[:, 0]
+        xs = np.unique(np.concatenate(
+            [span, xd[(xd > span[0]) & (xd < span[1])]]))
+        fx = piecewise_linear_1d(donor, u.values)(xs)
+        mean = float(np.sum(0.5 * (fx[1:] + fx[:-1]) * np.diff(xs)))
+        assert fem.integrate(proj) == pytest.approx(
+            mean, abs=1e-10 + 1e-8 * abs(mean))
 
     def test_dimension_mismatch(self):
         d = M.build_interval_mesh(0, 1, 2)
@@ -149,9 +211,7 @@ class TestProject:
         op = L2.build_projection(donor, target)
         u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
         proj = L2.project(op, u, tol=1e-12)
-        rhs = op.P @ u.values
-        res = np.linalg.norm(op.M.dot(proj.values) - rhs)
-        assert res <= 1e-12 * np.linalg.norm(rhs) * 10
+        assert L2.projection_residual(op, u, proj) <= 1e-11
 
 
 class TestRankCheck:

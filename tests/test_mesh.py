@@ -225,6 +225,12 @@ class TestMeshIO:
         back = M.load_mesh(path)
         assert back.element_measures()[0] > 0
 
+    def test_short_file_rejected(self, tmp_path):
+        path = tmp_path / "short.mesh.txt"
+        path.write_text("1 3 2\n0\n0.5\n1\n0 1\n")      # one element missing
+        with pytest.raises(InvalidArgumentError):
+            M.load_mesh(path)
+
     def test_duplicate_nodes_rejected(self, tmp_path):
         path = tmp_path / "dup.mesh.txt"
         path.write_text("1 3 2\n0\n0.5\n0.5\n0 1\n1 2\n")

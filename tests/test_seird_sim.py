@@ -125,7 +125,7 @@ class TestStep:
         params = S.SeirdParams(dt=0.025, dt_o=0.025, t_end=0.5)
         init = S.seird_initial_conditions(mesh)
         names = S.COMPARTMENTS
-        Mmat = S._plain_mass(mesh)
+        Mmat = fem.assemble_mass(mesh).matrix
         Mlu = spla.splu(sp.csc_matrix(Mmat))
 
         def stiffness(coef):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amrdmd
 from amrdmd import dmd, fem, mesh as M, pipeline_cli, store
 from amrdmd.errors import ConfigError, StoreError
 
@@ -157,6 +162,23 @@ class TestCliSimulate:
         bad = tmp_path / "empty.cfg"
         bad.write_text("")
         assert run_cli("simulate", bad, tmp_path / "y", "--quiet") == 2
+
+    @pytest.mark.parametrize("setting", ["t_end = inf", "beta_i = nan",
+                                         "t_end = 1.1"])
+    def test_invalid_parameter_exit_2_before_output(self, tmp_path, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dt = 0.25\nn_elems = 10\n{setting}\n")
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(amrdmd.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "amrdmd.pipeline_cli", "simulate",
+             str(cfg), str(out), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_deterministic_artifacts(self, small_run, tmp_path):
         root, cfg, out = small_run
