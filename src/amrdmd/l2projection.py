@@ -103,7 +103,8 @@ def build_projection(donor: SimplicialMesh,
         bary, wref = _subdivided_rule_2d()
         measures = target.element_measures()
 
-    rows, cols, vals = [], [], []
+    # summed into CSR chunk by chunk: one chunk's COO triples live at a time
+    P = None
     chunk = 2048
     for start in range(0, target.n_elems, chunk):
         eids = np.arange(start, min(start + chunk, target.n_elems))
@@ -128,13 +129,12 @@ def build_projection(donor: SimplicialMesh,
         d_nodes = donor.elements[d_eids]                  # (npts, kd)
         contrib = (weights[:, None, None]
                    * tbary[:, :, None] * d_bary[:, None, :])
-        rows.append(np.repeat(t_nodes, d_nodes.shape[1], axis=1).reshape(-1))
-        cols.append(np.tile(d_nodes, (1, k)).reshape(-1))
-        vals.append(contrib.reshape(-1))
-
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(target.n_nodes, donor.n_nodes)).tocsr()
+        part = sp.coo_matrix(
+            (contrib.reshape(-1),
+             (np.repeat(t_nodes, d_nodes.shape[1], axis=1).reshape(-1),
+              np.tile(d_nodes, (1, k)).reshape(-1))),
+            shape=(target.n_nodes, donor.n_nodes)).tocsr()
+        P = part if P is None else P + part
     return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 

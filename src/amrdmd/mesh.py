@@ -3,9 +3,10 @@
 Meshes are immutable after construction. Refinement bisects flagged
 elements; in 2-d this is newest-vertex bisection with recursive closure so
 the result is always conforming (no hanging nodes). Coarsening merges
-complete sibling groups back into their parent. Point location is
-accelerated by a uniform background bin grid and falls back to an
-exhaustive scan near boundaries.
+complete sibling groups back into their parent. Point location bins the
+elements in a uniform grid held as CSR arrays, tests the candidates of all
+query points in vectorized passes, lowest id first, and falls back to an
+exhaustive scan.
 
 Element storage conventions (these carry the bisection bookkeeping):
   1-d: element (a, b) with x[a] < x[b]; bisection splits at the midpoint.
@@ -126,19 +127,13 @@ def build_structured_triangle_mesh(x_range, y_range, nx: int, ny: int) -> Simpli
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys)              # row-major: node id = j*(nx+1)+i
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            ll = j * (nx + 1) + i
-            lr = ll + 1
-            ul = ll + (nx + 1)
-            ur = ul + 1
-            # peak-first storage; refinement edge = (ll, ur) diagonal
-            elems.append((lr, ur, ll))
-            elems.append((ul, ll, ur))
-    elements = np.asarray(elems, dtype=np.int64)
+    # lower-left node of every cell, row by row
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).reshape(-1)
+    lr, ul, ur = ll + 1, ll + (nx + 1), ll + (nx + 2)
+    # peak-first storage; refinement edge = (ll, ur) diagonal
+    elements = np.column_stack([lr, ur, ll, ul, ll, ur]).reshape(-1, 3)
     mesh = SimplicialMesh(dim=2, nodes=nodes, elements=elements,
-                          level=np.zeros(len(elems), dtype=np.int64))
+                          level=np.zeros(len(elements), dtype=np.int64))
     validate_mesh(mesh)
     return mesh
 
@@ -423,7 +418,8 @@ def uniform_refine(mesh: SimplicialMesh, times: int = 1) -> SimplicialMesh:
 # point location
 
 class _Locator:
-    """Uniform background bin grid over the mesh bounding box."""
+    """Uniform bin grid over the mesh bounding box: bin_elems[bin_ptr[c]:
+    bin_ptr[c + 1]] are the ascending ids of elements whose box meets cell c."""
 
     def __init__(self, mesh: SimplicialMesh):
         self.mesh = mesh
@@ -440,20 +436,22 @@ class _Locator:
         extent = np.maximum(self.hi - self.lo, 1e-300)
         self.shape = np.minimum(np.maximum((extent / cell).astype(int), 1), 2048)
         self.cell = extent / self.shape
-        self.bins = {}
-        bb_lo = pts.min(axis=1)
-        bb_hi = pts.max(axis=1)
-        lo_idx = self._cell_index(bb_lo)
-        hi_idx = self._cell_index(bb_hi)
-        for eid in range(mesh.n_elems):
-            ranges = [range(lo_idx[eid, d], hi_idx[eid, d] + 1) for d in range(mesh.dim)]
-            if mesh.dim == 1:
-                for i in ranges[0]:
-                    self.bins.setdefault((i,), []).append(eid)
-            else:
-                for i in ranges[0]:
-                    for j in ranges[1]:
-                        self.bins.setdefault((i, j), []).append(eid)
+        # one (element, cell) pair per cell of each element's bounding box;
+        # the stable sort keeps element ids ascending within every bin
+        lo_idx = self._cell_index(pts.min(axis=1))
+        span = self._cell_index(pts.max(axis=1)) - lo_idx + 1
+        count = np.prod(span, axis=1)
+        pair_elem = np.repeat(np.arange(mesh.n_elems), count)
+        rank = np.arange(pair_elem.size) - np.repeat(np.cumsum(count) - count, count)
+        pair_cell = lo_idx[pair_elem]
+        for d in range(mesh.dim - 1, -1, -1):
+            pair_cell[:, d] += rank % span[pair_elem, d]
+            rank //= span[pair_elem, d]
+        key = np.ravel_multi_index(pair_cell.T, self.shape)
+        self.bin_elems = pair_elem[np.argsort(key, kind="stable")]
+        self.bin_ptr = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=self.bin_ptr.size - 1),
+                  out=self.bin_ptr[1:])
         # per-element barycentric transforms
         origin = pts[:, 0]
         if mesh.dim == 1:
@@ -497,25 +495,22 @@ class _Locator:
             raise err
         eid_out = -np.ones(n, dtype=np.int64)
         bary_out = np.zeros((n, self.mesh.dim + 1))
-        cells = self._cell_index(pts)
-        keys = [tuple(c) for c in cells]
-        groups = {}
-        for i, k in enumerate(keys):
-            groups.setdefault(k, []).append(i)
-        for key, idx in groups.items():
-            idx = np.asarray(idx)
-            cands = self.bins.get(key, [])
-            unresolved = np.ones(len(idx), dtype=bool)
-            for eid in cands:  # ascending id: lowest-id tie-break on facets
-                if not unresolved.any():
-                    break
-                sub = idx[unresolved]
-                lam = self.barycentric(np.full(len(sub), eid), pts[sub])
-                inside = np.all(lam >= -BARY_TOL, axis=1)
-                hit = sub[inside]
-                eid_out[hit] = eid
-                bary_out[hit] = lam[inside]
-                unresolved[unresolved] = ~inside
+        key = np.ravel_multi_index(self._cell_index(pts).T, self.shape)
+        first = self.bin_ptr[key]
+        n_cands = self.bin_ptr[key + 1] - first
+        # pass k tests the k-th candidate of every unresolved point; bins
+        # hold ascending ids, so the first hit is the lowest-id tie-break
+        todo = np.arange(n)
+        for k in range(int(n_cands.max(initial=0))):
+            todo = todo[n_cands[todo] > k]
+            if not todo.size:
+                break
+            eids = self.bin_elems[first[todo] + k]
+            lam = self.barycentric(eids, pts[todo])
+            inside = np.all(lam >= -BARY_TOL, axis=1)
+            eid_out[todo[inside]] = eids[inside]
+            bary_out[todo[inside]] = lam[inside]
+            todo = todo[~inside]
         missing = np.where(eid_out < 0)[0]
         if missing.size:
             self._exhaustive(pts, missing, eid_out, bary_out)
@@ -559,6 +554,16 @@ def locate_point(mesh: SimplicialMesh, x) -> tuple[int, np.ndarray]:
 def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized locate_point for an (n, dim) array of query points."""
     return _locator(mesh).locate(pts)
+
+
+def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
+    """Ascending ids of the elements of x's bin that contain x (BARY_TOL)."""
+    loc = _locator(mesh)
+    pt = np.asarray(x, dtype=float).reshape(1, -1)
+    key = np.ravel_multi_index(loc._cell_index(pt)[0], loc.shape)
+    cands = loc.bin_elems[loc.bin_ptr[key]:loc.bin_ptr[key + 1]]
+    lam = loc.barycentric(cands, np.repeat(pt, cands.size, axis=0))
+    return cands[np.all(lam >= -BARY_TOL, axis=1)]
 
 
 # ---------------------------------------------------------------------------

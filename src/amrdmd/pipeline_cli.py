@@ -70,7 +70,9 @@ def cmd_simulate(args) -> int:
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
     except Exception:
-        store.mark_failed(out)
+        # readers open the sub-stores, so a failed forced rerun marks them too
+        for path in (out, out / "adaptive", out / "projected"):
+            store.mark_failed(path)
         raise
     _say(args, f"wrote {len(result.times)} snapshots to {out}")
     return EXIT_OK

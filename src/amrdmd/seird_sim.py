@@ -20,7 +20,8 @@ from .errors import InvalidArgumentError, StepError
 from .fem import FeField, SparseSpd, cg_solve
 from .linalg import gaussian_matrix
 from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
-                   build_structured_triangle_mesh, refine, uniform_refine)
+                   build_structured_triangle_mesh, elements_containing, refine,
+                   uniform_refine)
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
@@ -443,21 +444,6 @@ def _transition_values(nodes) -> np.ndarray:
     return u
 
 
-def _elements_containing(mesh, point):
-    pts = mesh.nodes[mesh.elements]
-    v0 = pts[:, 0]
-    d1 = pts[:, 1] - v0
-    d2 = pts[:, 2] - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    dx = point[0] - v0[:, 0]
-    dy = point[1] - v0[:, 1]
-    l1 = (dx * d2[:, 1] - dy * d2[:, 0]) / det
-    l2 = (-dx * d1[:, 1] + dy * d1[:, 0]) / det
-    l0 = 1.0 - l1 - l2
-    inside = (l0 >= -1e-12) & (l1 >= -1e-12) & (l2 >= -1e-12)
-    return np.where(inside)[0]
-
-
 def transition_crossing_elements(mesh: SimplicialMesh) -> frozenset:
     """Elements crossing the indicator jump set: nodal values differ, or a
     corner of the jump set sits inside the element (a crossing vertex
@@ -467,7 +453,7 @@ def transition_crossing_elements(mesh: SimplicialMesh) -> frozenset:
     flagged = set(np.where(vals.max(axis=1) - vals.min(axis=1) > 1e-12)[0].tolist())
     w = BOX_HALF_WIDTH
     for corner in ((w, w), (w, -w), (-w, w), (-w, -w)):
-        flagged.update(int(e) for e in _elements_containing(mesh, corner))
+        flagged.update(elements_containing(mesh, corner).tolist())
     return frozenset(flagged)
 
 

@@ -99,6 +99,7 @@ def write_store(out_dir, snapshots, force: bool = False) -> Path:
         t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
         lines.append(f"{idx} {t_str} {mesh_files[key]} {field_name}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    (out / ".failed").unlink(missing_ok=True)       # written whole: valid again
     return out
 
 
@@ -165,6 +166,7 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
     params_kwargs = {}
     policy_kwargs = {}
     n_elems = 125
+    seen = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -175,6 +177,9 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
         key, _, value = text.partition("=")
         key = key.strip()
         value = value.strip()
+        if seen.setdefault(key, line_no) != line_no:
+            raise ConfigError(f"duplicate key {key!r} on line {line_no} "
+                              f"(first set on line {seen[key]})", line_no=line_no)
         try:
             if key == "n_elems":
                 n_elems = int(value)

@@ -199,6 +199,41 @@ class TestLocate:
             ref_eid, _ = exhaustive_locate(m, pts[k])
             assert eids[k] == ref_eid
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.booleans())
+    def test_agrees_with_exhaustive_oracle(self, seed, dim, fallback):
+        """Nodes and edge midpoints lie on shared facets, where the lowest
+        incident id must win; uniform points fill the interiors. With the
+        bins emptied, every point goes through the exhaustive fallback."""
+        rng = np.random.default_rng(seed)
+        if dim == 1:
+            m = random_refined_interval(rng, n_base=int(rng.integers(1, 8)),
+                                        passes=3)
+        else:
+            m = random_refined_square(rng, nx=int(rng.integers(1, 4)))
+        corners = m.nodes[m.elements]
+        mids = 0.5 * (corners + np.roll(corners, 1, axis=1))
+        pts = np.vstack([m.nodes, mids.reshape(-1, dim),
+                         rng.uniform(0, 1, size=(60, dim))])
+        if fallback:
+            loc = M._locator(m)
+            loc.bin_ptr = np.zeros_like(loc.bin_ptr)
+        eids, bary = M.locate_points(m, pts)
+        for k, x in enumerate(pts):
+            ref_eid, ref_lam = exhaustive_locate(m, x)
+            assert eids[k] == ref_eid
+            np.testing.assert_allclose(bary[k], ref_lam, rtol=0, atol=1e-12)
+
+    def test_fallback_reports_points_outside_every_element(self):
+        # L-shaped mesh: the upper-right cell's two triangles are removed,
+        # so its centre is inside the bounding box but in no element
+        full = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
+        m = M.SimplicialMesh(dim=2, nodes=full.nodes, elements=full.elements[:6],
+                             level=full.level[:6])
+        with pytest.raises(PointNotFoundError) as err:
+            M.locate_points(m, [[0.25, 0.25], [0.75, 0.75]])
+        np.testing.assert_array_equal(err.value.points, [[0.75, 0.75]])
+
     def test_barycentric_sums_to_one(self, rng):
         m = random_refined_interval(rng)
         pts = rng.uniform(0, 1, size=(300, 1))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import amrdmd
-from amrdmd import dmd, fem, mesh as M, pipeline_cli, store
-from amrdmd.errors import ConfigError, StoreError
+from amrdmd import dmd, fem, mesh as M, pipeline_cli, seird_sim, store
+from amrdmd.errors import ConfigError, StepError, StoreError
 
 
 class TestFractionRendering:
@@ -62,6 +62,17 @@ class TestRunConfig:
         cfg.write_text("# nothing here\n")
         with pytest.raises(ConfigError):
             store.parse_run_config(cfg)
+
+    def test_duplicate_key_reports_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.25\nn_elems = 10\ndt = 0.5\n")
+        with pytest.raises(ConfigError) as err:
+            store.parse_run_config(cfg)
+        assert err.value.line_no == 3
+        assert pipeline_cli.main(["simulate", str(cfg), str(tmp_path / "out"),
+                                  "--quiet"]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStoreRoundtrip:
@@ -179,6 +190,27 @@ class TestCliSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_failed_forced_rerun_marks_sub_stores(self, small_run, tmp_path,
+                                                  monkeypatch):
+        root, cfg, _ = small_run
+        out = tmp_path / "sim"
+        assert run_cli("simulate", cfg, out, "--quiet") == 0
+
+        def boom(*args, **kwargs):
+            raise StepError("injected failure")
+
+        monkeypatch.setattr(seird_sim, "run_seird_amr", boom)
+        assert run_cli("simulate", cfg, out, "--force", "--quiet") == 3
+        model = tmp_path / "s.model.txt"
+        for sub in ("adaptive", "projected"):
+            assert run_cli("dmd", "fit", out / sub, model, "--field", "s",
+                           "--rank", "2", "--quiet") == 3
+        assert not model.exists()
+        monkeypatch.undo()
+        assert run_cli("simulate", cfg, out, "--force", "--quiet") == 0
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
+                       "--rank", "2", "--quiet") == 0
 
     def test_deterministic_artifacts(self, small_run, tmp_path):
         root, cfg, out = small_run
