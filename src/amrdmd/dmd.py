@@ -81,7 +81,6 @@ class ErrorReport:
 
     eta_series: np.ndarray
     eta_F: float
-    split_index: int | None = None
 
 
 def split(Y: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +201,7 @@ def reconstruct(model: DmdModel, times) -> np.ndarray:
     return (model.modes[:, keep] @ (growth * model.amplitudes[keep, None])).real
 
 
-def errors(Y_truth: np.ndarray, Y_hat: np.ndarray,
-           split_index: int | None = None) -> ErrorReport:
+def errors(Y_truth: np.ndarray, Y_hat: np.ndarray) -> ErrorReport:
     """Per-column relative 2-norm errors and the Frobenius-norm ratio.
 
     Columns of Y_truth with zero norm get NaN in eta_series (the relative
@@ -223,7 +221,7 @@ def errors(Y_truth: np.ndarray, Y_hat: np.ndarray,
     eta[nonzero] = col_err[nonzero] / col_ref[nonzero]
     denom = np.linalg.norm(Y_truth)
     eta_F = float(np.linalg.norm(diff) / denom) if denom > 0 else float("nan")
-    return ErrorReport(eta_series=eta, eta_F=eta_F, split_index=split_index)
+    return ErrorReport(eta_series=eta, eta_F=eta_F)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +234,10 @@ def save_model(model: DmdModel, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{model.n} {model.rank} {model.t0:.17g} "
                  f"{model.dt_o:.17g} {model.field_name}\n")
-
-        def pairs(arr):
-            for z in arr:
-                fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-        pairs(model.lam)
-        pairs(model.omega)
-        pairs(model.amplitudes)
-        pairs(model.modes.T.reshape(-1))
+        z = np.concatenate([model.lam, model.omega, model.amplitudes,
+                            model.modes.T.reshape(-1)])
+        fh.writelines("%.17g %.17g\n" % r
+                      for r in zip(z.real.tolist(), z.imag.tolist()))
 
 
 def load_model(path) -> DmdModel:

@@ -56,18 +56,6 @@ class SparseSpd:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def indptr(self):
-        return self.matrix.indptr
-
-    @property
-    def indices(self):
-        return self.matrix.indices
-
-    @property
-    def data(self):
-        return self.matrix.data
-
     def dot(self, x):
         return self.matrix @ x
 
@@ -317,9 +305,8 @@ def save_fields(fields: list[FeField], path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{n} {len(fields)}\n")
         fh.write(" ".join(f.name for f in fields) + "\n")
-        table = np.column_stack([f.values for f in fields])
-        for row in table:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        row = " ".join(["%.17g"] * len(fields)) + "\n"
+        fh.writelines(row % r for r in zip(*(f.values.tolist() for f in fields)))
 
 
 def load_fields(path, mesh: SimplicialMesh) -> dict[str, FeField]:

@@ -138,12 +138,12 @@ def build_projection(donor: SimplicialMesh,
     return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 
-def project(op: ProjectionOperator, u: FeField, tol: float = 1e-12) -> FeField:
+def project(op: ProjectionOperator, u: FeField) -> FeField:
     """Project a donor field onto the target mesh (solves M u_proj = P u)."""
     if u.mesh is not op.donor:
         raise InvalidArgumentError("field is not bound to the operator's donor mesh")
     rhs = op.P @ u.values
-    sol = cg_solve(op.M, rhs, tol=tol)
+    sol = cg_solve(op.M, rhs)
     return FeField(mesh=op.target, values=sol, name=u.name)
 
 

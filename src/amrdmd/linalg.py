@@ -95,6 +95,8 @@ def randomized_svd(
     sketch = r + oversample
     if r < 1:
         raise InvalidArgumentError("rank must be >= 1")
+    if oversample < 0 or power_iters < 0:
+        raise InvalidArgumentError("oversample and power_iters must be >= 0")
     if sketch > min(n, m):
         raise InvalidArgumentError(
             f"rank + oversample = {sketch} exceeds min(n, m) = {min(n, m)}"

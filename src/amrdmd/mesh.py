@@ -573,10 +573,10 @@ def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
 def save_mesh(mesh: SimplicialMesh, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elems}\n")
-        for row in mesh.nodes:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        for el in mesh.elements:
-            fh.write(" ".join(str(int(v)) for v in el) + "\n")
+        row = " ".join(["%.17g"] * mesh.dim) + "\n"
+        fh.writelines(row % tuple(r) for r in mesh.nodes.tolist())
+        row = " ".join(["%d"] * (mesh.dim + 1)) + "\n"
+        fh.writelines(row % tuple(r) for r in mesh.elements.tolist())
 
 
 def load_mesh(path) -> SimplicialMesh:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time as _time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,15 +31,31 @@ def _say(args, msg):
         print(msg)
 
 
-def _prepare_out(path, force):
+@contextmanager
+def _output_dir(path, force, sub_stores=()):
+    """Create (or, with force, reuse) the output directory and yield it; if
+    the body raises, mark it and its sub_stores failed before re-raising."""
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise FileExistsError(f"{out} exists and is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
-    failed = out / ".failed"
-    if failed.exists():
-        failed.unlink()
-    return out
+    (out / ".failed").unlink(missing_ok=True)
+    try:
+        yield out
+    except Exception:
+        for failed in (out, *(out / s for s in sub_stores)):
+            store.mark_failed(failed)
+        raise
+
+
+def _parse_time(text):
+    """Exact rational time from command-line text; must be a finite number."""
+    try:
+        t = Fraction(text)
+        float(t)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"bad time {text!r}: {exc}") from exc
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +63,9 @@ def _prepare_out(path, force):
 
 def cmd_simulate(args) -> int:
     params, policy, n_elems = store.parse_run_config(args.config)
-    out = _prepare_out(args.out_dir, args.force)
-    t0 = _time.perf_counter()
-    try:
+    # readers open the sub-stores, so a failed forced rerun marks them too
+    with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
+        t0 = _time.perf_counter()
         result = seird_sim.run_seird_amr(params, policy, n_base_elements=n_elems)
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
@@ -69,19 +86,13 @@ def cmd_simulate(args) -> int:
             outputs=["adaptive/manifest.txt", "projected/manifest.txt",
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
-    except Exception:
-        # readers open the sub-stores, so a failed forced rerun marks them too
-        for path in (out, out / "adaptive", out / "projected"):
-            store.mark_failed(path)
-        raise
     _say(args, f"wrote {len(result.times)} snapshots to {out}")
     return EXIT_OK
 
 
 def cmd_demo_indicator(args) -> int:
-    out = _prepare_out(args.out_dir, args.force)
-    t0 = _time.perf_counter()
-    try:
+    with _output_dir(args.out_dir, args.force) as out:
+        t0 = _time.perf_counter()
         demo = seird_sim.indicator_projection_demo()
         mesh_mod.save_mesh(demo.donor, out / "donor.mesh.txt")
         fem.save_fields([demo.donor_field], out / "donor.field.txt")
@@ -94,9 +105,6 @@ def cmd_demo_indicator(args) -> int:
             out, command="demo indicator", seed=args.seed, config_snapshot="-",
             outputs=["donor.mesh.txt", "report.txt"],
             timings={"demo": _time.perf_counter() - t0})
-    except Exception:
-        store.mark_failed(out)
-        raise
     for line in demo.report.lines():
         _say(args, line)
     return EXIT_OK
@@ -105,9 +113,8 @@ def cmd_demo_indicator(args) -> int:
 def cmd_project(args) -> int:
     src = store.read_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
-    out = _prepare_out(args.out_dir, args.force)
-    t0 = _time.perf_counter()
-    try:
+    with _output_dir(args.out_dir, args.force) as out:
+        t0 = _time.perf_counter()
         ops = {}
         snapshots = []
         for entry in src.entries:
@@ -129,9 +136,6 @@ def cmd_project(args) -> int:
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
             timings={"project": _time.perf_counter() - t0})
-    except Exception:
-        store.mark_failed(out)
-        raise
     return EXIT_OK
 
 
@@ -156,11 +160,11 @@ def cmd_dmd_predict(args) -> int:
         raise InvalidArgumentError(
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
     if args.times:
-        time_fracs = [Fraction(tok) for tok in args.times.split(",") if tok]
+        time_fracs = [_parse_time(tok) for tok in args.times.split(",") if tok]
     else:
         t0 = Fraction(repr(model.t0))
         dt = Fraction(repr(model.dt_o))
-        until = Fraction(repr(args.until))
+        until = _parse_time(repr(args.until))
         time_fracs = []
         k = 0
         while t0 + k * dt <= until + Fraction(1, 10 ** 9):
@@ -168,8 +172,7 @@ def cmd_dmd_predict(args) -> int:
             k += 1
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
-    out = _prepare_out(args.out_store, args.force)
-    try:
+    with _output_dir(args.out_store, args.force) as out:
         snapshots = []
         for t in time_fracs:
             vec = dmd.evaluate(model, float(t))
@@ -178,9 +181,6 @@ def cmd_dmd_predict(args) -> int:
         store.write_run_manifest(
             out, command="dmd predict", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"], timings={})
-    except Exception:
-        store.mark_failed(out)
-        raise
     _say(args, f"wrote {len(time_fracs)} predicted snapshots to {out}")
     return EXIT_OK
 
@@ -200,6 +200,11 @@ def cmd_report_errors(args) -> int:
              if e.time_str in approx_by_time]
     if not pairs:
         raise StoreError("no common snapshot times between the stores")
+    for t, a in pairs:
+        for src, e in ((truth, t), (approx, a)):
+            if field not in e.fields:
+                raise StoreError(f"field {field!r} missing from "
+                                 f"{src.path / e.field_file}")
     Y = np.column_stack([t.fields[field] for t, _ in pairs])
     Yhat = np.column_stack([a.fields[field] for _, a in pairs])
     report = dmd.errors(Y, Yhat)

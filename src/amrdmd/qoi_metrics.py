@@ -163,5 +163,5 @@ def save_qoi_csv(series: QoiSeries, path) -> None:
     """CSV output with header time,value and 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("time,value\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+        fh.writelines("%.17g,%.17g\n" % r for r in
+                      zip(series.times.tolist(), series.values.tolist()))

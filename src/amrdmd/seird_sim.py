@@ -98,9 +98,6 @@ class SeirdState:
     time: float
     step_index: int
 
-    def as_fe_fields(self) -> dict[str, FeField]:
-        return {c: FeField(self.mesh, self.fields[c], name=c) for c in COMPARTMENTS}
-
 
 def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, FeField]:
     """Nodal initial data: a large susceptible population centered near
@@ -122,36 +119,42 @@ def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, FeField]:
 
 
 # ---------------------------------------------------------------------------
-# 1-d assembly helpers (all exact for the polynomial degrees involved)
+# 1-d assembly: every SEIRD system is one operator (kappa u', v') + (r u, v)
+# with nodal P1 kappa and r, built from the exact element formulas; the BDF
+# term c0 M is the constant part of r
 
-def _element_data(mesh):
+def _operator(mesh, kappa, react, bc_node):
+    """Dirichlet-pinned SparseSpd of (kappa u', v') + (react u, v).
+
+    kappa enters through its element mean (exact for the constant gradients
+    of P1), react through the weighted mass h/12 [[3 r1 + r2, r1 + r2],
+    [r1 + r2, r1 + 3 r2]], exact for P1 react. The row and column of
+    bc_node, when given, are those of the identity."""
     el = mesh.elements
     h = mesh.element_measures()
-    return el, h
-
-
-def _mass_coo(mesh, coef):
-    """Triples of the P1 mass matrix weighted by a nodal coefficient."""
-    el, h = _element_data(mesh)
-    c1 = coef[el[:, 0]]
-    c2 = coef[el[:, 1]]
-    m11 = h * (3 * c1 + c2) / 12.0
-    m12 = h * (c1 + c2) / 12.0
-    m22 = h * (c1 + 3 * c2) / 12.0
+    r1 = react[el[:, 0]]
+    r2 = react[el[:, 1]]
+    a = 0.5 * (kappa[el[:, 0]] + kappa[el[:, 1]]) / h
+    off = h * (r1 + r2) / 12.0 - a
     rows = np.concatenate([el[:, 0], el[:, 0], el[:, 1], el[:, 1]])
     cols = np.concatenate([el[:, 0], el[:, 1], el[:, 0], el[:, 1]])
-    vals = np.concatenate([m11, m12, m12, m22])
-    return rows, cols, vals
+    vals = np.concatenate([h * (3 * r1 + r2) / 12.0 + a, off, off,
+                           h * (r1 + 3 * r2) / 12.0 + a])
+    if bc_node is not None:
+        keep = (rows != bc_node) & (cols != bc_node)
+        rows = np.append(rows[keep], bc_node)
+        cols = np.append(cols[keep], bc_node)
+        vals = np.append(vals[keep], 1.0)
+    n = mesh.n_nodes
+    return SparseSpd(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
 
 
-def _stiffness_coo(mesh, coef):
-    """Triples of the stiffness matrix with P1 coefficient (mean per element)."""
-    el, h = _element_data(mesh)
-    a = 0.5 * (coef[el[:, 0]] + coef[el[:, 1]]) / h
-    rows = np.concatenate([el[:, 0], el[:, 0], el[:, 1], el[:, 1]])
-    cols = np.concatenate([el[:, 0], el[:, 1], el[:, 0], el[:, 1]])
-    vals = np.concatenate([a, -a, -a, a])
-    return rows, cols, vals
+def _solve(A, rhs, bc_node):
+    """Solve A x = rhs with the Dirichlet value 0 pinned at bc_node."""
+    if bc_node is not None:
+        rhs = rhs.copy()
+        rhs[bc_node] = 0.0
+    return cg_solve(A, rhs, tol=1e-12)
 
 
 _GAUSS5 = fem.gauss_rule_1d(5)
@@ -159,7 +162,8 @@ _GAUSS5 = fem.gauss_rule_1d(5)
 
 def _product_load(mesh, factors):
     """Load vector of the product of nodal P1 factors, by degree-5 Gauss."""
-    el, h = _element_data(mesh)
+    el = mesh.elements
+    h = mesh.element_measures()
     phi = _GAUSS5.points                   # (nq, 2)
     w = _GAUSS5.weights
     prod_q = np.ones((mesh.n_elems, phi.shape[0]))
@@ -175,22 +179,6 @@ def _product_load(mesh, factors):
 def _dirichlet_node(mesh):
     right = mesh.nodes[:, 0].max()
     return int(np.where(np.abs(mesh.nodes[:, 0] - right) <= 1e-12)[0][0])
-
-
-def _solve_system(coo_parts, rhs, bc_node, tol=1e-12):
-    rows = np.concatenate([p[0] for p in coo_parts])
-    cols = np.concatenate([p[1] for p in coo_parts])
-    vals = np.concatenate([p[2] for p in coo_parts])
-    if bc_node is not None:
-        keep = (rows != bc_node) & (cols != bc_node)
-        rows = np.append(rows[keep], bc_node)
-        cols = np.append(cols[keep], bc_node)
-        vals = np.append(vals[keep], 1.0)
-        rhs = rhs.copy()
-        rhs[bc_node] = 0.0
-    n = rhs.shape[0]
-    A = SparseSpd(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
-    return cg_solve(A, rhs, tol=tol)
 
 
 def step(state: SeirdState, params: SeirdParams,
@@ -214,8 +202,9 @@ def step(state: SeirdState, params: SeirdParams,
         c0 = 1.5 / dt
         hist = {c: (M @ (2.0 * u[c] - 0.5 * up[c])) / dt for c in COMPARTMENTS}
 
-    M_coo = M.tocoo()
-    c0_mass = (M_coo.row, M_coo.col, c0 * M_coo.data)
+    ones = np.ones(mesh.n_nodes)
+    # the d and c systems are c0 M alone, which Picard cannot change
+    A_dc = _operator(mesh, np.zeros(mesh.n_nodes), c0 * ones, bc)
 
     lag = {c: u[c].copy() for c in COMPARTMENTS}
     for iteration in range(PICARD_MAX):
@@ -223,39 +212,29 @@ def step(state: SeirdState, params: SeirdParams,
         if params.A_e > 0:
             sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
         else:
-            sigma = np.ones(mesh.n_nodes)
+            sigma = ones
         new = {}
 
         react_s = sigma * (params.beta_i * lag["i"] + params.beta_e * lag["e"])
-        new["s"] = _solve_system(
-            [c0_mass, _stiffness_coo(mesh, params.nu_s * n_pop),
-             _mass_coo(mesh, react_s)],
-            hist["s"], bc)
+        new["s"] = _solve(_operator(mesh, params.nu_s * n_pop, c0 + react_s, bc),
+                          hist["s"], bc)
 
-        react_e = (params.alpha + params.gamma_e) * np.ones(mesh.n_nodes) \
+        react_e = (params.alpha + params.gamma_e) * ones \
             - params.beta_e * sigma * new["s"]
         src_e = _product_load(mesh, [params.beta_i * sigma, new["s"], lag["i"]])
-        new["e"] = _solve_system(
-            [c0_mass, _stiffness_coo(mesh, params.nu_e * n_pop),
-             _mass_coo(mesh, react_e)],
-            hist["e"] + src_e, bc)
+        new["e"] = _solve(_operator(mesh, params.nu_e * n_pop, c0 + react_e, bc),
+                          hist["e"] + src_e, bc)
 
-        react_i = (params.gamma_i + params.delta) * np.ones(mesh.n_nodes)
-        new["i"] = _solve_system(
-            [c0_mass, _stiffness_coo(mesh, params.nu_i * n_pop),
-             _mass_coo(mesh, react_i)],
-            hist["i"] + params.alpha * (M @ new["e"]), bc)
+        react_i = (params.gamma_i + params.delta) * ones
+        new["i"] = _solve(_operator(mesh, params.nu_i * n_pop, c0 + react_i, bc),
+                          hist["i"] + params.alpha * (M @ new["e"]), bc)
 
-        new["r"] = _solve_system(
-            [c0_mass, _stiffness_coo(mesh, params.nu_r * n_pop)],
-            hist["r"] + params.gamma_e * (M @ new["e"])
-            + params.gamma_i * (M @ new["i"]), bc)
+        new["r"] = _solve(_operator(mesh, params.nu_r * n_pop, c0 * ones, bc),
+                          hist["r"] + params.gamma_e * (M @ new["e"])
+                          + params.gamma_i * (M @ new["i"]), bc)
 
-        new["d"] = _solve_system(
-            [c0_mass], hist["d"] + params.delta * (M @ new["i"]), bc)
-
-        new["c"] = _solve_system(
-            [c0_mass], hist["c"] + params.alpha * (M @ new["e"]), bc)
+        new["d"] = _solve(A_dc, hist["d"] + params.delta * (M @ new["i"]), bc)
+        new["c"] = _solve(A_dc, hist["c"] + params.alpha * (M @ new["e"]), bc)
 
         change = 0.0
         for c in COMPARTMENTS:

@@ -112,19 +112,23 @@ def read_store(store_dir) -> Store:
         raise StoreError(f"store {root} is marked failed")
     mesh_cache = {}
     entries = []
-    for raw in manifest.read_text().splitlines():
+    for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split()
-        if len(parts) != 4:
-            raise StoreError(f"malformed manifest line: {raw!r}")
-        idx, t_str, mesh_file, field_file = parts
+        try:
+            if len(parts) != 4:
+                raise ValueError("expected 'index time mesh_file field_file'")
+            idx, t_str, mesh_file, field_file = parts
+            index, time = int(idx), float(Fraction(t_str))
+        except (ValueError, OverflowError) as exc:
+            raise StoreError(f"malformed line {line_no} of {manifest}: "
+                             f"{raw!r} ({exc})") from exc
         if mesh_file not in mesh_cache:
             mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
         msh = mesh_cache[mesh_file]
         fields = fem.load_fields(root / field_file, msh)
-        entries.append(StoreEntry(index=int(idx), time_str=t_str,
-                                  time=float(Fraction(t_str)),
+        entries.append(StoreEntry(index=index, time_str=t_str, time=time,
                                   mesh_file=mesh_file, field_file=field_file,
                                   mesh=msh,
                                   fields={k: v.values for k, v in fields.items()}))

@@ -216,12 +216,11 @@ class TestErrors:
     def test_matches_naive_norm_oracle(self, rng):
         Y = rng.normal(size=(5, 7))
         Yh = rng.normal(size=(5, 7))
-        rep = dmd.errors(Y, Yh, split_index=4)
+        rep = dmd.errors(Y, Yh)
         for k in range(7):
             num = np.sqrt(np.sum((Y[:, k] - Yh[:, k]) ** 2))
             den = np.sqrt(np.sum(Y[:, k] ** 2))
             assert rep.eta_series[k] == pytest.approx(num / den, rel=1e-12)
-        assert rep.split_index == 4
 
     def test_eta_f_identity(self, rng):
         Y = rng.normal(size=(5, 7))

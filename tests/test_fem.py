@@ -268,6 +268,15 @@ class TestFieldIO:
         for f in fields:
             np.testing.assert_array_equal(back[f.name].values, f.values)
 
+    def test_golden_bytes(self, tmp_path):
+        m = M.build_interval_mesh(0, 1, 2)
+        path = tmp_path / "g.field.txt"
+        fem.save_fields([fem.FeField(m, [-0.0, 1 / 3, 5e-324], name="u"),
+                         fem.FeField(m, [1e300, -2.5, 0.1], name="v")], path)
+        assert path.read_bytes() == (
+            b"3 2\nu v\n-0 1.0000000000000001e+300\n0.33333333333333331 -2.5\n"
+            b"4.9406564584124654e-324 0.10000000000000001\n")
+
     def test_short_file_rejected(self, tmp_path):
         m = M.build_interval_mesh(0, 1, 2)
         path = tmp_path / "short.field.txt"

@@ -170,7 +170,7 @@ class TestProject:
         target = M.build_interval_mesh(0, 1, 9)
         op = L2.build_projection(donor, target)
         u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
-        proj = L2.project(op, u, tol=1e-14)
+        proj = L2.project(op, u)
         err_proj = cross_mesh_l2_error(u, proj)
         for _ in range(10):
             w = fem.FeField(target, proj.values + 0.1 * rng.normal(size=target.n_nodes))
@@ -200,9 +200,9 @@ class TestProject:
         u = rng.normal(size=donor.n_nodes)
         v = rng.normal(size=donor.n_nodes)
         a, b = 2.5, -0.75
-        combined = L2.project(op, fem.FeField(donor, a * u + b * v), tol=1e-14)
-        parts = (a * L2.project(op, fem.FeField(donor, u), tol=1e-14).values
-                 + b * L2.project(op, fem.FeField(donor, v), tol=1e-14).values)
+        combined = L2.project(op, fem.FeField(donor, a * u + b * v))
+        parts = (a * L2.project(op, fem.FeField(donor, u)).values
+                 + b * L2.project(op, fem.FeField(donor, v)).values)
         np.testing.assert_allclose(combined.values, parts, atol=1e-10)
 
     def test_galerkin_orthogonality_residual(self, rng):
@@ -210,7 +210,7 @@ class TestProject:
         target = M.build_interval_mesh(0, 1, 10)
         op = L2.build_projection(donor, target)
         u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
-        proj = L2.project(op, u, tol=1e-12)
+        proj = L2.project(op, u)
         assert L2.projection_residual(op, u, proj) <= 1e-11
 
 

@@ -99,6 +99,13 @@ class TestRandomizedSvd:
         with pytest.raises(InvalidArgumentError):
             linalg.randomized_svd(A, 5, oversample=10)
 
+    @pytest.mark.parametrize("knobs", [{"oversample": -5},
+                                       {"oversample": 0, "power_iters": -1}])
+    def test_negative_knobs_rejected(self, rng, knobs):
+        A = rng.normal(size=(10, 6))
+        with pytest.raises(InvalidArgumentError):
+            linalg.randomized_svd(A, 2, **knobs)
+
     def test_gaussian_matrix_moments(self):
         z = linalg.gaussian_matrix(2000, 10, seed=3)
         assert abs(z.mean()) < 0.02

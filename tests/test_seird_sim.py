@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrdmd import dmd, fem, mesh as M, seird_sim as S
 from amrdmd.errors import InvalidArgumentError
+
+from conftest import (composite_integral_1d, piecewise_linear_1d,
+                      random_refined_interval)
 
 
 def fresh_state(mesh):
@@ -69,6 +74,66 @@ class TestInitialConditions:
             S.seird_initial_conditions(sq)
 
 
+def p1_slope_1d(mesh, values):
+    """Callable evaluating the piecewise-constant derivative of the P1
+    interpolant (away from the nodes)."""
+    order = np.argsort(mesh.nodes[:, 0])
+    xs = mesh.nodes[order, 0]
+    slopes = np.diff(values[order]) / np.diff(xs)
+
+    def f(x):
+        return slopes[np.clip(np.searchsorted(xs, x) - 1, 0, slopes.size - 1)]
+
+    return f
+
+
+class TestOperator:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_bilinear_form_matches_quadrature_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        mesh = random_refined_interval(rng)
+        n = mesh.n_nodes
+        kappa = rng.uniform(0.0, 2.0, n)
+        react = rng.uniform(0.0, 3.0, n)
+        u = rng.normal(size=n)
+        v = rng.normal(size=n)
+        A = S._operator(mesh, kappa, react, None).matrix
+        k, r = piecewise_linear_1d(mesh, kappa), piecewise_linear_1d(mesh, react)
+        uf, vf = piecewise_linear_1d(mesh, u), piecewise_linear_1d(mesh, v)
+        du, dv = p1_slope_1d(mesh, u), p1_slope_1d(mesh, v)
+        ref = composite_integral_1d(
+            lambda x: k(x) * du(x) * dv(x) + r(x) * uf(x) * vf(x), 0, 1)
+        # no cancellation in the scale: each term by its magnitude
+        scale = composite_integral_1d(
+            lambda x: k(x) * np.abs(du(x) * dv(x)) + r(x) * np.abs(uf(x) * vf(x)),
+            0, 1)
+        assert abs(u @ A @ v - ref) <= 1e-6 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(1e-3, 1e3))
+    def test_constant_reaction_is_scaled_mass(self, seed, c):
+        rng = np.random.default_rng(seed)
+        mesh = random_refined_interval(rng)
+        n = mesh.n_nodes
+        A = S._operator(mesh, np.zeros(n), c * np.ones(n), None).matrix.toarray()
+        B = c * fem.assemble_mass(mesh).matrix.toarray()
+        assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(B))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_dirichlet_row_and_column_are_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        mesh = random_refined_interval(rng)
+        n = mesh.n_nodes
+        bc = int(rng.integers(n))
+        A = S._operator(mesh, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 3.0, n),
+                        bc).matrix.toarray()
+        e = np.zeros(n)
+        e[bc] = 1.0
+        assert np.array_equal(A[bc], e) and np.array_equal(A[:, bc], e)
+
+
 class TestStep:
     def test_zero_state_is_fixed_point(self):
         mesh = M.build_interval_mesh(0, 1, 20)
@@ -129,8 +194,7 @@ class TestStep:
         Mlu = spla.splu(sp.csc_matrix(Mmat))
 
         def stiffness(coef):
-            r, c_, v = S._stiffness_coo(mesh, coef)
-            return sp.coo_matrix((v, (r, c_)), shape=(n, n)).tocsr()
+            return S._operator(mesh, coef, np.zeros(n), None).matrix
 
         def rhs(t, y):
             u = {c: y[k * n:(k + 1) * n] for k, c in enumerate(names)}

@@ -320,6 +320,50 @@ class TestCliProjectAndDmd:
         entries = store.read_store(pred).entries
         assert [e.time_str for e in entries] == ["0.5", "1.25", "3"]
 
+    @pytest.mark.parametrize("when", [("--times", "a,b"), ("--until", "inf"),
+                                      ("--until", "nan")])
+    def test_predict_bad_time_exit_2(self, small_run, tmp_path, when):
+        root, cfg, out = small_run
+        model_path = tmp_path / "m.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model_path,
+                       "--field", "e", "--rank", "2", "--quiet") == 0
+        pred = tmp_path / "pred"
+        assert run_cli("dmd", "predict", model_path, pred, "--mesh",
+                       out / "projected" / "mesh_0000.mesh.txt", *when,
+                       "--quiet") == 2
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("knob", [("--oversample", "-5"),
+                                      ("--power-iters", "-1")])
+    def test_fit_negative_sketch_knob_exit_2(self, small_run, tmp_path, knob):
+        root, cfg, out = small_run
+        model_path = tmp_path / "m.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model_path,
+                       "--field", "e", "--rank", "2", "--svd", "randomized",
+                       *knob, "--quiet") == 2
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("bad", ["x 0", "1 zz"])
+    def test_malformed_manifest_line_exit_3(self, tmp_path, rng, capsys, bad):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        lines = (st / "manifest.txt").read_text().splitlines()
+        lines[1] = f"{bad} mesh_0000.mesh.txt snap_0001.field.txt"
+        (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        assert run_cli("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--rank", "1", "--quiet") == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "manifest.txt" in err
+
+    def test_report_missing_field_exit_3(self, small_run, tmp_path, capsys):
+        root, cfg, out = small_run
+        code = run_cli("report", "errors", out / "projected", out / "projected",
+                       tmp_path / "x.csv", "--field", "zz", "--quiet")
+        assert code == 3
+        assert "snap_0000.field.txt" in capsys.readouterr().err
+
     def test_predict_mesh_size_mismatch_exit_2(self, small_run, tmp_path):
         root, cfg, out = small_run
         model_path = tmp_path / "m2.dmd.txt"
