@@ -7,13 +7,14 @@ Jacobi-preconditioned conjugate-gradient solver.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
-from .mesh import SimplicialMesh, locate_points
+from .mesh import SimplicialMesh, facets, locate_points
 
 SYMMETRY_TOL = 1e-12
 
@@ -84,14 +85,9 @@ def gauss_rule_1d(degree: int) -> QuadratureRule:
     return QuadratureRule(dim=1, points=pts, weights=0.5 * w, degree=2 * npts - 1)
 
 
-_TRI_RULES = {}
-
-
 def triangle_rule(degree: int) -> QuadratureRule:
     """Symmetric triangle rules: centroid (deg 1), 3-point (deg 2),
     6-point Dunavant (deg 4)."""
-    if degree in _TRI_RULES:
-        return _TRI_RULES[degree]
     if degree <= 1:
         pts = np.array([[1 / 3, 1 / 3, 1 / 3]])
         w = np.array([0.5])
@@ -113,13 +109,17 @@ def triangle_rule(degree: int) -> QuadratureRule:
         ])
         w = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
         deg = 4
-    rule = QuadratureRule(dim=2, points=pts, weights=w, degree=deg)
-    _TRI_RULES[degree] = rule
-    return rule
+    return QuadratureRule(dim=2, points=pts, weights=w, degree=deg)
 
 
+@functools.cache
 def reference_rule(dim: int, degree: int) -> QuadratureRule:
-    return gauss_rule_1d(degree) if dim == 1 else triangle_rule(degree)
+    """Shared rule on the reference simplex, built once per (dim, degree);
+    its arrays are read-only."""
+    rule = gauss_rule_1d(degree) if dim == 1 else triangle_rule(degree)
+    rule.points.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +206,6 @@ def element_gradients(fld: FeField) -> np.ndarray:
     return np.column_stack([gx, gy])
 
 
-def _interior_facets(mesh: SimplicialMesh):
-    """(facet -> [elem ids]) for facets shared by exactly two elements."""
-    incid = {}
-    if mesh.dim == 1:
-        for i, (a, b) in enumerate(mesh.elements):
-            incid.setdefault(int(a), []).append(i)
-            incid.setdefault(int(b), []).append(i)
-    else:
-        for i, el in enumerate(mesh.elements):
-            for k in range(3):
-                u, v = int(el[k]), int(el[(k + 1) % 3])
-                incid.setdefault((u, v) if u < v else (v, u), []).append(i)
-    return {f: e for f, e in incid.items() if len(e) == 2}
-
-
 def flux_jump_indicator(fld: FeField) -> np.ndarray:
     """Per-element score sqrt(sum_f h_f |f| [[grad u . n]]_f^2) over the
     element's interior facets; boundary facets contribute nothing.
@@ -232,22 +217,19 @@ def flux_jump_indicator(fld: FeField) -> np.ndarray:
     """
     mesh = fld.mesh
     grads = element_gradients(fld)
-    scores = np.zeros(mesh.n_elems)
-    measures = mesh.element_measures()
-    for facet, (e1, e2) in _interior_facets(mesh).items():
-        if mesh.dim == 1:
-            jump = grads[e1, 0] - grads[e2, 0]
-            contrib = 0.5 * (measures[e1] + measures[e2]) * jump ** 2
-        else:
-            u, v = facet
-            edge = mesh.nodes[v] - mesh.nodes[u]
-            length = float(np.hypot(edge[0], edge[1]))
-            normal = np.array([edge[1], -edge[0]]) / length
-            jump = float((grads[e1] - grads[e2]) @ normal)
-            contrib = length ** 2 * jump ** 2
-        scores[e1] += contrib
-        scores[e2] += contrib
-    return np.sqrt(scores)
+    keys, owners = facets(mesh)
+    inner = owners[:, 1] >= 0
+    e1, e2 = owners[inner].T
+    jump = grads[e1] - grads[e2]
+    if mesh.dim == 1:
+        measures = mesh.element_measures()
+        contrib = 0.5 * (measures[e1] + measures[e2]) * jump[:, 0] ** 2
+    else:
+        # h_f |f| (jump . n)^2 with n the unit normal of edge t is (jump x t)^2
+        t = mesh.nodes[keys[inner, 1]] - mesh.nodes[keys[inner, 0]]
+        contrib = (jump[:, 0] * t[:, 1] - jump[:, 1] * t[:, 0]) ** 2
+    return np.sqrt(np.bincount(e1, contrib, mesh.n_elems)
+                   + np.bincount(e2, contrib, mesh.n_elems))
 
 
 # ---------------------------------------------------------------------------

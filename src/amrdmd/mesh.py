@@ -141,19 +141,36 @@ def build_structured_triangle_mesh(x_range, y_range, nx: int, ny: int) -> Simpli
 # ---------------------------------------------------------------------------
 # validation
 
-def _facet_census(dim, elements):
-    """Count how many elements share each facet (node in 1-d, edge in 2-d)."""
-    counts = {}
-    if dim == 1:
-        for a, b in elements:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
+def facets(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Every facet of the mesh once: a node in 1-d, an edge in 2-d.
+
+    Returns (keys, owners), one row per facet in ascending key order:
+    keys[f] are the facet's node ids, ascending; owners[f] are the ids of
+    the one or two elements containing it, ascending, with -1 for the
+    missing neighbour of a boundary facet. Raises InvalidArgumentError for
+    a facet shared by more than two elements."""
+    el = mesh.elements
+    if mesh.dim == 1:
+        key = el.reshape(-1)
     else:
-        for p, a, b in elements:
-            for u, v in ((p, a), (a, b), (b, p)):
-                key = (u, v) if u < v else (v, u)
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+        ends = np.sort(el[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        key = ends[:, 0] * mesh.n_nodes + ends[:, 1]
+    # the stable sort keeps the owners of one facet ascending
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    owner = order // (mesh.dim + 1)
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=key.size)
+    keys = key[first, None] if mesh.dim == 1 else np.column_stack(
+        np.divmod(key[first], mesh.n_nodes))
+    if np.any(count > 2):
+        raise InvalidArgumentError(
+            f"facet shared by >2 elements: {keys[count > 2][:3].tolist()}")
+    owners = np.full((first.size, 2), -1, dtype=np.int64)
+    owners[:, 0] = owner[first]
+    shared = count == 2
+    owners[shared, 1] = owner[first[shared] + 1]
+    return keys, owners
 
 
 def validate_mesh(mesh: SimplicialMesh) -> None:
@@ -167,10 +184,7 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
         bad = int(np.argmin(measures))
         raise InvalidArgumentError(
             f"element {bad} has non-positive measure {measures[bad]:g}")
-    counts = _facet_census(mesh.dim, mesh.elements)
-    bad = [k for k, c in counts.items() if c > 2]
-    if bad:
-        raise InvalidArgumentError(f"facet shared by >2 elements: {bad[:3]}")
+    facets(mesh)
     if mesh.n_nodes > 1:
         tree = cKDTree(mesh.nodes)
         pairs = tree.query_pairs(NODE_DEDUP_TOL)
@@ -249,25 +263,20 @@ class _MeshWork:
 
     # -- coarsening --------------------------------------------------------
 
-    def coarsen(self, coarsen_ids):
+    def coarsen(self, coarsen_ids, siblings):
         """Merge complete sibling groups; conformity-blocked merges are
-        skipped (a midpoint still used by finer neighbors must stay)."""
-        if not coarsen_ids:
-            return
+        skipped (a midpoint still used by finer neighbors must stay).
+        siblings is sibling_groups of the mesh this work started from."""
         groups = {}
         for eid in sorted(coarsen_ids):
-            if eid not in self.elems:
-                raise InvalidPlanError(f"coarsen id {eid} not in mesh")
             lin = self.lineage[eid]
             if lin is None or self.level[eid] < 1:
                 raise InvalidPlanError(f"element {eid} has no parent to merge into")
-            groups.setdefault(lin[0], []).append(eid)
-        for parent_nodes, members in groups.items():
-            siblings = [e for e, l in self.lineage.items()
-                        if l is not None and l[0] == parent_nodes]
-            if len(siblings) != 2 or sorted(siblings) != sorted(members):
+            members = siblings[lin[0]]
+            if len(members) != 2 or not coarsen_ids.issuperset(members):
                 raise InvalidPlanError(
-                    f"partial sibling group for parent nodes {parent_nodes}")
+                    f"partial sibling group for parent nodes {lin[0]}")
+            groups[lin[0]] = members
         # merge units: all groups sharing one midpoint node must merge together
         units = {}
         for parent_nodes, members in groups.items():
@@ -287,10 +296,10 @@ class _MeshWork:
 
     def _group_midpoint(self, members):
         if self.dim == 1:
-            (a1, b1), (a2, b2) = (self.elems[m] for m in sorted(members)[:2])
+            (a1, b1), (a2, b2) = (self.elems[m] for m in members)
             return b1 if b1 == a2 else a1
         # 2-d children both carry the midpoint as their peak (vertex 0)
-        return self.elems[sorted(members)[0]][0]
+        return self.elems[members[0]][0]
 
     # -- refinement --------------------------------------------------------
 
@@ -401,10 +410,20 @@ def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
         if len(levels) and np.max(levels) >= plan.max_level:
             raise InvalidPlanError("plan would exceed max_level")
     work = _MeshWork(mesh)
-    work.coarsen(plan.coarsen)
+    if plan.coarsen:
+        work.coarsen(plan.coarsen, sibling_groups(mesh))
     # surviving elements keep their ids in the work structure
     work.refine([e for e in plan.refine if e in work.elems], plan.max_level)
     return work.to_mesh()
+
+
+def sibling_groups(mesh: SimplicialMesh) -> dict:
+    """Parent node tuple -> ascending ids of its children in the mesh."""
+    groups = {}
+    for eid, (lin, lvl) in enumerate(zip(mesh.lineage, mesh.level.tolist())):
+        if lin is not None and lvl >= 1:
+            groups.setdefault(lin[0], []).append(eid)
+    return groups
 
 
 def uniform_refine(mesh: SimplicialMesh, times: int = 1) -> SimplicialMesh:

@@ -33,19 +33,17 @@ def _say(args, msg):
 
 @contextmanager
 def _output_dir(path, force, sub_stores=()):
-    """Create (or, with force, reuse) the output directory and yield it; if
-    the body raises, mark it and its sub_stores failed before re-raising."""
+    """Create (or, with force, reuse) the output directory and yield it.
+    It and its sub_stores are marked failed until the body completes, so
+    a run that is killed or interrupted leaves no store readable."""
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise FileExistsError(f"{out} exists and is not empty (use --force)")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / ".failed").unlink(missing_ok=True)
-    try:
-        yield out
-    except Exception:
-        for failed in (out, *(out / s for s in sub_stores)):
-            store.mark_failed(failed)
-        raise
+    for marked in (out, *(out / s for s in sub_stores)):
+        marked.mkdir(parents=True, exist_ok=True)
+        (marked / ".failed").touch()
+    yield out
+    (out / ".failed").unlink(missing_ok=True)   # write_store may have cleared it
 
 
 def _parse_time(text):

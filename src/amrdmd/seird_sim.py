@@ -21,7 +21,7 @@ from .fem import FeField, SparseSpd, cg_solve
 from .linalg import gaussian_matrix
 from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
                    build_structured_triangle_mesh, elements_containing, refine,
-                   uniform_refine)
+                   sibling_groups, uniform_refine)
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
@@ -82,6 +82,9 @@ class AmrPolicy:
     initial_uniform_levels: int = 2
 
     def __post_init__(self):
+        if self.max_level < 0 or self.initial_uniform_levels < 0:
+            raise InvalidArgumentError(
+                "max_level and initial_uniform_levels must be >= 0")
         if not (0 <= self.refine_fraction <= 1 and 0 <= self.coarsen_fraction <= 1):
             raise InvalidArgumentError("fractions must lie in [0, 1]")
         if self.refine_fraction + self.coarsen_fraction > 1:
@@ -157,15 +160,13 @@ def _solve(A, rhs, bc_node):
     return cg_solve(A, rhs, tol=1e-12)
 
 
-_GAUSS5 = fem.gauss_rule_1d(5)
-
-
 def _product_load(mesh, factors):
     """Load vector of the product of nodal P1 factors, by degree-5 Gauss."""
     el = mesh.elements
     h = mesh.element_measures()
-    phi = _GAUSS5.points                   # (nq, 2)
-    w = _GAUSS5.weights
+    rule = fem.reference_rule(1, 5)
+    phi = rule.points                      # (nq, 2)
+    w = rule.weights
     prod_q = np.ones((mesh.n_elems, phi.shape[0]))
     for f in factors:
         prod_q *= f[el] @ phi.T
@@ -260,24 +261,6 @@ def _transfer_values(old_mesh, new_mesh, values):
     return fem.evaluate_many(FeField(old_mesh, values), new_mesh.nodes)
 
 
-def _sibling_groups(mesh, candidates):
-    by_parent = {}
-    for e in candidates:
-        lin = mesh.lineage[e]
-        if lin is None or mesh.level[e] < 1:
-            continue
-        by_parent.setdefault(lin[0], []).append(e)
-    complete = []
-    for parent_nodes, members in by_parent.items():
-        if len(members) != 2:
-            continue
-        siblings = [i for i, l in enumerate(mesh.lineage)
-                    if l is not None and l[0] == parent_nodes]
-        if sorted(siblings) == sorted(members):
-            complete.extend(members)
-    return complete
-
-
 def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     """Rank elements by the flux-jump indicator summed over s, e, i; refine
     the top fraction (below max_level), coarsen complete sibling groups in
@@ -291,8 +274,10 @@ def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     n_coar = int(policy.coarsen_fraction * mesh.n_elems)
     refine_ids = [int(e) for e in order[:n_ref]
                   if mesh.level[e] < policy.max_level]
-    coarsen_pool = [int(e) for e in order[mesh.n_elems - n_coar:]] if n_coar else []
-    coarsen_ids = _sibling_groups(mesh, coarsen_pool)
+    pool = set(order[mesh.n_elems - n_coar:].tolist())
+    coarsen_ids = [e for members in sibling_groups(mesh).values()
+                   if len(members) == 2 and pool.issuperset(members)
+                   for e in members]
     return RefinementPlan(refine=frozenset(refine_ids),
                           coarsen=frozenset(coarsen_ids),
                           max_level=policy.max_level)

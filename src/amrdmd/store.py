@@ -233,11 +233,3 @@ def write_run_manifest(out_dir, command: str, seed, config_snapshot: str,
     path = out / "run_manifest.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def mark_failed(out_dir) -> None:
-    try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / ".failed").touch()
-    except OSError:
-        pass

@@ -151,6 +151,44 @@ class TestRefine:
         assert r.total_measure() == pytest.approx(m.total_measure(), rel=1e-12)
 
 
+class TestFacets:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_matches_dict_oracle(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        if dim == 1:
+            m = random_refined_interval(rng, n_base=int(rng.integers(1, 8)),
+                                        passes=3)
+        else:
+            m = random_refined_square(rng, nx=int(rng.integers(1, 4)))
+        oracle = {}
+        for i, el in enumerate(m.elements.tolist()):
+            faces = ([(v,) for v in el] if dim == 1 else
+                     [tuple(sorted((el[k], el[(k + 1) % 3]))) for k in range(3)])
+            for f in faces:
+                oracle.setdefault(f, []).append(i)
+        keys, owners = M.facets(m)
+        assert keys.shape == (len(oracle), dim)
+        assert owners.shape == (len(oracle), 2)
+        got = {tuple(k): tuple(o) for k, o in zip(keys.tolist(), owners.tolist())}
+        want = {k: tuple(v) if len(v) == 2 else (v[0], -1)
+                for k, v in oracle.items()}
+        assert got == want
+        # a 1-d mesh has exactly its two end nodes on the boundary
+        if dim == 1:
+            assert (owners[:, 1] < 0).sum() == 2
+
+    def test_three_triangles_on_one_edge_rejected(self):
+        nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.2, 0.5]]
+        elements = [[2, 0, 1], [3, 1, 0], [4, 0, 1]]
+        m = M.SimplicialMesh(dim=2, nodes=nodes, elements=elements,
+                             level=np.zeros(3, dtype=np.int64))
+        with pytest.raises(InvalidArgumentError, match="shared by >2"):
+            M.facets(m)
+        with pytest.raises(InvalidArgumentError, match="shared by >2"):
+            M.validate_mesh(m)
+
+
 class TestLocate:
     def test_segment_midpoint(self):
         m = M.build_interval_mesh(0, 1, 4)

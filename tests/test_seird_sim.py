@@ -292,6 +292,43 @@ class TestAmrLoop:
         res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
         assert max(res.projection_residuals) <= 1e-10
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_coarsen_set_is_complete_sibling_pairs_of_pool(self, seed):
+        """Brute force: an element of the coarsening pool is coarsened iff
+        exactly two elements of the mesh share its parent and both are in
+        the pool."""
+        rng = np.random.default_rng(seed)
+        m = random_refined_interval(rng, n_base=int(rng.integers(1, 10)),
+                                    passes=3)
+        for _ in range(2):      # random coarsening, then refinement again
+            plan = S.build_amr_plan(
+                S.SeirdState(m, {c: rng.normal(size=m.n_nodes)
+                                 for c in S.COMPARTMENTS}, None, 0.0, 0),
+                S.AmrPolicy(refine_fraction=rng.uniform(0, 0.3),
+                            coarsen_fraction=rng.uniform(0, 0.7),
+                            max_level=4))
+            m = M.refine(m, plan)
+        state = S.SeirdState(m, {c: rng.normal(size=m.n_nodes)
+                                 for c in S.COMPARTMENTS}, None, 0.0, 0)
+        policy = S.AmrPolicy(refine_fraction=0.0,
+                             coarsen_fraction=rng.uniform(0, 1))
+        plan = S.build_amr_plan(state, policy)
+        score = sum(fem.flux_jump_indicator(fem.FeField(m, state.fields[c]))
+                    for c in ("s", "e", "i"))
+        n_coar = int(policy.coarsen_fraction * m.n_elems)
+        order = sorted(range(m.n_elems), key=lambda e: (-score[e], e))
+        pool = set(order[m.n_elems - n_coar:]) if n_coar else set()
+        want = set()
+        for e in pool:
+            if m.lineage[e] is None:
+                continue
+            sibs = [i for i, lin in enumerate(m.lineage)
+                    if lin is not None and lin[0] == m.lineage[e][0]]
+            if len(sibs) == 2 and pool.issuperset(sibs):
+                want.add(e)
+        assert plan.coarsen == want
+
 
 class TestIndicatorDemoPieces:
     def test_transition_crossing_rule_initial_mesh(self):

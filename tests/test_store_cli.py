@@ -175,7 +175,8 @@ class TestCliSimulate:
         assert run_cli("simulate", bad, tmp_path / "y", "--quiet") == 2
 
     @pytest.mark.parametrize("setting", ["t_end = inf", "beta_i = nan",
-                                         "t_end = 1.1"])
+                                         "t_end = 1.1", "max_level = -1",
+                                         "initial_uniform_levels = -1"])
     def test_invalid_parameter_exit_2_before_output(self, tmp_path, setting):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dt = 0.25\nn_elems = 10\n{setting}\n")
@@ -211,6 +212,23 @@ class TestCliSimulate:
         assert run_cli("simulate", cfg, out, "--force", "--quiet") == 0
         assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
                        "--rank", "2", "--quiet") == 0
+
+    def test_interrupted_forced_rerun_leaves_stores_failed(self, small_run,
+                                                           tmp_path,
+                                                           monkeypatch):
+        root, cfg, _ = small_run
+        out = tmp_path / "sim"
+        assert run_cli("simulate", cfg, out, "--quiet") == 0
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(seird_sim, "run_seird_amr", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("simulate", cfg, out, "--force", "--quiet")
+        assert (out / ".failed").exists()
+        assert run_cli("dmd", "fit", out / "projected", tmp_path / "s.model.txt",
+                       "--field", "s", "--rank", "2", "--quiet") == 3
 
     def test_deterministic_artifacts(self, small_run, tmp_path):
         root, cfg, out = small_run
