@@ -2,18 +2,3 @@
 snapshots from adaptive meshes, via L2-projection onto a reference mesh."""
 
 __version__ = "0.1.0"
-
-from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
-                   build_structured_triangle_mesh, load_mesh, locate_point,
-                   refine, save_mesh, uniform_refine)
-from .fem import (FeField, QuadratureRule, SparseSpd, assemble_mass, cg_solve,
-                  evaluate, flux_jump_indicator, inf_norm, integrate, l2_norm)
-from .l2projection import ProjectionOperator, build_projection, project, rank_check
-from .linalg import SvdResult, eig, pinv_apply, randomized_svd, svd, truncate
-from .dmd import (DmdModel, ErrorReport, SnapshotMatrix, choose_rank, errors,
-                  fit, load_model, reconstruct, save_model, split)
-from .qoi_metrics import (QoiSeries, front_position, region_center_of_mass,
-                          total_population)
-from .seird_sim import (AmrPolicy, SeirdParams, SeirdState,
-                        indicator_projection_demo, run_seird_amr,
-                        seird_initial_conditions, step, synth_linear_series)

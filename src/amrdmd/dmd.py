@@ -249,7 +249,7 @@ def load_model(path) -> DmdModel:
             n, r = int(head[0]), int(head[1])
             t0, dt_o, name = float(head[2]), float(head[3]), head[4]
             raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed model file {path}: {exc}") from exc
     if raw.shape != ((3 + n) * r, 2):
         raise InvalidArgumentError(f"model file {path} truncated")

@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import SimplicialMesh, facets, locate_points
@@ -41,7 +40,7 @@ class FeField:
 class SparseSpd:
     """Symmetric positive-definite matrix in CSR form."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
 
     def __post_init__(self):
         A = self.matrix.tocsr()
@@ -127,6 +126,7 @@ def reference_rule(dim: int, degree: int) -> QuadratureRule:
 
 def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
     """Consistent P1 mass matrix from the analytic element formulas."""
+    import scipy.sparse as sp
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         bad = int(np.argmin(measures))
@@ -301,9 +301,11 @@ def load_fields(path, mesh: SimplicialMesh) -> dict[str, FeField]:
             names = fh.readline().split()
             if len(names) != n_fields:
                 raise ValueError("field name count mismatch")
+            if len(set(names)) != n_fields:
+                raise ValueError(f"repeated field name in {names}")
             table = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
                                dtype=float).reshape(n_nodes, n_fields)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
     if n_nodes != mesh.n_nodes:
         raise InvalidArgumentError(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
@@ -173,23 +172,53 @@ def facets(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
     return keys, owners
 
 
+def _close_node_pairs(nodes: np.ndarray, tol: float) -> np.ndarray:
+    """Node pairs (lower id, higher id) at distance <= tol, rows ascending;
+    empty iff no such pair exists. Exact sweep over finite coordinates:
+    runs split where the sorted x-gap exceeds tol hold every close pair;
+    within a run ordered by the last coordinate, offsets k = 1, 2, ... are
+    tried until no pair k apart is within tol in it, or one is close."""
+    order = np.argsort(nodes[:, 0], kind="stable")
+    x = nodes[order, 0]
+    run = np.cumsum(np.diff(x, prepend=x[:1]) > tol)
+    # run is nondecreasing, so each run keeps its positions in the new order
+    order = order[np.lexsort((nodes[order, -1], run))]
+    y = nodes[order, -1]
+    for k in range(1, len(order)):
+        near = np.flatnonzero((run[k:] == run[:-k]) & (y[k:] - y[:-k] <= tol))
+        if not near.size:
+            break
+        a, b = order[near], order[near + k]
+        close = np.hypot.reduce(np.abs(nodes[a] - nodes[b]), axis=1) <= tol
+        if close.any():
+            pairs = np.sort(np.column_stack([a[close], b[close]]), axis=1)
+            return pairs[np.lexsort(pairs.T[::-1])]
+    return np.empty((0, 2), dtype=np.int64)
+
+
+def _check_tables(dim: int, nodes: np.ndarray, elements: np.ndarray) -> None:
+    """Supported dimension, finite coordinates, connectivity in range."""
+    if dim not in (1, 2):
+        raise InvalidArgumentError(f"unsupported dimension {dim}")
+    if not np.all(np.isfinite(nodes)):
+        raise InvalidArgumentError("non-finite node coordinate")
+    if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
+        raise InvalidArgumentError("element node index out of range")
+
+
 def validate_mesh(mesh: SimplicialMesh) -> None:
     """Check the structural invariants; raises InvalidArgumentError."""
-    if mesh.dim not in (1, 2):
-        raise InvalidArgumentError(f"unsupported dimension {mesh.dim}")
-    if mesh.elements.size and (mesh.elements.min() < 0 or mesh.elements.max() >= mesh.n_nodes):
-        raise InvalidArgumentError("element node index out of range")
+    _check_tables(mesh.dim, mesh.nodes, mesh.elements)
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         bad = int(np.argmin(measures))
         raise InvalidArgumentError(
             f"element {bad} has non-positive measure {measures[bad]:g}")
     facets(mesh)
-    if mesh.n_nodes > 1:
-        tree = cKDTree(mesh.nodes)
-        pairs = tree.query_pairs(NODE_DEDUP_TOL)
-        if pairs:
-            raise InvalidArgumentError(f"duplicate nodes within tolerance: {sorted(pairs)[:3]}")
+    pairs = _close_node_pairs(mesh.nodes, NODE_DEDUP_TOL)
+    if pairs.size:
+        raise InvalidArgumentError(
+            f"duplicate nodes within tolerance: {pairs[:3].tolist()}")
     if len(mesh.lineage) != mesh.n_elems:
         raise InvalidArgumentError("lineage length mismatch")
 
@@ -613,7 +642,8 @@ def load_mesh(path) -> SimplicialMesh:
                                dtype=float).reshape(n_nodes, dim)
             elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
                                   dtype=np.int64).reshape(n_elems, dim + 1)
-        except ValueError as exc:
+            _check_tables(dim, nodes, elements)   # before _normalize_elements
+        except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
     elements = _normalize_elements(dim, nodes, elements)
     mesh = SimplicialMesh(dim=dim, nodes=nodes, elements=elements,

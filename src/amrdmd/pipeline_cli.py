@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dmd, fem, l2projection, mesh as mesh_mod, qoi_metrics, seird_sim, store
+# seird_sim and l2projection load scipy: only the commands that run them import them
+from . import dmd, fem, mesh as mesh_mod, qoi_metrics, store
 from .errors import (AmrDmdError, ConfigError, InvalidArgumentError,
                      InvalidPlanError, StoreError)
 from .fem import FeField
@@ -60,7 +61,8 @@ def _parse_time(text):
 # subcommand implementations
 
 def cmd_simulate(args) -> int:
-    params, policy, n_elems = store.parse_run_config(args.config)
+    from . import seird_sim
+    params, policy, n_elems = seird_sim.parse_run_config(args.config)
     # readers open the sub-stores, so a failed forced rerun marks them too
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
@@ -89,6 +91,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_demo_indicator(args) -> int:
+    from . import seird_sim
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
         demo = seird_sim.indicator_projection_demo()
@@ -109,6 +112,7 @@ def cmd_demo_indicator(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import l2projection
     src = store.read_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
     with _output_dir(args.out_dir, args.force) as out:

@@ -8,15 +8,16 @@ linear-dynamics series used as ground truth for the decomposition code.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem, l2projection, qoi_metrics
 from .dmd import SnapshotMatrix
-from .errors import InvalidArgumentError, StepError
+from .errors import ConfigError, InvalidArgumentError, StepError
 from .fem import FeField, SparseSpd, cg_solve
 from .linalg import gaussian_matrix
 from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
@@ -91,6 +92,56 @@ class AmrPolicy:
             raise InvalidArgumentError("refine + coarsen fractions exceed 1")
         if self.remesh_every < 1:
             raise InvalidArgumentError("remesh_every must be >= 1")
+
+
+# ---------------------------------------------------------------------------
+# run configuration: "key = value" lines, '#' comments, unknown keys error
+
+_PARAM_FIELDS = {f.name: f for f in fields(SeirdParams)}
+_POLICY_FIELDS = {f.name: f for f in fields(AmrPolicy)}
+_INT_KEYS = {"remesh_every", "max_level", "initial_uniform_levels", "n_elems"}
+
+
+def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
+    params_kwargs = {}
+    policy_kwargs = {}
+    n_elems = 125
+    seen = {}
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"expected 'key = value' on line {line_no}: {raw!r}",
+                              line_no=line_no)
+        key, _, value = text.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if seen.setdefault(key, line_no) != line_no:
+            raise ConfigError(f"duplicate key {key!r} on line {line_no} "
+                              f"(first set on line {seen[key]})", line_no=line_no)
+        try:
+            if key == "n_elems":
+                n_elems = int(value)
+            elif key in _PARAM_FIELDS:
+                params_kwargs[key] = float(value)
+            elif key in _POLICY_FIELDS:
+                policy_kwargs[key] = (int(value) if key in _INT_KEYS
+                                      else float(value))
+            else:
+                raise ConfigError(f"unknown key {key!r} on line {line_no}",
+                                  line_no=line_no)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} on line {line_no}: {exc}",
+                              line_no=line_no) from exc
+    if not params_kwargs and not policy_kwargs:
+        raise ConfigError("configuration file is empty", line_no=1)
+    try:
+        params = SeirdParams(**params_kwargs)
+        policy = AmrPolicy(**policy_kwargs)
+    except Exception as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return params, policy, n_elems
 
 
 @dataclass
@@ -311,12 +362,6 @@ class SeirdRunResult:
     @property
     def float_times(self):
         return [float(t) for t in self.times]
-
-    def snapshot_matrix(self, name: str) -> SnapshotMatrix:
-        data = np.column_stack([snap[name] for snap in self.projected])
-        dt_o = float(self.times[1] - self.times[0])
-        return SnapshotMatrix(data=data, t0=float(self.times[0]), dt_o=dt_o,
-                              field_name=name, mesh=self.reference)
 
 
 def run_seird_amr(params: SeirdParams, policy: AmrPolicy,

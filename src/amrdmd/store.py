@@ -1,4 +1,4 @@
-"""On-disk snapshot stores, run configuration files, and run manifests.
+"""On-disk snapshot stores and run manifests.
 
 A store is a directory with a ``manifest.txt`` whose lines read
 ``index time mesh_file field_file``; mesh and field files use the plain
@@ -9,7 +9,6 @@ decimals, so manifests never accumulate float drift.
 
 from __future__ import annotations
 
-import dataclasses
 import time as _time
 import uuid
 from dataclasses import dataclass
@@ -20,9 +19,8 @@ import numpy as np
 
 from . import fem, mesh as mesh_mod
 from .dmd import SnapshotMatrix
-from .errors import ConfigError, StoreError
+from .errors import StoreError
 from .fem import FeField
-from .seird_sim import AmrPolicy, SeirdParams
 
 TOOL_VERSION = "0.1.0"
 
@@ -112,6 +110,7 @@ def read_store(store_dir) -> Store:
         raise StoreError(f"store {root} is marked failed")
     mesh_cache = {}
     entries = []
+    index_lines = {}
     for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
         if not raw.strip():
             continue
@@ -121,6 +120,8 @@ def read_store(store_dir) -> Store:
                 raise ValueError("expected 'index time mesh_file field_file'")
             idx, t_str, mesh_file, field_file = parts
             index, time = int(idx), float(Fraction(t_str))
+            if index_lines.setdefault(index, line_no) != line_no:
+                raise ValueError(f"index {index} repeats line {index_lines[index]}")
         except (ValueError, OverflowError) as exc:
             raise StoreError(f"malformed line {line_no} of {manifest}: "
                              f"{raw!r} ({exc})") from exc
@@ -156,56 +157,6 @@ def store_to_snapshot_matrix(store: Store, field: str,
     data = np.column_stack([e.fields[field] for e in chosen])
     return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(gaps[0]),
                           field_name=field, mesh=chosen[0].mesh)
-
-
-# ---------------------------------------------------------------------------
-# run configuration: "key = value" lines, '#' comments, unknown keys error
-
-_PARAM_FIELDS = {f.name: f for f in dataclasses.fields(SeirdParams)}
-_POLICY_FIELDS = {f.name: f for f in dataclasses.fields(AmrPolicy)}
-_INT_KEYS = {"remesh_every", "max_level", "initial_uniform_levels", "n_elems"}
-
-
-def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
-    params_kwargs = {}
-    policy_kwargs = {}
-    n_elems = 125
-    seen = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"expected 'key = value' on line {line_no}: {raw!r}",
-                              line_no=line_no)
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if seen.setdefault(key, line_no) != line_no:
-            raise ConfigError(f"duplicate key {key!r} on line {line_no} "
-                              f"(first set on line {seen[key]})", line_no=line_no)
-        try:
-            if key == "n_elems":
-                n_elems = int(value)
-            elif key in _PARAM_FIELDS:
-                params_kwargs[key] = float(value)
-            elif key in _POLICY_FIELDS:
-                policy_kwargs[key] = (int(value) if key in _INT_KEYS
-                                      else float(value))
-            else:
-                raise ConfigError(f"unknown key {key!r} on line {line_no}",
-                                  line_no=line_no)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} on line {line_no}: {exc}",
-                              line_no=line_no) from exc
-    if not params_kwargs and not policy_kwargs:
-        raise ConfigError("configuration file is empty", line_no=1)
-    try:
-        params = SeirdParams(**params_kwargs)
-        policy = AmrPolicy(**policy_kwargs)
-    except Exception as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-    return params, policy, n_elems
 
 
 # ---------------------------------------------------------------------------

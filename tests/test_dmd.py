@@ -266,3 +266,12 @@ class TestModelIO:
         dmd.save_model(model, p1)
         dmd.save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_overflowing_header_rejected(self, tmp_path):
+        Y = seird_sim.synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
+        path = tmp_path / "big.dmd.txt"
+        dmd.save_model(dmd.fit(Y, rank=2), path)
+        head, rest = path.read_text().split("\n", 1)
+        path.write_text("99999999999999999999 " + head.split(" ", 1)[1] + "\n" + rest)
+        with pytest.raises(InvalidArgumentError, match="big.dmd.txt"):
+            dmd.load_model(path)

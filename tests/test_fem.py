@@ -284,6 +284,17 @@ class TestFieldIO:
         with pytest.raises(InvalidArgumentError):
             fem.load_fields(path, m)
 
+    @pytest.mark.parametrize("text", [
+        "99999999999999999999 2\ns e\n0 1\n0.5 1\n1 1\n",
+        "3 2\ns s\n0 1\n0.5 1\n1 1\n",
+    ])
+    def test_bad_header_rejected_naming_file(self, tmp_path, text):
+        m = M.build_interval_mesh(0, 1, 2)
+        path = tmp_path / "bad.field.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match="bad.field.txt"):
+            fem.load_fields(path, m)
+
     def test_node_count_mismatch(self, tmp_path):
         m = M.build_interval_mesh(0, 1, 3)
         fem.save_fields([fem.FeField(m, np.zeros(4))], tmp_path / "f.field.txt")

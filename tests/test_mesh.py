@@ -189,6 +189,68 @@ class TestFacets:
             M.validate_mesh(m)
 
 
+
+def brute_close_pairs(nodes, tol):
+    """Every pair i < j at Euclidean distance <= tol, from the full table."""
+    d = np.abs(nodes[:, None, :] - nodes[None, :, :])
+    dist = d[..., 0] if nodes.shape[1] == 1 else np.hypot(d[..., 0], d[..., 1])
+    i, j = np.nonzero(np.triu(dist <= tol, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+class TestCloseNodePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_matches_brute_force(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        tol = M.NODE_DEDUP_TOL
+        # distinct cells of a jittered lattice with steps at the tolerance;
+        # a step of 1e-2 stacks many nodes on one x (or one y), as a
+        # structured grid does
+        side = int(rng.integers(2, 80 if dim == 1 else 12))
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"),
+                        axis=-1).reshape(-1, dim)
+        cells = grid[rng.permutation(len(grid))[:int(rng.integers(2, 80))]]
+        if rng.random() < 0.2:
+            cells = np.vstack([cells, cells[:1]])      # an exact duplicate
+        step = rng.choice([0.5 * tol, 0.9 * tol, tol, 1.1 * tol, 3 * tol, 1e-2],
+                          size=dim)
+        jitter = rng.choice([0.0, 0.05, 0.5]) * tol
+        nodes = cells * step + rng.uniform(-jitter, jitter, size=cells.shape)
+        want = brute_close_pairs(nodes, tol)
+        got = M._close_node_pairs(nodes, tol).tolist()
+        assert bool(got) == bool(want)
+        assert set(map(tuple, got)) <= want
+        assert got == sorted(got)
+
+    def test_structured_grid_with_one_near_node(self):
+        m = M.build_structured_triangle_mesh((0, 1), (0, 1), 100, 100)
+        assert M._close_node_pairs(m.nodes, M.NODE_DEDUP_TOL).size == 0
+        nodes = m.nodes.copy()
+        nodes[5000] = nodes[4999] + [0.0, 0.9 * M.NODE_DEDUP_TOL]
+        pairs = M._close_node_pairs(nodes, M.NODE_DEDUP_TOL)
+        assert pairs.tolist() == [[4999, 5000]]
+
+    @pytest.mark.parametrize("nodes", [
+        [(0.0, 0.0), (0.99, 0.3), (0.0, 0.6)],       # two apart in y order
+        [(0.0, 0.0), (0.1, -1.5), (0.2, 1.6), (0.3, 0.5)],   # three apart in x
+    ])
+    def test_only_close_pair_is_not_adjacent(self, nodes):
+        nodes = np.array(nodes) * M.NODE_DEDUP_TOL      # one run, in tol units
+        assert brute_close_pairs(nodes, M.NODE_DEDUP_TOL) == {(0, len(nodes) - 1)}
+        assert M._close_node_pairs(nodes, M.NODE_DEDUP_TOL).tolist() == \
+            [[0, len(nodes) - 1]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_rejected(self, bad):
+        nodes = np.array([[0.0], [0.5], [1.0]])
+        nodes[1, 0] = bad
+        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]],
+                             level=np.zeros(2, dtype=np.int64))
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            M.validate_mesh(m)
+
+
 class TestLocate:
     def test_segment_midpoint(self):
         m = M.build_interval_mesh(0, 1, 4)
@@ -308,4 +370,17 @@ class TestMeshIO:
         path = tmp_path / "dup.mesh.txt"
         path.write_text("1 3 2\n0\n0.5\n0.5\n0 1\n1 2\n")
         with pytest.raises(InvalidArgumentError):
+            M.load_mesh(path)
+
+    @pytest.mark.parametrize("text", [
+        "1 3 2\n0\n0.5\n1\n0 1\n1 3\n",              # index == n_nodes
+        "2 3 1\n0 0\n1 0\n0 1\n0 1 7\n",
+        "2 3 1\n0 0\n1 0\n0 nan\n0 1 2\n",
+        "1 99999999999999999999 2\n0\n0.5\n1\n0 1\n1 2\n",
+        "3 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n",
+    ])
+    def test_bad_table_rejected_naming_file(self, tmp_path, text):
+        path = tmp_path / "bad.mesh.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match="bad.mesh.txt"):
             M.load_mesh(path)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ class TestRunConfig:
             "n_elems = 10   # base resolution\n"
             "remesh_every = 4\n"
             "refine_fraction = 0.2\n")
-        params, policy, n_elems = store.parse_run_config(cfg)
+        params, policy, n_elems = seird_sim.parse_run_config(cfg)
         assert params.t_end == 2.0
         assert policy.refine_fraction == 0.2
         assert n_elems == 10
@@ -47,27 +48,27 @@ class TestRunConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt = 0.25\nbogus = 1\n")
         with pytest.raises(ConfigError) as err:
-            store.parse_run_config(cfg)
+            seird_sim.parse_run_config(cfg)
         assert err.value.line_no == 2
 
     def test_bad_value_reports_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt = fast\n")
         with pytest.raises(ConfigError) as err:
-            store.parse_run_config(cfg)
+            seird_sim.parse_run_config(cfg)
         assert err.value.line_no == 1
 
     def test_empty_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# nothing here\n")
         with pytest.raises(ConfigError):
-            store.parse_run_config(cfg)
+            seird_sim.parse_run_config(cfg)
 
     def test_duplicate_key_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt = 0.25\nn_elems = 10\ndt = 0.5\n")
         with pytest.raises(ConfigError) as err:
-            store.parse_run_config(cfg)
+            seird_sim.parse_run_config(cfg)
         assert err.value.line_no == 3
         assert pipeline_cli.main(["simulate", str(cfg), str(tmp_path / "out"),
                                   "--quiet"]) == 2
@@ -134,6 +135,15 @@ def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
 
 
+def fresh_python(*args):
+    """Run a new interpreter that imports the package from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(amrdmd.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One small simulate invocation shared by the CLI tests."""
@@ -181,13 +191,8 @@ class TestCliSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dt = 0.25\nn_elems = 10\n{setting}\n")
         out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(amrdmd.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "amrdmd.pipeline_cli", "simulate",
-             str(cfg), str(out), "--quiet"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "simulate", cfg, out,
+                            "--quiet")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
@@ -374,6 +379,90 @@ class TestCliProjectAndDmd:
                        "--rank", "1", "--quiet") == 3
         err = capsys.readouterr().err
         assert "line 2" in err and "manifest.txt" in err
+
+    def test_repeated_manifest_index_exit_3(self, tmp_path, rng, capsys):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
+                                   for c in ("s", "e", "i", "r", "d")})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        lines = (st / "manifest.txt").read_text().splitlines()
+        lines[2] = "1" + lines[2][1:]
+        (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        csv = tmp_path / "q.csv"
+        assert run_cli("report", "qoi", st, csv, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and "manifest.txt" in err
+        assert not csv.exists()
+
+    def test_repeated_field_name_exit_2(self, small_run, tmp_path, capsys):
+        root, cfg, out = small_run
+        st = tmp_path / "st"
+        st.mkdir()
+        for f in (out / "projected").iterdir():
+            (st / f.name).write_bytes(f.read_bytes())
+        snap = st / "snap_0003.field.txt"
+        head, names, rest = snap.read_text().split("\n", 2)
+        snap.write_text(head + "\n" + names.replace("e", "s", 1) + "\n" + rest)
+        model = tmp_path / "s.dmd.txt"
+        assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "2",
+                       "--quiet") == 2
+        assert "snap_0003.field.txt" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_non_finite_mesh_coordinate_exit_2(self, tmp_path, rng):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        mesh_file = st / "mesh_0000.mesh.txt"
+        lines = mesh_file.read_text().splitlines()
+        lines[2] = "nan"
+        mesh_file.write_text("\n".join(lines) + "\n")
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "fit", st,
+                            tmp_path / "m.dmd.txt", "--field", "u", "--rank",
+                            "1", "--quiet")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "mesh_0000.mesh.txt" in proc.stderr
+
+    def test_mesh_index_out_of_range_exit_2(self, tmp_path, rng, capsys):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        mesh_file = st / "mesh_0000.mesh.txt"
+        lines = mesh_file.read_text().splitlines()
+        lines[-1] = f"3 {m.n_nodes}"
+        mesh_file.write_text("\n".join(lines) + "\n")
+        assert run_cli("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--rank", "1", "--quiet") == 2
+        assert "mesh_0000.mesh.txt" in capsys.readouterr().err
+
+    def test_read_only_commands_load_no_scipy(self, small_run, tmp_path):
+        root, cfg, out = small_run          # written by another process
+        proj = out / "projected"
+        model = tmp_path / "s.dmd.txt"
+        pred = tmp_path / "pred"
+        commands = [
+            ["dmd", "fit", proj, model, "--field", "s", "--rank", "2"],
+            ["dmd", "predict", model, pred, "--mesh", proj / "mesh_0000.mesh.txt",
+             "--until", "2"],
+            ["report", "errors", proj, pred, tmp_path / "err.csv", "--field", "s"],
+            ["report", "qoi", proj, tmp_path / "pop.csv"],
+        ]
+        script = ("import json, sys\n"
+                  "from amrdmd import pipeline_cli\n"
+                  "codes = [pipeline_cli.main(argv + ['--quiet'])\n"
+                  "         for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                  "                                if m.startswith('scipy'))]))\n")
+        proc = fresh_python("-c", script,
+                            json.dumps([[str(a) for a in c] for c in commands]))
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout)
+        assert codes == [0, 0, 0, 0]
+        assert scipy_modules == []
 
     def test_report_missing_field_exit_3(self, small_run, tmp_path, capsys):
         root, cfg, out = small_run
