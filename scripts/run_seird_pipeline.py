@@ -6,6 +6,7 @@ error table.
 Usage: python scripts/run_seird_pipeline.py [out_dir]
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -37,8 +38,11 @@ def run(*argv):
         raise SystemExit(code)
 
 
-def main():
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else "out/seird_pipeline")
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out_dir", nargs="?", default="out/seird_pipeline",
+                   help="directory for every artifact (default: %(default)s)")
+    root = Path(p.parse_args(argv).out_dir)
     root.mkdir(parents=True, exist_ok=True)
     cfg = root / "run.cfg"
     cfg.write_text(CONFIG)

@@ -2,7 +2,8 @@
 
 Covers nodal fields, quadrature rules, mass-matrix assembly, integrals and
 norms, a facet flux-jump refinement indicator, and a deterministic
-Jacobi-preconditioned conjugate-gradient solver.
+factor-then-verify solver: an exact tridiagonal solve in 1-d, Jacobi-
+preconditioned conjugate gradients in 2-d.
 """
 
 from __future__ import annotations
@@ -36,28 +37,77 @@ class FeField:
             raise InvalidArgumentError(f"field '{self.name}' has non-finite values")
 
 
-@dataclass
 class SparseSpd:
-    """Symmetric positive-definite matrix in CSR form."""
+    """Symmetric positive-definite matrix with the preconditioner that
+    cg_solve applies to it.
 
-    matrix: scipy.sparse.csr_matrix
+    Either a CSR `matrix`, checked for symmetry and preconditioned by its
+    diagonal (Jacobi), or `bands=(order, diag, off)`: a tridiagonal matrix
+    whose k-th row and column belong to node order[k], with main diagonal
+    diag (n,) and first off-diagonal off (n - 1,) in that order. The band
+    form is symmetric by construction; its preconditioner is its exact
+    LDL^T factor, computed on the first solve."""
 
-    def __post_init__(self):
-        A = self.matrix.tocsr()
-        asym = abs(A - A.T)
-        scale = max(abs(A).max(), 1e-300)
-        if asym.nnz and asym.max() > SYMMETRY_TOL * scale:
-            raise InvalidArgumentError("matrix is not symmetric within tolerance")
-        if np.any(A.diagonal() <= 0):
+    def __init__(self, matrix=None, *, bands=None):
+        if bands is None:
+            A = matrix.tocsr()
+            asym = abs(A - A.T)
+            scale = max(abs(A).max(), 1e-300)
+            if asym.nnz and asym.max() > SYMMETRY_TOL * scale:
+                raise InvalidArgumentError("matrix is not symmetric within tolerance")
+            self.order, self.diag, self._csr = None, A.diagonal(), A
+        else:
+            self.order, self.diag, self.off = bands
+            self._csr = None
+        if np.any(self.diag <= 0):
             raise InvalidArgumentError("matrix diagonal must be strictly positive")
-        self.matrix = A
+        self._factor = None
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.diag.size
+
+    @property
+    def matrix(self):
+        """The matrix in CSR form, built from the bands on first use."""
+        if self._csr is None:
+            import scipy.sparse as sp
+            o = self.order
+            self._csr = sp.coo_matrix(
+                (np.concatenate([self.diag, self.off, self.off]),
+                 (np.concatenate([o, o[:-1], o[1:]]),
+                  np.concatenate([o, o[1:], o[:-1]]))),
+                shape=(self.n, self.n)).tocsr()
+        return self._csr
 
     def dot(self, x):
-        return self.matrix @ x
+        if self.order is None:
+            return self._csr @ x
+        xs = x[self.order]
+        ys = self.diag * xs
+        ys[:-1] += self.off * xs[1:]
+        ys[1:] += self.off * xs[:-1]
+        y = np.empty_like(ys)
+        y[self.order] = ys
+        return y
+
+    def precondition(self, r):
+        """The exact solve for the band form, the inverse diagonal for CSR."""
+        if self.order is None:
+            if self._factor is None:
+                self._factor = 1.0 / self.diag
+            return self._factor * r
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        if self._factor is None:
+            d, e, info = dpttrf(self.diag, self.off)
+            if info != 0:
+                raise SolverError(f"tridiagonal matrix is not positive definite "
+                                  f"(LDL^T pivot {info} of {self.n})")
+            self._factor = (d, e)
+        xs, info = dpttrs(*self._factor, r[self.order])
+        x = np.empty_like(xs)
+        x[self.order] = xs
+        return x
 
 
 @dataclass(frozen=True)
@@ -125,23 +175,48 @@ def reference_rule(dim: int, degree: int) -> QuadratureRule:
 # assembly and integrals
 
 def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
-    """Consistent P1 mass matrix from the analytic element formulas."""
-    import scipy.sparse as sp
+    """Consistent P1 mass matrix from the analytic element formulas; band
+    form in 1-d, CSR in 2-d."""
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         bad = int(np.argmin(measures))
         raise AssemblyError(f"degenerate element {bad} (measure {measures[bad]:g})")
-    k = mesh.dim + 1
     if mesh.dim == 1:
-        local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    else:
-        local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        diag = measures * (2.0 / 6.0)
+        return p1_tridiagonal(mesh, diag, diag, measures * (1.0 / 6.0))
+    import scipy.sparse as sp
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     vals = measures[:, None, None] * local[None, :, :]
-    rows = np.repeat(mesh.elements, k, axis=1).reshape(-1)
-    cols = np.tile(mesh.elements, (1, k)).reshape(-1)
+    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.elements, (1, 3)).reshape(-1)
     A = sp.coo_matrix((vals.reshape(-1), (rows, cols)),
                       shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     return SparseSpd(A)
+
+
+def p1_tridiagonal(mesh: SimplicialMesh, w0, w1, off, bc_node=None) -> SparseSpd:
+    """Band form of the 1-d P1 matrix that gets, per element, w0 and w1 on
+    the diagonal entries of its first and second node and off on the entry
+    that couples them. Rows are ordered by node coordinate, so every element
+    must join two coordinate neighbours. The row and column of bc_node, when
+    given, are those of the identity."""
+    n = mesh.n_nodes
+    order = np.argsort(mesh.nodes[:, 0], kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    p0, p1 = pos[mesh.elements].T
+    apart = np.abs(p1 - p0) != 1
+    if np.any(apart):
+        bad = int(np.argmax(apart))
+        raise AssemblyError(f"element {bad} joins nodes that are not "
+                            f"coordinate neighbours")
+    diag = np.bincount(p0, w0, n) + np.bincount(p1, w1, n)
+    band = np.bincount(np.minimum(p0, p1), off, n - 1)
+    if bc_node is not None:
+        k = pos[bc_node]
+        diag[k] = 1.0
+        band[max(k - 1, 0):k + 1] = 0.0
+    return SparseSpd(bands=(order, diag, band))
 
 
 def element_mass_quadrature(mesh: SimplicialMesh, degree: int = 2) -> np.ndarray:
@@ -235,36 +310,45 @@ def flux_jump_indicator(fld: FeField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # linear solver
 
+def _dot(a, b) -> float:
+    # numpy's pairwise sum, not BLAS, so the bits do not depend on threads
+    return float(np.sum(a * b))
+
+
 def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,
              max_iter: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients with a fixed iteration
-    order, so repeated runs are bit-identical."""
+    """Solve A x = b: start from x = A.precondition(b), return it once one
+    matvec shows ||b - A x|| <= tol ||b||, else correct it by preconditioned
+    conjugate gradients. With the exact factor of the band form the start
+    is the answer; with Jacobi this is plain PCG. The iteration order is
+    fixed and no reduction uses BLAS, so repeated runs are bit-identical
+    whatever the thread count."""
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise InvalidArgumentError(f"rhs has shape {b.shape}, expected ({A.n},)")
     if max_iter is None:
         max_iter = 10 * A.n
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    inv_diag = 1.0 / A.matrix.diagonal()
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = inv_diag * r
+    norm_b = np.sqrt(_dot(b, b))
+    x = A.precondition(b)
+    r = b - A.dot(x)
+    if np.sqrt(_dot(r, r)) <= tol * norm_b:
+        return x
+    z = A.precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * norm_b:
-            return x
         Ap = A.dot(p)
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
-        rz_new = float(r @ z)
+        if np.sqrt(_dot(r, r)) <= tol * norm_b:
+            return x
+        z = A.precondition(r)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    res = float(np.linalg.norm(A.dot(x) - b) / norm_b)
+    r = b - A.dot(x)
+    res = float(np.sqrt(_dot(r, r)) / norm_b)
     if res <= tol:
         return x
     raise SolverError(f"CG did not converge in {max_iter} iterations "

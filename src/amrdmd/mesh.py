@@ -664,17 +664,11 @@ def _normalize_elements(dim, nodes, elements):
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     neg = area2 < 0
     elements[neg] = elements[neg][:, [0, 2, 1]]
-    out = np.empty_like(elements)
-    for i, el in enumerate(elements):
-        p = nodes[el]
-        lengths = [np.linalg.norm(p[(k + 2) % 3] - p[(k + 1) % 3]) for k in range(3)]
-        lmax = max(lengths)
-        best = None
-        for k in range(3):
-            if lengths[k] >= lmax * (1.0 - 1e-12):
-                pair = tuple(sorted((int(el[(k + 1) % 3]), int(el[(k + 2) % 3]))))
-                if best is None or pair < best[1]:
-                    best = (k, pair)
-        k = best[0]
-        out[i] = [el[k], el[(k + 1) % 3], el[(k + 2) % 3]]
-    return out
+    # edge k is opposite vertex k; the refinement edge is the longest one,
+    # ties (within 1e-12) broken by the smallest sorted node pair
+    a, b = elements[:, [1, 2, 0]], elements[:, [2, 0, 1]]
+    lengths = np.linalg.norm(nodes[b] - nodes[a], axis=2)
+    longest = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    pair_rank = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
+    k = np.argmin(np.where(longest, pair_rank, np.iinfo(np.int64).max), axis=1)
+    return np.take_along_axis(elements, (k[:, None] + np.arange(3)) % 3, axis=1)

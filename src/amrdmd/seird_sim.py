@@ -13,12 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, l2projection, qoi_metrics
 from .dmd import SnapshotMatrix
 from .errors import ConfigError, InvalidArgumentError, StepError
-from .fem import FeField, SparseSpd, cg_solve
+from .fem import FeField, cg_solve
 from .linalg import gaussian_matrix
 from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
                    build_structured_triangle_mesh, elements_containing, refine,
@@ -189,18 +188,9 @@ def _operator(mesh, kappa, react, bc_node):
     r1 = react[el[:, 0]]
     r2 = react[el[:, 1]]
     a = 0.5 * (kappa[el[:, 0]] + kappa[el[:, 1]]) / h
-    off = h * (r1 + r2) / 12.0 - a
-    rows = np.concatenate([el[:, 0], el[:, 0], el[:, 1], el[:, 1]])
-    cols = np.concatenate([el[:, 0], el[:, 1], el[:, 0], el[:, 1]])
-    vals = np.concatenate([h * (3 * r1 + r2) / 12.0 + a, off, off,
-                           h * (r1 + 3 * r2) / 12.0 + a])
-    if bc_node is not None:
-        keep = (rows != bc_node) & (cols != bc_node)
-        rows = np.append(rows[keep], bc_node)
-        cols = np.append(cols[keep], bc_node)
-        vals = np.append(vals[keep], 1.0)
-    n = mesh.n_nodes
-    return SparseSpd(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
+    return fem.p1_tridiagonal(mesh, h * (3 * r1 + r2) / 12.0 + a,
+                              h * (r1 + 3 * r2) / 12.0 + a,
+                              h * (r1 + r2) / 12.0 - a, bc_node)
 
 
 def _solve(A, rhs, bc_node):
@@ -244,15 +234,15 @@ def step(state: SeirdState, params: SeirdParams,
     u = state.fields
     up = state.prev_fields
     dt = params.dt
-    M = fem.assemble_mass(mesh).matrix
+    M = fem.assemble_mass(mesh)
     bc = _dirichlet_node(mesh) if dirichlet_right else None
 
     if up is None:
         c0 = 1.0 / dt
-        hist = {c: (M @ u[c]) / dt for c in COMPARTMENTS}
+        hist = {c: M.dot(u[c]) / dt for c in COMPARTMENTS}
     else:
         c0 = 1.5 / dt
-        hist = {c: (M @ (2.0 * u[c] - 0.5 * up[c])) / dt for c in COMPARTMENTS}
+        hist = {c: M.dot(2.0 * u[c] - 0.5 * up[c]) / dt for c in COMPARTMENTS}
 
     ones = np.ones(mesh.n_nodes)
     # the d and c systems are c0 M alone, which Picard cannot change
@@ -279,14 +269,14 @@ def step(state: SeirdState, params: SeirdParams,
 
         react_i = (params.gamma_i + params.delta) * ones
         new["i"] = _solve(_operator(mesh, params.nu_i * n_pop, c0 + react_i, bc),
-                          hist["i"] + params.alpha * (M @ new["e"]), bc)
+                          hist["i"] + params.alpha * M.dot(new["e"]), bc)
 
         new["r"] = _solve(_operator(mesh, params.nu_r * n_pop, c0 * ones, bc),
-                          hist["r"] + params.gamma_e * (M @ new["e"])
-                          + params.gamma_i * (M @ new["i"]), bc)
+                          hist["r"] + params.gamma_e * M.dot(new["e"])
+                          + params.gamma_i * M.dot(new["i"]), bc)
 
-        new["d"] = _solve(A_dc, hist["d"] + params.delta * (M @ new["i"]), bc)
-        new["c"] = _solve(A_dc, hist["c"] + params.alpha * (M @ new["e"]), bc)
+        new["d"] = _solve(A_dc, hist["d"] + params.delta * M.dot(new["i"]), bc)
+        new["c"] = _solve(A_dc, hist["c"] + params.alpha * M.dot(new["e"]), bc)
 
         change = 0.0
         for c in COMPARTMENTS:

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrdmd import fem, mesh as M
-from amrdmd.errors import InvalidArgumentError, SolverError
+from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
 
-from conftest import random_refined_interval, random_refined_square
+from conftest import coo_mass, random_refined_interval, random_refined_square
 
 
 class TestQuadrature:
@@ -254,6 +254,114 @@ class TestCgSolve:
         x1 = fem.cg_solve(A, b)
         x2 = fem.cg_solve(A, b)
         assert np.array_equal(x1, x2)
+
+
+def count_dots(monkeypatch):
+    """Make SparseSpd.dot count its calls in the returned list."""
+    calls = [0]
+    plain = fem.SparseSpd.dot
+
+    def dot(self, x):
+        calls[0] += 1
+        return plain(self, x)
+
+    monkeypatch.setattr(fem.SparseSpd, "dot", dot)
+    return calls
+
+
+class TestBandForm:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_mass_matches_coo_assembly_bitwise(self, seed):
+        m = random_refined_interval(np.random.default_rng(seed))
+        A = fem.assemble_mass(m)
+        assert A.order is not None                      # the band form
+        assert np.array_equal(A.matrix.toarray(), coo_mass(m).toarray())
+
+    def test_refined_node_ids_are_not_in_coordinate_order(self, rng):
+        # the property the tests of this class rely on
+        m = random_refined_interval(rng)
+        assert np.any(np.diff(m.nodes[:, 0]) < 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_dot_matches_csr_view(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_refined_interval(rng)
+        A = fem.assemble_mass(m)
+        x = rng.normal(size=m.n_nodes)
+        np.testing.assert_allclose(A.dot(x), A.matrix @ x, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(x)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_solve_matches_dense_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_refined_interval(rng, passes=3)
+        n = m.n_nodes
+        h = m.element_measures()
+        A = fem.p1_tridiagonal(m, h * rng.uniform(1, 2, m.n_elems),
+                               h * rng.uniform(1, 2, m.n_elems),
+                               h * rng.uniform(-1, 1, m.n_elems),
+                               int(rng.integers(n)))
+        b = rng.normal(size=n)
+        x = fem.cg_solve(A, b)
+        ref = np.linalg.solve(A.matrix.toarray(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_positive_diagonal_but_indefinite_raises(self):
+        m = M.build_interval_mesh(0, 1, 4)
+        ones = np.ones(m.n_elems)
+        A = fem.p1_tridiagonal(m, ones, ones, 3.0 * ones)   # 2 on the diagonal
+        assert np.all(A.diag > 0)
+        with pytest.raises(SolverError, match="not positive definite"):
+            fem.cg_solve(A, np.ones(m.n_nodes))
+
+    def test_non_positive_diagonal_rejected(self):
+        m = M.build_interval_mesh(0, 1, 3)
+        zeros = np.zeros(m.n_elems)
+        with pytest.raises(InvalidArgumentError):
+            fem.p1_tridiagonal(m, zeros, zeros, zeros)
+
+    def test_element_joining_non_neighbours_raises(self):
+        # node 1 at x = 0.5 lies between the nodes of element (0, 2)
+        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [0.5], [1.0]],
+                             elements=[[0, 2], [1, 2]], level=[0, 0])
+        with pytest.raises(AssemblyError, match="element 0"):
+            fem.assemble_mass(m)
+
+    @pytest.mark.parametrize("form", ["band", "csr"])
+    @pytest.mark.parametrize("rhs", ["zero", "random"])
+    def test_every_solve_verifies_with_a_matvec(self, monkeypatch, rng, form,
+                                                rhs):
+        m = random_refined_interval(rng)
+        A = fem.assemble_mass(m)
+        if form == "csr":
+            A = fem.SparseSpd(A.matrix)
+        b = np.zeros(m.n_nodes) if rhs == "zero" else rng.normal(size=m.n_nodes)
+        calls = count_dots(monkeypatch)
+        x = fem.cg_solve(A, b)
+        assert calls[0] >= 1
+        if form == "band":
+            assert calls[0] == 1                # the factor is exact
+        if rhs == "zero":
+            assert not np.any(x)
+
+    def test_factor_is_computed_once(self, monkeypatch, rng):
+        from scipy.linalg import lapack
+        m = random_refined_interval(rng)
+        A = fem.assemble_mass(m)
+        factored = [0]
+        plain = lapack.dpttrf
+
+        def dpttrf(*args):
+            factored[0] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(lapack, "dpttrf", dpttrf)
+        for _ in range(3):
+            fem.cg_solve(A, rng.normal(size=m.n_nodes))
+        assert factored[0] == 1
 
 
 class TestFieldIO:

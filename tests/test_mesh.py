@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrdmd import mesh as M
+from amrdmd import mesh as M, seird_sim
 from amrdmd.errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
-from conftest import exhaustive_locate, random_refined_interval, random_refined_square
+from conftest import (exhaustive_locate, loop_normalize_elements_2d,
+                      random_refined_interval, random_refined_square)
 
 
 def facet_census(mesh):
@@ -339,6 +340,43 @@ class TestLocate:
         pts = rng.uniform(0, 1, size=(300, 1))
         _, bary = M.locate_points(m, pts)
         np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-12)
+
+
+def equilateral_lattice(n):
+    """n x n rhombi of unit-side equilateral triangles: every edge ties."""
+    j, i = np.mgrid[0:n + 1, 0:n + 1]
+    nodes = np.column_stack([(i + 0.5 * j).ravel(), (np.sqrt(3) / 2 * j).ravel()])
+    ids = j * (n + 1) + i
+    a, b = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    c, d = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    return nodes, np.concatenate([np.column_stack([a, b, c]),
+                                  np.column_stack([b, d, c])])
+
+
+class TestNormalizeElements:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["refined", "jittered", "equilateral"]))
+    def test_matches_per_element_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "refined":
+            m = random_refined_square(rng, nx=4, passes=3)
+            nodes, elements = m.nodes, m.elements
+        elif kind == "jittered":
+            m = seird_sim.build_jittered_mesh(nx=6, ny=6, seed=seed)
+            nodes, elements = m.nodes, m.elements
+        else:
+            nodes, elements = equilateral_lattice(4)
+        # shuffle the elements and the vertices within each element
+        elements = rng.permuted(elements[rng.permutation(len(elements))], axis=1)
+        got = M._normalize_elements(2, nodes, elements)
+        assert np.array_equal(got, loop_normalize_elements_2d(nodes, elements))
+
+    def test_equilateral_tie_goes_to_smallest_pair(self):
+        nodes, _ = equilateral_lattice(1)           # nodes 0, 1, 2 form one
+        got = M._normalize_elements(2, nodes, np.array([[2, 0, 1], [1, 2, 0]]))
+        # counterclockwise, refinement edge (0, 1) last
+        assert got.tolist() == [[2, 0, 1], [2, 0, 1]]
 
 
 class TestMeshIO:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from amrdmd import dmd, fem, mesh as M, seird_sim as S
 from amrdmd.errors import InvalidArgumentError
 
-from conftest import (composite_integral_1d, piecewise_linear_1d,
-                      random_refined_interval)
+from conftest import (composite_integral_1d, coo_p1_operator,
+                      piecewise_linear_1d, random_refined_interval)
 
 
 def fresh_state(mesh):
@@ -109,6 +109,19 @@ class TestOperator:
             lambda x: k(x) * np.abs(du(x) * dv(x)) + r(x) * np.abs(uf(x) * vf(x)),
             0, 1)
         assert abs(u @ A @ v - ref) <= 1e-6 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pinned=st.booleans())
+    def test_band_form_matches_coo_assembly_bitwise(self, seed, pinned):
+        rng = np.random.default_rng(seed)
+        mesh = random_refined_interval(rng)
+        n = mesh.n_nodes
+        kappa = rng.uniform(0.0, 2.0, n)
+        react = rng.uniform(0.0, 3.0, n)
+        bc = int(rng.integers(n)) if pinned else None
+        A = S._operator(mesh, kappa, react, bc)
+        ref = coo_p1_operator(mesh, kappa, react, bc)
+        assert np.array_equal(A.matrix.toarray(), ref.toarray())
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(1e-3, 1e3))

@@ -135,12 +135,13 @@ def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
 
 
-def fresh_python(*args):
-    """Run a new interpreter that imports the package from this tree."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def fresh_python(*args, cwd=None, **env_vars):
+    """Run a new interpreter that imports the package from this tree, with
+    env_vars added to the environment."""
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         [str(Path(amrdmd.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -509,6 +510,29 @@ class TestCliProjectAndDmd:
         assert "donor_nodes = 857" in text
         assert (out / "donor.mesh.txt").exists()
         assert (out / "unstructured.field.txt").exists()
+
+    def test_demo_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # On a one-core machine OpenBLAS runs one thread under both settings,
+        # so there this test passes whatever the code does.
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            proc = fresh_python("-m", "amrdmd.pipeline_cli", "demo", "indicator",
+                                out, "--quiet", OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "run_manifest.txt"})
+        assert len(outs[0]) == 7
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("arg,code", [("--help", 0), ("--no-such-option", 2)])
+    def test_pipeline_script_options_create_nothing(self, tmp_path, arg, code):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_seird_pipeline.py"
+        proc = fresh_python(script, arg, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "usage:" in proc.stdout + proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exit_2(self):
         assert run_cli("dmd", "fit") == 2
