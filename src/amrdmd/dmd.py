@@ -182,7 +182,8 @@ def evaluate(model: DmdModel, t: float, with_diagnostic: bool = False):
     if not np.all(keep):
         warnings.warn(f"dropping {int(np.sum(~keep))} modes with |lambda| ~ 0")
     weights = np.exp(model.omega[keep] * (t - model.t0)) * model.amplitudes[keep]
-    signal = model.modes[:, keep] @ weights
+    # einsum, not BLAS, so the bits do not depend on the thread count
+    signal = np.einsum("nk,k->n", model.modes[:, keep], weights)
     if with_diagnostic:
         real_norm = float(np.linalg.norm(signal.real))
         imag_norm = float(np.linalg.norm(signal.imag))
@@ -198,7 +199,8 @@ def reconstruct(model: DmdModel, times) -> np.ndarray:
     if not np.all(keep):
         warnings.warn(f"dropping {int(np.sum(~keep))} modes with |lambda| ~ 0")
     growth = np.exp(np.outer(model.omega[keep], times - model.t0))
-    return (model.modes[:, keep] @ (growth * model.amplitudes[keep, None])).real
+    return np.einsum("nk,kt->nt", model.modes[:, keep],
+                     growth * model.amplitudes[keep, None]).real
 
 
 def errors(Y_truth: np.ndarray, Y_hat: np.ndarray) -> ErrorReport:

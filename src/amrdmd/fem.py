@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
-from .mesh import SimplicialMesh, facets, locate_points
+from .mesh import SimplicialMesh, band_layout, facets, locate_points
 
 SYMMETRY_TOL = 1e-12
 
@@ -43,10 +43,10 @@ class SparseSpd:
 
     Either a CSR `matrix`, checked for symmetry and preconditioned by its
     diagonal (Jacobi), or `bands=(order, diag, off)`: a tridiagonal matrix
-    whose k-th row and column belong to node order[k], with main diagonal
-    diag (n,) and first off-diagonal off (n - 1,) in that order. The band
-    form is symmetric by construction; its preconditioner is its exact
-    LDL^T factor, computed on the first solve."""
+    with main diagonal diag (n,) and first off-diagonal off (n - 1,), whose
+    k-th row and column belong to vector entry order[k], or to entry k when
+    order is None. The band form is symmetric by construction; its
+    preconditioner is its exact LDL^T factor, computed on the first solve."""
 
     def __init__(self, matrix=None, *, bands=None):
         if bands is None:
@@ -55,13 +55,29 @@ class SparseSpd:
             scale = max(abs(A).max(), 1e-300)
             if asym.nnz and asym.max() > SYMMETRY_TOL * scale:
                 raise InvalidArgumentError("matrix is not symmetric within tolerance")
-            self.order, self.diag, self._csr = None, A.diagonal(), A
+            self.order, self.diag, self.off, self._csr = None, A.diagonal(), None, A
         else:
             self.order, self.diag, self.off = bands
             self._csr = None
-        if np.any(self.diag <= 0):
+        if (self.diag <= 0).any():
             raise InvalidArgumentError("matrix diagonal must be strictly positive")
         self._factor = None
+
+    @classmethod
+    def from_chain(cls, w0, w1, off, pin=None, order=None) -> "SparseSpd":
+        """Band form of a matrix summed over a chain of elements: element k
+        adds w0[k] and w1[k] to the diagonal entries of rows k and k + 1 and
+        off[k] to the entries that couple them, with rows permuted by order
+        as in the class docstring. Row pin, when given, and its column are
+        those of the identity."""
+        diag = np.zeros(w0.size + 1)
+        diag[:-1] = w0
+        diag[1:] += w1
+        if pin is not None:
+            diag[pin] = 1.0
+            off = off.copy()
+            off[max(pin - 1, 0):pin + 1] = 0.0
+        return cls(bands=(order, diag, off))
 
     @property
     def n(self) -> int:
@@ -72,7 +88,7 @@ class SparseSpd:
         """The matrix in CSR form, built from the bands on first use."""
         if self._csr is None:
             import scipy.sparse as sp
-            o = self.order
+            o = np.arange(self.n) if self.order is None else self.order
             self._csr = sp.coo_matrix(
                 (np.concatenate([self.diag, self.off, self.off]),
                  (np.concatenate([o, o[:-1], o[1:]]),
@@ -81,19 +97,22 @@ class SparseSpd:
         return self._csr
 
     def dot(self, x):
-        if self.order is None:
+        """A x; for the band form x may also be a stack (..., n)."""
+        if self.off is None:
             return self._csr @ x
-        xs = x[self.order]
+        xs = x if self.order is None else x[..., self.order]
         ys = self.diag * xs
-        ys[:-1] += self.off * xs[1:]
-        ys[1:] += self.off * xs[:-1]
+        ys[..., :-1] += self.off * xs[..., 1:]
+        ys[..., 1:] += self.off * xs[..., :-1]
+        if self.order is None:
+            return ys
         y = np.empty_like(ys)
-        y[self.order] = ys
+        y[..., self.order] = ys
         return y
 
     def precondition(self, r):
         """The exact solve for the band form, the inverse diagonal for CSR."""
-        if self.order is None:
+        if self.off is None:
             if self._factor is None:
                 self._factor = 1.0 / self.diag
             return self._factor * r
@@ -104,6 +123,8 @@ class SparseSpd:
                 raise SolverError(f"tridiagonal matrix is not positive definite "
                                   f"(LDL^T pivot {info} of {self.n})")
             self._factor = (d, e)
+        if self.order is None:
+            return dpttrs(*self._factor, r)[0]
         xs, info = dpttrs(*self._factor, r[self.order])
         x = np.empty_like(xs)
         x[self.order] = xs
@@ -177,13 +198,13 @@ def reference_rule(dim: int, degree: int) -> QuadratureRule:
 def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
     """Consistent P1 mass matrix from the analytic element formulas; band
     form in 1-d, CSR in 2-d."""
+    if mesh.dim == 1:
+        order, h = band_layout(mesh)
+        return chain_mass(h, order)
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         bad = int(np.argmin(measures))
         raise AssemblyError(f"degenerate element {bad} (measure {measures[bad]:g})")
-    if mesh.dim == 1:
-        diag = measures * (2.0 / 6.0)
-        return p1_tridiagonal(mesh, diag, diag, measures * (1.0 / 6.0))
     import scipy.sparse as sp
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     vals = measures[:, None, None] * local[None, :, :]
@@ -194,29 +215,11 @@ def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
     return SparseSpd(A)
 
 
-def p1_tridiagonal(mesh: SimplicialMesh, w0, w1, off, bc_node=None) -> SparseSpd:
-    """Band form of the 1-d P1 matrix that gets, per element, w0 and w1 on
-    the diagonal entries of its first and second node and off on the entry
-    that couples them. Rows are ordered by node coordinate, so every element
-    must join two coordinate neighbours. The row and column of bc_node, when
-    given, are those of the identity."""
-    n = mesh.n_nodes
-    order = np.argsort(mesh.nodes[:, 0], kind="stable")
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    p0, p1 = pos[mesh.elements].T
-    apart = np.abs(p1 - p0) != 1
-    if np.any(apart):
-        bad = int(np.argmax(apart))
-        raise AssemblyError(f"element {bad} joins nodes that are not "
-                            f"coordinate neighbours")
-    diag = np.bincount(p0, w0, n) + np.bincount(p1, w1, n)
-    band = np.bincount(np.minimum(p0, p1), off, n - 1)
-    if bc_node is not None:
-        k = pos[bc_node]
-        diag[k] = 1.0
-        band[max(k - 1, 0):k + 1] = 0.0
-    return SparseSpd(bands=(order, diag, band))
+def chain_mass(h, order=None) -> SparseSpd:
+    """Band form of the P1 mass matrix of a chain of elements of lengths h
+    (0 for a gap), rows permuted by order as in SparseSpd."""
+    diag = h * (2.0 / 6.0)
+    return SparseSpd.from_chain(diag, diag, h * (1.0 / 6.0), order=order)
 
 
 def element_mass_quadrature(mesh: SimplicialMesh, degree: int = 2) -> np.ndarray:
@@ -312,7 +315,7 @@ def flux_jump_indicator(fld: FeField) -> np.ndarray:
 
 def _dot(a, b) -> float:
     # numpy's pairwise sum, not BLAS, so the bits do not depend on threads
-    return float(np.sum(a * b))
+    return float((a * b).sum())
 
 
 def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,

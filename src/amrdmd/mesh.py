@@ -19,10 +19,12 @@ Element storage conventions (these carry the bisection bookkeeping):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
+from .errors import (AssemblyError, InvalidArgumentError, InvalidPlanError,
+                     PointNotFoundError)
 
 NODE_DEDUP_TOL = 1e-12
 BARY_TOL = 1e-10
@@ -41,6 +43,7 @@ class SimplicialMesh:
     level: np.ndarray      # (n_elems,) int, refinement depth
     lineage: tuple = ()    # per-element Lineage entries
     _locator: object = field(default=None, repr=False, compare=False)
+    _band: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(np.atleast_2d(np.asarray(self.nodes, dtype=float)))
@@ -615,6 +618,42 @@ def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# 1-d band layout
+
+class BandLayout(NamedTuple):
+    """A 1-d mesh in coordinate order: order[k] is the k-th node from the
+    left and h[k] the length of the element joining positions k and k + 1,
+    0 where no element does (a gap)."""
+
+    order: np.ndarray
+    h: np.ndarray
+
+
+def band_layout(mesh: SimplicialMesh) -> BandLayout:
+    """The band layout of a 1-d mesh, computed once per mesh and read-only.
+    Raises AssemblyError unless every element has positive length and joins
+    two coordinate neighbours."""
+    if mesh._band is None:
+        h = mesh.element_measures()
+        if np.any(h <= 0):
+            bad = int(np.argmin(h))
+            raise AssemblyError(f"degenerate element {bad} (measure {h[bad]:g})")
+        order = np.argsort(mesh.nodes[:, 0], kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        p0, p1 = pos[mesh.elements].T
+        apart = np.flatnonzero(p1 - p0 != 1)
+        if apart.size:
+            raise AssemblyError(f"element {apart[0]} joins nodes that are not "
+                                f"coordinate neighbours")
+        mesh._band = BandLayout(order, np.zeros(order.size - 1))
+        mesh._band.h[p0] = h
+        for a in mesh._band:
+            a.setflags(write=False)
+    return mesh._band
+
+
+# ---------------------------------------------------------------------------
 # mesh file format: line 1 "dim n_nodes n_elems", then node coordinates,
 # then 0-based element connectivity. Extension ".mesh.txt".
 
@@ -642,6 +681,8 @@ def load_mesh(path) -> SimplicialMesh:
                                dtype=float).reshape(n_nodes, dim)
             elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
                                   dtype=np.int64).reshape(n_elems, dim + 1)
+            if fh.read().strip():
+                raise ValueError(f"rows after the {n_elems} element rows")
             _check_tables(dim, nodes, elements)   # before _normalize_elements
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc

@@ -16,12 +16,13 @@ import numpy as np
 
 from . import fem, l2projection, qoi_metrics
 from .dmd import SnapshotMatrix
-from .errors import ConfigError, InvalidArgumentError, StepError
+from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
+                     StepError)
 from .fem import FeField, cg_solve
 from .linalg import gaussian_matrix
-from .mesh import (RefinementPlan, SimplicialMesh, build_interval_mesh,
-                   build_structured_triangle_mesh, elements_containing, refine,
-                   sibling_groups, uniform_refine)
+from .mesh import (RefinementPlan, SimplicialMesh, band_layout,
+                   build_interval_mesh, build_structured_triangle_mesh,
+                   elements_containing, refine, sibling_groups, uniform_refine)
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
@@ -172,55 +173,47 @@ def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, FeField]:
 
 
 # ---------------------------------------------------------------------------
-# 1-d assembly: every SEIRD system is one operator (kappa u', v') + (r u, v)
-# with nodal P1 kappa and r, built from the exact element formulas; the BDF
-# term c0 M is the constant part of r
+# 1-d assembly in the band layout of the mesh (coordinate order, element k
+# joins positions k and k + 1): every SEIRD system is one operator
+# (kappa u', v') + (r u, v) with nodal P1 kappa and r, built from the exact
+# element formulas; the BDF term c0 M is the constant part of r
 
-def _operator(mesh, kappa, react, bc_node):
-    """Dirichlet-pinned SparseSpd of (kappa u', v') + (react u, v).
+def _operator(h, kappa, react, pin):
+    """SparseSpd of (kappa u', v') + (react u, v) on the chain of elements
+    of lengths h, kappa and react in coordinate order.
 
     kappa enters through its element mean (exact for the constant gradients
     of P1), react through the weighted mass h/12 [[3 r1 + r2, r1 + r2],
     [r1 + r2, r1 + 3 r2]], exact for P1 react. The row and column of
-    bc_node, when given, are those of the identity."""
-    el = mesh.elements
-    h = mesh.element_measures()
-    r1 = react[el[:, 0]]
-    r2 = react[el[:, 1]]
-    a = 0.5 * (kappa[el[:, 0]] + kappa[el[:, 1]]) / h
-    return fem.p1_tridiagonal(mesh, h * (3 * r1 + r2) / 12.0 + a,
-                              h * (r1 + 3 * r2) / 12.0 + a,
-                              h * (r1 + r2) / 12.0 - a, bc_node)
+    position pin, when given, are those of the identity."""
+    r1 = react[:-1]
+    r2 = react[1:]
+    a = 0.5 * (kappa[:-1] + kappa[1:]) / h
+    return fem.SparseSpd.from_chain(h * (3 * r1 + r2) / 12.0 + a,
+                                    h * (r1 + 3 * r2) / 12.0 + a,
+                                    h * (r1 + r2) / 12.0 - a, pin)
 
 
-def _solve(A, rhs, bc_node):
-    """Solve A x = rhs with the Dirichlet value 0 pinned at bc_node."""
-    if bc_node is not None:
+def _solve(A, rhs, pin):
+    """Solve A x = rhs with the Dirichlet value 0 pinned at position pin."""
+    if pin is not None:
         rhs = rhs.copy()
-        rhs[bc_node] = 0.0
+        rhs[pin] = 0.0
     return cg_solve(A, rhs, tol=1e-12)
 
 
-def _product_load(mesh, factors):
+def _product_load(h, factors):
     """Load vector of the product of nodal P1 factors, by degree-5 Gauss."""
-    el = mesh.elements
-    h = mesh.element_measures()
     rule = fem.reference_rule(1, 5)
     phi = rule.points                      # (nq, 2)
     w = rule.weights
-    prod_q = np.ones((mesh.n_elems, phi.shape[0]))
+    prod_q = np.ones((h.size, phi.shape[0]))
     for f in factors:
-        prod_q *= f[el] @ phi.T
-    rhs = np.zeros(mesh.n_nodes)
-    for j in range(2):
-        contrib = h * ((prod_q * phi[:, j][None, :]) @ w)
-        np.add.at(rhs, el[:, j], contrib)
+        prod_q *= np.column_stack((f[:-1], f[1:])) @ phi.T
+    rhs = np.zeros(h.size + 1)
+    rhs[:-1] += h * ((prod_q * phi[:, 0][None, :]) @ w)
+    rhs[1:] += h * ((prod_q * phi[:, 1][None, :]) @ w)
     return rhs
-
-
-def _dirichlet_node(mesh):
-    right = mesh.nodes[:, 0].max()
-    return int(np.where(np.abs(mesh.nodes[:, 0] - right) <= 1e-12)[0][0])
 
 
 def step(state: SeirdState, params: SeirdParams,
@@ -229,59 +222,66 @@ def step(state: SeirdState, params: SeirdParams,
     Euler on the first step), Picard iteration on the lagged nonlinear
     couplings (products s*i, s*e and the population-weighted diffusion)
     until the largest relative update is <= PICARD_TOL, else StepError after
-    PICARD_MAX iterations. dirichlet_right pins all fields to 0 at x = 1."""
+    PICARD_MAX iterations. dirichlet_right pins all fields to 0 at x = 1.
+
+    The step runs in the band layout of the mesh: the fields are permuted
+    into coordinate order once on entry and back once on return."""
     mesh = state.mesh
-    u = state.fields
-    up = state.prev_fields
+    order, h = band_layout(mesh)
+    if not h.all():
+        raise AssemblyError("the elements do not form one chain of "
+                            "coordinate neighbours")
+    n = mesh.n_nodes
     dt = params.dt
-    M = fem.assemble_mass(mesh)
-    bc = _dirichlet_node(mesh) if dirichlet_right else None
+    M = fem.chain_mass(h)
+    pin = n - 1 if dirichlet_right else None
+    u = np.stack([state.fields[c] for c in COMPARTMENTS])
 
-    if up is None:
-        c0 = 1.0 / dt
-        hist = {c: M.dot(u[c]) / dt for c in COMPARTMENTS}
+    if state.prev_fields is None:
+        c0, x = 1.0 / dt, u
     else:
-        c0 = 1.5 / dt
-        hist = {c: M.dot(2.0 * u[c] - 0.5 * up[c]) / dt for c in COMPARTMENTS}
+        up = np.stack([state.prev_fields[c] for c in COMPARTMENTS])
+        c0, x = 1.5 / dt, 2.0 * u - 0.5 * up
+    hist = M.dot(x[:, order]) / dt
 
-    ones = np.ones(mesh.n_nodes)
+    ones = np.ones(n)
     # the d and c systems are c0 M alone, which Picard cannot change
-    A_dc = _operator(mesh, np.zeros(mesh.n_nodes), c0 * ones, bc)
+    A_dc = _operator(h, np.zeros(n), c0 * ones, pin)
+    nu = np.array([params.nu_s, params.nu_e, params.nu_i, params.nu_r])[:, None]
 
-    lag = {c: u[c].copy() for c in COMPARTMENTS}
+    lag = u[:, order]
     for iteration in range(PICARD_MAX):
-        n_pop = lag["s"] + lag["e"] + lag["i"] + lag["r"]
+        s, e, i, r = lag[:4]
+        n_pop = s + e + i + r
         if params.A_e > 0:
             sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
         else:
             sigma = ones
-        new = {}
+        kappa = nu * n_pop
+        new = np.empty_like(lag)
 
-        react_s = sigma * (params.beta_i * lag["i"] + params.beta_e * lag["e"])
-        new["s"] = _solve(_operator(mesh, params.nu_s * n_pop, c0 + react_s, bc),
-                          hist["s"], bc)
+        react_s = sigma * (params.beta_i * i + params.beta_e * e)
+        new[0] = _solve(_operator(h, kappa[0], c0 + react_s, pin), hist[0], pin)
 
         react_e = (params.alpha + params.gamma_e) * ones \
-            - params.beta_e * sigma * new["s"]
-        src_e = _product_load(mesh, [params.beta_i * sigma, new["s"], lag["i"]])
-        new["e"] = _solve(_operator(mesh, params.nu_e * n_pop, c0 + react_e, bc),
-                          hist["e"] + src_e, bc)
+            - params.beta_e * sigma * new[0]
+        src_e = _product_load(h, [params.beta_i * sigma, new[0], i])
+        new[1] = _solve(_operator(h, kappa[1], c0 + react_e, pin),
+                        hist[1] + src_e, pin)
+        Me = M.dot(new[1])
 
         react_i = (params.gamma_i + params.delta) * ones
-        new["i"] = _solve(_operator(mesh, params.nu_i * n_pop, c0 + react_i, bc),
-                          hist["i"] + params.alpha * M.dot(new["e"]), bc)
+        new[2] = _solve(_operator(h, kappa[2], c0 + react_i, pin),
+                        hist[2] + params.alpha * Me, pin)
+        Mi = M.dot(new[2])
 
-        new["r"] = _solve(_operator(mesh, params.nu_r * n_pop, c0 * ones, bc),
-                          hist["r"] + params.gamma_e * M.dot(new["e"])
-                          + params.gamma_i * M.dot(new["i"]), bc)
+        new[3] = _solve(_operator(h, kappa[3], c0 * ones, pin),
+                        hist[3] + params.gamma_e * Me + params.gamma_i * Mi, pin)
+        new[4] = _solve(A_dc, hist[4] + params.delta * Mi, pin)
+        new[5] = _solve(A_dc, hist[5] + params.alpha * Me, pin)
 
-        new["d"] = _solve(A_dc, hist["d"] + params.delta * M.dot(new["i"]), bc)
-        new["c"] = _solve(A_dc, hist["c"] + params.alpha * M.dot(new["e"]), bc)
-
-        change = 0.0
-        for c in COMPARTMENTS:
-            scale = max(float(np.max(np.abs(new[c]))), 1e-14)
-            change = max(change, float(np.max(np.abs(new[c] - lag[c]))) / scale)
+        scale = np.maximum(np.max(np.abs(new), axis=1), 1e-14)
+        change = float(np.max(np.max(np.abs(new - lag), axis=1) / scale))
         lag = new
         if change <= PICARD_TOL:
             break
@@ -290,8 +290,10 @@ def step(state: SeirdState, params: SeirdParams,
             f"Picard iteration stalled at t={state.time + dt:.4g} "
             f"(last update {change:.3e} > {PICARD_TOL:g})")
 
-    return SeirdState(mesh=mesh, fields=new,
-                      prev_fields={c: u[c].copy() for c in COMPARTMENTS},
+    out = np.empty_like(new)
+    out[:, order] = new
+    return SeirdState(mesh=mesh, fields=dict(zip(COMPARTMENTS, out)),
+                      prev_fields=dict(zip(COMPARTMENTS, u)),
                       time=state.time + dt, step_index=state.step_index + 1)
 
 

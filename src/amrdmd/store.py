@@ -120,6 +120,9 @@ def read_store(store_dir) -> Store:
                 raise ValueError("expected 'index time mesh_file field_file'")
             idx, t_str, mesh_file, field_file = parts
             index, time = int(idx), float(Fraction(t_str))
+            for name in (mesh_file, field_file):
+                if name in (".", "..") or "/" in name or "\\" in name:
+                    raise ValueError(f"file name {name!r} leaves the store")
             if index_lines.setdefault(index, line_no) != line_no:
                 raise ValueError(f"index {index} repeats line {index_lines[index]}")
         except (ValueError, OverflowError) as exc:

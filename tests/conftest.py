@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from amrdmd import mesh as mesh_mod
+from amrdmd import fem, mesh as mesh_mod, seird_sim as S
+from amrdmd.errors import AssemblyError, StepError
 
 
 def exhaustive_locate(mesh, x, tol=1e-10):
@@ -81,6 +82,140 @@ def coo_p1_operator(mesh, kappa, react, bc_node):
         vals = np.append(vals[keep], 1.0)
     n = mesh.n_nodes
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# the SEIRD step in node order, as it ran before the band layout
+
+def p1_tridiagonal(mesh, w0, w1, off, bc_node=None):
+    """Band form of the 1-d P1 matrix that gets, per element, w0 and w1 on
+    the diagonal entries of its first and second node and off on the entry
+    that couples them, built in node order: rows are ordered by node
+    coordinate, so every element must join two coordinate neighbours. The
+    row and column of bc_node, when given, are those of the identity."""
+    n = mesh.n_nodes
+    order = np.argsort(mesh.nodes[:, 0], kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    p0, p1 = pos[mesh.elements].T
+    apart = np.abs(p1 - p0) != 1
+    if np.any(apart):
+        bad = int(np.argmax(apart))
+        raise AssemblyError(f"element {bad} joins nodes that are not "
+                            f"coordinate neighbours")
+    diag = np.bincount(p0, w0, n) + np.bincount(p1, w1, n)
+    band = np.bincount(np.minimum(p0, p1), off, n - 1)
+    if bc_node is not None:
+        k = pos[bc_node]
+        diag[k] = 1.0
+        band[max(k - 1, 0):k + 1] = 0.0
+    return fem.SparseSpd(bands=(order, diag, band))
+
+
+def node_order_operator(mesh, kappa, react, bc_node):
+    el = mesh.elements
+    h = mesh.element_measures()
+    r1 = react[el[:, 0]]
+    r2 = react[el[:, 1]]
+    a = 0.5 * (kappa[el[:, 0]] + kappa[el[:, 1]]) / h
+    return p1_tridiagonal(mesh, h * (3 * r1 + r2) / 12.0 + a,
+                          h * (r1 + 3 * r2) / 12.0 + a,
+                          h * (r1 + r2) / 12.0 - a, bc_node)
+
+
+def node_order_solve(A, rhs, bc_node):
+    if bc_node is not None:
+        rhs = rhs.copy()
+        rhs[bc_node] = 0.0
+    return fem.cg_solve(A, rhs, tol=1e-12)
+
+
+def node_order_product_load(mesh, factors):
+    el = mesh.elements
+    h = mesh.element_measures()
+    rule = fem.reference_rule(1, 5)
+    phi = rule.points
+    w = rule.weights
+    prod_q = np.ones((mesh.n_elems, phi.shape[0]))
+    for f in factors:
+        prod_q *= f[el] @ phi.T
+    rhs = np.zeros(mesh.n_nodes)
+    for j in range(2):
+        contrib = h * ((prod_q * phi[:, j][None, :]) @ w)
+        np.add.at(rhs, el[:, j], contrib)
+    return rhs
+
+
+def node_order_dirichlet_node(mesh):
+    right = mesh.nodes[:, 0].max()
+    return int(np.where(np.abs(mesh.nodes[:, 0] - right) <= 1e-12)[0][0])
+
+
+def node_order_step(state, params, dirichlet_right=True):
+    """seird_sim.step with every vector in node order and every operator
+    built through p1_tridiagonal."""
+    mesh = state.mesh
+    u = state.fields
+    up = state.prev_fields
+    dt = params.dt
+    M = fem.assemble_mass(mesh)
+    bc = node_order_dirichlet_node(mesh) if dirichlet_right else None
+    op, solve = node_order_operator, node_order_solve
+
+    if up is None:
+        c0 = 1.0 / dt
+        hist = {c: M.dot(u[c]) / dt for c in S.COMPARTMENTS}
+    else:
+        c0 = 1.5 / dt
+        hist = {c: M.dot(2.0 * u[c] - 0.5 * up[c]) / dt for c in S.COMPARTMENTS}
+
+    ones = np.ones(mesh.n_nodes)
+    A_dc = op(mesh, np.zeros(mesh.n_nodes), c0 * ones, bc)
+
+    lag = {c: u[c].copy() for c in S.COMPARTMENTS}
+    for _ in range(S.PICARD_MAX):
+        n_pop = lag["s"] + lag["e"] + lag["i"] + lag["r"]
+        if params.A_e > 0:
+            sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
+        else:
+            sigma = ones
+        new = {}
+
+        react_s = sigma * (params.beta_i * lag["i"] + params.beta_e * lag["e"])
+        new["s"] = solve(op(mesh, params.nu_s * n_pop, c0 + react_s, bc),
+                         hist["s"], bc)
+
+        react_e = (params.alpha + params.gamma_e) * ones \
+            - params.beta_e * sigma * new["s"]
+        src_e = node_order_product_load(
+            mesh, [params.beta_i * sigma, new["s"], lag["i"]])
+        new["e"] = solve(op(mesh, params.nu_e * n_pop, c0 + react_e, bc),
+                         hist["e"] + src_e, bc)
+
+        react_i = (params.gamma_i + params.delta) * ones
+        new["i"] = solve(op(mesh, params.nu_i * n_pop, c0 + react_i, bc),
+                         hist["i"] + params.alpha * M.dot(new["e"]), bc)
+
+        new["r"] = solve(op(mesh, params.nu_r * n_pop, c0 * ones, bc),
+                         hist["r"] + params.gamma_e * M.dot(new["e"])
+                         + params.gamma_i * M.dot(new["i"]), bc)
+
+        new["d"] = solve(A_dc, hist["d"] + params.delta * M.dot(new["i"]), bc)
+        new["c"] = solve(A_dc, hist["c"] + params.alpha * M.dot(new["e"]), bc)
+
+        change = 0.0
+        for c in S.COMPARTMENTS:
+            scale = max(float(np.max(np.abs(new[c]))), 1e-14)
+            change = max(change, float(np.max(np.abs(new[c] - lag[c]))) / scale)
+        lag = new
+        if change <= S.PICARD_TOL:
+            break
+    else:
+        raise StepError("Picard iteration stalled")
+
+    return S.SeirdState(mesh=mesh, fields=new,
+                        prev_fields={c: u[c].copy() for c in S.COMPARTMENTS},
+                        time=state.time + dt, step_index=state.step_index + 1)
 
 
 def random_refined_interval(rng, n_base=5, passes=2, lo=0.0, hi=1.0):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from amrdmd import fem, mesh as M
 from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
 
-from conftest import coo_mass, random_refined_interval, random_refined_square
+from conftest import (coo_mass, p1_tridiagonal, random_refined_interval,
+                      random_refined_square)
 
 
 class TestQuadrature:
@@ -300,10 +301,10 @@ class TestBandForm:
         m = random_refined_interval(rng, passes=3)
         n = m.n_nodes
         h = m.element_measures()
-        A = fem.p1_tridiagonal(m, h * rng.uniform(1, 2, m.n_elems),
-                               h * rng.uniform(1, 2, m.n_elems),
-                               h * rng.uniform(-1, 1, m.n_elems),
-                               int(rng.integers(n)))
+        A = p1_tridiagonal(m, h * rng.uniform(1, 2, m.n_elems),
+                           h * rng.uniform(1, 2, m.n_elems),
+                           h * rng.uniform(-1, 1, m.n_elems),
+                           int(rng.integers(n)))
         b = rng.normal(size=n)
         x = fem.cg_solve(A, b)
         ref = np.linalg.solve(A.matrix.toarray(), b)
@@ -312,7 +313,7 @@ class TestBandForm:
     def test_positive_diagonal_but_indefinite_raises(self):
         m = M.build_interval_mesh(0, 1, 4)
         ones = np.ones(m.n_elems)
-        A = fem.p1_tridiagonal(m, ones, ones, 3.0 * ones)   # 2 on the diagonal
+        A = p1_tridiagonal(m, ones, ones, 3.0 * ones)   # 2 on the diagonal
         assert np.all(A.diag > 0)
         with pytest.raises(SolverError, match="not positive definite"):
             fem.cg_solve(A, np.ones(m.n_nodes))
@@ -321,7 +322,7 @@ class TestBandForm:
         m = M.build_interval_mesh(0, 1, 3)
         zeros = np.zeros(m.n_elems)
         with pytest.raises(InvalidArgumentError):
-            fem.p1_tridiagonal(m, zeros, zeros, zeros)
+            p1_tridiagonal(m, zeros, zeros, zeros)
 
     def test_element_joining_non_neighbours_raises(self):
         # node 1 at x = 0.5 lies between the nodes of element (0, 2)

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrdmd import dmd, fem, mesh as M, seird_sim as S
-from amrdmd.errors import InvalidArgumentError
+from amrdmd.errors import AssemblyError, InvalidArgumentError
 
-from conftest import (composite_integral_1d, coo_p1_operator,
-                      piecewise_linear_1d, random_refined_interval)
+from conftest import (composite_integral_1d, coo_p1_operator, node_order_step,
+                      p1_tridiagonal, piecewise_linear_1d,
+                      random_refined_interval)
 
 
 def fresh_state(mesh):
@@ -74,6 +75,23 @@ class TestInitialConditions:
             S.seird_initial_conditions(sq)
 
 
+def band_operator(mesh, kappa, react, bc):
+    """S._operator on the band layout of mesh, from and to node order."""
+    layout = M.band_layout(mesh)
+    o = layout.order
+    pin = None if bc is None else int(np.flatnonzero(o == bc)[0])
+    A = S._operator(layout.h, kappa[o], react[o], pin)
+    return fem.SparseSpd(bands=(o, A.diag, A.off))
+
+
+def band_product_load(mesh, factors):
+    """S._product_load on the band layout of mesh, from and to node order."""
+    layout = M.band_layout(mesh)
+    out = np.empty(mesh.n_nodes)
+    out[layout.order] = S._product_load(layout.h, [f[layout.order] for f in factors])
+    return out
+
+
 def p1_slope_1d(mesh, values):
     """Callable evaluating the piecewise-constant derivative of the P1
     interpolant (away from the nodes)."""
@@ -98,7 +116,7 @@ class TestOperator:
         react = rng.uniform(0.0, 3.0, n)
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        A = S._operator(mesh, kappa, react, None).matrix
+        A = band_operator(mesh, kappa, react, None).matrix
         k, r = piecewise_linear_1d(mesh, kappa), piecewise_linear_1d(mesh, react)
         uf, vf = piecewise_linear_1d(mesh, u), piecewise_linear_1d(mesh, v)
         du, dv = p1_slope_1d(mesh, u), p1_slope_1d(mesh, v)
@@ -119,7 +137,7 @@ class TestOperator:
         kappa = rng.uniform(0.0, 2.0, n)
         react = rng.uniform(0.0, 3.0, n)
         bc = int(rng.integers(n)) if pinned else None
-        A = S._operator(mesh, kappa, react, bc)
+        A = band_operator(mesh, kappa, react, bc)
         ref = coo_p1_operator(mesh, kappa, react, bc)
         assert np.array_equal(A.matrix.toarray(), ref.toarray())
 
@@ -129,7 +147,7 @@ class TestOperator:
         rng = np.random.default_rng(seed)
         mesh = random_refined_interval(rng)
         n = mesh.n_nodes
-        A = S._operator(mesh, np.zeros(n), c * np.ones(n), None).matrix.toarray()
+        A = band_operator(mesh, np.zeros(n), c * np.ones(n), None).matrix.toarray()
         B = c * fem.assemble_mass(mesh).matrix.toarray()
         assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(B))
 
@@ -140,8 +158,8 @@ class TestOperator:
         mesh = random_refined_interval(rng)
         n = mesh.n_nodes
         bc = int(rng.integers(n))
-        A = S._operator(mesh, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 3.0, n),
-                        bc).matrix.toarray()
+        A = band_operator(mesh, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 3.0, n),
+                          bc).matrix.toarray()
         e = np.zeros(n)
         e[bc] = 1.0
         assert np.array_equal(A[bc], e) and np.array_equal(A[:, bc], e)
@@ -207,14 +225,14 @@ class TestStep:
         Mlu = spla.splu(sp.csc_matrix(Mmat))
 
         def stiffness(coef):
-            return S._operator(mesh, coef, np.zeros(n), None).matrix
+            return band_operator(mesh, coef, np.zeros(n), None).matrix
 
         def rhs(t, y):
             u = {c: y[k * n:(k + 1) * n] for k, c in enumerate(names)}
             npop = u["s"] + u["e"] + u["i"] + u["r"]
             sigma = np.ones(n)
-            load_si = S._product_load(mesh, [params.beta_i * sigma, u["s"], u["i"]])
-            load_se = S._product_load(mesh, [params.beta_e * sigma, u["s"], u["e"]])
+            load_si = band_product_load(mesh, [params.beta_i * sigma, u["s"], u["i"]])
+            load_se = band_product_load(mesh, [params.beta_e * sigma, u["s"], u["e"]])
             out = {
                 "s": -stiffness(params.nu_s * npop) @ u["s"] - load_si - load_se,
                 "e": (-stiffness(params.nu_e * npop) @ u["e"] + load_si + load_se
@@ -259,6 +277,94 @@ class TestStep:
         for k in range(20):
             st = S.step(st, params, dirichlet_right=False)
             assert living(st) == pytest.approx(p0, abs=1e-6 * (k + 1) * p0)
+
+
+def renumbered(state, rng):
+    """The state on a copy of its mesh whose node ids and element order are
+    randomly permuted."""
+    mesh = state.mesh
+    perm = rng.permutation(mesh.n_nodes)            # new node id -> old id
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(mesh.n_nodes)
+    elements = new_id[mesh.elements][rng.permutation(mesh.n_elems)]
+    shuffled = M.SimplicialMesh(dim=1, nodes=mesh.nodes[perm], elements=elements,
+                                level=np.zeros(mesh.n_elems, dtype=np.int64))
+    return S.SeirdState(shuffled, {c: v[perm] for c, v in state.fields.items()},
+                        None, state.time, state.step_index)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBandLayoutStep:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), remeshed=st.booleans(),
+           dirichlet_right=st.booleans(), allee=st.booleans())
+    def test_bit_identical_to_node_order_step(self, seed, remeshed,
+                                              dirichlet_right, allee):
+        rng = np.random.default_rng(seed)
+        mesh = M.build_interval_mesh(0, 1, int(rng.integers(4, 40)))
+        state = fresh_state(mesh)
+        if remeshed:
+            fine = fresh_state(M.uniform_refine(mesh, 1))
+            state = S.remesh_state(fine, S.AmrPolicy())
+            assert state.mesh is not fine.mesh
+        state = renumbered(state, rng)
+        params = S.SeirdParams(A_e=1e-9 if allee else 0.0)
+        new = old = state
+        for _ in range(2):          # a first BDF1 step, then a BDF2 step
+            new = S.step(new, params, dirichlet_right)
+            old = node_order_step(old, params, dirichlet_right)
+            for c in S.COMPARTMENTS:
+                assert same_bits(new.fields[c], old.fields[c]), c
+                assert same_bits(new.prev_fields[c], old.prev_fields[c]), c
+            assert (new.time, new.step_index) == (old.time, old.step_index)
+
+    def test_layout_computed_once_per_mesh(self, monkeypatch):
+        built = []
+        plain = M.BandLayout
+
+        def counted(*fields):
+            built.append(fields)
+            return plain(*fields)
+
+        monkeypatch.setattr(M, "BandLayout", counted)
+        params = S.SeirdParams(t_end=3.0)
+        res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
+        meshes = {id(m): m for m, _ in res.adaptive}
+        assert len(meshes) >= 2                 # the run did remesh
+        assert len(built) == len(meshes)
+        for m in meshes.values():
+            assert M.band_layout(m) is m._band
+        assert len(built) == len(meshes)
+
+    @pytest.mark.parametrize("nodes, elements, match", [
+        ([0.0, 0.25, 0.5, 1.0], [[0, 1], [2, 3]], "one chain"),       # gap
+        ([0.0, 0.5, 1.0], [[0, 1], [2, 1]], "degenerate element 1"),  # misoriented
+        ([0.0, 0.5, 0.5, 1.0], [[0, 1], [1, 2], [2, 3]],               # duplicate
+         "degenerate element 1"),
+    ], ids=["gap", "misoriented", "duplicate_node"])
+    def test_bad_chain_raises(self, nodes, elements, match):
+        mesh = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
+                                level=np.zeros(len(elements), dtype=np.int64))
+        state = S.SeirdState(mesh, {c: np.zeros(mesh.n_nodes)
+                                    for c in S.COMPARTMENTS}, None, 0.0, 0)
+        with pytest.raises(AssemblyError, match=match):
+            S.step(state, S.SeirdParams())
+        if match != "one chain":
+            with pytest.raises(AssemblyError, match=match):
+                fem.assemble_mass(mesh)
+
+    def test_gap_keeps_a_block_diagonal_mass(self):
+        mesh = M.SimplicialMesh(dim=1, nodes=[0.0, 0.25, 0.5, 1.0],
+                                elements=[[2, 3], [0, 1]], level=[0, 0])
+        h = mesh.element_measures()
+        ref = p1_tridiagonal(mesh, h * (2.0 / 6.0), h * (2.0 / 6.0),
+                             h * (1.0 / 6.0)).matrix.toarray()
+        A = fem.assemble_mass(mesh).matrix.toarray()
+        assert same_bits(A, ref)
+        assert A[1, 2] == A[2, 1] == 0.0
 
 
 class TestAmrLoop:

@@ -267,6 +267,21 @@ class TestCliProjectAndDmd:
                 assert proj_mean == pytest.approx(
                     donor_mean, abs=1e-10 + 1e-8 * abs(donor_mean))
 
+    def test_project_onto_gapped_target(self, small_run, tmp_path):
+        # a 1-d target of two disjoint pieces has a block-diagonal mass matrix
+        root, cfg, out = small_run
+        target = M.SimplicialMesh(dim=1, nodes=[0.0, 0.25, 0.5, 0.75, 1.0],
+                                  elements=[[3, 4], [0, 1], [1, 2]],
+                                  level=[0, 0, 0])
+        M.save_mesh(target, tmp_path / "gapped.mesh.txt")
+        dest = tmp_path / "proj"
+        assert run_cli("project", out / "adaptive", tmp_path / "gapped.mesh.txt",
+                       dest, "--quiet") == 0
+        proj = store.read_store(dest)
+        assert proj.entries[0].mesh.n_elems == 3
+        for entry in proj.entries:
+            assert all(np.all(np.isfinite(v)) for v in entry.fields.values())
+
     def test_fit_predict_report(self, small_run, tmp_path):
         root, cfg, out = small_run
         model_path = tmp_path / "s.dmd.txt"
@@ -380,6 +395,43 @@ class TestCliProjectAndDmd:
                        "--rank", "1", "--quiet") == 3
         err = capsys.readouterr().err
         assert "line 2" in err and "manifest.txt" in err
+
+    @pytest.mark.parametrize("column,name", [
+        (2, "{abs}/mesh_0000.mesh.txt"),            # absolute path
+        (3, "./snap_0001.field.txt"),                # path separator
+        (3, "../st/snap_0001.field.txt"),            # parent directory
+        (2, ".."),
+    ], ids=["absolute", "separator", "parent_path", "parent_name"])
+    def test_manifest_file_outside_store_exit_3(self, tmp_path, rng, capsys,
+                                                column, name):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
+                                   for c in ("s", "e", "i", "r", "d")})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        lines = (st / "manifest.txt").read_text().splitlines()
+        parts = lines[1].split()
+        parts[column] = name.format(abs=st.resolve())
+        lines[1] = " ".join(parts)
+        (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        csv = tmp_path / "q.csv"
+        assert run_cli("report", "qoi", st, csv, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "manifest.txt" in err and "leaves the store" in err
+        assert not csv.exists()
+
+    def test_extra_mesh_rows_exit_2(self, tmp_path, rng, capsys):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
+                                   for c in ("s", "e", "i", "r", "d")})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        with open(st / "mesh_0000.mesh.txt", "a") as fh:
+            fh.write("0 1\n")
+        csv = tmp_path / "q.csv"
+        assert run_cli("report", "qoi", st, csv, "--quiet") == 2
+        assert "mesh_0000.mesh.txt" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_repeated_manifest_index_exit_3(self, tmp_path, rng, capsys):
         m = M.build_interval_mesh(0, 1, 4)
@@ -524,6 +576,31 @@ class TestCliProjectAndDmd:
             outs.append({p.name: p.read_bytes() for p in out.iterdir()
                          if p.name != "run_manifest.txt"})
         assert len(outs[0]) == 7
+        assert outs[0] == outs[1]
+
+    def test_predict_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # On a one-core machine OpenBLAS runs one thread under both settings,
+        # so there this test passes whatever the code does. The reference
+        # mesh has 501 nodes: threaded BLAS splits products that large.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_end = 4.0\nn_elems = 125\ninitial_uniform_levels = 2\n")
+        sim, model = tmp_path / "sim", tmp_path / "e.dmd.txt"
+        assert run_cli("simulate", cfg, sim, "--quiet") == 0
+        assert run_cli("dmd", "fit", sim / "projected", model, "--field", "e",
+                       "--rank", "15", "--quiet") == 0
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "predict",
+                                model, out, "--mesh",
+                                sim / "projected" / "mesh_0000.mesh.txt",
+                                "--until", "10", "--quiet",
+                                OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "run_manifest.txt"})
+        assert len(outs[0]) == 43           # 41 snapshots, a mesh, a manifest
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("arg,code", [("--help", 0), ("--no-such-option", 2)])
