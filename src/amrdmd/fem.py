@@ -392,6 +392,8 @@ def load_fields(path, mesh: SimplicialMesh) -> dict[str, FeField]:
                 raise ValueError(f"repeated field name in {names}")
             table = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
                                dtype=float).reshape(n_nodes, n_fields)
+            if fh.read().strip():
+                raise ValueError(f"rows after the {n_nodes} node rows")
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
     if n_nodes != mesh.n_nodes:

@@ -222,7 +222,8 @@ def step(state: SeirdState, params: SeirdParams,
     Euler on the first step), Picard iteration on the lagged nonlinear
     couplings (products s*i, s*e and the population-weighted diffusion)
     until the largest relative update is <= PICARD_TOL, else StepError after
-    PICARD_MAX iterations. dirichlet_right pins all fields to 0 at x = 1.
+    PICARD_MAX iterations; StepError also when a system loses its positive
+    diagonal. dirichlet_right pins all fields to 0 at x = 1.
 
     The step runs in the band layout of the mesh: the fields are permuted
     into coordinate order once on entry and back once on return."""
@@ -250,45 +251,50 @@ def step(state: SeirdState, params: SeirdParams,
     nu = np.array([params.nu_s, params.nu_e, params.nu_i, params.nu_r])[:, None]
 
     lag = u[:, order]
-    for iteration in range(PICARD_MAX):
-        s, e, i, r = lag[:4]
-        n_pop = s + e + i + r
-        if params.A_e > 0:
-            sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
+    try:
+        for iteration in range(PICARD_MAX):
+            s, e, i, r = lag[:4]
+            n_pop = s + e + i + r
+            if params.A_e > 0:
+                sigma = 1.0 - params.A_e / np.maximum(n_pop, 1e-12)
+            else:
+                sigma = ones
+            kappa = nu * n_pop
+            new = np.empty_like(lag)
+
+            react_s = sigma * (params.beta_i * i + params.beta_e * e)
+            new[0] = _solve(_operator(h, kappa[0], c0 + react_s, pin), hist[0], pin)
+
+            react_e = (params.alpha + params.gamma_e) * ones \
+                - params.beta_e * sigma * new[0]
+            src_e = _product_load(h, [params.beta_i * sigma, new[0], i])
+            new[1] = _solve(_operator(h, kappa[1], c0 + react_e, pin),
+                            hist[1] + src_e, pin)
+            Me = M.dot(new[1])
+
+            react_i = (params.gamma_i + params.delta) * ones
+            new[2] = _solve(_operator(h, kappa[2], c0 + react_i, pin),
+                            hist[2] + params.alpha * Me, pin)
+            Mi = M.dot(new[2])
+
+            new[3] = _solve(_operator(h, kappa[3], c0 * ones, pin),
+                            hist[3] + params.gamma_e * Me + params.gamma_i * Mi, pin)
+            new[4] = _solve(A_dc, hist[4] + params.delta * Mi, pin)
+            new[5] = _solve(A_dc, hist[5] + params.alpha * Me, pin)
+
+            scale = np.maximum(np.max(np.abs(new), axis=1), 1e-14)
+            change = float(np.max(np.max(np.abs(new - lag), axis=1) / scale))
+            lag = new
+            if change <= PICARD_TOL:
+                break
         else:
-            sigma = ones
-        kappa = nu * n_pop
-        new = np.empty_like(lag)
-
-        react_s = sigma * (params.beta_i * i + params.beta_e * e)
-        new[0] = _solve(_operator(h, kappa[0], c0 + react_s, pin), hist[0], pin)
-
-        react_e = (params.alpha + params.gamma_e) * ones \
-            - params.beta_e * sigma * new[0]
-        src_e = _product_load(h, [params.beta_i * sigma, new[0], i])
-        new[1] = _solve(_operator(h, kappa[1], c0 + react_e, pin),
-                        hist[1] + src_e, pin)
-        Me = M.dot(new[1])
-
-        react_i = (params.gamma_i + params.delta) * ones
-        new[2] = _solve(_operator(h, kappa[2], c0 + react_i, pin),
-                        hist[2] + params.alpha * Me, pin)
-        Mi = M.dot(new[2])
-
-        new[3] = _solve(_operator(h, kappa[3], c0 * ones, pin),
-                        hist[3] + params.gamma_e * Me + params.gamma_i * Mi, pin)
-        new[4] = _solve(A_dc, hist[4] + params.delta * Mi, pin)
-        new[5] = _solve(A_dc, hist[5] + params.alpha * Me, pin)
-
-        scale = np.maximum(np.max(np.abs(new), axis=1), 1e-14)
-        change = float(np.max(np.max(np.abs(new - lag), axis=1) / scale))
-        lag = new
-        if change <= PICARD_TOL:
-            break
-    else:
-        raise StepError(
-            f"Picard iteration stalled at t={state.time + dt:.4g} "
-            f"(last update {change:.3e} > {PICARD_TOL:g})")
+            raise StepError(
+                f"Picard iteration stalled at t={state.time + dt:.4g} "
+                f"(last update {change:.3e} > {PICARD_TOL:g})")
+    except InvalidArgumentError as exc:
+        # coefficients computed by the step, not given by the caller, made a
+        # system indefinite (a large A_e drives sigma far below zero)
+        raise StepError(f"step to t={state.time + dt:.4g} failed: {exc}") from exc
 
     out = np.empty_like(new)
     out[:, order] = new

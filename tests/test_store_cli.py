@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 
 import amrdmd
 from amrdmd import dmd, fem, mesh as M, pipeline_cli, seird_sim, store
-from amrdmd.errors import ConfigError, StepError, StoreError
+from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
+                           StoreError)
 
 
 class TestFractionRendering:
@@ -135,14 +138,15 @@ def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
 
 
-def fresh_python(*args, cwd=None, **env_vars):
+def fresh_python(*args, cwd=None, preexec_fn=None, **env_vars):
     """Run a new interpreter that imports the package from this tree, with
     env_vars added to the environment."""
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         [str(Path(amrdmd.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,17 @@ class TestCliSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_indefinite_step_system_exit_3(self, tmp_path):
+        # A_e = 0.001 drives sigma to about -8900 where the population is
+        # near zero, so a Picard system loses its positive diagonal
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.25\nt_end = 1\nn_elems = 20\nA_e = 0.001\n")
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "simulate", cfg,
+                            tmp_path / "out", "--quiet")
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "step to t=" in proc.stderr
 
     def test_failed_forced_rerun_marks_sub_stores(self, small_run, tmp_path,
                                                   monkeypatch):
@@ -433,6 +448,22 @@ class TestCliProjectAndDmd:
         assert "mesh_0000.mesh.txt" in capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("snap,row", [("snap_0001.field.txt", "1 2 3 4 5\n"),
+                                          ("snap_0002.field.txt", "garbage row\n")])
+    def test_extra_field_rows_exit_2(self, tmp_path, rng, capsys, snap, row):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
+                                   for c in ("s", "e", "i", "r", "d")})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        with open(st / snap, "a") as fh:
+            fh.write(row)
+        model = tmp_path / "s.dmd.txt"
+        assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "1",
+                       "--quiet") == 2
+        assert snap in capsys.readouterr().err
+        assert not model.exists()
+
     def test_repeated_manifest_index_exit_3(self, tmp_path, rng, capsys):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
@@ -620,3 +651,171 @@ class TestCliProjectAndDmd:
         bad.write_text("not a mesh\n")
         code = run_cli("project", out / "adaptive", bad, tmp_path / "p", "--quiet")
         assert code == 2
+
+
+class TestStoreFanOut:
+    """write_store and read_store spread their files over the CPUs of the
+    process. Here the affinity mask is faked to three CPUs, so the fan-out
+    runs (a parent part and two forked parts) on any machine, and compared
+    with the plain loop, forced by raising the job threshold."""
+
+    N_SNAPS = 40
+
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+
+    def snapshots(self, rng):
+        meshes = [M.build_interval_mesh(0, 1, n) for n in (12, 17, 9)]
+        return [(Fraction(k, 4), meshes[k % 3],
+                 {"u": rng.normal(size=meshes[k % 3].n_nodes),
+                  "v": rng.normal(size=meshes[k % 3].n_nodes) * 1e-300})
+                for k in range(self.N_SNAPS)]
+
+    @staticmethod
+    def contents(st):
+        return {p.name: p.read_bytes() for p in sorted(st.iterdir())}
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def written(self, tmp_path, rng, monkeypatch):
+        snaps = self.snapshots(rng)
+        with monkeypatch.context() as m:
+            m.setattr(store, "_PART_MIN_JOBS", 10 ** 9)
+            store.write_store(tmp_path / "serial", snaps)
+        return snaps, tmp_path / "serial"
+
+    def test_write_is_byte_identical(self, three_cpus, written, tmp_path):
+        snaps, serial_dir = written
+        store.write_store(tmp_path / "fanned", snaps)
+        self.assert_no_children()
+        a, b = self.contents(serial_dir), self.contents(tmp_path / "fanned")
+        assert len(a) == self.N_SNAPS + 4       # 3 meshes and a manifest
+        assert a == b
+
+    def test_read_is_bit_identical(self, three_cpus, written, monkeypatch):
+        snaps, st = written
+        with monkeypatch.context() as m:
+            m.setattr(store, "_PART_MIN_JOBS", 10 ** 9)
+            plain = store.read_store(st)
+        fanned = store.read_store(st)
+        self.assert_no_children()
+        assert len(fanned.entries) == self.N_SNAPS
+        for p, f, (_, msh, fields) in zip(plain.entries, fanned.entries, snaps):
+            assert (p.index, p.time_str, p.mesh_file) == \
+                   (f.index, f.time_str, f.mesh_file)
+            assert list(p.fields) == list(f.fields) == ["u", "v"]
+            for name, values in fields.items():
+                assert f.fields[name].tobytes() == p.fields[name].tobytes() \
+                       == values.tobytes()
+        # a mesh is one object for all its snapshots, as in the plain loop
+        assert len({id(e.mesh) for e in fanned.entries}) == 3
+
+    @pytest.mark.parametrize("damage", ["trailing_row", "missing_file",
+                                        "then_bad_manifest"])
+    def test_first_fault_matches_the_plain_loop(self, three_cpus, written,
+                                                tmp_path, capsys, monkeypatch,
+                                                damage):
+        # the parts are files 0-12, 13-25 and 26-39 in manifest order (0-11,
+        # 12-24 and 25-37 when line 39 is bad); the first fault lies in the
+        # first forked part, a later one in the second
+        snaps, st = written
+        with open(st / "snap_0030.field.txt", "a") as fh:
+            fh.write("0 0\n")
+        if damage == "missing_file":
+            (st / "snap_0020.field.txt").unlink()
+        else:
+            with open(st / "snap_0020.field.txt", "a") as fh:
+                fh.write("garbage row\n")
+        if damage == "then_bad_manifest":
+            lines = (st / "manifest.txt").read_text().splitlines()
+            lines[38] = "x 0 mesh_0000.mesh.txt snap_0038.field.txt"
+            (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        results = []
+        for threshold in (10 ** 9, store._PART_MIN_JOBS):
+            monkeypatch.setattr(store, "_PART_MIN_JOBS", threshold)
+            code = run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet")
+            results.append((code, capsys.readouterr().err))
+        self.assert_no_children()
+        assert results[0] == results[1]
+        assert results[0][0] == (3 if damage == "missing_file" else 2)
+        assert "snap_0020.field.txt" in results[0][1]
+
+    def test_write_fault_matches_the_plain_loop(self, three_cpus, rng,
+                                                tmp_path, monkeypatch):
+        snaps = self.snapshots(rng)
+        snaps[33][2]["bad name"] = snaps[33][2]["u"]
+        messages = []
+        for threshold in (10 ** 9, store._PART_MIN_JOBS):
+            monkeypatch.setattr(store, "_PART_MIN_JOBS", threshold)
+            out = tmp_path / f"st_{threshold}"
+            with pytest.raises(InvalidArgumentError) as err:
+                store.write_store(out, snaps)
+            messages.append(str(err.value))
+            assert not (out / "manifest.txt").exists()
+        self.assert_no_children()
+        assert messages[0] == messages[1]
+        assert "bad name" in messages[0]
+
+    @pytest.mark.parametrize("how", ["exit", "signal"])
+    def test_child_that_sends_nothing_gives_store_error(self, three_cpus,
+                                                        written, monkeypatch,
+                                                        how):
+        snaps, st = written
+        parent, plain = os.getpid(), fem.load_fields
+
+        def dies_in_child(path, msh):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return plain(path, msh)
+
+        monkeypatch.setattr(fem, "load_fields", dies_in_child)
+        with pytest.raises(StoreError) as err:
+            store.read_store(st)
+        self.assert_no_children()
+        assert str(st) in str(err.value)
+        assert f"exit status {0 if how == 'exit' else -signal.SIGKILL}" \
+               in str(err.value)
+
+    def test_interrupt_reaps_every_child(self, three_cpus, written,
+                                         monkeypatch):
+        snaps, st = written
+        parent, plain = os.getpid(), fem.load_fields
+
+        def interrupted_in_parent(path, msh):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return plain(path, msh)
+
+        monkeypatch.setattr(fem, "load_fields", interrupted_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            store.read_store(st)
+        self.assert_no_children()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda p: ())(0)) < 2,
+                        reason="with one CPU both runs take the plain loop, "
+                               "so the comparison would be vacuous")
+    def test_simulate_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.25\nt_end = 8\nn_elems = 10\n"
+                       "initial_uniform_levels = 1\nmax_level = 1\n")
+        outs = []
+        for cpus in ({0}, set(sorted(os.sched_getaffinity(0))[:2])):
+            out = tmp_path / f"cpus_{len(cpus)}"
+            proc = fresh_python("-m", "amrdmd.pipeline_cli", "simulate", cfg,
+                                out, "--quiet",
+                                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*"))
+                         if p.is_file() and p.name != "run_manifest.txt"})
+        assert len([p for p in outs[0] if p.parent.name == "projected"]) == 35
+        assert outs[0] == outs[1]
