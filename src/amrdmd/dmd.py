@@ -108,15 +108,14 @@ def choose_rank(sigma, tau: float) -> int:
 
 def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
         svd_method: str = "exact", seed: int = 0, oversample: int = 10,
-        power_iters: int = 2, amplitudes: str = "first") -> DmdModel:
+        power_iters: int = 2) -> DmdModel:
     """Fit an exact-DMD model to the snapshot matrix.
 
     Exactly one of `rank` (fixed truncation) or `tau` (retained-variance
     threshold) selects the rank. svd_method "randomized" uses a seeded
     Gaussian sketch; threshold selection needs the full spectrum, so tau
     always goes through the exact SVD. Amplitudes come from the first
-    snapshot ("first", the default) or a least-squares fit over all
-    snapshots ("lstsq").
+    snapshot.
     """
     if (rank is None) == (tau is None):
         raise InvalidArgumentError("specify exactly one of rank or tau")
@@ -156,49 +155,28 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
     omega[~degenerate] = np.log(lam[~degenerate]) / Y.dt_o
     aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
 
-    if amplitudes == "first":
-        b = linalg.pinv_apply(modes, Y.data[:, 0].astype(complex))
-    elif amplitudes == "lstsq":
-        powers = np.arange(Y.data.shape[1])
-        van = lam[None, :] ** powers[:, None]          # (m+1, r)
-        stacked = (modes[None, :, :] * van[:, None, :]).reshape(-1, r)
-        b = linalg.pinv_apply(stacked, Y.data.T.reshape(-1).astype(complex))
-    else:
-        raise InvalidArgumentError(f"unknown amplitude mode {amplitudes!r}")
+    b = linalg.pinv_apply(modes, Y.data[:, 0].astype(complex))
 
     return DmdModel(rank=r, lam=lam, omega=omega, modes=modes, amplitudes=b,
                     t0=Y.t0, dt_o=Y.dt_o, field_name=Y.field_name,
                     aliased_modes=aliased)
 
 
-def evaluate(model: DmdModel, t: float, with_diagnostic: bool = False):
-    """Real part of the model signal at time t; optionally also the ratio
-    of the imaginary residual to the real magnitude.
-
-    Modes with |lambda| below 1e-14 have no defined growth rate and are
-    dropped with a warning.
-    """
-    keep = ~np.isnan(model.omega.real)
-    if not np.all(keep):
-        warnings.warn(f"dropping {int(np.sum(~keep))} modes with |lambda| ~ 0")
-    weights = np.exp(model.omega[keep] * (t - model.t0)) * model.amplitudes[keep]
-    # einsum, not BLAS, so the bits do not depend on the thread count
-    signal = np.einsum("nk,k->n", model.modes[:, keep], weights)
-    if with_diagnostic:
-        real_norm = float(np.linalg.norm(signal.real))
-        imag_norm = float(np.linalg.norm(signal.imag))
-        ratio = imag_norm / real_norm if real_norm > 0 else imag_norm
-        return signal.real, ratio
-    return signal.real
+def evaluate(model: DmdModel, t: float) -> np.ndarray:
+    """Real part of the model signal at time t (see reconstruct)."""
+    return reconstruct(model, [t])[:, 0]
 
 
 def reconstruct(model: DmdModel, times) -> np.ndarray:
-    """Model signal at the given times, one column per time point."""
+    """Real part of the model signal at the given times, one column per
+    time point. Modes with |lambda| below 1e-14 have no defined growth rate
+    and are dropped with a warning."""
     times = np.asarray(times, dtype=float)
     keep = ~np.isnan(model.omega.real)
     if not np.all(keep):
         warnings.warn(f"dropping {int(np.sum(~keep))} modes with |lambda| ~ 0")
     growth = np.exp(np.outer(model.omega[keep], times - model.t0))
+    # einsum, not BLAS, so the bits do not depend on the thread count
     return np.einsum("nk,kt->nt", model.modes[:, keep],
                      growth * model.amplitudes[keep, None]).real
 
@@ -250,7 +228,12 @@ def load_model(path) -> DmdModel:
                 raise ValueError("expected 'n r t0 dt_o field_name'")
             n, r = int(head[0]), int(head[1])
             t0, dt_o, name = float(head[2]), float(head[3]), head[4]
+            if not (np.isfinite(t0) and np.isfinite(dt_o) and dt_o > 0):
+                raise ValueError(f"t0 = {head[2]} must be finite and "
+                                 f"dt_o = {head[3]} finite and positive")
             raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
+            if fh.read().strip():
+                raise ValueError(f"rows after the {(3 + n) * r} table rows")
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed model file {path}: {exc}") from exc
     if raw.shape != ((3 + n) * r, 2):

@@ -158,6 +158,30 @@ def projection_residual(op: ProjectionOperator, u: FeField,
     return float(np.linalg.norm(op.M.dot(proj.values) - rhs) / nrm)
 
 
+def project_snapshots(snapshots, target: SimplicialMesh):
+    """Project snapshots [(time, mesh, {name: values})] onto target.
+
+    One operator is built per distinct donor mesh object. Returns the
+    projected snapshots [(time, target, {name: values})] and, per snapshot,
+    the worst projection_residual over its fields.
+    """
+    ops = {}
+    projected, residuals = [], []
+    for time, donor, fields in snapshots:
+        op = ops.get(id(donor))
+        if op is None:          # op.donor keeps the id from being reused
+            op = ops[id(donor)] = build_projection(donor, target)
+        values, worst = {}, 0.0
+        for name, vals in fields.items():
+            u = FeField(donor, vals, name=name)
+            proj = project(op, u)
+            values[name] = proj.values
+            worst = max(worst, projection_residual(op, u, proj))
+        projected.append((time, target, values))
+        residuals.append(worst)
+    return projected, residuals
+
+
 def rank_check(op: ProjectionOperator) -> int:
     """Numerical rank of P via column-pivoted QR with relative threshold
     1e-10 on the diagonal of R."""

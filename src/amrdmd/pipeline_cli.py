@@ -19,7 +19,6 @@ import numpy as np
 from . import dmd, fem, mesh as mesh_mod, qoi_metrics, store
 from .errors import (AmrDmdError, ConfigError, InvalidArgumentError,
                      InvalidPlanError, StoreError)
-from .fem import FeField
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,24 +60,20 @@ def _parse_time(text):
 # subcommand implementations
 
 def cmd_simulate(args) -> int:
-    from . import seird_sim
+    from . import l2projection, seird_sim
     params, policy, n_elems = seird_sim.parse_run_config(args.config)
     # readers open the sub-stores, so a failed forced rerun marks them too
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
-        result = seird_sim.run_seird_amr(params, policy, n_base_elements=n_elems)
+        reference, adaptive = seird_sim.run_seird_amr(params, policy,
+                                                      n_base_elements=n_elems)
+        projected, _ = l2projection.project_snapshots(adaptive, reference)
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
-        store.write_store(out / "adaptive",
-                          [(t, m, f) for t, (m, f) in
-                           zip(result.times, result.adaptive)], force=True)
-        store.write_store(out / "projected",
-                          [(t, result.reference, f) for t, f in
-                           zip(result.times, result.projected)], force=True)
-        qoi_metrics.save_qoi_csv(result.population_adaptive,
-                                 out / "population_adaptive.csv")
-        qoi_metrics.save_qoi_csv(result.population_projected,
-                                 out / "population_projected.csv")
+        for name, snapshots in (("adaptive", adaptive), ("projected", projected)):
+            store.write_store(out / name, snapshots)
+            qoi_metrics.save_qoi_csv(qoi_metrics.population_series(snapshots),
+                                     out / f"population_{name}.csv")
         io_s = _time.perf_counter() - t1
         store.write_run_manifest(
             out, command="simulate", seed=args.seed,
@@ -86,7 +81,7 @@ def cmd_simulate(args) -> int:
             outputs=["adaptive/manifest.txt", "projected/manifest.txt",
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
-    _say(args, f"wrote {len(result.times)} snapshots to {out}")
+    _say(args, f"wrote {len(adaptive)} snapshots to {out}")
     return EXIT_OK
 
 
@@ -117,23 +112,11 @@ def cmd_project(args) -> int:
     target = mesh_mod.load_mesh(args.target_mesh)
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
-        ops = {}
-        snapshots = []
-        for entry in src.entries:
-            if entry.mesh_file not in ops:
-                ops[entry.mesh_file] = l2projection.build_projection(
-                    entry.mesh, target)
-            op = ops[entry.mesh_file]
-            fields = {}
-            worst = 0.0
-            for name, values in entry.fields.items():
-                u = FeField(entry.mesh, values, name=name)
-                proj = l2projection.project(op, u)
-                fields[name] = proj.values
-                worst = max(worst, l2projection.projection_residual(op, u, proj))
-            snapshots.append((entry.time_str, target, fields))
+        projected, residuals = l2projection.project_snapshots(
+            [(e.time_str, e.mesh, e.fields) for e in src.entries], target)
+        for entry, worst in zip(src.entries, residuals):
             _say(args, f"snapshot {entry.index}: projection residual {worst:.3e}")
-        store.write_store(out, snapshots, force=True)
+        store.write_store(out, projected)
         store.write_run_manifest(
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
@@ -179,7 +162,7 @@ def cmd_dmd_predict(args) -> int:
         for t in time_fracs:
             vec = dmd.evaluate(model, float(t))
             snapshots.append((t, target, {model.field_name: vec}))
-        store.write_store(out, snapshots, force=True)
+        store.write_store(out, snapshots)
         store.write_run_manifest(
             out, command="dmd predict", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"], timings={})
@@ -223,15 +206,12 @@ def cmd_report_errors(args) -> int:
 
 def cmd_report_qoi(args) -> int:
     src = store.read_store(args.store_dir)
-    times = [e.time for e in src.entries]
-    dicts = []
     for e in src.entries:
         missing = [c for c in qoi_metrics.COMPARTMENTS if c not in e.fields]
         if missing:
             raise StoreError(f"snapshot {e.index} misses compartments {missing}")
-        dicts.append({c: FeField(e.mesh, e.fields[c], name=c)
-                      for c in qoi_metrics.COMPARTMENTS})
-    series = qoi_metrics.population_series(times, dicts)
+    series = qoi_metrics.population_series(
+        [(e.time, e.mesh, e.fields) for e in src.entries])
     qoi_metrics.save_qoi_csv(series, args.out_csv)
     _say(args, f"population range [{series.values.min():.6f}, "
                f"{series.values.max():.6f}] -> {args.out_csv}")

@@ -46,16 +46,20 @@ def total_population(fields: dict[str, FeField]) -> float:
     return total / mesh.total_measure()
 
 
-def population_series(times, field_dicts) -> QoiSeries:
-    """Total population over a snapshot series, normalized by its first value."""
-    values = np.array([total_population(f) for f in field_dicts])
+def population_series(snapshots) -> QoiSeries:
+    """Total population over snapshots [(time, mesh, {name: values})],
+    normalized by its first value."""
+    values = np.array([total_population({c: FeField(msh, fields[c], name=c)
+                                         for c in COMPARTMENTS if c in fields})
+                       for _, msh, fields in snapshots])
     if values.size == 0:
         raise InvalidArgumentError("empty series")
     ref = values[0]
     if ref == 0:
         raise InvalidArgumentError("first-snapshot population is zero")
-    return QoiSeries(times=np.asarray(times, dtype=float), values=values / ref,
-                     kind="total_population", normalization=ref)
+    return QoiSeries(times=[float(t) for t, _, _ in snapshots],
+                     values=values / ref, kind="total_population",
+                     normalization=ref)
 
 
 def front_position(fld: FeField, threshold: float, axis: int = 0) -> float:

@@ -1,20 +1,20 @@
 """Built-in snapshot generators.
 
 Three families: a 1-d SEIRD reaction-diffusion solver with adaptive mesh
-refinement/coarsening whose outputs are projected onto a fixed reference
-mesh, a 2-d indicator-projection demonstration, and synthetic
-linear-dynamics series used as ground truth for the decomposition code.
+refinement/coarsening that returns its snapshots on their adaptive meshes,
+a 2-d indicator-projection demonstration, and synthetic linear-dynamics
+series used as ground truth for the decomposition code.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import fem, l2projection, qoi_metrics
+from . import fem, l2projection
 from .dmd import SnapshotMatrix
 from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
                      StepError)
@@ -347,27 +347,13 @@ def remesh_state(state: SeirdState, policy: AmrPolicy) -> SeirdState:
                       time=state.time, step_index=state.step_index)
 
 
-@dataclass
-class SeirdRunResult:
-    reference: SimplicialMesh
-    times: list                      # Fractions, one per snapshot
-    projected: list                  # dict name -> nodal values on reference
-    adaptive: list                   # (mesh, dict name -> nodal values)
-    population_adaptive: qoi_metrics.QoiSeries
-    population_projected: qoi_metrics.QoiSeries
-    projection_residuals: list = field(default_factory=list)
-
-    @property
-    def float_times(self):
-        return [float(t) for t in self.times]
-
-
 def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
-                  n_base_elements: int = 125) -> SeirdRunResult:
-    """Run the adaptive SEIRD simulation on [0, 1], keeping every output
-    snapshot on its adaptive mesh and projecting it onto the reference
-    mesh: n_base_elements uniform elements refined initial_uniform_levels
-    times, which is also the initial mesh."""
+                  n_base_elements: int = 125):
+    """Run the adaptive SEIRD simulation on [0, 1] and return (reference,
+    snapshots): the reference mesh, n_base_elements uniform elements refined
+    initial_uniform_levels times, which is also the initial mesh, and every
+    output snapshot on its adaptive mesh as (Fraction time, mesh,
+    {compartment: values}), the shape store.write_store takes."""
     reference = uniform_refine(build_interval_mesh(0.0, 1.0, n_base_elements),
                                policy.initial_uniform_levels)
 
@@ -377,49 +363,17 @@ def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
                        prev_fields=None, time=0.0, step_index=0)
 
     dt_o_frac = Fraction(str(params.dt_o))
-    times, projected, adaptive, residuals = [], [], [], []
-    op = None
-
-    def emit(state, out_index):
-        nonlocal op
-        if op is None or op.donor is not state.mesh:
-            op = l2projection.build_projection(state.mesh, reference)
-        snap = {}
-        worst = 0.0
-        for c in COMPARTMENTS:
-            f = FeField(state.mesh, state.fields[c], name=c)
-            proj = l2projection.project(op, f)
-            snap[c] = proj.values
-            worst = max(worst, l2projection.projection_residual(op, f, proj))
-        times.append(out_index * dt_o_frac)
-        projected.append(snap)
-        residuals.append(worst)
-        adaptive.append((state.mesh,
-                         {c: state.fields[c].copy() for c in COMPARTMENTS}))
-
-    emit(state, 0)
+    # snapshots share the state's arrays: step and remesh_state make new ones
+    snapshots = [(Fraction(0), reference, dict(state.fields))]
     out_every = params.output_every
     for k in range(1, params.n_steps + 1):
         if policy.remesh_every and k % policy.remesh_every == 0:
             state = remesh_state(state, policy)
         state = step(state, params)
         if k % out_every == 0:
-            emit(state, k // out_every)
-
-    float_times = [float(t) for t in times]
-    pop_adapt = qoi_metrics.population_series(
-        float_times,
-        [{c: FeField(m, v[c], name=c) for c in qoi_metrics.COMPARTMENTS}
-         for m, v in adaptive])
-    pop_proj = qoi_metrics.population_series(
-        float_times,
-        [{c: FeField(reference, snap[c], name=c)
-          for c in qoi_metrics.COMPARTMENTS} for snap in projected])
-    return SeirdRunResult(reference=reference, times=times,
-                          projected=projected, adaptive=adaptive,
-                          population_adaptive=pop_adapt,
-                          population_projected=pop_proj,
-                          projection_residuals=residuals)
+            snapshots.append((k // out_every * dt_o_frac, state.mesh,
+                              dict(state.fields)))
+    return reference, snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -158,16 +158,15 @@ def _field_values(path, msh):
     return {k: v.values for k, v in fem.load_fields(path, msh).items()}
 
 
-def write_store(out_dir, snapshots, force: bool = False) -> Path:
-    """Write snapshots [(time_fraction, mesh, {name: values})] as a store.
+def write_store(out_dir, snapshots) -> Path:
+    """Write snapshots [(time_fraction, mesh, {name: values})] as a store,
+    into out_dir as it is: the caller decides whether it may be reused.
 
     Repeated mesh objects are written once and shared through the manifest.
     The files are written on every CPU the process may use (see _run_parts),
     and the manifest only once all of them are.
     """
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise FileExistsError(f"output directory {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     mesh_files = {}
     lines = []

@@ -214,6 +214,39 @@ class TestProject:
         assert L2.projection_residual(op, u, proj) <= 1e-11
 
 
+class TestProjectSnapshots:
+    def test_one_build_per_mesh_object_and_same_bits(self, rng, monkeypatch):
+        a = M.build_interval_mesh(0, 1, 5)
+        b = M.build_interval_mesh(0, 1, 9)
+        target = M.build_interval_mesh(0, 1, 7)
+        snapshots = [(k, mesh, {name: rng.normal(size=mesh.n_nodes)
+                                for name in ("u", "v")})
+                     for k, mesh in enumerate([a, a, b, a, b])]
+        built = []
+        plain = L2.build_projection
+
+        def counted(donor, tgt):
+            built.append(donor)
+            return plain(donor, tgt)
+
+        monkeypatch.setattr(L2, "build_projection", counted)
+        projected, residuals = L2.project_snapshots(snapshots, target)
+        assert [id(m) for m in built] == [id(a), id(b)]
+        assert len(residuals) == len(snapshots)
+        for (t, mesh, fields), (pt, pmesh, pfields), worst in zip(
+                snapshots, projected, residuals):
+            assert (pt, pmesh) == (t, target)
+            assert list(pfields) == list(fields)
+            op = plain(mesh, target)
+            alone = {name: L2.project(op, fem.FeField(mesh, vals))
+                     for name, vals in fields.items()}
+            for name, vals in fields.items():
+                assert pfields[name].tobytes() == alone[name].values.tobytes()
+            assert worst == max(
+                L2.projection_residual(op, fem.FeField(mesh, vals), alone[name])
+                for name, vals in fields.items())
+
+
 class TestRankCheck:
     def test_same_mesh_full_rank(self):
         m = M.build_interval_mesh(0, 1, 6)

@@ -28,12 +28,12 @@ class TestTotalPopulation:
     def test_series_normalized_to_first(self, rng):
         m = M.build_interval_mesh(0, 1, 8)
         n = m.n_nodes
-        dicts = []
+        snapshots = []
         for k in range(4):
             scale = 2.0 + 0.1 * k
-            dicts.append(compartment_fields(m, {
+            snapshots.append((float(k), m, {
                 c: np.full(n, scale / 5) for c in ("s", "e", "i", "r", "d")}))
-        series = Q.population_series([0.0, 1.0, 2.0, 3.0], dicts)
+        series = Q.population_series(snapshots)
         assert series.values[0] == 1.0
         assert series.values[1] == pytest.approx(2.1 / 2.0, rel=1e-12)
         assert series.normalization == pytest.approx(2.0, rel=1e-12)

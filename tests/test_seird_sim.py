@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrdmd import dmd, fem, mesh as M, seird_sim as S
+from amrdmd import dmd, fem, l2projection, mesh as M, qoi_metrics, seird_sim as S
 from amrdmd.errors import AssemblyError, InvalidArgumentError
 
 from conftest import (composite_integral_1d, coo_p1_operator, node_order_step,
@@ -331,8 +331,8 @@ class TestBandLayoutStep:
 
         monkeypatch.setattr(M, "BandLayout", counted)
         params = S.SeirdParams(t_end=3.0)
-        res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
-        meshes = {id(m): m for m, _ in res.adaptive}
+        _, snapshots = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
+        meshes = {id(m): m for _, m, _ in snapshots}
         assert len(meshes) >= 2                 # the run did remesh
         assert len(built) == len(meshes)
         for m in meshes.values():
@@ -372,44 +372,50 @@ class TestAmrLoop:
         params = S.SeirdParams(t_end=2.0)
         policy = S.AmrPolicy(remesh_every=10 ** 9, initial_uniform_levels=1,
                              max_level=1)
-        res = S.run_seird_amr(params, policy, n_base_elements=20)
+        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
         base = M.build_interval_mesh(0, 1, 20)
         init_mesh = M.uniform_refine(base, 1)
         st = fresh_state(init_mesh)
         for _ in range(params.n_steps):
             st = S.step(st, params)
-        final = res.adaptive[-1][1]
+        final = snapshots[-1][2]
         for c in S.COMPARTMENTS:
             assert np.array_equal(final[c], st.fields[c])
 
     def test_levels_capped_and_min_element_size(self):
         params = S.SeirdParams(t_end=3.0)
         policy = S.AmrPolicy()
-        res = S.run_seird_amr(params, policy)
-        for mesh, _ in res.adaptive:
+        _, snapshots = S.run_seird_amr(params, policy)
+        for _, mesh, _ in snapshots:
             assert mesh.level.max() <= policy.max_level
             assert mesh.element_measures().min() >= 0.002 - 1e-12
-        sizes = {mesh.n_elems for mesh, _ in res.adaptive}
+        sizes = {mesh.n_elems for _, mesh, _ in snapshots}
         assert max(sizes) <= 500
 
     def test_snapshot_count_and_times(self):
         params = S.SeirdParams(t_end=2.0)
-        res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
-        assert len(res.times) == 9            # t = 0, 0.25, ..., 2.0
-        assert res.float_times[0] == 0.0
-        assert res.float_times[-1] == 2.0
+        _, snapshots = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
+        float_times = [float(t) for t, _, _ in snapshots]
+        assert len(snapshots) == 9            # t = 0, 0.25, ..., 2.0
+        assert float_times[0] == 0.0
+        assert float_times[-1] == 2.0
 
     def test_population_stays_near_one(self):
         params = S.SeirdParams(t_end=2.0)
-        res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=25)
-        for series in (res.population_adaptive, res.population_projected):
+        reference, adaptive = S.run_seird_amr(params, S.AmrPolicy(),
+                                              n_base_elements=25)
+        projected, _ = l2projection.project_snapshots(adaptive, reference)
+        for series in (qoi_metrics.population_series(adaptive),
+                       qoi_metrics.population_series(projected)):
             assert series.values.min() >= 0.999
             assert series.values.max() <= 1.001
 
     def test_projection_residuals_small(self):
         params = S.SeirdParams(t_end=1.0)
-        res = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
-        assert max(res.projection_residuals) <= 1e-10
+        reference, adaptive = S.run_seird_amr(params, S.AmrPolicy(),
+                                              n_base_elements=10)
+        _, residuals = l2projection.project_snapshots(adaptive, reference)
+        assert max(residuals) <= 1e-10
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

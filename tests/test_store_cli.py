@@ -100,13 +100,6 @@ class TestStoreRoundtrip:
         np.testing.assert_allclose(back.entries[2].fields["v"],
                                    snaps[2][2]["v"], atol=0)
 
-    def test_collision_without_force(self, tmp_path, rng):
-        mesh, snaps = self.make_snapshots(rng)
-        store.write_store(tmp_path / "st", snaps)
-        with pytest.raises(FileExistsError):
-            store.write_store(tmp_path / "st", snaps)
-        store.write_store(tmp_path / "st", snaps, force=True)
-
     def test_failed_marker_blocks_read(self, tmp_path, rng):
         mesh, snaps = self.make_snapshots(rng)
         store.write_store(tmp_path / "st", snaps)
@@ -281,6 +274,26 @@ class TestCliProjectAndDmd:
                 proj_mean = fem.integrate(fem.FeField(p.mesh, p.fields[name]))
                 assert proj_mean == pytest.approx(
                     donor_mean, abs=1e-10 + 1e-8 * abs(donor_mean))
+
+    def test_project_and_report_qoi_reproduce_simulate(self, small_run,
+                                                       tmp_path):
+        # simulate, project and report qoi share one projection loop and one
+        # population series, so their files agree byte for byte
+        root, cfg, out = small_run
+        dest = tmp_path / "proj"
+        assert run_cli("project", out / "adaptive",
+                       out / "projected" / "mesh_0000.mesh.txt", dest,
+                       "--quiet") == 0
+        names = {p.name for p in dest.iterdir()} - {"run_manifest.txt"}
+        assert names == {p.name for p in (out / "projected").iterdir()}
+        for name in names:
+            assert (dest / name).read_bytes() == \
+                   (out / "projected" / name).read_bytes(), name
+        for sub in ("adaptive", "projected"):
+            csv = tmp_path / f"{sub}.csv"
+            assert run_cli("report", "qoi", out / sub, csv, "--quiet") == 0
+            assert csv.read_bytes() == \
+                   (out / f"population_{sub}.csv").read_bytes()
 
     def test_project_onto_gapped_target(self, small_run, tmp_path):
         # a 1-d target of two disjoint pieces has a block-diagonal mass matrix
@@ -554,6 +567,27 @@ class TestCliProjectAndDmd:
                        tmp_path / "x.csv", "--field", "zz", "--quiet")
         assert code == 3
         assert "snap_0000.field.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["trailing_rows", "t0_nan"])
+    def test_damaged_model_exit_2(self, small_run, tmp_path, damage):
+        # dt_o <= 0 is tested in-process, where a missing check cannot hang
+        root, cfg, out = small_run
+        model = tmp_path / "s.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
+                       "--rank", "2", "--quiet") == 0
+        head, rest = model.read_text().split("\n", 1)
+        if damage == "trailing_rows":
+            rest += "1 2\n3 4\n"
+        else:
+            head = " ".join([*head.split()[:2], "nan", *head.split()[3:]])
+        model.write_text(head + "\n" + rest)
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "predict", model,
+                            tmp_path / "pred", "--mesh",
+                            out / "projected" / "mesh_0000.mesh.txt",
+                            "--until", "2", "--quiet")
+        assert proc.returncode == 2
+        assert "s.dmd.txt" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_predict_mesh_size_mismatch_exit_2(self, small_run, tmp_path):
         root, cfg, out = small_run
