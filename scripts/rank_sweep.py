@@ -22,9 +22,8 @@ def main():
     ap.add_argument("--t-end", type=float, default=None)
     args = ap.parse_args()
 
-    src = store.read_store(args.store_dir)
-    Y = store.store_to_snapshot_matrix(src, args.field,
-                                       t_start=args.t_start, t_end=args.t_end)
+    src = store.read_store(args.store_dir, [args.field], args.t_start, args.t_end)
+    Y = store.store_to_snapshot_matrix(src, args.field)
     print(f"{'rank':>6} {'eta_F':>12}")
     for r in args.ranks or [5, 10, 15, 30, 45, 60]:
         if r > Y.m:

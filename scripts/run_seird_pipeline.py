@@ -65,8 +65,8 @@ def main(argv=None):
             root / f"errors_{c}.csv", "--field", c,
             "--train-end", TRAIN_END, "--quiet")
 
-        truth = store.read_store(root / "sim" / "projected")
-        approx = store.read_store(pred)
+        truth = store.read_store(root / "sim" / "projected", [c])
+        approx = store.read_store(pred, [c])
         by_time = {e.time_str: e for e in approx.entries}
         train_cols = [(e.fields[c], by_time[e.time_str].fields[c])
                       for e in truth.entries

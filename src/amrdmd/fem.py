@@ -378,26 +378,32 @@ def save_fields(fields: list[FeField], path) -> None:
         fh.writelines(row % r for r in zip(*(f.values.tolist() for f in fields)))
 
 
-def load_fields(path, mesh: SimplicialMesh) -> dict[str, FeField]:
+def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, FeField]:
+    """Read a file written by save_fields: every field, or those of `names`
+    that it holds (the caller reports missing ones). The whole file's shape
+    is checked; only the returned columns are converted to floats."""
     with open(path) as fh:
         try:
             head = fh.readline().split()
             if len(head) != 2:
                 raise ValueError("expected 'n_nodes n_fields'")
             n_nodes, n_fields = int(head[0]), int(head[1])
-            names = fh.readline().split()
-            if len(names) != n_fields:
+            if n_nodes != mesh.n_nodes:
+                raise ValueError(f"{n_nodes} nodes, mesh has {mesh.n_nodes}")
+            file_names = fh.readline().split()
+            if len(file_names) != n_fields:
                 raise ValueError("field name count mismatch")
-            if len(set(names)) != n_fields:
-                raise ValueError(f"repeated field name in {names}")
-            table = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
-                               dtype=float).reshape(n_nodes, n_fields)
-            if fh.read().strip():
-                raise ValueError(f"rows after the {n_nodes} node rows")
-        except (ValueError, OverflowError) as exc:
+            if len(set(file_names)) != n_fields:
+                raise ValueError(f"repeated field name in {file_names}")
+            body = fh.read()
+            if "_" in body or not body.isascii():  # float() takes 1_0, non-ASCII digits
+                raise ValueError("a value is not a plain decimal number")
+            rows = [row for row in map(str.split, body.split("\n")) if row]
+            if len(rows) != n_nodes or any(len(row) != n_fields for row in rows):
+                raise ValueError(f"expected {n_nodes} rows of {n_fields} values")
+            return {name: FeField(mesh=mesh, name=name,
+                                  values=np.array([row[j] for row in rows], dtype=float))
+                    for j, name in enumerate(file_names)
+                    if names is None or name in names}
+        except ValueError as exc:
             raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
-    if n_nodes != mesh.n_nodes:
-        raise InvalidArgumentError(
-            f"field file has {n_nodes} nodes, mesh has {mesh.n_nodes}")
-    return {name: FeField(mesh=mesh, values=table[:, j], name=name)
-            for j, name in enumerate(names)}

@@ -24,6 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 EXIT_FS = 4
+# dmd predict --until writes one field file per time; it refuses more
+MAX_PREDICT_TIMES = 100_000
 
 
 def _say(args, msg):
@@ -125,9 +127,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_dmd_fit(args) -> int:
-    src = store.read_store(args.store_dir)
-    Y = store.store_to_snapshot_matrix(src, args.field,
-                                       t_start=args.t_start, t_end=args.t_end)
+    src = store.read_store(args.store_dir, [args.field],
+                           t_start=args.t_start, t_end=args.t_end)
+    Y = store.store_to_snapshot_matrix(src, args.field)
     model = dmd.fit(Y, rank=args.rank, tau=args.tau,
                     svd_method=args.svd, seed=args.seed,
                     oversample=args.oversample, power_iters=args.power_iters)
@@ -150,11 +152,11 @@ def cmd_dmd_predict(args) -> int:
         t0 = Fraction(repr(model.t0))
         dt = Fraction(repr(model.dt_o))
         until = _parse_time(repr(args.until))
-        time_fracs = []
-        k = 0
-        while t0 + k * dt <= until + Fraction(1, 10 ** 9):
-            time_fracs.append(t0 + k * dt)
-            k += 1
+        n = max((until + Fraction(1, 10 ** 9) - t0) // dt + 1, 0)
+        if n > MAX_PREDICT_TIMES:
+            raise InvalidArgumentError(f"model {args.model}: --until {args.until:g} "
+                                       f"is {n} times, more than {MAX_PREDICT_TIMES}")
+        time_fracs = [t0 + k * dt for k in range(n)]
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
     with _output_dir(args.out_store, args.force) as out:
@@ -171,8 +173,9 @@ def cmd_dmd_predict(args) -> int:
 
 
 def cmd_report_errors(args) -> int:
-    truth = store.read_store(args.truth_store)
-    approx = store.read_store(args.approx_store)
+    fields = None if args.field is None else [args.field]
+    truth = store.read_store(args.truth_store, fields)
+    approx = store.read_store(args.approx_store, fields)
     field = args.field
     if field is None:
         common = set(truth.field_names) & set(approx.field_names)
@@ -205,7 +208,7 @@ def cmd_report_errors(args) -> int:
 
 
 def cmd_report_qoi(args) -> int:
-    src = store.read_store(args.store_dir)
+    src = store.read_store(args.store_dir, qoi_metrics.COMPARTMENTS)
     for e in src.entries:
         missing = [c for c in qoi_metrics.COMPARTMENTS if c not in e.fields]
         if missing:

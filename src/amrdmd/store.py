@@ -28,9 +28,8 @@ from .fem import FeField
 
 TOOL_VERSION = "0.1.0"
 # Each part of a store's files that _run_parts gives a process holds at least
-# this many files, so a store of fewer than twice as many is read or written
-# in-process. A fork costs about a millisecond, as much as parsing two dozen
-# one-field files of 501 values (a six-field one takes ~0.5 ms, written ~0.9).
+# this many files, so a store of fewer than twice as many is written in-process:
+# a fork costs about a millisecond, as much as writing three 501-value files.
 _PART_MIN_JOBS = 12
 
 
@@ -92,8 +91,8 @@ def _run_parts(jobs, root) -> list:
     part; a forked child runs each other part and sends back its results, or
     its first exception, pickled through a pipe. Exceptions are raised in job
     order with their own type and message, as the plain loop would raise
-    them. Formatting and parsing text hold the GIL, so threads would not run
-    the parts at once; the children run no threads and no BLAS. One CPU, no
+    them. Formatting text holds the GIL, so threads would not run the parts
+    at once; the children run no threads and no BLAS. One CPU, no
     os.fork or fewer than 2 * _PART_MIN_JOBS jobs keep the plain loop."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cpus, len(jobs) // _PART_MIN_JOBS) if hasattr(os, "fork") else 1
@@ -154,10 +153,6 @@ def _save_snapshot(msh, fields, path):
                     path)
 
 
-def _field_values(path, msh):
-    return {k: v.values for k, v in fem.load_fields(path, msh).items()}
-
-
 def write_store(out_dir, snapshots) -> Path:
     """Write snapshots [(time_fraction, mesh, {name: values})] as a store,
     into out_dir as it is: the caller decides whether it may be reused.
@@ -187,10 +182,13 @@ def write_store(out_dir, snapshots) -> Path:
     return out
 
 
-def read_store(store_dir) -> Store:
-    """Read a store; the meshes in this process, the field files on every
-    CPU it may use (see _run_parts). The first fault in manifest order is
-    raised, as if the lines were read one by one."""
+def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
+    """Read a store in this process. Every manifest line is checked, but the
+    mesh and field files are opened only for the snapshots with
+    t_start - 1e-9 <= time <= t_end + 1e-9 (an omitted bound is open), the
+    only entries returned; of each field file only the columns named in
+    fields (all when None) are converted. The first fault in manifest order
+    is raised."""
     root = Path(store_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -200,62 +198,53 @@ def read_store(store_dir) -> Store:
     mesh_cache = {}
     entries = []
     index_lines = {}
-    fault = None
-    try:
-        for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
-            if not raw.strip():
-                continue
-            parts = raw.split()
-            try:
-                if len(parts) != 4:
-                    raise ValueError("expected 'index time mesh_file field_file'")
-                idx, t_str, mesh_file, field_file = parts
-                index, time = int(idx), float(Fraction(t_str))
-                for name in (mesh_file, field_file):
-                    if name in (".", "..") or "/" in name or "\\" in name:
-                        raise ValueError(f"file name {name!r} leaves the store")
-                if index_lines.setdefault(index, line_no) != line_no:
-                    raise ValueError(f"index {index} repeats line {index_lines[index]}")
-            except (ValueError, OverflowError) as exc:
-                raise StoreError(f"malformed line {line_no} of {manifest}: "
-                                 f"{raw!r} ({exc})") from exc
-            if mesh_file not in mesh_cache:
-                mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
-            entries.append(StoreEntry(index=index, time_str=t_str, time=time,
-                                      mesh_file=mesh_file, field_file=field_file,
-                                      mesh=mesh_cache[mesh_file], fields={}))
-    except Exception as exc:      # raised once the earlier lines' fields are read
-        fault = exc
-    values = _run_parts([functools.partial(_field_values, root / e.field_file, e.mesh)
-                         for e in entries], root)
-    if fault is not None:
-        raise fault
-    for e, fields in zip(entries, values):
-        e.fields = fields
+    for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        try:
+            if len(parts) != 4:
+                raise ValueError("expected 'index time mesh_file field_file'")
+            idx, t_str, mesh_file, field_file = parts
+            index, time = int(idx), float(Fraction(t_str))
+            for name in (mesh_file, field_file):
+                if name in (".", "..") or "/" in name or "\\" in name:
+                    raise ValueError(f"file name {name!r} leaves the store")
+            if index_lines.setdefault(index, line_no) != line_no:
+                raise ValueError(f"index {index} repeats line {index_lines[index]}")
+        except (ValueError, OverflowError) as exc:
+            raise StoreError(f"malformed line {line_no} of {manifest}: "
+                             f"{raw!r} ({exc})") from exc
+        if not ((t_start is None or time >= t_start - 1e-9)
+                and (t_end is None or time <= t_end + 1e-9)):
+            continue
+        if mesh_file not in mesh_cache:
+            mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
+        msh = mesh_cache[mesh_file]
+        read = fem.load_fields(root / field_file, msh, fields)
+        entries.append(StoreEntry(index=index, time_str=t_str, time=time,
+                                  mesh_file=mesh_file, field_file=field_file, mesh=msh,
+                                  fields={k: f.values for k, f in read.items()}))
     entries.sort(key=lambda e: e.index)
     return Store(path=root, entries=entries)
 
 
-def store_to_snapshot_matrix(store: Store, field: str,
-                             t_start: float | None = None,
-                             t_end: float | None = None) -> SnapshotMatrix:
+def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
+    """One field of every entry; read_store takes the time window."""
     if not store.is_uniform():
         raise StoreError("store snapshots live on different meshes; project first")
-    chosen = [e for e in store.entries
-              if (t_start is None or e.time >= t_start - 1e-9)
-              and (t_end is None or e.time <= t_end + 1e-9)]
-    if len(chosen) < 2:
+    if len(store.entries) < 2:
         raise StoreError("selected window contains fewer than two snapshots")
-    for e in chosen:
+    for e in store.entries:
         if field not in e.fields:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")
-    times = np.array([e.time for e in chosen])
+    times = np.array([e.time for e in store.entries])
     gaps = np.diff(times)
     if np.max(np.abs(gaps - gaps[0])) > 1e-9:
         raise StoreError("snapshots are not uniformly sampled in the window")
-    data = np.column_stack([e.fields[field] for e in chosen])
+    data = np.column_stack([e.fields[field] for e in store.entries])
     return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(gaps[0]),
-                          field_name=field, mesh=chosen[0].mesh)
+                          field_name=field, mesh=store.entries[0].mesh)
 
 
 # ---------------------------------------------------------------------------

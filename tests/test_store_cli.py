@@ -3,12 +3,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import amrdmd
 from amrdmd import dmd, fem, mesh as M, pipeline_cli, seird_sim, store
@@ -110,8 +113,8 @@ class TestStoreRoundtrip:
     def test_snapshot_matrix_window(self, tmp_path, rng):
         mesh, snaps = self.make_snapshots(rng, n_snaps=5)
         store.write_store(tmp_path / "st", snaps)
-        back = store.read_store(tmp_path / "st")
-        Y = store.store_to_snapshot_matrix(back, "u", t_start=0.25, t_end=0.75)
+        back = store.read_store(tmp_path / "st", t_start=0.25, t_end=0.75)
+        Y = store.store_to_snapshot_matrix(back, "u")
         assert Y.data.shape == (mesh.n_nodes, 3)
         assert Y.t0 == 0.25 and Y.dt_o == 0.25
 
@@ -131,14 +134,14 @@ def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
 
 
-def fresh_python(*args, cwd=None, preexec_fn=None, **env_vars):
+def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
     """Run a new interpreter that imports the package from this tree, with
     env_vars added to the environment."""
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         [str(Path(amrdmd.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=120,
+                          capture_output=True, text=True, env=env, timeout=timeout,
                           preexec_fn=preexec_fn)
 
 
@@ -398,6 +401,27 @@ class TestCliProjectAndDmd:
         assert run_cli("dmd", "predict", model_path, pred, "--mesh",
                        out / "projected" / "mesh_0000.mesh.txt", *when,
                        "--quiet") == 2
+        assert not pred.exists()
+
+    def test_predict_until_beyond_the_ceiling_exit_2(self, small_run, tmp_path):
+        # 4.4e10 times on a 1e-9 grid: refused before any time is built
+        root, cfg, out = small_run
+        model = tmp_path / "e.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "e",
+                       "--rank", "2", "--quiet") == 0
+        head, rest = model.read_text().split("\n", 1)
+        model.write_text(" ".join([*head.split()[:3], "1e-09", *head.split()[4:]])
+                         + "\n" + rest)
+        pred = tmp_path / "pred"
+        started = time.monotonic()
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "predict", model,
+                            pred, "--mesh",
+                            out / "projected" / "mesh_0000.mesh.txt",
+                            "--until", "44", "--quiet", timeout=10)
+        assert time.monotonic() - started < 5
+        assert proc.returncode == 2, proc.stderr
+        assert "e.dmd.txt" in proc.stderr
+        assert str(pipeline_cli.MAX_PREDICT_TIMES) in proc.stderr
         assert not pred.exists()
 
     @pytest.mark.parametrize("knob", [("--oversample", "-5"),
@@ -687,11 +711,113 @@ class TestCliProjectAndDmd:
         assert code == 2
 
 
+def five_field_store(path, rng, n_snaps=3):
+    m = M.build_interval_mesh(0, 1, 4)
+    return store.write_store(path, [
+        (Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
+                          for c in ("s", "e", "i", "r", "d")})
+        for k in range(n_snaps)])
+
+
+def edit_rows(field_file, edit):
+    """Rewrite the node rows of a field file as edit(list of row texts)."""
+    head, names, *rows = field_file.read_text().splitlines()
+    field_file.write_text("\n".join([head, names, *edit(rows)]) + "\n")
+
+
+class TestReadContract:
+    """A command opens only the snapshots in its window and converts only
+    the columns it uses; every file it opens is shape-checked whole."""
+
+    def test_ragged_rows_exit_2_for_a_one_column_read(self, tmp_path, rng,
+                                                      capsys):
+        st = five_field_store(tmp_path / "st", rng)
+
+        def ragged(rows):   # same number of values, one moved a row up
+            first, second = rows[0].split(), rows[1].split()
+            return [" ".join(first + second[-1:]), " ".join(second[:-1]),
+                    *rows[2:]]
+
+        edit_rows(st / "snap_0001.field.txt", ragged)
+        model = tmp_path / "s.dmd.txt"
+        assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "1",
+                       "--quiet") == 2
+        assert "snap_0001.field.txt" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_nan_fails_only_the_commands_that_use_it(self, tmp_path, rng):
+        st = five_field_store(tmp_path / "st", rng)
+
+        def nan_in_e(rows):
+            values = rows[2].split()
+            values[1] = "nan"                   # columns are s e i r d
+            return [*rows[:2], " ".join(values), *rows[3:]]
+
+        edit_rows(st / "snap_0001.field.txt", nan_in_e)
+        fit = ("dmd", "fit", st, tmp_path / "m.dmd.txt", "--rank", "1",
+               "--force", "--quiet")
+        assert run_cli(*fit, "--field", "s") == 0
+        assert run_cli(*fit, "--field", "e") == 2
+        assert run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet") == 2
+
+    def test_damaged_file_outside_the_window_is_not_opened(self, tmp_path, rng):
+        st = five_field_store(tmp_path / "st", rng, n_snaps=4)
+        edit_rows(st / "snap_0000.field.txt", lambda rows: rows[:2])
+        fit = ("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "s",
+               "--rank", "1", "--force", "--quiet")
+        assert run_cli(*fit) == 2
+        assert run_cli(*fit, "--t-start", "1") == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           mesh_of=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+           n_meshes=st.integers(2, 3),
+           fields=st.none() | st.lists(st.sampled_from(["s", "e", "i", "x"]),
+                                       unique=True),
+           t_start=st.none() | st.tuples(
+               st.integers(-1, 9), st.sampled_from([0, 5e-10, -5e-10, 2e-9, -2e-9])
+           ).map(lambda q: q[0] / 4 + q[1]),
+           t_end=st.none() | st.tuples(
+               st.integers(-1, 9), st.sampled_from([0, 5e-10, -5e-10, 2e-9, -2e-9])
+           ).map(lambda q: q[0] / 4 + q[1]))
+    @example(seed=1, mesh_of=[0, 1, 0, 2], n_meshes=3, fields=["e"],
+             t_start=0.5, t_end=0.5)                        # one snapshot
+    @example(seed=2, mesh_of=[0, 1, 0, 1], n_meshes=2, fields=None,
+             t_start=0.6, t_end=0.7)                        # none
+    def test_matches_the_full_read_filtered(self, seed, mesh_of, n_meshes,
+                                            fields, t_start, t_end):
+        rng = np.random.default_rng(seed)
+        meshes = [M.build_interval_mesh(0, 1, n) for n in (3, 6, 4)[:n_meshes]]
+        snaps = [(Fraction(k, 4), meshes[j % n_meshes],
+                  {c: rng.normal(size=meshes[j % n_meshes].n_nodes)
+                   for c in ("s", "e", "i")})
+                 for k, j in enumerate(mesh_of)]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = store.write_store(Path(tmp) / "st", snaps)
+            full = store.read_store(root)
+            part = store.read_store(root, fields, t_start, t_end)
+        expected = [e for e in full.entries
+                    if (t_start is None or e.time >= t_start - 1e-9)
+                    and (t_end is None or e.time <= t_end + 1e-9)]
+        assert [(e.index, e.time_str, e.mesh_file) for e in part.entries] == \
+               [(e.index, e.time_str, e.mesh_file) for e in expected]
+        # snapshots share a mesh object exactly when they share a mesh file
+        for a in part.entries:
+            for b in part.entries:
+                assert (a.mesh is b.mesh) == (a.mesh_file == b.mesh_file)
+        for p, f in zip(part.entries, expected):
+            names = [c for c in f.fields if fields is None or c in fields]
+            assert list(p.fields) == names
+            for c in names:
+                assert p.fields[c].tobytes() == f.fields[c].tobytes()
+
+
 class TestStoreFanOut:
-    """write_store and read_store spread their files over the CPUs of the
-    process. Here the affinity mask is faked to three CPUs, so the fan-out
-    runs (a parent part and two forked parts) on any machine, and compared
-    with the plain loop, forced by raising the job threshold."""
+    """write_store spreads its files over the CPUs of the process, and
+    read_store reads them in one process. Here the affinity mask is faked to
+    three CPUs, so the fan-out runs (a parent part and two forked parts) on
+    any machine, and compared with the plain loop, forced by raising the job
+    threshold."""
 
     N_SNAPS = 40
 
@@ -732,23 +858,18 @@ class TestStoreFanOut:
         assert len(a) == self.N_SNAPS + 4       # 3 meshes and a manifest
         assert a == b
 
-    def test_read_is_bit_identical(self, three_cpus, written, monkeypatch):
+    def test_read_is_bit_identical(self, three_cpus, written):
         snaps, st = written
-        with monkeypatch.context() as m:
-            m.setattr(store, "_PART_MIN_JOBS", 10 ** 9)
-            plain = store.read_store(st)
-        fanned = store.read_store(st)
+        back = store.read_store(st)
         self.assert_no_children()
-        assert len(fanned.entries) == self.N_SNAPS
-        for p, f, (_, msh, fields) in zip(plain.entries, fanned.entries, snaps):
-            assert (p.index, p.time_str, p.mesh_file) == \
-                   (f.index, f.time_str, f.mesh_file)
-            assert list(p.fields) == list(f.fields) == ["u", "v"]
+        assert len(back.entries) == self.N_SNAPS
+        for k, (e, (t, msh, fields)) in enumerate(zip(back.entries, snaps)):
+            assert (e.index, e.time_str) == (k, store.fraction_to_decimal(t))
+            assert list(e.fields) == ["u", "v"]
             for name, values in fields.items():
-                assert f.fields[name].tobytes() == p.fields[name].tobytes() \
-                       == values.tobytes()
-        # a mesh is one object for all its snapshots, as in the plain loop
-        assert len({id(e.mesh) for e in fanned.entries}) == 3
+                assert e.fields[name].tobytes() == values.tobytes()
+        # a mesh is one object for all its snapshots
+        assert len({id(e.mesh) for e in back.entries}) == 3
 
     @pytest.mark.parametrize("damage", ["trailing_row", "missing_file",
                                         "then_bad_manifest"])
@@ -798,40 +919,41 @@ class TestStoreFanOut:
 
     @pytest.mark.parametrize("how", ["exit", "signal"])
     def test_child_that_sends_nothing_gives_store_error(self, three_cpus,
-                                                        written, monkeypatch,
-                                                        how):
-        snaps, st = written
-        parent, plain = os.getpid(), fem.load_fields
+                                                        written, tmp_path,
+                                                        monkeypatch, how):
+        snaps, _ = written
+        parent, plain = os.getpid(), fem.save_fields
 
-        def dies_in_child(path, msh):
+        def dies_in_child(fields, path):
             if os.getpid() != parent:
                 if how == "exit":
                     os._exit(0)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return plain(path, msh)
+            return plain(fields, path)
 
-        monkeypatch.setattr(fem, "load_fields", dies_in_child)
+        monkeypatch.setattr(fem, "save_fields", dies_in_child)
+        st = tmp_path / "fanned"
         with pytest.raises(StoreError) as err:
-            store.read_store(st)
+            store.write_store(st, snaps)
         self.assert_no_children()
         assert str(st) in str(err.value)
         assert f"exit status {0 if how == 'exit' else -signal.SIGKILL}" \
                in str(err.value)
 
-    def test_interrupt_reaps_every_child(self, three_cpus, written,
+    def test_interrupt_reaps_every_child(self, three_cpus, written, tmp_path,
                                          monkeypatch):
-        snaps, st = written
-        parent, plain = os.getpid(), fem.load_fields
+        snaps, _ = written
+        parent, plain = os.getpid(), fem.save_fields
 
-        def interrupted_in_parent(path, msh):
+        def interrupted_in_parent(fields, path):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(0.2)
-            return plain(path, msh)
+            return plain(fields, path)
 
-        monkeypatch.setattr(fem, "load_fields", interrupted_in_parent)
+        monkeypatch.setattr(fem, "save_fields", interrupted_in_parent)
         with pytest.raises(KeyboardInterrupt):
-            store.read_store(st)
+            store.write_store(tmp_path / "fanned", snaps)
         self.assert_no_children()
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda p: ())(0)) < 2,
