@@ -59,10 +59,6 @@ class StepError(AmrDmdError):
     """A simulation time step failed (e.g. Picard non-convergence)."""
 
 
-class UndefinedRegionError(AmrDmdError):
-    """A thresholded region is empty, so the requested QoI is undefined."""
-
-
 class ConfigError(AmrDmdError):
     """A run-configuration file could not be parsed.
 

@@ -1,9 +1,9 @@
 """P1 finite-element machinery on simplicial meshes.
 
-Covers nodal fields, quadrature rules, mass-matrix assembly, integrals and
-norms, a facet flux-jump refinement indicator, and a deterministic
-factor-then-verify solver: an exact tridiagonal solve in 1-d, Jacobi-
-preconditioned conjugate gradients in 2-d.
+Covers nodal fields, quadrature rules, mass-matrix assembly, integrals,
+the max-norm, point evaluation, a facet flux-jump refinement indicator,
+and a deterministic factor-then-verify solver: an exact tridiagonal solve
+in 1-d, Jacobi-preconditioned conjugate gradients in 2-d.
 """
 
 from __future__ import annotations
@@ -82,19 +82,6 @@ class SparseSpd:
     @property
     def n(self) -> int:
         return self.diag.size
-
-    @property
-    def matrix(self):
-        """The matrix in CSR form, built from the bands on first use."""
-        if self._csr is None:
-            import scipy.sparse as sp
-            o = np.arange(self.n) if self.order is None else self.order
-            self._csr = sp.coo_matrix(
-                (np.concatenate([self.diag, self.off, self.off]),
-                 (np.concatenate([o, o[:-1], o[1:]]),
-                  np.concatenate([o, o[1:], o[:-1]]))),
-                shape=(self.n, self.n)).tocsr()
-        return self._csr
 
     def dot(self, x):
         """A x; for the band form x may also be a stack (..., n)."""
@@ -222,22 +209,8 @@ def chain_mass(h, order=None) -> SparseSpd:
     return SparseSpd.from_chain(diag, diag, h * (1.0 / 6.0), order=order)
 
 
-def element_mass_quadrature(mesh: SimplicialMesh, degree: int = 2) -> np.ndarray:
-    """Per-element mass matrices by quadrature (the assembly oracle path)."""
-    rule = reference_rule(mesh.dim, degree)
-    measures = mesh.element_measures()
-    ref = 1.0 if mesh.dim == 1 else 0.5
-    phi = rule.points                      # (nq, k): P1 basis == barycentric
-    local = np.einsum("q,qi,qj->ij", rule.weights, phi, phi) / ref
-    return measures[:, None, None] * local[None, :, :]
-
-
-def evaluate(fld: FeField, x) -> float:
-    """Point value of the P1 field (barycentric interpolation)."""
-    return float(evaluate_many(fld, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def evaluate_many(fld: FeField, pts) -> np.ndarray:
+    """Values of the P1 field at the rows of the (n, dim) array pts."""
     eids, bary = locate_points(fld.mesh, pts)
     return np.sum(fld.values[fld.mesh.elements[eids]] * bary, axis=1)
 
@@ -249,16 +222,6 @@ def integrate(fld: FeField) -> float:
     vals = fld.values[fld.mesh.elements]             # (ne, k)
     qvals = vals @ rule.points.T                     # (ne, nq)
     return float(np.sum(fld.mesh.element_measures() / ref * (qvals @ rule.weights)))
-
-
-def l2_norm(fld: FeField) -> float:
-    """L2 norm, exact for P1 (degree-2 quadrature of the squared field)."""
-    rule = reference_rule(fld.mesh.dim, 2)
-    ref = 1.0 if fld.mesh.dim == 1 else 0.5
-    vals = fld.values[fld.mesh.elements]
-    qvals = vals @ rule.points.T
-    sq = np.sum(fld.mesh.element_measures() / ref * ((qvals ** 2) @ rule.weights))
-    return float(np.sqrt(max(sq, 0.0)))
 
 
 def inf_norm(fld: FeField) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem
@@ -32,13 +31,6 @@ class ProjectionOperator:
     target: SimplicialMesh
     M: SparseSpd                  # target mass matrix
     P: sp.csr_matrix              # (target nodes) x (donor nodes)
-
-    def partition_defect(self) -> float:
-        """max |P 1_donor - M 1_target|; both sides equal the integrals of
-        the target shape functions, so this vanishes up to roundoff."""
-        ones_d = np.ones(self.donor.n_nodes)
-        ones_t = np.ones(self.target.n_nodes)
-        return float(np.max(np.abs(self.P @ ones_d - self.M.dot(ones_t))))
 
 
 def _donor_cut_points_1d(donor: SimplicialMesh, target: SimplicialMesh,
@@ -180,14 +172,3 @@ def project_snapshots(snapshots, target: SimplicialMesh):
         projected.append((time, target, values))
         residuals.append(worst)
     return projected, residuals
-
-
-def rank_check(op: ProjectionOperator) -> int:
-    """Numerical rank of P via column-pivoted QR with relative threshold
-    1e-10 on the diagonal of R."""
-    dense = op.P.toarray()
-    R = scipy.linalg.qr(dense, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag > 1e-10 * diag[0]))

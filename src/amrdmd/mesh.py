@@ -593,17 +593,11 @@ def _locator(mesh: SimplicialMesh) -> _Locator:
     return mesh._locator
 
 
-def locate_point(mesh: SimplicialMesh, x) -> tuple[int, np.ndarray]:
-    """Element containing x and its barycentric coordinates there.
-
-    Points on shared facets resolve to the lowest incident element id.
-    """
-    eids, bary = _locator(mesh).locate(np.asarray(x, dtype=float).reshape(1, -1))
-    return int(eids[0]), bary[0]
-
-
 def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized locate_point for an (n, dim) array of query points."""
+    """For each row of the (n, dim) array pts, the element containing it and
+    its barycentric coordinates there: arrays of shape (n,) and
+    (n, dim + 1). A point on a shared facet resolves to the lowest incident
+    element id; a point outside the mesh raises PointNotFoundError."""
     return _locator(mesh).locate(pts)
 
 
@@ -684,12 +678,12 @@ def load_mesh(path) -> SimplicialMesh:
             if fh.read().strip():
                 raise ValueError(f"rows after the {n_elems} element rows")
             _check_tables(dim, nodes, elements)   # before _normalize_elements
+            mesh = SimplicialMesh(dim=dim, nodes=nodes,
+                                  elements=_normalize_elements(dim, nodes, elements),
+                                  level=np.zeros(n_elems, dtype=np.int64))
+            validate_mesh(mesh)
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
-    elements = _normalize_elements(dim, nodes, elements)
-    mesh = SimplicialMesh(dim=dim, nodes=nodes, elements=elements,
-                          level=np.zeros(n_elems, dtype=np.int64))
-    validate_mesh(mesh)
     return mesh
 
 

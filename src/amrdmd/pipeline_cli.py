@@ -1,7 +1,7 @@
 """Command-line front end: simulate -> project -> dmd fit/predict -> report.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure,
-4 filesystem safety (existing output without --force).
+Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure or
+damaged store, 4 filesystem safety (existing output without --force).
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Built-in snapshot generators.
 
-Three families: a 1-d SEIRD reaction-diffusion solver with adaptive mesh
+Two families: a 1-d SEIRD reaction-diffusion solver with adaptive mesh
 refinement/coarsening that returns its snapshots on their adaptive meshes,
-a 2-d indicator-projection demonstration, and synthetic linear-dynamics
-series used as ground truth for the decomposition code.
+and a 2-d indicator-projection demonstration.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, l2projection
-from .dmd import SnapshotMatrix
 from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
                      StepError)
 from .fem import FeField, cg_solve
-from .linalg import gaussian_matrix
 from .mesh import (RefinementPlan, SimplicialMesh, band_layout,
                    build_interval_mesh, build_structured_triangle_mesh,
                    elements_containing, refine, sibling_groups, uniform_refine)
@@ -28,6 +25,10 @@ COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
 PICARD_TOL = 1e-8       # relative update that ends the Picard loop
 PICARD_MAX = 25         # Picard iterations before a step fails
+# simulate refuses a run of more time steps, or more elements on its
+# uniformly refined reference mesh, before it creates any output
+MAX_STEPS = 10 ** 7
+MAX_ELEMENTS = 10 ** 8
 
 
 @dataclass
@@ -141,6 +142,17 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
         policy = AmrPolicy(**policy_kwargs)
     except Exception as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    if params.n_steps > MAX_STEPS:
+        raise ConfigError(f"t_end = {params.t_end:g} with dt = {params.dt:g} is "
+                          f"{params.n_steps} steps, more than {MAX_STEPS}")
+    if n_elems < 1:
+        raise ConfigError(f"n_elems must be >= 1, got {n_elems}")
+    # 2**64 exceeds the ceiling, so a larger exponent changes nothing
+    elements = n_elems * 2 ** min(policy.initial_uniform_levels, 64)
+    if elements > MAX_ELEMENTS:
+        raise ConfigError(f"n_elems = {n_elems} with initial_uniform_levels = "
+                          f"{policy.initial_uniform_levels} is {elements} "
+                          f"elements, more than {MAX_ELEMENTS}")
     return params, policy, n_elems
 
 
@@ -529,65 +541,3 @@ def indicator_projection_demo() -> IndicatorDemoArtifacts:
         structured=structured, structured_field=projections["structured"],
         unstructured=unstructured, unstructured_field=projections["unstructured"],
         report=report)
-
-
-# ---------------------------------------------------------------------------
-# synthetic linear dynamics
-
-def synth_linear_series(eigenvalues, n: int, m: int, seed: int,
-                        dt_o: float = 1.0, t0: float = 0.0) -> SnapshotMatrix:
-    """Snapshots of u_{k+1} = A u_k for a real map with the prescribed
-    eigenvalues, in a random orthonormal modal basis. Complex eigenvalues
-    must come in conjugate pairs; the series is real. Deterministic for a
-    fixed seed."""
-    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
-    k = lam.size
-    if k > m:
-        raise InvalidArgumentError("more eigenvalues than snapshot pairs")
-    if n < k:
-        raise InvalidArgumentError("state dimension below eigenvalue count")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(lam[i] - lam[j]) <= 1e-12:
-                raise InvalidArgumentError("eigenvalues must be distinct")
-    # real block-diagonal form; conjugate pairs share one rotation block
-    used = np.zeros(k, dtype=bool)
-    blocks = []
-    for i in range(k):
-        if used[i]:
-            continue
-        if abs(lam[i].imag) <= 1e-14:
-            blocks.append(np.array([[lam[i].real]]))
-            used[i] = True
-            continue
-        conj_idx = [j for j in range(k) if not used[j] and j != i
-                    and abs(lam[j] - np.conj(lam[i])) <= 1e-12]
-        if not conj_idx:
-            raise InvalidArgumentError(
-                f"complex eigenvalue {lam[i]} lacks its conjugate")
-        rho = abs(lam[i])
-        theta = abs(np.angle(lam[i]))
-        blocks.append(rho * np.array([[np.cos(theta), -np.sin(theta)],
-                                      [np.sin(theta), np.cos(theta)]]))
-        used[i] = used[conj_idx[0]] = True
-    B = np.zeros((k, k))
-    pos = 0
-    for blk in blocks:
-        w = blk.shape[0]
-        B[pos:pos + w, pos:pos + w] = blk
-        pos += w
-
-    basis, _ = np.linalg.qr(gaussian_matrix(n, k, seed))
-    offset = 0
-    while True:
-        coeffs = 1.0 + 0.25 * gaussian_matrix(k, 1, seed + 1 + offset)[:, 0]
-        if np.min(np.abs(coeffs)) > 0.05:
-            break
-        offset += 1
-    states = np.empty((k, m + 1))
-    x = coeffs.copy()
-    for col in range(m + 1):
-        states[:, col] = x
-        x = B @ x
-    data = basis @ states
-    return SnapshotMatrix(data=data, t0=t0, dt_o=dt_o, field_name="synthetic")

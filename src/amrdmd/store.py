@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fem, mesh as mesh_mod
 from .dmd import SnapshotMatrix
-from .errors import StoreError
+from .errors import InvalidArgumentError, StoreError
 from .fem import FeField
 
 TOOL_VERSION = "0.1.0"
@@ -188,7 +188,8 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     t_start - 1e-9 <= time <= t_end + 1e-9 (an omitted bound is open), the
     only entries returned; of each field file only the columns named in
     fields (all when None) are converted. The first fault in manifest order
-    is raised."""
+    is raised: StoreError for a damaged manifest, mesh or field file, OSError
+    for a missing one."""
     root = Path(store_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -218,10 +219,13 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
         if not ((t_start is None or time >= t_start - 1e-9)
                 and (t_end is None or time <= t_end + 1e-9)):
             continue
-        if mesh_file not in mesh_cache:
-            mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
-        msh = mesh_cache[mesh_file]
-        read = fem.load_fields(root / field_file, msh, fields)
+        try:
+            if mesh_file not in mesh_cache:
+                mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
+            msh = mesh_cache[mesh_file]
+            read = fem.load_fields(root / field_file, msh, fields)
+        except InvalidArgumentError as exc:     # its message names the file
+            raise StoreError(str(exc)) from exc
         entries.append(StoreEntry(index=index, time_str=t_str, time=time,
                                   mesh_file=mesh_file, field_file=field_file, mesh=msh,
                                   fields={k: f.values for k, f in read.items()}))

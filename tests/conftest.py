@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from amrdmd import fem, mesh as mesh_mod, seird_sim as S
-from amrdmd.errors import AssemblyError, StepError
+from amrdmd.dmd import SnapshotMatrix
+from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError
+from amrdmd.linalg import gaussian_matrix
 
 
 def exhaustive_locate(mesh, x, tol=1e-10):
@@ -50,6 +53,117 @@ def composite_integral_1d(f, a, b, n=10_000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def spd_matrix(A):
+    """The matrix of a fem.SparseSpd in CSR form: its own for the CSR form,
+    built from the bands for the band form."""
+    if A.off is None:
+        return A._csr
+    o = np.arange(A.n) if A.order is None else A.order
+    return sp.coo_matrix(
+        (np.concatenate([A.diag, A.off, A.off]),
+         (np.concatenate([o, o[:-1], o[1:]]),
+          np.concatenate([o, o[1:], o[:-1]]))),
+        shape=(A.n, A.n)).tocsr()
+
+
+def element_mass_quadrature(mesh, degree=2):
+    """Per-element mass matrices by quadrature (the assembly oracle path)."""
+    rule = fem.reference_rule(mesh.dim, degree)
+    measures = mesh.element_measures()
+    ref = 1.0 if mesh.dim == 1 else 0.5
+    phi = rule.points                      # (nq, k): P1 basis == barycentric
+    local = np.einsum("q,qi,qj->ij", rule.weights, phi, phi) / ref
+    return measures[:, None, None] * local[None, :, :]
+
+
+def l2_norm(fld):
+    """L2 norm, exact for P1 (degree-2 quadrature of the squared field)."""
+    rule = fem.reference_rule(fld.mesh.dim, 2)
+    ref = 1.0 if fld.mesh.dim == 1 else 0.5
+    vals = fld.values[fld.mesh.elements]
+    qvals = vals @ rule.points.T
+    sq = np.sum(fld.mesh.element_measures() / ref * ((qvals ** 2) @ rule.weights))
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def partition_defect(op):
+    """max |P 1_donor - M 1_target| of an l2projection.ProjectionOperator;
+    both sides equal the integrals of the target shape functions, so this
+    vanishes up to roundoff."""
+    ones_d = np.ones(op.donor.n_nodes)
+    ones_t = np.ones(op.target.n_nodes)
+    return float(np.max(np.abs(op.P @ ones_d - op.M.dot(ones_t))))
+
+
+def rank_check(op):
+    """Numerical rank of P via column-pivoted QR with relative threshold
+    1e-10 on the diagonal of R."""
+    dense = op.P.toarray()
+    R = scipy.linalg.qr(dense, mode="r", pivoting=True)[0]
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] == 0.0:
+        return 0
+    return int(np.sum(diag > 1e-10 * diag[0]))
+
+
+def synth_linear_series(eigenvalues, n, m, seed, dt_o=1.0, t0=0.0):
+    """Snapshots of u_{k+1} = A u_k for a real map with the prescribed
+    eigenvalues, in a random orthonormal modal basis. Complex eigenvalues
+    must come in conjugate pairs; the series is real. Deterministic for a
+    fixed seed."""
+    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
+    k = lam.size
+    if k > m:
+        raise InvalidArgumentError("more eigenvalues than snapshot pairs")
+    if n < k:
+        raise InvalidArgumentError("state dimension below eigenvalue count")
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(lam[i] - lam[j]) <= 1e-12:
+                raise InvalidArgumentError("eigenvalues must be distinct")
+    # real block-diagonal form; conjugate pairs share one rotation block
+    used = np.zeros(k, dtype=bool)
+    blocks = []
+    for i in range(k):
+        if used[i]:
+            continue
+        if abs(lam[i].imag) <= 1e-14:
+            blocks.append(np.array([[lam[i].real]]))
+            used[i] = True
+            continue
+        conj_idx = [j for j in range(k) if not used[j] and j != i
+                    and abs(lam[j] - np.conj(lam[i])) <= 1e-12]
+        if not conj_idx:
+            raise InvalidArgumentError(
+                f"complex eigenvalue {lam[i]} lacks its conjugate")
+        rho = abs(lam[i])
+        theta = abs(np.angle(lam[i]))
+        blocks.append(rho * np.array([[np.cos(theta), -np.sin(theta)],
+                                      [np.sin(theta), np.cos(theta)]]))
+        used[i] = used[conj_idx[0]] = True
+    B = np.zeros((k, k))
+    pos = 0
+    for blk in blocks:
+        w = blk.shape[0]
+        B[pos:pos + w, pos:pos + w] = blk
+        pos += w
+
+    basis, _ = np.linalg.qr(gaussian_matrix(n, k, seed))
+    offset = 0
+    while True:
+        coeffs = 1.0 + 0.25 * gaussian_matrix(k, 1, seed + 1 + offset)[:, 0]
+        if np.min(np.abs(coeffs)) > 0.05:
+            break
+        offset += 1
+    states = np.empty((k, m + 1))
+    x = coeffs.copy()
+    for col in range(m + 1):
+        states[:, col] = x
+        x = B @ x
+    data = basis @ states
+    return SnapshotMatrix(data=data, t0=t0, dt_o=dt_o, field_name="synthetic")
 
 
 def coo_mass(mesh):

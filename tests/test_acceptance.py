@@ -15,6 +15,8 @@ import pytest
 from amrdmd import dmd, fem, l2projection as L2, linalg, mesh as M
 from amrdmd import pipeline_cli, seird_sim, store
 
+from conftest import l2_norm, partition_defect, rank_check, synth_linear_series
+
 CRIT1_EIGS = [0.95, 0.8, 0.6 * np.exp(0.4j), 0.6 * np.exp(-0.4j)]
 CRIT1_SEED = 7
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
@@ -77,15 +79,14 @@ def pipeline_run(tmp_path_factory):
 
 def test_criterion_1_dmd_linear_oracle_recovery():
     t0 = time.perf_counter()
-    Y = seird_sim.synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
+    Y = synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
     model = dmd.fit(Y, rank=4)
     target = np.sort_complex(np.asarray(CRIT1_EIGS, dtype=complex))
     got = np.sort_complex(model.lam)
     eig_err = float(np.max(np.abs(got - target)))
     eta_F = dmd.errors(Y.data, dmd.reconstruct(model, Y.times)).eta_F
     # recurrence oracle: the same generator continued 10 steps further
-    Y_long = seird_sim.synth_linear_series(CRIT1_EIGS, n=200, m=50,
-                                           seed=CRIT1_SEED)
+    Y_long = synth_linear_series(CRIT1_EIGS, n=200, m=50, seed=CRIT1_SEED)
     assert np.array_equal(Y_long.data[:, :41], Y.data)
     future = Y_long.times[41:]
     pred = dmd.reconstruct(model, future)
@@ -137,13 +138,13 @@ def test_criterion_3_nested_projection_theory():
             target = M.uniform_refine(donor, 1)
         op = L2.build_projection(donor, target)
         worst_rank_defect = max(worst_rank_defect,
-                                abs(L2.rank_check(op) - donor.n_nodes))
+                                abs(rank_check(op) - donor.n_nodes))
         u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
         proj = L2.project(op, u)
         exact = fem.evaluate_many(u, target.nodes)
         diff = fem.FeField(target, proj.values - exact)
-        worst_l2 = max(worst_l2, fem.l2_norm(diff))
-        worst_partition = max(worst_partition, op.partition_defect())
+        worst_l2 = max(worst_l2, l2_norm(diff))
+        worst_partition = max(worst_partition, partition_defect(op))
     ok = worst_rank_defect == 0 and worst_l2 <= 1e-10 and worst_partition <= 1e-10
     report("3 nested full-rank/theory",
            ok,
@@ -298,8 +299,8 @@ def test_criterion_7_mean_conservation():
 def test_criterion_8_determinism(pipeline_run, tmp_path):
     root_a, _ = pipeline_run
     # criterion 1 artifacts: identical model files from identical fits
-    Y1 = seird_sim.synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
-    Y2 = seird_sim.synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
+    Y1 = synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
+    Y2 = synth_linear_series(CRIT1_EIGS, n=200, m=40, seed=CRIT1_SEED)
     data_same = np.array_equal(Y1.data, Y2.data)
     m1 = dmd.fit(Y1, rank=4)
     m2 = dmd.fit(Y2, rank=4)

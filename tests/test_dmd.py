@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrdmd import dmd, seird_sim
+from amrdmd import dmd
 from amrdmd.errors import InvalidArgumentError
+
+from conftest import synth_linear_series
 
 
 def make_snapshots(data, dt_o=1.0, t0=0.0):
@@ -91,7 +93,7 @@ class TestFit:
 
     def test_two_mode_linear_system_recovery(self, rng):
         lam_true = [0.9, 0.7]
-        Y = seird_sim.synth_linear_series(lam_true, n=5, m=10, seed=4)
+        Y = synth_linear_series(lam_true, n=5, m=10, seed=4)
         model = dmd.fit(Y, rank=2)
         got = np.sort(model.lam.real)[::-1]
         np.testing.assert_allclose(got, [0.9, 0.7], atol=1e-8)
@@ -112,14 +114,14 @@ class TestFit:
         assert model.rank == 1
 
     def test_amplitude_residual_optimality(self, rng):
-        Y = seird_sim.synth_linear_series([0.9, 0.8, 0.5], n=20, m=12, seed=7)
+        Y = synth_linear_series([0.9, 0.8, 0.5], n=20, m=12, seed=7)
         model = dmd.fit(Y, rank=3)
         resid = model.modes @ model.amplitudes - Y.data[:, 0]
         gram = model.modes.conj().T @ resid
         assert np.linalg.norm(gram) <= 1e-8 * np.linalg.norm(Y.data[:, 0])
 
     def test_similarity_invariance_of_eigenvalues(self, rng):
-        Y = seird_sim.synth_linear_series([0.95, 0.6], n=12, m=14, seed=3)
+        Y = synth_linear_series([0.95, 0.6], n=12, m=14, seed=3)
         Q = np.linalg.qr(rng.normal(size=(12, 12)))[0]
         Yrot = dmd.SnapshotMatrix(Q @ Y.data, t0=Y.t0, dt_o=Y.dt_o)
         m1 = dmd.fit(Y, rank=2)
@@ -138,14 +140,14 @@ class TestFit:
             prev = eta
 
     def test_exact_vs_randomized_paths(self):
-        Y = seird_sim.synth_linear_series([0.9, 0.7, 0.4], n=60, m=20, seed=5)
+        Y = synth_linear_series([0.9, 0.7, 0.4], n=60, m=20, seed=5)
         m_exact = dmd.fit(Y, rank=3, svd_method="exact")
         m_rand = dmd.fit(Y, rank=3, svd_method="randomized", seed=12)
         np.testing.assert_allclose(np.sort_complex(m_exact.lam),
                                    np.sort_complex(m_rand.lam), atol=1e-6)
 
     def test_reconstruction_invariant_under_mode_rescaling(self):
-        Y = seird_sim.synth_linear_series([0.9, 0.7], n=8, m=10, seed=2)
+        Y = synth_linear_series([0.9, 0.7], n=8, m=10, seed=2)
         model = dmd.fit(Y, rank=2)
         scale = np.array([3.0, 0.25])
         rescaled = dmd.DmdModel(
@@ -159,7 +161,7 @@ class TestFit:
 
 class TestEvaluate:
     def test_initial_time_recovers_u0(self):
-        Y = seird_sim.synth_linear_series([0.9, 0.7, 0.5], n=25, m=12, seed=8)
+        Y = synth_linear_series([0.9, 0.7, 0.5], n=25, m=12, seed=8)
         model = dmd.fit(Y, rank=3)
         np.testing.assert_allclose(dmd.evaluate(model, Y.t0), Y.data[:, 0],
                                    atol=1e-10)
@@ -176,7 +178,7 @@ class TestEvaluate:
         assert dmd.evaluate(model, t)[0] == pytest.approx(0.5 ** 1.5, abs=1e-12)
 
     def test_imaginary_residual_small_for_real_data(self):
-        Y = seird_sim.synth_linear_series(
+        Y = synth_linear_series(
             [0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j)], n=30, m=20, seed=6)
         model = dmd.fit(Y, rank=2)
         signal = model.modes @ (np.exp(model.omega * (7.0 - model.t0))
@@ -186,7 +188,7 @@ class TestEvaluate:
 
     def test_conjugate_time_evaluation_matches_recurrence(self):
         lam = [0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j)]
-        Y = seird_sim.synth_linear_series(lam, n=30, m=30, seed=6)
+        Y = synth_linear_series(lam, n=30, m=30, seed=6)
         model = dmd.fit(dmd.SnapshotMatrix(Y.data[:, :21], t0=0, dt_o=1.0), rank=2)
         rec = dmd.reconstruct(model, np.arange(21, 31, dtype=float))
         np.testing.assert_allclose(rec, Y.data[:, 21:31],
@@ -237,7 +239,7 @@ class TestErrors:
 
 class TestModelIO:
     def test_roundtrip(self, tmp_path):
-        Y = seird_sim.synth_linear_series(
+        Y = synth_linear_series(
             [0.9, 0.8 * np.exp(0.5j), 0.8 * np.exp(-0.5j)], n=15, m=12, seed=10)
         model = dmd.fit(Y, rank=3)
         path = tmp_path / "m.dmd.txt"
@@ -253,7 +255,7 @@ class TestModelIO:
         np.testing.assert_array_equal(back.modes, model.modes)
 
     def test_byte_identical_rewrites(self, tmp_path):
-        Y = seird_sim.synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
+        Y = synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
         model = dmd.fit(Y, rank=2)
         p1, p2 = tmp_path / "a.dmd.txt", tmp_path / "b.dmd.txt"
         dmd.save_model(model, p1)
@@ -261,7 +263,7 @@ class TestModelIO:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_overflowing_header_rejected(self, tmp_path):
-        Y = seird_sim.synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
+        Y = synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
         path = tmp_path / "big.dmd.txt"
         dmd.save_model(dmd.fit(Y, rank=2), path)
         head, rest = path.read_text().split("\n", 1)
@@ -275,7 +277,7 @@ class TestModelIO:
     ], ids=["t0_nan", "t0_inf", "dt_nan", "dt_neg_inf", "dt_zero", "dt_negative",
             "trailing_rows"])
     def test_header_and_body_validated(self, tmp_path, field, value):
-        Y = seird_sim.synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
+        Y = synth_linear_series([0.9, 0.7], n=10, m=8, seed=1)
         path = tmp_path / "bad.dmd.txt"
         dmd.save_model(dmd.fit(Y, rank=2), path)
         head, rest = path.read_text().split("\n", 1)

@@ -255,20 +255,20 @@ class TestCloseNodePairs:
 class TestLocate:
     def test_segment_midpoint(self):
         m = M.build_interval_mesh(0, 1, 4)
-        eid, bary = M.locate_point(m, [0.375])
-        assert eid == 1
-        np.testing.assert_allclose(bary, [0.5, 0.5])
+        eids, bary = M.locate_points(m, np.array([[0.375]]))
+        assert eids[0] == 1
+        np.testing.assert_allclose(bary[0], [0.5, 0.5])
 
     def test_mesh_node_lowest_incident(self):
         m = M.build_interval_mesh(0, 1, 4)
-        eid, bary = M.locate_point(m, [0.25])
-        assert eid == 0          # elements 0 and 1 share the node
-        assert bary.max() == pytest.approx(1.0, abs=1e-12)
+        eids, bary = M.locate_points(m, np.array([[0.25]]))
+        assert eids[0] == 0      # elements 0 and 1 share the node
+        assert bary[0].max() == pytest.approx(1.0, abs=1e-12)
 
     def test_outside_raises(self):
         m = M.build_interval_mesh(0, 1, 4)
         with pytest.raises(PointNotFoundError):
-            M.locate_point(m, [1.5])
+            M.locate_points(m, np.array([[1.5]]))
 
     def test_agrees_with_exhaustive_scan(self, rng):
         m = random_refined_square(rng, nx=3, passes=2)

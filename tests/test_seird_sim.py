@@ -8,7 +8,7 @@ from amrdmd.errors import AssemblyError, InvalidArgumentError
 
 from conftest import (composite_integral_1d, coo_p1_operator, node_order_step,
                       p1_tridiagonal, piecewise_linear_1d,
-                      random_refined_interval)
+                      random_refined_interval, spd_matrix, synth_linear_series)
 
 
 def fresh_state(mesh):
@@ -116,7 +116,7 @@ class TestOperator:
         react = rng.uniform(0.0, 3.0, n)
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        A = band_operator(mesh, kappa, react, None).matrix
+        A = spd_matrix(band_operator(mesh, kappa, react, None))
         k, r = piecewise_linear_1d(mesh, kappa), piecewise_linear_1d(mesh, react)
         uf, vf = piecewise_linear_1d(mesh, u), piecewise_linear_1d(mesh, v)
         du, dv = p1_slope_1d(mesh, u), p1_slope_1d(mesh, v)
@@ -139,7 +139,7 @@ class TestOperator:
         bc = int(rng.integers(n)) if pinned else None
         A = band_operator(mesh, kappa, react, bc)
         ref = coo_p1_operator(mesh, kappa, react, bc)
-        assert np.array_equal(A.matrix.toarray(), ref.toarray())
+        assert np.array_equal(spd_matrix(A).toarray(), ref.toarray())
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(1e-3, 1e3))
@@ -147,8 +147,9 @@ class TestOperator:
         rng = np.random.default_rng(seed)
         mesh = random_refined_interval(rng)
         n = mesh.n_nodes
-        A = band_operator(mesh, np.zeros(n), c * np.ones(n), None).matrix.toarray()
-        B = c * fem.assemble_mass(mesh).matrix.toarray()
+        A = spd_matrix(band_operator(mesh, np.zeros(n), c * np.ones(n),
+                                   None)).toarray()
+        B = c * spd_matrix(fem.assemble_mass(mesh)).toarray()
         assert np.max(np.abs(A - B)) <= 1e-15 * np.max(np.abs(B))
 
     @settings(max_examples=30, deadline=None)
@@ -158,8 +159,8 @@ class TestOperator:
         mesh = random_refined_interval(rng)
         n = mesh.n_nodes
         bc = int(rng.integers(n))
-        A = band_operator(mesh, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 3.0, n),
-                          bc).matrix.toarray()
+        A = spd_matrix(band_operator(mesh, rng.uniform(0.0, 2.0, n),
+                                     rng.uniform(0.0, 3.0, n), bc)).toarray()
         e = np.zeros(n)
         e[bc] = 1.0
         assert np.array_equal(A[bc], e) and np.array_equal(A[:, bc], e)
@@ -221,11 +222,11 @@ class TestStep:
         params = S.SeirdParams(dt=0.025, dt_o=0.025, t_end=0.5)
         init = S.seird_initial_conditions(mesh)
         names = S.COMPARTMENTS
-        Mmat = fem.assemble_mass(mesh).matrix
+        Mmat = spd_matrix(fem.assemble_mass(mesh))
         Mlu = spla.splu(sp.csc_matrix(Mmat))
 
         def stiffness(coef):
-            return band_operator(mesh, coef, np.zeros(n), None).matrix
+            return spd_matrix(band_operator(mesh, coef, np.zeros(n), None))
 
         def rhs(t, y):
             u = {c: y[k * n:(k + 1) * n] for k, c in enumerate(names)}
@@ -360,9 +361,9 @@ class TestBandLayoutStep:
         mesh = M.SimplicialMesh(dim=1, nodes=[0.0, 0.25, 0.5, 1.0],
                                 elements=[[2, 3], [0, 1]], level=[0, 0])
         h = mesh.element_measures()
-        ref = p1_tridiagonal(mesh, h * (2.0 / 6.0), h * (2.0 / 6.0),
-                             h * (1.0 / 6.0)).matrix.toarray()
-        A = fem.assemble_mass(mesh).matrix.toarray()
+        ref = spd_matrix(p1_tridiagonal(mesh, h * (2.0 / 6.0), h * (2.0 / 6.0),
+                                        h * (1.0 / 6.0))).toarray()
+        A = spd_matrix(fem.assemble_mass(mesh)).toarray()
         assert same_bits(A, ref)
         assert A[1, 2] == A[2, 1] == 0.0
 
@@ -483,18 +484,18 @@ class TestIndicatorDemoPieces:
 
 class TestSynthSeries:
     def test_unit_eigenvalue_gives_constant_series(self):
-        Y = S.synth_linear_series([1.0], n=4, m=6, seed=0)
+        Y = synth_linear_series([1.0], n=4, m=6, seed=0)
         expect = np.tile(Y.data[:, :1], (1, 7))
         np.testing.assert_allclose(Y.data, expect, atol=1e-12)
 
     def test_scalar_geometric_decay(self):
-        Y = S.synth_linear_series([0.5], n=1, m=5, seed=1)
+        Y = synth_linear_series([0.5], n=1, m=5, seed=1)
         ratios = Y.data[0, 1:] / Y.data[0, :-1]
         np.testing.assert_allclose(ratios, 0.5, atol=1e-12)
 
     def test_characteristic_polynomial_annihilates_series(self):
         lam = [0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j), 0.7]
-        Y = S.synth_linear_series(lam, n=6, m=20, seed=3)
+        Y = synth_linear_series(lam, n=6, m=20, seed=3)
         coeffs = np.poly(lam)               # real for conjugate-closed sets
         assert np.max(np.abs(coeffs.imag)) < 1e-12
         c = coeffs.real
@@ -505,7 +506,7 @@ class TestSynthSeries:
 
     def test_oscillation_period_via_zero_crossings(self):
         lam = [0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j)]
-        Y = S.synth_linear_series(lam, n=3, m=80, seed=5)
+        Y = synth_linear_series(lam, n=3, m=80, seed=5)
         comp = Y.data[0] / (0.9 ** np.arange(81))   # undo the decay
         crossings = int(np.sum(np.abs(np.diff(np.sign(comp))) > 1))
         period = 2 * np.pi / 0.3
@@ -514,19 +515,19 @@ class TestSynthSeries:
 
     def test_duplicate_eigenvalues_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            S.synth_linear_series([0.5, 0.5], n=4, m=5, seed=0)
+            synth_linear_series([0.5, 0.5], n=4, m=5, seed=0)
 
     def test_missing_conjugate_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            S.synth_linear_series([0.5 + 0.2j], n=4, m=5, seed=0)
+            synth_linear_series([0.5 + 0.2j], n=4, m=5, seed=0)
 
     def test_size_guards(self):
         with pytest.raises(InvalidArgumentError):
-            S.synth_linear_series([0.5, 0.4, 0.3], n=4, m=2, seed=0)
+            synth_linear_series([0.5, 0.4, 0.3], n=4, m=2, seed=0)
         with pytest.raises(InvalidArgumentError):
-            S.synth_linear_series([0.5, 0.4, 0.3], n=2, m=5, seed=0)
+            synth_linear_series([0.5, 0.4, 0.3], n=2, m=5, seed=0)
 
     def test_deterministic_per_seed(self):
-        a = S.synth_linear_series([0.8, 0.6], n=5, m=7, seed=9)
-        b = S.synth_linear_series([0.8, 0.6], n=5, m=7, seed=9)
+        a = synth_linear_series([0.8, 0.6], n=5, m=7, seed=9)
+        b = synth_linear_series([0.8, 0.6], n=5, m=7, seed=9)
         assert np.array_equal(a.data, b.data)

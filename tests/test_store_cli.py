@@ -81,6 +81,28 @@ class TestRunConfig:
         assert "line 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    DT = 2.0 ** -20         # exact, and so is every multiple of it used here
+
+    @pytest.mark.parametrize("text,key", [
+        ("n_elems = 2000000\ninitial_uniform_levels = 2", None),
+        (f"dt = {DT!r}\nt_end = {seird_sim.MAX_STEPS * DT!r}", None),
+        (f"dt = {DT!r}\nt_end = {(seird_sim.MAX_STEPS + 1) * DT!r}", "t_end"),
+        (f"n_elems = {seird_sim.MAX_ELEMENTS // 4}\ninitial_uniform_levels = 2",
+         None),
+        (f"n_elems = {seird_sim.MAX_ELEMENTS // 4 + 1}\ninitial_uniform_levels = 2",
+         "n_elems"),
+        ("dt = 0.25\nn_elems = 0", "n_elems"),
+    ], ids=["large_job", "max_steps", "one_step_more", "max_elements",
+            "more_elements", "no_elements"])
+    def test_size_ceilings(self, tmp_path, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        if key is None:
+            seird_sim.parse_run_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match=key):
+                seird_sim.parse_run_config(cfg)
+
 
 class TestStoreRoundtrip:
     def make_snapshots(self, rng, n_snaps=3):
@@ -196,6 +218,24 @@ class TestCliSimulate:
                             "--quiet")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting,limit", [
+        ("dt = 1e-300\ndt_o = 1e-300", "MAX_STEPS"),     # 4.4e301 steps
+        ("initial_uniform_levels = 30", "MAX_ELEMENTS"),  # 1.1e10 elements
+    ], ids=["steps", "elements"])
+    def test_oversized_run_exit_2_before_output(self, tmp_path, setting, limit):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_elems = 10\n{setting}\n")
+        out = tmp_path / "out"
+        started = time.monotonic()
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "simulate", cfg, out,
+                            "--quiet", timeout=10)
+        assert time.monotonic() - started < 5
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(getattr(seird_sim, limit)) in proc.stderr
+        assert setting.split()[0] in proc.stderr
         assert not out.exists()
 
     def test_indefinite_step_system_exit_3(self, tmp_path):
@@ -481,7 +521,7 @@ class TestCliProjectAndDmd:
         with open(st / "mesh_0000.mesh.txt", "a") as fh:
             fh.write("0 1\n")
         csv = tmp_path / "q.csv"
-        assert run_cli("report", "qoi", st, csv, "--quiet") == 2
+        assert run_cli("report", "qoi", st, csv, "--quiet") == 3
         assert "mesh_0000.mesh.txt" in capsys.readouterr().err
         assert not csv.exists()
 
@@ -497,7 +537,7 @@ class TestCliProjectAndDmd:
             fh.write(row)
         model = tmp_path / "s.dmd.txt"
         assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "1",
-                       "--quiet") == 2
+                       "--quiet") == 3
         assert snap in capsys.readouterr().err
         assert not model.exists()
 
@@ -527,7 +567,7 @@ class TestCliProjectAndDmd:
         snap.write_text(head + "\n" + names.replace("e", "s", 1) + "\n" + rest)
         model = tmp_path / "s.dmd.txt"
         assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "2",
-                       "--quiet") == 2
+                       "--quiet") == 3
         assert "snap_0003.field.txt" in capsys.readouterr().err
         assert not model.exists()
 
@@ -543,7 +583,7 @@ class TestCliProjectAndDmd:
         proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "fit", st,
                             tmp_path / "m.dmd.txt", "--field", "u", "--rank",
                             "1", "--quiet")
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "mesh_0000.mesh.txt" in proc.stderr
 
@@ -557,8 +597,23 @@ class TestCliProjectAndDmd:
         lines[-1] = f"3 {m.n_nodes}"
         mesh_file.write_text("\n".join(lines) + "\n")
         assert run_cli("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "u",
-                       "--rank", "1", "--quiet") == 2
+                       "--rank", "1", "--quiet") == 3
         assert "mesh_0000.mesh.txt" in capsys.readouterr().err
+
+    def test_degenerate_mesh_element_exit_3_naming_the_file(self, tmp_path, rng,
+                                                           capsys):
+        m = M.build_interval_mesh(0, 1, 4)
+        snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
+                 for k in range(3)]
+        st = store.write_store(tmp_path / "st", snaps)
+        mesh_file = st / "mesh_0000.mesh.txt"
+        lines = mesh_file.read_text().splitlines()
+        lines[2] = lines[1]                 # node 1 onto node 0
+        mesh_file.write_text("\n".join(lines) + "\n")
+        assert run_cli("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--rank", "1", "--quiet") == 3
+        err = capsys.readouterr().err
+        assert "mesh_0000.mesh.txt" in err and "non-positive measure" in err
 
     def test_read_only_commands_load_no_scipy(self, small_run, tmp_path):
         root, cfg, out = small_run          # written by another process
@@ -584,6 +639,26 @@ class TestCliProjectAndDmd:
         codes, scipy_modules = json.loads(proc.stdout)
         assert codes == [0, 0, 0, 0]
         assert scipy_modules == []
+
+    def test_seird_sim_loads_no_decomposition_code(self):
+        proc = fresh_python("-c", "import sys, amrdmd.seird_sim\n"
+                                  "print(sorted({'amrdmd.dmd', 'amrdmd.linalg'}\n"
+                                  "             & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_demo_indicator_loads_no_scipy_linalg(self, tmp_path):
+        script = ("import json, sys\n"
+                  "from amrdmd import pipeline_cli\n"
+                  "code = pipeline_cli.main(sys.argv[1:])\n"
+                  "print(json.dumps([code, sorted(m for m in sys.modules\n"
+                  "                               if m.startswith('scipy.linalg'))]))\n")
+        proc = fresh_python("-c", script, "demo", "indicator", tmp_path / "demo",
+                            "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        code, linalg_modules = json.loads(proc.stdout)
+        assert code == 0
+        assert linalg_modules == []
 
     def test_report_missing_field_exit_3(self, small_run, tmp_path, capsys):
         root, cfg, out = small_run
@@ -741,7 +816,7 @@ class TestReadContract:
         edit_rows(st / "snap_0001.field.txt", ragged)
         model = tmp_path / "s.dmd.txt"
         assert run_cli("dmd", "fit", st, model, "--field", "s", "--rank", "1",
-                       "--quiet") == 2
+                       "--quiet") == 3
         assert "snap_0001.field.txt" in capsys.readouterr().err
         assert not model.exists()
 
@@ -757,16 +832,37 @@ class TestReadContract:
         fit = ("dmd", "fit", st, tmp_path / "m.dmd.txt", "--rank", "1",
                "--force", "--quiet")
         assert run_cli(*fit, "--field", "s") == 0
-        assert run_cli(*fit, "--field", "e") == 2
-        assert run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet") == 2
+        assert run_cli(*fit, "--field", "e") == 3
+        assert run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet") == 3
 
     def test_damaged_file_outside_the_window_is_not_opened(self, tmp_path, rng):
         st = five_field_store(tmp_path / "st", rng, n_snaps=4)
         edit_rows(st / "snap_0000.field.txt", lambda rows: rows[:2])
         fit = ("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "s",
                "--rank", "1", "--force", "--quiet")
-        assert run_cli(*fit) == 2
+        assert run_cli(*fit) == 3
         assert run_cli(*fit, "--t-start", "1") == 0
+
+    @pytest.mark.parametrize("damage", ["trailing_row", "missing_file",
+                                        "then_bad_manifest"])
+    def test_first_fault_in_manifest_order_is_named(self, tmp_path, rng,
+                                                    capsys, damage):
+        # snap_0020 holds the first fault; snap_0030, and manifest line 39
+        # with then_bad_manifest, hold later ones
+        st = five_field_store(tmp_path / "st", rng, n_snaps=40)
+        with open(st / "snap_0030.field.txt", "a") as fh:
+            fh.write("0 0\n")
+        if damage == "missing_file":
+            (st / "snap_0020.field.txt").unlink()
+        else:
+            with open(st / "snap_0020.field.txt", "a") as fh:
+                fh.write("garbage row\n")
+        if damage == "then_bad_manifest":
+            lines = (st / "manifest.txt").read_text().splitlines()
+            lines[38] = "x 0 mesh_0000.mesh.txt snap_0038.field.txt"
+            (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet") == 3
+        assert "snap_0020.field.txt" in capsys.readouterr().err
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -870,36 +966,6 @@ class TestStoreFanOut:
                 assert e.fields[name].tobytes() == values.tobytes()
         # a mesh is one object for all its snapshots
         assert len({id(e.mesh) for e in back.entries}) == 3
-
-    @pytest.mark.parametrize("damage", ["trailing_row", "missing_file",
-                                        "then_bad_manifest"])
-    def test_first_fault_matches_the_plain_loop(self, three_cpus, written,
-                                                tmp_path, capsys, monkeypatch,
-                                                damage):
-        # the parts are files 0-12, 13-25 and 26-39 in manifest order (0-11,
-        # 12-24 and 25-37 when line 39 is bad); the first fault lies in the
-        # first forked part, a later one in the second
-        snaps, st = written
-        with open(st / "snap_0030.field.txt", "a") as fh:
-            fh.write("0 0\n")
-        if damage == "missing_file":
-            (st / "snap_0020.field.txt").unlink()
-        else:
-            with open(st / "snap_0020.field.txt", "a") as fh:
-                fh.write("garbage row\n")
-        if damage == "then_bad_manifest":
-            lines = (st / "manifest.txt").read_text().splitlines()
-            lines[38] = "x 0 mesh_0000.mesh.txt snap_0038.field.txt"
-            (st / "manifest.txt").write_text("\n".join(lines) + "\n")
-        results = []
-        for threshold in (10 ** 9, store._PART_MIN_JOBS):
-            monkeypatch.setattr(store, "_PART_MIN_JOBS", threshold)
-            code = run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet")
-            results.append((code, capsys.readouterr().err))
-        self.assert_no_children()
-        assert results[0] == results[1]
-        assert results[0][0] == (3 if damage == "missing_file" else 2)
-        assert "snap_0020.field.txt" in results[0][1]
 
     def test_write_fault_matches_the_plain_loop(self, three_cpus, rng,
                                                 tmp_path, monkeypatch):
