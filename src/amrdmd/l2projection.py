@@ -4,9 +4,11 @@ The projection solves M u_proj = P u on the target mesh, where M is the
 target mass matrix and P couples target and donor shape functions. In 1-d,
 P is exact: every target element is cut at the donor nodes inside it, and
 each piece, on which both shape functions are linear, is integrated by the
-2-point Gauss rule. In 2-d, P is assembled by a degree-4 rule on each of
-the 4 congruent sub-triangles of every target element. Donor basis values
-at quadrature points come from point location.
+2-point Gauss rule. In 2-d, a degree-4 rule runs on each of the 4
+congruent sub-triangles of every target element. Donor basis values at
+quadrature points come from point location. P is summed over chunks of
+target elements as P += T^T D: row i of T holds the target basis values at
+quadrature point i, row i of D the donor basis values times its weight.
 """
 
 from __future__ import annotations
@@ -90,12 +92,12 @@ def build_projection(donor: SimplicialMesh,
     if donor.dim != target.dim:
         raise InvalidArgumentError("donor and target dimensions differ")
     M = fem.assemble_mass(target)
-    k = target.dim + 1
+    k = target.dim + 1            # nodes per element, on both meshes
     if target.dim == 2:
         bary, wref = _subdivided_rule_2d()
         measures = target.element_measures()
 
-    # summed into CSR chunk by chunk: one chunk's COO triples live at a time
+    # summed chunk by chunk: one chunk's points live at a time
     P = None
     chunk = 2048
     for start in range(0, target.n_elems, chunk):
@@ -117,17 +119,16 @@ def build_projection(donor: SimplicialMesh,
                 f"target quadrature points not covered by donor mesh: {exc}",
                 points=offending) from exc
 
-        t_nodes = target.elements[owner]                  # (npts, k)
-        d_nodes = donor.elements[d_eids]                  # (npts, kd)
-        contrib = (weights[:, None, None]
-                   * tbary[:, :, None] * d_bary[:, None, :])
-        part = sp.coo_matrix(
-            (contrib.reshape(-1),
-             (np.repeat(t_nodes, d_nodes.shape[1], axis=1).reshape(-1),
-              np.tile(d_nodes, (1, k)).reshape(-1))),
-            shape=(target.n_nodes, donor.n_nodes)).tocsr()
+        # T^T in CSC form: column i is row i of T
+        ptr = np.arange(0, tbary.size + 1, k)
+        Tt = sp.csc_matrix((tbary.reshape(-1), target.elements[owner].reshape(-1), ptr),
+                           shape=(target.n_nodes, ptr.size - 1))
+        D = sp.csr_matrix(((weights[:, None] * d_bary).reshape(-1),
+                           donor.elements[d_eids].reshape(-1), ptr),
+                          shape=(ptr.size - 1, donor.n_nodes))
+        part = Tt @ D
         P = part if P is None else P + part
-    return ProjectionOperator(donor=donor, target=target, M=M, P=P)
+    return ProjectionOperator(donor=donor, target=target, M=M, P=P.tocsr())
 
 
 def project(op: ProjectionOperator, u: FeField) -> FeField:

@@ -28,10 +28,11 @@ from .errors import (AssemblyError, InvalidArgumentError, InvalidPlanError,
 
 NODE_DEDUP_TOL = 1e-12
 BARY_TOL = 1e-10
+BIN_ENTRIES_PER_ELEM = 64
 
 # Lineage of an element: None for a root element, else a pair
-# (parent_node_tuple, parent_lineage). Node ids in the tuple refer to the
-# mesh the element lives in; coarsening remaps them when nodes are compacted.
+# (parent_node_tuple, parent_lineage). Node ids in the tuple are plain ints
+# of the mesh the element lives in, remapped when nodes are compacted.
 Lineage = tuple | None
 
 
@@ -76,9 +77,6 @@ class SimplicialMesh:
 
     def total_measure(self) -> float:
         return float(np.sum(self.element_measures()))
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ class _MeshWork:
     def __init__(self, mesh: SimplicialMesh):
         self.dim = mesh.dim
         self.coords = [tuple(row) for row in mesh.nodes]
-        self.elems = {i: tuple(el) for i, el in enumerate(mesh.elements)}
+        self.elems = {i: tuple(el) for i, el in enumerate(mesh.elements.tolist())}
         self.level = {i: int(lv) for i, lv in enumerate(mesh.level)}
         self.lineage = {i: mesh.lineage[i] for i in range(mesh.n_elems)}
         self.next_id = mesh.n_elems
@@ -407,8 +405,8 @@ class _MeshWork:
         nodes = np.asarray([self.coords[i] for i in used], dtype=float)
 
         def remap_lineage(lin):
-            if lin is None:
-                return None
+            if lin is None or used.size == remap.size:   # no node dropped
+                return lin
             node_tuple, parent = lin
             new_tuple = tuple(int(remap[v]) for v in node_tuple)
             if any(v < 0 for v in new_tuple):
@@ -470,28 +468,30 @@ def uniform_refine(mesh: SimplicialMesh, times: int = 1) -> SimplicialMesh:
 
 class _Locator:
     """Uniform bin grid over the mesh bounding box: bin_elems[bin_ptr[c]:
-    bin_ptr[c + 1]] are the ascending ids of elements whose box meets cell c."""
+    bin_ptr[c + 1]] are the ascending ids of elements whose box meets cell c.
+    Cells start at half the median element diameter, so a bin of a graded
+    mesh holds few of its many fine elements, and double until cells plus
+    (element, cell) pairs are at most BIN_ENTRIES_PER_ELEM per element."""
 
     def __init__(self, mesh: SimplicialMesh):
         self.mesh = mesh
-        self.lo, self.hi = mesh.bounding_box()
+        self.lo, self.hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
         pts = mesh.nodes[mesh.elements]
-        if mesh.dim == 1:
-            diam = np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-        else:
-            e0 = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-            e1 = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
-            e2 = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
-            diam = np.maximum(e0, np.maximum(e1, e2))
-        cell = max(float(np.mean(diam)), 1e-300)
+        diam = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
+        cell = max(0.5 * float(np.median(diam)), 1e-300)
         extent = np.maximum(self.hi - self.lo, 1e-300)
-        self.shape = np.minimum(np.maximum((extent / cell).astype(int), 1), 2048)
-        self.cell = extent / self.shape
-        # one (element, cell) pair per cell of each element's bounding box;
+        while True:
+            self.shape = np.minimum(np.maximum((extent / cell).astype(int), 1), 2048)
+            self.cell = extent / self.shape
+            # one (element, cell) pair per cell of each element's bounding box
+            lo_idx = self._cell_index(pts.min(axis=1))
+            span = self._cell_index(pts.max(axis=1)) - lo_idx + 1
+            count = np.prod(span, axis=1)
+            if (count.sum() + np.prod(self.shape)
+                    <= BIN_ENTRIES_PER_ELEM * max(mesh.n_elems, 1)):
+                break
+            cell *= 2.0
         # the stable sort keeps element ids ascending within every bin
-        lo_idx = self._cell_index(pts.min(axis=1))
-        span = self._cell_index(pts.max(axis=1)) - lo_idx + 1
-        count = np.prod(span, axis=1)
         pair_elem = np.repeat(np.arange(mesh.n_elems), count)
         rank = np.arange(pair_elem.size) - np.repeat(np.cumsum(count) - count, count)
         pair_cell = lo_idx[pair_elem]
@@ -503,46 +503,43 @@ class _Locator:
         self.bin_ptr = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=self.bin_ptr.size - 1),
                   out=self.bin_ptr[1:])
-        # per-element barycentric transforms
+        # per element one row: the origin (vertex 0), then the inverse
+        # Jacobian row by row, so a pass gathers one contiguous row per point
         origin = pts[:, 0]
         if mesh.dim == 1:
-            self.origin = origin[:, 0]
-            self.inv_h = 1.0 / (pts[:, 1, 0] - pts[:, 0, 0])
+            self.coef = np.column_stack([origin, 1.0 / (pts[:, 1, 0] - pts[:, 0, 0])])
         else:
-            J = np.stack([pts[:, 1] - origin, pts[:, 2] - origin], axis=2)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            inv = np.empty_like(J)
-            inv[:, 0, 0] = J[:, 1, 1] / det
-            inv[:, 0, 1] = -J[:, 0, 1] / det
-            inv[:, 1, 0] = -J[:, 1, 0] / det
-            inv[:, 1, 1] = J[:, 0, 0] / det
-            self.origin = origin
-            self.inv_jac = inv
+            (a, c), (b, d) = (pts[:, 1] - origin).T, (pts[:, 2] - origin).T
+            det = a * d - b * c
+            self.coef = np.column_stack([origin, d / det, -b / det, -c / det, a / det])
 
     def _cell_index(self, pts):
         idx = ((pts - self.lo) / self.cell).astype(int)
         return np.clip(idx, 0, self.shape - 1)
 
     def barycentric(self, eids, pts):
-        """Barycentric coordinates of pts[i] in element eids[i]."""
+        """Barycentric coordinates of pts[i] in element eids[i], as dim + 1
+        columns, and whether each point lies in its element (BARY_TOL)."""
+        c = self.coef[eids]
         if self.mesh.dim == 1:
-            t = (pts[:, 0] - self.origin[eids]) * self.inv_h[eids]
-            return np.column_stack([1.0 - t, t])
-        d = pts - self.origin[eids]
-        inv = self.inv_jac[eids]
-        l1 = inv[:, 0, 0] * d[:, 0] + inv[:, 0, 1] * d[:, 1]
-        l2 = inv[:, 1, 0] * d[:, 0] + inv[:, 1, 1] * d[:, 1]
-        return np.column_stack([1.0 - l1 - l2, l1, l2])
+            t = (pts[:, 0] - c[:, 0]) * c[:, 1]
+            lam = (1.0 - t, t)
+        else:
+            d0 = pts[:, 0] - c[:, 0]
+            d1 = pts[:, 1] - c[:, 1]
+            l1 = c[:, 2] * d0 + c[:, 3] * d1
+            l2 = c[:, 4] * d0 + c[:, 5] * d1
+            lam = (1.0 - l1 - l2, l1, l2)
+        return lam, np.logical_and.reduce([l >= -BARY_TOL for l in lam])
 
     def locate(self, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
-        if np.any(pts < self.lo - BARY_TOL) or np.any(pts > self.hi + BARY_TOL):
-            bad = np.unique(np.where(
-                (pts < self.lo - BARY_TOL) | (pts > self.hi + BARY_TOL))[0])
+        outside = np.any((pts < self.lo - BARY_TOL) | (pts > self.hi + BARY_TOL), axis=1)
+        if outside.any():
             err = PointNotFoundError(
-                f"{len(bad)} points outside the mesh bounding box")
-            err.points = pts[bad]
+                f"{outside.sum()} points outside the mesh bounding box")
+            err.points = pts[outside]
             raise err
         eid_out = -np.ones(n, dtype=np.int64)
         bary_out = np.zeros((n, self.mesh.dim + 1))
@@ -557,10 +554,11 @@ class _Locator:
             if not todo.size:
                 break
             eids = self.bin_elems[first[todo] + k]
-            lam = self.barycentric(eids, pts[todo])
-            inside = np.all(lam >= -BARY_TOL, axis=1)
-            eid_out[todo[inside]] = eids[inside]
-            bary_out[todo[inside]] = lam[inside]
+            lam, inside = self.barycentric(eids, pts[todo])
+            hit = todo[inside]
+            eid_out[hit] = eids[inside]
+            for j, l in enumerate(lam):
+                bary_out[hit, j] = l[inside]
             todo = todo[~inside]
         missing = np.where(eid_out < 0)[0]
         if missing.size:
@@ -571,14 +569,13 @@ class _Locator:
         failed = []
         for i in missing:
             pt = pts[i:i + 1]
-            lam = self.barycentric(np.arange(self.mesh.n_elems),
-                                   np.repeat(pt, self.mesh.n_elems, axis=0))
-            inside = np.where(np.all(lam >= -BARY_TOL, axis=1))[0]
-            if inside.size == 0:
+            lam, inside = self.barycentric(np.arange(self.mesh.n_elems),
+                                           np.repeat(pt, self.mesh.n_elems, axis=0))
+            if not inside.any():
                 failed.append(pt[0])
                 continue
-            eid_out[i] = inside[0]
-            bary_out[i] = lam[inside[0]]
+            eid_out[i] = np.argmax(inside)
+            bary_out[i] = [l[eid_out[i]] for l in lam]
         if failed:
             err = PointNotFoundError(
                 f"{len(failed)} points not inside any element "
@@ -607,8 +604,8 @@ def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float).reshape(1, -1)
     key = np.ravel_multi_index(loc._cell_index(pt)[0], loc.shape)
     cands = loc.bin_elems[loc.bin_ptr[key]:loc.bin_ptr[key + 1]]
-    lam = loc.barycentric(cands, np.repeat(pt, cands.size, axis=0))
-    return cands[np.all(lam >= -BARY_TOL, axis=1)]
+    _, inside = loc.barycentric(cands, np.repeat(pt, cands.size, axis=0))
+    return cands[inside]
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} on line {line_no}: {exc}",
                               line_no=line_no) from exc
-    if not params_kwargs and not policy_kwargs:
+    if not seen:
         raise ConfigError("configuration file is empty", line_no=1)
     try:
         params = SeirdParams(**params_kwargs)

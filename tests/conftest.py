@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from amrdmd import fem, mesh as mesh_mod, seird_sim as S
+from amrdmd import fem, l2projection, mesh as mesh_mod, seird_sim as S
 from amrdmd.dmd import SnapshotMatrix
 from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError
 from amrdmd.linalg import gaussian_matrix
@@ -95,6 +95,27 @@ def partition_defect(op):
     ones_d = np.ones(op.donor.n_nodes)
     ones_t = np.ones(op.target.n_nodes)
     return float(np.max(np.abs(op.P @ ones_d - op.M.dot(ones_t))))
+
+
+def coo_coupling_2d(donor, target):
+    """The 2-d coupling P of l2projection.build_projection assembled point
+    by point: every quadrature point gives 3 x 3 COO triples, summed in one
+    CSR conversion; the reference for the chunked product P += T^T D."""
+    bary, wref = l2projection._subdivided_rule_2d()
+    corners = target.nodes[target.elements]
+    phys = np.einsum("eki,qk->eqi", corners, bary).reshape(-1, 2)
+    tbary = np.tile(bary, (target.n_elems, 1))
+    weights = (target.element_measures()[:, None] / 0.5 * wref[None, :]).reshape(-1)
+    owner = np.repeat(np.arange(target.n_elems), wref.size)
+    d_eids, d_bary = mesh_mod.locate_points(donor, phys)
+    t_nodes = target.elements[owner]
+    d_nodes = donor.elements[d_eids]
+    contrib = weights[:, None, None] * tbary[:, :, None] * d_bary[:, None, :]
+    return sp.coo_matrix(
+        (contrib.reshape(-1),
+         (np.repeat(t_nodes, 3, axis=1).reshape(-1),
+          np.tile(d_nodes, (1, 3)).reshape(-1))),
+        shape=(target.n_nodes, donor.n_nodes)).tocsr()
 
 
 def rank_check(op):
@@ -348,6 +369,21 @@ def random_refined_square(rng, nx=3, passes=2):
         flags = [int(e) for e in range(m.n_elems) if rng.random() < 0.35]
         if flags:
             m = mesh_mod.refine(m, mesh_mod.RefinementPlan(refine=frozenset(flags)))
+    return m
+
+
+def graded_square(rng, nx=2, passes=5):
+    """A unit-square mesh refined `passes` times around a random focus in
+    the lower-left quarter: pass k bisects the elements whose centroid is
+    within 0.4 / 1.5**k of it, so the upper-right corner stays at level 0
+    while the elements at the focus reach level `passes` or more."""
+    m = mesh_mod.build_structured_triangle_mesh([0, 1], [0, 1], nx, nx)
+    focus = rng.uniform(0, 0.5, size=2)
+    for k in range(passes):
+        centroids = m.nodes[m.elements].mean(axis=1)
+        near = np.hypot(*(centroids - focus).T) <= 0.4 / 1.5 ** k
+        m = mesh_mod.refine(m, mesh_mod.RefinementPlan(
+            refine=frozenset(np.flatnonzero(near).tolist())))
     return m
 
 

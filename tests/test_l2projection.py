@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrdmd import fem, l2projection as L2, mesh as M
+from amrdmd import fem, l2projection as L2, mesh as M, seird_sim
 from amrdmd.errors import CoverageError, InvalidArgumentError
 
-from conftest import (composite_integral_1d, partition_defect,
-                      piecewise_linear_1d, random_refined_interval, rank_check,
-                      spd_matrix)
+from conftest import (composite_integral_1d, coo_coupling_2d, graded_square,
+                      partition_defect, piecewise_linear_1d,
+                      random_refined_interval, random_refined_square,
+                      rank_check, spd_matrix)
 
 
 def basis_supports_1d(mesh):
@@ -121,6 +122,21 @@ class TestBuildProjection:
         mean = float(np.sum(0.5 * (fx[1:] + fx[:-1]) * np.diff(xs)))
         assert fem.integrate(proj) == pytest.approx(
             mean, abs=1e-10 + 1e-8 * abs(mean))
+
+    @pytest.mark.parametrize("case", ["demo", "graded"])
+    def test_2d_P_matches_per_point_coo_assembly(self, case, rng):
+        """P = T^T D summed over chunks equals the per-point COO sum up to
+        the order of summation; the demo target spans 10 chunks."""
+        if case == "demo":
+            donor, _ = seird_sim.build_demo_donor()
+            target = seird_sim.build_jittered_mesh()
+        else:
+            donor = graded_square(rng, nx=3, passes=5)
+            target = random_refined_square(rng, nx=4)
+        P = L2.build_projection(donor, target).P
+        ref = coo_coupling_2d(donor, target)
+        assert P.shape == ref.shape
+        assert abs(P - ref).max() <= 1e-14 * abs(ref).max()
 
     def test_dimension_mismatch(self):
         d = M.build_interval_mesh(0, 1, 2)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from amrdmd import mesh as M, seird_sim
 from amrdmd.errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
-from conftest import (exhaustive_locate, loop_normalize_elements_2d,
-                      random_refined_interval, random_refined_square)
+from conftest import (exhaustive_locate, graded_square,
+                      loop_normalize_elements_2d, random_refined_interval,
+                      random_refined_square)
 
 
 def facet_census(mesh):
@@ -324,6 +325,47 @@ class TestLocate:
             ref_eid, ref_lam = exhaustive_locate(m, x)
             assert eids[k] == ref_eid
             np.testing.assert_allclose(bary[k], ref_lam, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(3, 4),
+           passes=st.integers(4, 6))
+    def test_graded_mesh_agrees_with_exhaustive_oracle(self, seed, nx, passes):
+        """On a mesh whose levels differ by 4 or more the bins are smaller
+        than the coarse elements, so a coarse element spans many bins and a
+        point on a coarse-fine facet meets both sides in its bin."""
+        rng = np.random.default_rng(seed)
+        m = graded_square(rng, nx=nx, passes=passes)
+        assert m.level.max() - m.level.min() >= 4
+        corners = m.nodes[m.elements]
+        diam = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max(axis=1)
+        assert np.all(M._locator(m).cell < diam.max())
+        mids = np.unique(0.5 * (corners + np.roll(corners, 1, axis=1)).reshape(-1, 2),
+                         axis=0)
+        pts = np.vstack([m.nodes, mids, rng.uniform(0, 1, size=(60, 2))])
+        eids, bary = M.locate_points(m, pts)
+        for k, x in enumerate(pts):
+            ref_eid, ref_lam = exhaustive_locate(m, x)
+            assert eids[k] == ref_eid
+            np.testing.assert_allclose(bary[k], ref_lam, rtol=0, atol=1e-12)
+
+    def test_bins_bounded_on_a_mesh_with_huge_elements(self, rng):
+        """30 bisections towards a corner leave a few elements of diameter
+        ~1 among many tiny ones: bins of half the median diameter would
+        number ~1e5, so the cell grows until the bound holds."""
+        m = M.build_structured_triangle_mesh([0, 1], [0, 1], 1, 1)
+        for _ in range(30):
+            eids, _ = M.locate_points(m, [[1e-6, 2e-6]])
+            m = M.refine(m, M.RefinementPlan(refine=frozenset(eids.tolist())))
+        loc = M._locator(m)
+        corners = m.nodes[m.elements]
+        diam = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max(axis=1)
+        assert np.all(loc.cell >= np.median(diam))       # doubled at least once
+        assert (loc.bin_elems.size + loc.bin_ptr.size - 1
+                <= M.BIN_ENTRIES_PER_ELEM * m.n_elems)
+        pts = np.vstack([m.nodes, corners.mean(axis=1),
+                         rng.uniform(0, 1, size=(200, 2))])
+        eids, _ = M.locate_points(m, pts)
+        assert [exhaustive_locate(m, x)[0] for x in pts] == eids.tolist()
 
     def test_fallback_reports_points_outside_every_element(self):
         # L-shaped mesh: the upper-right cell's two triangles are removed,

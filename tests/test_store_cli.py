@@ -92,8 +92,10 @@ class TestRunConfig:
         (f"n_elems = {seird_sim.MAX_ELEMENTS // 4 + 1}\ninitial_uniform_levels = 2",
          "n_elems"),
         ("dt = 0.25\nn_elems = 0", "n_elems"),
+        ("n_elems = 0", "n_elems"),
+        ("n_elems = 40", None),
     ], ids=["large_job", "max_steps", "one_step_more", "max_elements",
-            "more_elements", "no_elements"])
+            "more_elements", "no_elements", "only_no_elements", "only_n_elems"])
     def test_size_ceilings(self, tmp_path, text, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")
@@ -512,7 +514,7 @@ class TestCliProjectAndDmd:
         assert "line 2" in err and "manifest.txt" in err and "leaves the store" in err
         assert not csv.exists()
 
-    def test_extra_mesh_rows_exit_2(self, tmp_path, rng, capsys):
+    def test_extra_mesh_rows_exit_3(self, tmp_path, rng, capsys):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
                                    for c in ("s", "e", "i", "r", "d")})
@@ -527,7 +529,7 @@ class TestCliProjectAndDmd:
 
     @pytest.mark.parametrize("snap,row", [("snap_0001.field.txt", "1 2 3 4 5\n"),
                                           ("snap_0002.field.txt", "garbage row\n")])
-    def test_extra_field_rows_exit_2(self, tmp_path, rng, capsys, snap, row):
+    def test_extra_field_rows_exit_3(self, tmp_path, rng, capsys, snap, row):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(k), m, {c: rng.uniform(size=m.n_nodes)
                                    for c in ("s", "e", "i", "r", "d")})
@@ -556,7 +558,7 @@ class TestCliProjectAndDmd:
         assert "line 3" in err and "manifest.txt" in err
         assert not csv.exists()
 
-    def test_repeated_field_name_exit_2(self, small_run, tmp_path, capsys):
+    def test_repeated_field_name_exit_3(self, small_run, tmp_path, capsys):
         root, cfg, out = small_run
         st = tmp_path / "st"
         st.mkdir()
@@ -571,7 +573,7 @@ class TestCliProjectAndDmd:
         assert "snap_0003.field.txt" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_non_finite_mesh_coordinate_exit_2(self, tmp_path, rng):
+    def test_non_finite_mesh_coordinate_exit_3(self, tmp_path, rng):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
                  for k in range(3)]
@@ -587,7 +589,7 @@ class TestCliProjectAndDmd:
         assert "Traceback" not in proc.stderr
         assert "mesh_0000.mesh.txt" in proc.stderr
 
-    def test_mesh_index_out_of_range_exit_2(self, tmp_path, rng, capsys):
+    def test_mesh_index_out_of_range_exit_3(self, tmp_path, rng, capsys):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(k), m, {"u": rng.normal(size=m.n_nodes)})
                  for k in range(3)]
@@ -804,7 +806,7 @@ class TestReadContract:
     """A command opens only the snapshots in its window and converts only
     the columns it uses; every file it opens is shape-checked whole."""
 
-    def test_ragged_rows_exit_2_for_a_one_column_read(self, tmp_path, rng,
+    def test_ragged_rows_exit_3_for_a_one_column_read(self, tmp_path, rng,
                                                       capsys):
         st = five_field_store(tmp_path / "st", rng)
 
