@@ -16,9 +16,6 @@ import numpy as np
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import SimplicialMesh, band_layout, facets, locate_points
 
-SYMMETRY_TOL = 1e-12
-
-
 @dataclass
 class FeField:
     """Nodal coefficients of a P1 field bound to one mesh."""
@@ -37,28 +34,46 @@ class FeField:
             raise InvalidArgumentError(f"field '{self.name}' has non-finite values")
 
 
+@dataclass(frozen=True)
+class ElementBlocks:
+    """Matrix with n_rows rows summed from k x k blocks: block j adds
+    blocks[a, b, j] to entry (rows[a, j], cols[b, j]); j runs last."""
+
+    rows: np.ndarray       # (k, n_blocks) row ids
+    cols: np.ndarray       # (k, n_blocks) column ids
+    blocks: np.ndarray     # (k, k, n_blocks)
+    n_rows: int
+
+    def dot(self, x):
+        """A x; no reduction uses BLAS, so the bits ignore the thread count."""
+        y = np.einsum("abj,bj->aj", self.blocks, x[self.cols])
+        return np.bincount(self.rows.reshape(-1), y.reshape(-1), self.n_rows)
+
+
 class SparseSpd:
     """Symmetric positive-definite matrix with the preconditioner that
     cg_solve applies to it.
 
-    Either a CSR `matrix`, checked for symmetry and preconditioned by its
-    diagonal (Jacobi), or `bands=(order, diag, off)`: a tridiagonal matrix
-    with main diagonal diag (n,) and first off-diagonal off (n - 1,), whose
-    k-th row and column belong to vector entry order[k], or to entry k when
-    order is None. The band form is symmetric by construction; its
-    preconditioner is its exact LDL^T factor, computed on the first solve."""
+    Either `bands=(order, diag, off)`: a tridiagonal matrix with main
+    diagonal diag (n,) and first off-diagonal off (n - 1,), whose k-th row
+    and column belong to vector entry order[k], or to entry k when order is
+    None; its preconditioner is its exact LDL^T factor, computed on the
+    first solve. Or `blocks`: ElementBlocks with rows == cols and every
+    block symmetric, preconditioned by its diagonal (Jacobi). Both forms
+    are symmetric by construction."""
 
-    def __init__(self, matrix=None, *, bands=None):
-        if bands is None:
-            A = matrix.tocsr()
-            asym = abs(A - A.T)
-            scale = max(abs(A).max(), 1e-300)
-            if asym.nnz and asym.max() > SYMMETRY_TOL * scale:
-                raise InvalidArgumentError("matrix is not symmetric within tolerance")
-            self.order, self.diag, self.off, self._csr = None, A.diagonal(), None, A
-        else:
+    def __init__(self, *, bands=None, blocks=None):
+        self.blocks = blocks
+        if blocks is None:
             self.order, self.diag, self.off = bands
-            self._csr = None
+        else:
+            b, k = blocks.blocks, blocks.rows.shape[0]
+            if not (np.array_equal(blocks.rows, blocks.cols)
+                    and np.array_equal(b, b.transpose(1, 0, 2))):
+                raise InvalidArgumentError("element blocks are not symmetric")
+            self.order, self.off = None, None
+            self.diag = np.bincount(blocks.rows.reshape(-1),
+                                    b[range(k), range(k)].reshape(-1), blocks.n_rows)
         if (self.diag <= 0).any():
             raise InvalidArgumentError("matrix diagonal must be strictly positive")
         self._factor = None
@@ -85,8 +100,8 @@ class SparseSpd:
 
     def dot(self, x):
         """A x; for the band form x may also be a stack (..., n)."""
-        if self.off is None:
-            return self._csr @ x
+        if self.blocks is not None:
+            return self.blocks.dot(x)
         xs = x if self.order is None else x[..., self.order]
         ys = self.diag * xs
         ys[..., :-1] += self.off * xs[..., 1:]
@@ -98,8 +113,8 @@ class SparseSpd:
         return y
 
     def precondition(self, r):
-        """The exact solve for the band form, the inverse diagonal for CSR."""
-        if self.off is None:
+        """The exact solve for the band form, Jacobi for the block form."""
+        if self.blocks is not None:
             if self._factor is None:
                 self._factor = 1.0 / self.diag
             return self._factor * r
@@ -184,7 +199,7 @@ def reference_rule(dim: int, degree: int) -> QuadratureRule:
 
 def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
     """Consistent P1 mass matrix from the analytic element formulas; band
-    form in 1-d, CSR in 2-d."""
+    form in 1-d, one block per element in 2-d."""
     if mesh.dim == 1:
         order, h = band_layout(mesh)
         return chain_mass(h, order)
@@ -192,14 +207,9 @@ def assemble_mass(mesh: SimplicialMesh) -> SparseSpd:
     if np.any(measures <= 0):
         bad = int(np.argmin(measures))
         raise AssemblyError(f"degenerate element {bad} (measure {measures[bad]:g})")
-    import scipy.sparse as sp
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    vals = measures[:, None, None] * local[None, :, :]
-    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.elements, (1, 3)).reshape(-1)
-    A = sp.coo_matrix((vals.reshape(-1), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return SparseSpd(A)
+    local = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[:, :, None] * measures
+    ids = np.ascontiguousarray(mesh.elements.T)
+    return SparseSpd(blocks=ElementBlocks(ids, ids, local, mesh.n_nodes))
 
 
 def chain_mass(h, order=None) -> SparseSpd:

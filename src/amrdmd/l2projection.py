@@ -6,9 +6,9 @@ P is exact: every target element is cut at the donor nodes inside it, and
 each piece, on which both shape functions are linear, is integrated by the
 2-point Gauss rule. In 2-d, a degree-4 rule runs on each of the 4
 congruent sub-triangles of every target element. Donor basis values at
-quadrature points come from point location. P is summed over chunks of
-target elements as P += T^T D: row i of T holds the target basis values at
-quadrature point i, row i of D the donor basis values times its weight.
+quadrature points come from point location. P holds one k x k block per
+(target element, donor element) pair that shares quadrature points, summed
+by bincount; P u is a gather, a block product and a bincount (numpy only).
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .errors import CoverageError, InvalidArgumentError, PointNotFoundError
-from .fem import FeField, SparseSpd, cg_solve, reference_rule
+from .fem import ElementBlocks, FeField, SparseSpd, cg_solve, reference_rule
 from .mesh import SimplicialMesh, locate_points
 
 QUAD_DEGREE_2D = 4
@@ -32,7 +31,7 @@ class ProjectionOperator:
     donor: SimplicialMesh
     target: SimplicialMesh
     M: SparseSpd                  # target mass matrix
-    P: sp.csr_matrix              # (target nodes) x (donor nodes)
+    P: ElementBlocks              # (target nodes) x (donor nodes)
 
 
 def _donor_cut_points_1d(donor: SimplicialMesh, target: SimplicialMesh,
@@ -97,8 +96,9 @@ def build_projection(donor: SimplicialMesh,
         bary, wref = _subdivided_rule_2d()
         measures = target.element_measures()
 
-    # summed chunk by chunk: one chunk's points live at a time
-    P = None
+    # summed chunk by chunk: one chunk's points live at a time, and no
+    # (target element, donor element) pair spans two chunks
+    pairs, blocks = [], []
     chunk = 2048
     for start in range(0, target.n_elems, chunk):
         eids = np.arange(start, min(start + chunk, target.n_elems))
@@ -106,7 +106,7 @@ def build_projection(donor: SimplicialMesh,
             owner, phys, tbary, weights = _donor_cut_points_1d(donor, target, eids)
         else:
             corners = target.nodes[target.elements[eids]]     # (ne, 3, 2)
-            phys = np.einsum("eki,qk->eqi", corners, bary).reshape(-1, 2)
+            phys = (bary @ corners).reshape(-1, 2)
             tbary = np.tile(bary, (len(eids), 1))
             weights = (measures[eids, None] / 0.5 * wref[None, :]).reshape(-1)
             owner = np.repeat(eids, wref.size)
@@ -119,36 +119,36 @@ def build_projection(donor: SimplicialMesh,
                 f"target quadrature points not covered by donor mesh: {exc}",
                 points=offending) from exc
 
-        # T^T in CSC form: column i is row i of T
-        ptr = np.arange(0, tbary.size + 1, k)
-        Tt = sp.csc_matrix((tbary.reshape(-1), target.elements[owner].reshape(-1), ptr),
-                           shape=(target.n_nodes, ptr.size - 1))
-        D = sp.csr_matrix(((weights[:, None] * d_bary).reshape(-1),
-                           donor.elements[d_eids].reshape(-1), ptr),
-                          shape=(ptr.size - 1, donor.n_nodes))
-        part = Tt @ D
-        P = part if P is None else P + part
-    return ProjectionOperator(donor=donor, target=target, M=M, P=P.tocsr())
+        pair, inv = np.unique(owner * donor.n_elems + d_eids, return_inverse=True)
+        wt = weights[:, None] * tbary
+        blocks.append([np.bincount(inv, wt[:, a] * d_bary[:, b], pair.size)
+                       for a in range(k) for b in range(k)])
+        pairs.append(pair)
+    t_elem, d_elem = np.divmod(np.concatenate(pairs), donor.n_elems)
+    P = ElementBlocks(rows=target.elements.T.take(t_elem, axis=1),
+                      cols=donor.elements.T.take(d_elem, axis=1),
+                      blocks=np.concatenate(blocks, axis=1).reshape(k, k, -1),
+                      n_rows=target.n_nodes)
+    return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 
-def project(op: ProjectionOperator, u: FeField) -> FeField:
-    """Project a donor field onto the target mesh (solves M u_proj = P u)."""
+def project(op: ProjectionOperator, u: FeField, load=None) -> FeField:
+    """Project a donor field onto the target mesh: solve M u_proj = P u.
+    load, when given, is P u as the caller already computed it."""
     if u.mesh is not op.donor:
         raise InvalidArgumentError("field is not bound to the operator's donor mesh")
-    rhs = op.P @ u.values
-    sol = cg_solve(op.M, rhs)
+    sol = cg_solve(op.M, op.P.dot(u.values) if load is None else load)
     return FeField(mesh=op.target, values=sol, name=u.name)
 
 
-def projection_residual(op: ProjectionOperator, u: FeField,
+def projection_residual(op: ProjectionOperator, load: np.ndarray,
                         proj: FeField) -> float:
-    """Relative residual |M proj - P u| / |P u| of a projection of u; 0
-    when P u vanishes."""
-    rhs = op.P @ u.values
-    nrm = float(np.linalg.norm(rhs))
+    """Relative residual |M proj - load| / |load| of a projection with
+    load P u; 0 when the load vanishes."""
+    nrm = float(np.linalg.norm(load))
     if nrm == 0.0:
         return 0.0
-    return float(np.linalg.norm(op.M.dot(proj.values) - rhs) / nrm)
+    return float(np.linalg.norm(op.M.dot(proj.values) - load) / nrm)
 
 
 def project_snapshots(snapshots, target: SimplicialMesh):
@@ -167,9 +167,10 @@ def project_snapshots(snapshots, target: SimplicialMesh):
         values, worst = {}, 0.0
         for name, vals in fields.items():
             u = FeField(donor, vals, name=name)
-            proj = project(op, u)
+            load = op.P.dot(u.values)       # one P u for the solve and residual
+            proj = project(op, u, load)
             values[name] = proj.values
-            worst = max(worst, projection_residual(op, u, proj))
+            worst = max(worst, projection_residual(op, load, proj))
         projected.append((time, target, values))
         residuals.append(worst)
     return projected, residuals

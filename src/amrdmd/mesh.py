@@ -404,21 +404,25 @@ class _MeshWork:
         elements = remap[elements]
         nodes = np.asarray([self.coords[i] for i in used], dtype=float)
 
-        def remap_lineage(lin):
-            if lin is None or used.size == remap.size:   # no node dropped
-                return lin
-            node_tuple, parent = lin
-            new_tuple = tuple(int(remap[v]) for v in node_tuple)
-            if any(v < 0 for v in new_tuple):
-                raise AssertionError("lineage references a dropped node")
-            return (new_tuple, remap_lineage(parent))
-
-        lineage = tuple(remap_lineage(self.lineage[i]) for i in order)
+        kept = remap if used.size < remap.size else None   # None: no node dropped
+        lineage = tuple(_remap_lineage(self.lineage[i], kept) for i in order)
         level = np.asarray([self.level[i] for i in order], dtype=np.int64)
         mesh = SimplicialMesh(dim=self.dim, nodes=nodes, elements=elements,
                               level=level, lineage=lineage)
         validate_mesh(mesh)
         return mesh
+
+
+def _remap_lineage(lin, remap):
+    """lin = (node tuple, parent lin) with node ids mapped through remap,
+    or lin itself when remap is None."""
+    if lin is None or remap is None:
+        return lin
+    node_tuple, parent = lin
+    new_tuple = tuple(int(remap[v]) for v in node_tuple)
+    if any(v < 0 for v in new_tuple):
+        raise AssertionError("lineage references a dropped node")
+    return (new_tuple, _remap_lineage(parent, remap))
 
 
 def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-# seird_sim and l2projection load scipy: only the commands that run them import them
+# seird_sim and l2projection are imported only by the commands that run them
 from . import dmd, fem, mesh as mesh_mod, qoi_metrics, store
 from .errors import (AmrDmdError, ConfigError, InvalidArgumentError,
                      InvalidPlanError, StoreError)

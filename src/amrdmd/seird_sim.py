@@ -25,9 +25,10 @@ COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 LIVING = ("s", "e", "i", "r")
 PICARD_TOL = 1e-8       # relative update that ends the Picard loop
 PICARD_MAX = 25         # Picard iterations before a step fails
-# simulate refuses a run of more time steps, or more elements on its
-# uniformly refined reference mesh, before it creates any output
+# simulate refuses a run of more time steps, snapshots (held in memory until
+# written) or reference-mesh elements, before it creates any output
 MAX_STEPS = 10 ** 7
+MAX_SNAPSHOTS = 10 ** 5
 MAX_ELEMENTS = 10 ** 8
 
 
@@ -145,6 +146,10 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
     if params.n_steps > MAX_STEPS:
         raise ConfigError(f"t_end = {params.t_end:g} with dt = {params.dt:g} is "
                           f"{params.n_steps} steps, more than {MAX_STEPS}")
+    n_snapshots = params.n_steps // params.output_every + 1
+    if n_snapshots > MAX_SNAPSHOTS:
+        raise ConfigError(f"t_end = {params.t_end:g} with dt_o = {params.dt_o:g} is "
+                          f"{n_snapshots} snapshots, more than {MAX_SNAPSHOTS}")
     if n_elems < 1:
         raise ConfigError(f"n_elems must be >= 1, got {n_elems}")
     # 2**64 exceeds the ceiling, so a larger exponent changes nothing

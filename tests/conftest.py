@@ -55,11 +55,25 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def blocks_matrix(B, n_cols):
+    """A fem.ElementBlocks as a CSR matrix with n_cols columns, its blocks
+    summed entry by entry in one COO conversion."""
+    rows, cols = np.broadcast_arrays(B.rows[:, None, :], B.cols[None, :, :])
+    return sp.coo_matrix((B.blocks.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+                         shape=(B.n_rows, n_cols)).tocsr()
+
+
+def coupling_matrix(op):
+    """The coupling P of an l2projection.ProjectionOperator as a CSR matrix
+    of shape (target nodes, donor nodes)."""
+    return blocks_matrix(op.P, op.donor.n_nodes)
+
+
 def spd_matrix(A):
-    """The matrix of a fem.SparseSpd in CSR form: its own for the CSR form,
-    built from the bands for the band form."""
-    if A.off is None:
-        return A._csr
+    """The matrix of a fem.SparseSpd in CSR form, built from its element
+    blocks or from its bands."""
+    if A.blocks is not None:
+        return blocks_matrix(A.blocks, A.n)
     o = np.arange(A.n) if A.order is None else A.order
     return sp.coo_matrix(
         (np.concatenate([A.diag, A.off, A.off]),
@@ -94,13 +108,13 @@ def partition_defect(op):
     vanishes up to roundoff."""
     ones_d = np.ones(op.donor.n_nodes)
     ones_t = np.ones(op.target.n_nodes)
-    return float(np.max(np.abs(op.P @ ones_d - op.M.dot(ones_t))))
+    return float(np.max(np.abs(op.P.dot(ones_d) - op.M.dot(ones_t))))
 
 
 def coo_coupling_2d(donor, target):
     """The 2-d coupling P of l2projection.build_projection assembled point
     by point: every quadrature point gives 3 x 3 COO triples, summed in one
-    CSR conversion; the reference for the chunked product P += T^T D."""
+    CSR conversion; the reference for the element-pair blocks."""
     bary, wref = l2projection._subdivided_rule_2d()
     corners = target.nodes[target.elements]
     phys = np.einsum("eki,qk->eqi", corners, bary).reshape(-1, 2)
@@ -121,7 +135,7 @@ def coo_coupling_2d(donor, target):
 def rank_check(op):
     """Numerical rank of P via column-pivoted QR with relative threshold
     1e-10 on the diagonal of R."""
-    dense = op.P.toarray()
+    dense = coupling_matrix(op).toarray()
     R = scipy.linalg.qr(dense, mode="r", pivoting=True)[0]
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:

@@ -215,10 +215,16 @@ class TestFluxJump:
         np.testing.assert_allclose(f0, f1, atol=1e-12)
 
 
+def dense_spd(dense):
+    """A symmetric dense matrix as a SparseSpd of one element block."""
+    ids = np.arange(dense.shape[0])[:, None]
+    return fem.SparseSpd(blocks=fem.ElementBlocks(ids, ids, dense[:, :, None],
+                                                  dense.shape[0]))
+
+
 class TestCgSolve:
     def test_identity(self):
-        import scipy.sparse as sp
-        A = fem.SparseSpd(sp.identity(5, format="csr"))
+        A = dense_spd(np.eye(5))
         b = np.arange(5.0)
         np.testing.assert_allclose(fem.cg_solve(A, b), b, atol=1e-14)
 
@@ -230,24 +236,29 @@ class TestCgSolve:
         np.testing.assert_allclose(x, 1.0, atol=1e-10)
 
     def test_random_spd_matches_dense_solve(self, rng):
-        import scipy.sparse as sp
         G = rng.normal(size=(50, 50))
         dense = G @ G.T + 50 * np.eye(50)
-        A = fem.SparseSpd(sp.csr_matrix(dense))
+        A = dense_spd(dense)
         b = rng.normal(size=50)
         x = fem.cg_solve(A, b, tol=1e-13)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-9)
 
     def test_nonconvergence_raises_with_residual(self):
-        import scipy.sparse as sp
         n = 100
-        lap = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-                       [-1, 0, 1], format="csr")
-        A = fem.SparseSpd(lap)
+        lap = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        A = dense_spd(lap)
         b = np.ones(n)
         with pytest.raises(SolverError) as err:
             fem.cg_solve(A, b, tol=1e-14, max_iter=2)
         assert err.value.residual is not None
+
+    def test_asymmetric_blocks_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            dense_spd(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
+        ids = np.array([[0], [1]])
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            fem.SparseSpd(blocks=fem.ElementBlocks(ids, ids[::-1],
+                                                   np.full((2, 2, 1), 1.0), 2))
 
     def test_deterministic(self, rng):
         m = M.build_interval_mesh(0, 1, 30)
@@ -332,14 +343,17 @@ class TestBandForm:
         with pytest.raises(AssemblyError, match="element 0"):
             fem.assemble_mass(m)
 
-    @pytest.mark.parametrize("form", ["band", "csr"])
+    @pytest.mark.parametrize("form", ["band", "blocks"])
     @pytest.mark.parametrize("rhs", ["zero", "random"])
     def test_every_solve_verifies_with_a_matvec(self, monkeypatch, rng, form,
                                                 rhs):
         m = random_refined_interval(rng)
         A = fem.assemble_mass(m)
-        if form == "csr":
-            A = fem.SparseSpd(spd_matrix(A))
+        if form == "blocks":
+            local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+            ids = np.ascontiguousarray(m.elements.T)
+            A = fem.SparseSpd(blocks=fem.ElementBlocks(
+                ids, ids, local[:, :, None] * m.element_measures(), m.n_nodes))
         b = np.zeros(m.n_nodes) if rhs == "zero" else rng.normal(size=m.n_nodes)
         calls = count_dots(monkeypatch)
         x = fem.cg_solve(A, b)

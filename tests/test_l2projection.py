@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from amrdmd import fem, l2projection as L2, mesh as M, seird_sim
 from amrdmd.errors import CoverageError, InvalidArgumentError
 
-from conftest import (composite_integral_1d, coo_coupling_2d, graded_square,
-                      partition_defect, piecewise_linear_1d,
+from conftest import (composite_integral_1d, coo_coupling_2d, coupling_matrix,
+                      graded_square, partition_defect, piecewise_linear_1d,
                       random_refined_interval, random_refined_square,
                       rank_check, spd_matrix)
 
@@ -44,13 +44,13 @@ class TestBuildProjection:
     def test_same_mesh_P_equals_M(self):
         m = M.build_interval_mesh(0, 1, 9)
         op = L2.build_projection(m, m)
-        diff = abs(op.P - spd_matrix(fem.assemble_mass(m)))
+        diff = abs(coupling_matrix(op) - spd_matrix(fem.assemble_mass(m)))
         assert diff.max() <= 1e-12
 
     def test_same_mesh_2d(self):
         m = M.build_structured_triangle_mesh([0, 1], [0, 1], 3, 3)
         op = L2.build_projection(m, m)
-        diff = abs(op.P - spd_matrix(fem.assemble_mass(m)))
+        diff = abs(coupling_matrix(op) - spd_matrix(fem.assemble_mass(m)))
         assert diff.max() <= 1e-12
 
     def test_nested_pair_full_rank(self):
@@ -69,7 +69,7 @@ class TestBuildProjection:
         donor = M.build_interval_mesh(0, 1, 3)
         target = M.build_interval_mesh(0, 1, 4)
         op = L2.build_projection(donor, target)
-        P = op.P.toarray()
+        P = coupling_matrix(op).toarray()
         for i in range(target.n_nodes):      # target basis i
             ei = np.zeros(target.n_nodes)
             ei[i] = 1.0
@@ -95,7 +95,7 @@ class TestBuildProjection:
         target = random_refined_interval(rng, n_base=n_target, lo=span[0],
                                          hi=span[1])
         op = L2.build_projection(donor, target)
-        P = op.P.toarray()
+        P = coupling_matrix(op).toarray()
         t_lo, t_hi = basis_supports_1d(target)
         d_lo, d_hi = basis_supports_1d(donor)
         for i in range(target.n_nodes):
@@ -125,15 +125,16 @@ class TestBuildProjection:
 
     @pytest.mark.parametrize("case", ["demo", "graded"])
     def test_2d_P_matches_per_point_coo_assembly(self, case, rng):
-        """P = T^T D summed over chunks equals the per-point COO sum up to
-        the order of summation; the demo target spans 10 chunks."""
+        """P summed into element-pair blocks chunk by chunk equals the
+        per-point COO sum up to the order of summation; the demo target
+        spans 10 chunks."""
         if case == "demo":
             donor, _ = seird_sim.build_demo_donor()
             target = seird_sim.build_jittered_mesh()
         else:
             donor = graded_square(rng, nx=3, passes=5)
             target = random_refined_square(rng, nx=4)
-        P = L2.build_projection(donor, target).P
+        P = coupling_matrix(L2.build_projection(donor, target))
         ref = coo_coupling_2d(donor, target)
         assert P.shape == ref.shape
         assert abs(P - ref).max() <= 1e-14 * abs(ref).max()
@@ -152,6 +153,49 @@ class TestBuildProjection:
         offending = np.asarray(err.value.points)
         assert offending.size > 0
         assert np.all(offending > 1.0)   # only points beyond the donor domain
+
+
+def theory_pair(seed, dim):
+    """A donor, a non-nested target and a nested finer target on one
+    domain: random refined intervals in 1-d, graded squares in 2-d."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        donor, other = random_refined_interval(rng), random_refined_interval(rng)
+    else:
+        donor = graded_square(rng, nx=2, passes=4)
+        other = graded_square(rng, nx=3, passes=3)
+    flags = np.flatnonzero(rng.random(donor.n_elems) < 0.5).tolist()
+    nested = M.refine(donor, M.RefinementPlan(refine=frozenset(flags)))
+    return rng, donor, other, nested
+
+
+class TestBlockCouplingTheory:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]))
+    def test_partition_of_unity(self, seed, dim):
+        _, donor, other, nested = theory_pair(seed, dim)
+        for target in (other, nested, donor):
+            op = L2.build_projection(donor, target)
+            scale = np.max(op.M.dot(np.ones(target.n_nodes)))
+            assert partition_defect(op) <= 1e-13 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]))
+    def test_nested_target_reproduces_donor_field(self, seed, dim):
+        rng, donor, _, nested = theory_pair(seed, dim)
+        u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
+        proj = L2.project(L2.build_projection(donor, nested), u)
+        np.testing.assert_allclose(proj.values, fem.evaluate_many(u, nested.nodes),
+                                   rtol=0, atol=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_2d_blocks_match_per_point_coo_assembly(self, seed):
+        _, donor, other, nested = theory_pair(seed, 2)
+        for target in (other, nested):
+            P = coupling_matrix(L2.build_projection(donor, target))
+            ref = coo_coupling_2d(donor, target)
+            assert abs(P - ref).max() <= 1e-14 * abs(ref).max()
 
 
 class TestProject:
@@ -228,7 +272,7 @@ class TestProject:
         op = L2.build_projection(donor, target)
         u = fem.FeField(donor, rng.normal(size=donor.n_nodes))
         proj = L2.project(op, u)
-        assert L2.projection_residual(op, u, proj) <= 1e-11
+        assert L2.projection_residual(op, op.P.dot(u.values), proj) <= 1e-11
 
 
 class TestProjectSnapshots:
@@ -260,7 +304,7 @@ class TestProjectSnapshots:
             for name, vals in fields.items():
                 assert pfields[name].tobytes() == alone[name].values.tobytes()
             assert worst == max(
-                L2.projection_residual(op, fem.FeField(mesh, vals), alone[name])
+                L2.projection_residual(op, op.P.dot(vals), alone[name])
                 for name, vals in fields.items())
 
 
@@ -275,7 +319,7 @@ class TestRankCheck:
         target = M.build_interval_mesh(0, 1, 8)
         op = L2.build_projection(donor, target)
         qr_rank = rank_check(op)
-        s = np.linalg.svd(op.P.toarray(), compute_uv=False)
+        s = np.linalg.svd(coupling_matrix(op).toarray(), compute_uv=False)
         svd_rank = int(np.sum(s > 1e-10 * s[0]))
         assert qr_rank == svd_rank == min(donor.n_nodes, target.n_nodes)
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,32 @@ class TestRefine:
         r = M.refine(m, M.RefinementPlan(coarsen=frozenset(full)))
         assert_conforming(r)
         assert r.total_measure() == pytest.approx(m.total_measure(), rel=1e-12)
+
+    def test_coarsening_leaves_no_reference_cycle(self):
+        m = M.uniform_refine(M.build_interval_mesh(0, 1, 4), 2)
+        group = [e for e in range(m.n_elems) if m.lineage[e][0] == m.lineage[0][0]]
+        gc.collect()
+        gc.disable()
+        try:
+            r = M.refine(m, M.RefinementPlan(coarsen=frozenset(group)))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+        assert r.n_nodes == m.n_nodes - 1        # the group's midpoint is gone
+
+        def in_coords(mesh, lin):
+            chain = []
+            while lin is not None:
+                chain.append([mesh.nodes[v, 0] for v in lin[0]])
+                lin = lin[1]
+            return chain
+
+        before = {tuple(m.nodes[el, 0]): in_coords(m, lin)
+                  for el, lin in zip(m.elements, m.lineage)}
+        restored = in_coords(m, m.lineage[group[0]])[1:]
+        for el, lin in zip(r.elements, r.lineage):
+            assert in_coords(r, lin) == before.get(tuple(r.nodes[el, 0]), restored)
 
 
 class TestFacets:

@@ -94,8 +94,11 @@ class TestRunConfig:
         ("dt = 0.25\nn_elems = 0", "n_elems"),
         ("n_elems = 0", "n_elems"),
         ("n_elems = 40", None),
+        (f"t_end = {(seird_sim.MAX_SNAPSHOTS - 1) * 0.25!r}", None),
+        (f"t_end = {seird_sim.MAX_SNAPSHOTS * 0.25!r}", "t_end"),
     ], ids=["large_job", "max_steps", "one_step_more", "max_elements",
-            "more_elements", "no_elements", "only_no_elements", "only_n_elems"])
+            "more_elements", "no_elements", "only_no_elements", "only_n_elems",
+            "max_snapshots", "one_snapshot_more"])
     def test_size_ceilings(self, tmp_path, text, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")
@@ -225,7 +228,8 @@ class TestCliSimulate:
     @pytest.mark.parametrize("setting,limit", [
         ("dt = 1e-300\ndt_o = 1e-300", "MAX_STEPS"),     # 4.4e301 steps
         ("initial_uniform_levels = 30", "MAX_ELEMENTS"),  # 1.1e10 elements
-    ], ids=["steps", "elements"])
+        ("t_end = 2000000", "MAX_SNAPSHOTS"),             # 8e6 snapshots
+    ], ids=["steps", "elements", "snapshots"])
     def test_oversized_run_exit_2_before_output(self, tmp_path, setting, limit):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n_elems = 10\n{setting}\n")
@@ -649,18 +653,31 @@ class TestCliProjectAndDmd:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_demo_indicator_loads_no_scipy_linalg(self, tmp_path):
+    @staticmethod
+    def modules_loaded(argv, prefix):
+        """Exit code of one command run in a fresh interpreter, and the
+        modules starting with prefix that it loaded."""
         script = ("import json, sys\n"
                   "from amrdmd import pipeline_cli\n"
-                  "code = pipeline_cli.main(sys.argv[1:])\n"
+                  "code = pipeline_cli.main(sys.argv[2:])\n"
                   "print(json.dumps([code, sorted(m for m in sys.modules\n"
-                  "                               if m.startswith('scipy.linalg'))]))\n")
-        proc = fresh_python("-c", script, "demo", "indicator", tmp_path / "demo",
-                            "--quiet")
+                  "                               if m.startswith(sys.argv[1]))]))\n")
+        proc = fresh_python("-c", script, prefix, *argv)
         assert proc.returncode == 0, proc.stderr
-        code, linalg_modules = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    def test_demo_indicator_loads_no_scipy(self, tmp_path):
+        code, modules = self.modules_loaded(
+            ["demo", "indicator", tmp_path / "demo", "--quiet"], "scipy")
         assert code == 0
-        assert linalg_modules == []
+        assert modules == []
+
+    def test_simulate_loads_no_scipy_sparse(self, small_run, tmp_path):
+        root, cfg, out = small_run
+        code, modules = self.modules_loaded(
+            ["simulate", cfg, tmp_path / "sim", "--quiet"], "scipy.sparse")
+        assert code == 0
+        assert modules == []
 
     def test_report_missing_field_exit_3(self, small_run, tmp_path, capsys):
         root, cfg, out = small_run
