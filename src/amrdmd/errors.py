@@ -37,7 +37,7 @@ class SolverError(AmrDmdError):
 
 
 class NumericError(AmrDmdError):
-    """A dense factorization failed to converge."""
+    """A dense factorization failed to converge, or a result overflowed."""
 
 
 class CoverageError(AmrDmdError):

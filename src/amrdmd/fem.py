@@ -1,9 +1,12 @@
-"""P1 finite-element machinery on simplicial meshes.
+"""P1 finite-element machinery on simplicial meshes: quadrature rules,
+mass-matrix assembly, integrals, the max-norm, point evaluation, a facet
+flux-jump refinement indicator, a deterministic factor-then-verify solver
+(exact tridiagonal in 1-d, Jacobi-preconditioned CG in 2-d) and field files.
 
-Covers nodal fields, quadrature rules, mass-matrix assembly, integrals,
-the max-norm, point evaluation, a facet flux-jump refinement indicator,
-and a deterministic factor-then-verify solver: an exact tridiagonal solve
-in 1-d, Jacobi-preconditioned conjugate gradients in 2-d.
+A field is its nodal values, an array (n_nodes,) passed next to its mesh.
+Values are checked only where they enter or leave the program: load_fields
+and save_fields refuse non-finite or wrong-length fields, and cg_solve a
+system whose first residual is not finite.
 """
 
 from __future__ import annotations
@@ -15,23 +18,6 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import SimplicialMesh, band_layout, facets, locate_points
-
-@dataclass
-class FeField:
-    """Nodal coefficients of a P1 field bound to one mesh."""
-
-    mesh: SimplicialMesh
-    values: np.ndarray
-    name: str = "u"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_nodes,):
-            raise InvalidArgumentError(
-                f"field '{self.name}' has {self.values.shape} values for "
-                f"{self.mesh.n_nodes} nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError(f"field '{self.name}' has non-finite values")
 
 
 @dataclass(frozen=True)
@@ -219,31 +205,30 @@ def chain_mass(h, order=None) -> SparseSpd:
     return SparseSpd.from_chain(diag, diag, h * (1.0 / 6.0), order=order)
 
 
-def evaluate_many(fld: FeField, pts) -> np.ndarray:
-    """Values of the P1 field at the rows of the (n, dim) array pts."""
-    eids, bary = locate_points(fld.mesh, pts)
-    return np.sum(fld.values[fld.mesh.elements[eids]] * bary, axis=1)
+def evaluate_many(mesh: SimplicialMesh, values, pts) -> np.ndarray:
+    """Values of the P1 field at the rows of the (n, dim) array pts: (n,) for
+    values (n_nodes,), (k, n) for a stack (k, n_nodes) located once."""
+    eids, bary = locate_points(mesh, pts)
+    return np.sum(values[..., mesh.elements[eids]] * bary, axis=-1)
 
 
-def integrate(fld: FeField) -> float:
+def integrate(mesh: SimplicialMesh, values) -> float:
     """Integral of the field over the mesh (degree-2 quadrature, exact for P1)."""
-    rule = reference_rule(fld.mesh.dim, 2)
-    ref = 1.0 if fld.mesh.dim == 1 else 0.5
-    vals = fld.values[fld.mesh.elements]             # (ne, k)
-    qvals = vals @ rule.points.T                     # (ne, nq)
-    return float(np.sum(fld.mesh.element_measures() / ref * (qvals @ rule.weights)))
+    rule = reference_rule(mesh.dim, 2)
+    ref = 1.0 if mesh.dim == 1 else 0.5
+    qvals = values[mesh.elements] @ rule.points.T    # (ne, nq)
+    return float(np.sum(mesh.element_measures() / ref * (qvals @ rule.weights)))
 
 
-def inf_norm(fld: FeField) -> float:
+def inf_norm(values) -> float:
     """Max-norm; P1 extrema sit at nodes."""
-    return float(np.max(np.abs(fld.values))) if fld.values.size else 0.0
+    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def element_gradients(fld: FeField) -> np.ndarray:
+def element_gradients(mesh: SimplicialMesh, values) -> np.ndarray:
     """Constant gradient of the P1 field per element, shape (ne, dim)."""
-    mesh = fld.mesh
     pts = mesh.nodes[mesh.elements]
-    vals = fld.values[mesh.elements]
+    vals = values[mesh.elements]
     if mesh.dim == 1:
         h = pts[:, 1, 0] - pts[:, 0, 0]
         return ((vals[:, 1] - vals[:, 0]) / h)[:, None]
@@ -257,7 +242,7 @@ def element_gradients(fld: FeField) -> np.ndarray:
     return np.column_stack([gx, gy])
 
 
-def flux_jump_indicator(fld: FeField) -> np.ndarray:
+def flux_jump_indicator(mesh: SimplicialMesh, values) -> np.ndarray:
     """Per-element score sqrt(sum_f h_f |f| [[grad u . n]]_f^2) over the
     element's interior facets; boundary facets contribute nothing.
 
@@ -266,8 +251,7 @@ def flux_jump_indicator(fld: FeField) -> np.ndarray:
     and h_f the mean of the two adjacent element sizes. Only the ranking
     of elements matters for refinement flagging.
     """
-    mesh = fld.mesh
-    grads = element_gradients(fld)
+    grads = element_gradients(mesh, values)
     keys, owners = facets(mesh)
     inner = owners[:, 1] >= 0
     e1, e2 = owners[inner].T
@@ -296,9 +280,10 @@ def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,
     """Solve A x = b: start from x = A.precondition(b), return it once one
     matvec shows ||b - A x|| <= tol ||b||, else correct it by preconditioned
     conjugate gradients. With the exact factor of the band form the start
-    is the answer; with Jacobi this is plain PCG. The iteration order is
-    fixed and no reduction uses BLAS, so repeated runs are bit-identical
-    whatever the thread count."""
+    is the answer; with Jacobi this is plain PCG. A first residual norm that
+    is not finite (nor small) raises InvalidArgumentError before any
+    iteration. The iteration order is fixed and no reduction uses BLAS, so
+    repeated runs are bit-identical whatever the thread count."""
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise InvalidArgumentError(f"rhs has shape {b.shape}, expected ({A.n},)")
@@ -307,8 +292,11 @@ def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,
     norm_b = np.sqrt(_dot(b, b))
     x = A.precondition(b)
     r = b - A.dot(x)
-    if np.sqrt(_dot(r, r)) <= tol * norm_b:
+    norm_r = np.sqrt(_dot(r, r))
+    if norm_r <= tol * norm_b:
         return x
+    if not np.isfinite(norm_r):
+        raise InvalidArgumentError(f"linear system has non-finite values ({norm_r})")
     z = A.precondition(r)
     p = z.copy()
     rz = _dot(r, z)
@@ -335,26 +323,35 @@ def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,
 # field file format: line 1 "n_nodes n_fields", line 2 names, then one row
 # of values per node. Extension ".field.txt".
 
-def save_fields(fields: list[FeField], path) -> None:
+def save_fields(mesh: SimplicialMesh, fields: dict, path) -> None:
+    """Write {name: values} on mesh to path; a bad name or field is refused
+    before the file is opened, so it leaves no file behind."""
     if not fields:
         raise InvalidArgumentError("no fields to save")
-    n = fields[0].mesh.n_nodes
-    for f in fields:
-        if f.mesh.n_nodes != n:
-            raise InvalidArgumentError("fields must share one mesh")
-        if " " in f.name:
-            raise InvalidArgumentError(f"field name {f.name!r} contains spaces")
+    columns = []
+    for name, values in fields.items():
+        if name.split() != [name]:
+            raise InvalidArgumentError(
+                f"field name {name!r} is empty or contains whitespace")
+        values = np.asarray(values, dtype=float)
+        if values.shape != (mesh.n_nodes,):
+            raise InvalidArgumentError(f"field '{name}' has {values.shape} values "
+                                       f"for {mesh.n_nodes} nodes")
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError(f"field '{name}' has non-finite values")
+        columns.append(values.tolist())
     with open(path, "w") as fh:
-        fh.write(f"{n} {len(fields)}\n")
-        fh.write(" ".join(f.name for f in fields) + "\n")
+        fh.write(f"{mesh.n_nodes} {len(fields)}\n")
+        fh.write(" ".join(fields) + "\n")
         row = " ".join(["%.17g"] * len(fields)) + "\n"
-        fh.writelines(row % r for r in zip(*(f.values.tolist() for f in fields)))
+        fh.writelines(row % r for r in zip(*columns))
 
 
-def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, FeField]:
-    """Read a file written by save_fields: every field, or those of `names`
-    that it holds (the caller reports missing ones). The whole file's shape
-    is checked; only the returned columns are converted to floats."""
+def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, np.ndarray]:
+    """Read a file written by save_fields as {name: values}: every field, or
+    those of `names` that it holds (the caller reports missing ones). The
+    whole file's shape is checked; only the returned columns are converted
+    to floats, and each must be finite."""
     with open(path) as fh:
         try:
             head = fh.readline().split()
@@ -374,9 +371,12 @@ def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, FeField]:
             rows = [row for row in map(str.split, body.split("\n")) if row]
             if len(rows) != n_nodes or any(len(row) != n_fields for row in rows):
                 raise ValueError(f"expected {n_nodes} rows of {n_fields} values")
-            return {name: FeField(mesh=mesh, name=name,
-                                  values=np.array([row[j] for row in rows], dtype=float))
-                    for j, name in enumerate(file_names)
-                    if names is None or name in names}
+            out = {name: np.array([row[j] for row in rows], dtype=float)
+                   for j, name in enumerate(file_names)
+                   if names is None or name in names}
+            bad = [name for name, v in out.items() if not np.isfinite(v).all()]
+            if bad:
+                raise ValueError(f"field '{bad[0]}' has non-finite values")
+            return out
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fem
 from .errors import CoverageError, InvalidArgumentError, PointNotFoundError
-from .fem import ElementBlocks, FeField, SparseSpd, cg_solve, reference_rule
+from .fem import ElementBlocks, SparseSpd, cg_solve, reference_rule
 from .mesh import SimplicialMesh, locate_points
 
 QUAD_DEGREE_2D = 4
@@ -132,23 +132,23 @@ def build_projection(donor: SimplicialMesh,
     return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 
-def project(op: ProjectionOperator, u: FeField, load=None) -> FeField:
-    """Project a donor field onto the target mesh: solve M u_proj = P u.
-    load, when given, is P u as the caller already computed it."""
-    if u.mesh is not op.donor:
-        raise InvalidArgumentError("field is not bound to the operator's donor mesh")
-    sol = cg_solve(op.M, op.P.dot(u.values) if load is None else load)
-    return FeField(mesh=op.target, values=sol, name=u.name)
+def project(op: ProjectionOperator, values: np.ndarray, load=None) -> np.ndarray:
+    """Project the donor field values onto the target mesh: solve
+    M u_proj = P u. load, when given, is P u as the caller already computed it."""
+    if values.shape != (op.donor.n_nodes,):
+        raise InvalidArgumentError(f"field has {values.shape} values, the donor "
+                                   f"mesh {op.donor.n_nodes} nodes")
+    return cg_solve(op.M, op.P.dot(values) if load is None else load)
 
 
 def projection_residual(op: ProjectionOperator, load: np.ndarray,
-                        proj: FeField) -> float:
+                        proj: np.ndarray) -> float:
     """Relative residual |M proj - load| / |load| of a projection with
     load P u; 0 when the load vanishes."""
     nrm = float(np.linalg.norm(load))
     if nrm == 0.0:
         return 0.0
-    return float(np.linalg.norm(op.M.dot(proj.values) - load) / nrm)
+    return float(np.linalg.norm(op.M.dot(proj) - load) / nrm)
 
 
 def project_snapshots(snapshots, target: SimplicialMesh):
@@ -166,11 +166,9 @@ def project_snapshots(snapshots, target: SimplicialMesh):
             op = ops[id(donor)] = build_projection(donor, target)
         values, worst = {}, 0.0
         for name, vals in fields.items():
-            u = FeField(donor, vals, name=name)
-            load = op.P.dot(u.values)       # one P u for the solve and residual
-            proj = project(op, u, load)
-            values[name] = proj.values
-            worst = max(worst, projection_residual(op, load, proj))
+            load = op.P.dot(vals)           # one P u for the solve and residual
+            values[name] = project(op, vals, load)
+            worst = max(worst, projection_residual(op, load, values[name]))
         projected.append((time, target, values))
         residuals.append(worst)
     return projected, residuals

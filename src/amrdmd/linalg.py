@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
 
+# randomized_svd refuses more power iterations: each costs two QR factorizations,
+# and one or two usually suffice (Halko, Martinsson & Tropp, SIAM Rev. 2011)
+MAX_POWER_ITERS = 100
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -95,8 +99,9 @@ def randomized_svd(
     sketch = r + oversample
     if r < 1:
         raise InvalidArgumentError("rank must be >= 1")
-    if oversample < 0 or power_iters < 0:
-        raise InvalidArgumentError("oversample and power_iters must be >= 0")
+    if oversample < 0 or not 0 <= power_iters <= MAX_POWER_ITERS:
+        raise InvalidArgumentError(f"oversample must be >= 0 and power_iters "
+                                   f"in [0, {MAX_POWER_ITERS}]")
     if sketch > min(n, m):
         raise InvalidArgumentError(
             f"rank + oversample = {sketch} exceeds min(n, m) = {min(n, m)}"

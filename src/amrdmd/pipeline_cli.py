@@ -18,7 +18,7 @@ import numpy as np
 # seird_sim and l2projection are imported only by the commands that run them
 from . import dmd, fem, mesh as mesh_mod, qoi_metrics, store
 from .errors import (AmrDmdError, ConfigError, InvalidArgumentError,
-                     InvalidPlanError, StoreError)
+                     InvalidPlanError, NumericError, StoreError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,19 +33,32 @@ def _say(args, msg):
         print(msg)
 
 
+def _refuse_existing(path, force):
+    """FileExistsError unless path is free, empty, or may be reused."""
+    out = Path(path)
+    if out.exists() and any(out.iterdir()) and not force:
+        raise FileExistsError(f"{out} exists and is not empty (use --force)")
+    return out
+
+
 @contextmanager
 def _output_dir(path, force, sub_stores=()):
     """Create (or, with force, reuse) the output directory and yield it.
     It and its sub_stores are marked failed until the body completes, so
     a run that is killed or interrupted leaves no store readable."""
-    out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise FileExistsError(f"{out} exists and is not empty (use --force)")
+    out = _refuse_existing(path, force)
     for marked in (out, *(out / s for s in sub_stores)):
         marked.mkdir(parents=True, exist_ok=True)
         (marked / ".failed").touch()
     yield out
     (out / ".failed").unlink(missing_ok=True)   # write_store may have cleared it
+
+
+def _number(text):
+    """argparse type: a float that is not NaN."""
+    if np.isnan(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
 
 
 def _parse_time(text):
@@ -92,12 +105,12 @@ def cmd_demo_indicator(args) -> int:
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
         demo = seird_sim.indicator_projection_demo()
-        mesh_mod.save_mesh(demo.donor, out / "donor.mesh.txt")
-        fem.save_fields([demo.donor_field], out / "donor.field.txt")
-        mesh_mod.save_mesh(demo.structured, out / "structured.mesh.txt")
-        fem.save_fields([demo.structured_field], out / "structured.field.txt")
-        mesh_mod.save_mesh(demo.unstructured, out / "unstructured.mesh.txt")
-        fem.save_fields([demo.unstructured_field], out / "unstructured.field.txt")
+        for name, msh, values in (
+                ("donor", demo.donor, demo.donor_field),
+                ("structured", demo.structured, demo.structured_field),
+                ("unstructured", demo.unstructured, demo.unstructured_field)):
+            mesh_mod.save_mesh(msh, out / f"{name}.mesh.txt")
+            fem.save_fields(msh, {"chi": values}, out / f"{name}.field.txt")
         (out / "report.txt").write_text("\n".join(demo.report.lines()) + "\n")
         store.write_run_manifest(
             out, command="demo indicator", seed=args.seed, config_snapshot="-",
@@ -159,11 +172,15 @@ def cmd_dmd_predict(args) -> int:
         time_fracs = [t0 + k * dt for k in range(n)]
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
+    _refuse_existing(args.out_store, args.force)
+    snapshots = []              # all evaluated before the output exists
+    for t in time_fracs:
+        vec = dmd.evaluate(model, float(t))
+        if not np.isfinite(vec).all():
+            raise NumericError(f"model {args.model}: the prediction at "
+                               f"t={store.fraction_to_decimal(t)} is not finite")
+        snapshots.append((t, target, {model.field_name: vec}))
     with _output_dir(args.out_store, args.force) as out:
-        snapshots = []
-        for t in time_fracs:
-            vec = dmd.evaluate(model, float(t))
-            snapshots.append((t, target, {model.field_name: vec}))
         store.write_store(out, snapshots)
         store.write_run_manifest(
             out, command="dmd predict", seed=args.seed, config_snapshot="-",
@@ -260,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("store_dir")
     fit.add_argument("out_model")
     fit.add_argument("--field", required=True)
-    fit.add_argument("--t-start", type=float, default=None)
-    fit.add_argument("--t-end", type=float, default=None)
+    fit.add_argument("--t-start", type=_number, default=None)
+    fit.add_argument("--t-end", type=_number, default=None)
     rank_group = fit.add_mutually_exclusive_group(required=True)
     rank_group.add_argument("--rank", type=int, default=None)
     rank_group.add_argument("--tau", type=float, default=None)
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mesh file the model snapshots live on")
     when = pred.add_mutually_exclusive_group(required=True)
     when.add_argument("--times", help="comma-separated evaluation times")
-    when.add_argument("--until", type=float,
+    when.add_argument("--until", type=_number,
                       help="evaluate on the model grid up to this time")
     pred.set_defaults(func=cmd_dmd_predict)
 
@@ -289,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     err.add_argument("approx_store")
     err.add_argument("out_csv")
     err.add_argument("--field", default=None)
-    err.add_argument("--train-end", type=float, default=None,
+    err.add_argument("--train-end", type=_number, default=None,
                      help="times after this are labelled prediction")
     err.set_defaults(func=cmd_report_errors)
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import fem
 from .errors import InvalidArgumentError
-from .fem import FeField
 
 COMPARTMENTS = ("s", "e", "i", "r", "d")
 
@@ -28,25 +27,19 @@ class QoiSeries:
             raise InvalidArgumentError("times and values lengths differ")
 
 
-def total_population(fields: dict[str, FeField]) -> float:
-    """Domain-averaged sum of the s, e, i, r, d compartments."""
+def total_population(mesh, fields: dict) -> float:
+    """Domain-averaged sum of the s, e, i, r, d compartments {name: values}."""
     missing = [c for c in COMPARTMENTS if c not in fields]
     if missing:
         raise InvalidArgumentError(f"missing compartments: {missing}")
-    mesh = fields["s"].mesh
-    for c in COMPARTMENTS:
-        if fields[c].mesh is not mesh:
-            raise InvalidArgumentError("compartments live on different meshes")
-    total = sum(fem.integrate(fields[c]) for c in COMPARTMENTS)
+    total = sum(fem.integrate(mesh, fields[c]) for c in COMPARTMENTS)
     return total / mesh.total_measure()
 
 
 def population_series(snapshots) -> QoiSeries:
     """Total population over snapshots [(time, mesh, {name: values})],
     normalized by its first value."""
-    values = np.array([total_population({c: FeField(msh, fields[c], name=c)
-                                         for c in COMPARTMENTS if c in fields})
-                       for _, msh, fields in snapshots])
+    values = np.array([total_population(msh, fields) for _, msh, fields in snapshots])
     if values.size == 0:
         raise InvalidArgumentError("empty series")
     ref = values[0]

@@ -16,7 +16,7 @@ import numpy as np
 from . import fem, l2projection
 from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
                      StepError)
-from .fem import FeField, cg_solve
+from .fem import cg_solve
 from .mesh import (RefinementPlan, SimplicialMesh, band_layout,
                    build_interval_mesh, build_structured_triangle_mesh,
                    elements_containing, refine, sibling_groups, uniform_refine)
@@ -170,7 +170,7 @@ class SeirdState:
     step_index: int
 
 
-def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, FeField]:
+def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, np.ndarray]:
     """Nodal initial data: a large susceptible population centered near
     x = 0.35 and a small exposed cluster near x = 0.75."""
     if mesh.dim != 1:
@@ -183,10 +183,7 @@ def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, FeField]:
              + np.exp(-((x - 0.42) ** 4) / 1e-5)) / 8.0
           + np.exp(-((x - 0.735) ** 4) / 1e-5) / 4.0)
     e0 = np.exp(-((x - 0.75) ** 4) / 1e-5) / 20.0
-    zeros = np.zeros_like(x)
-    out = {"s": s0, "e": e0, "i": zeros.copy(), "r": zeros.copy(),
-           "d": zeros.copy(), "c": zeros.copy()}
-    return {c: FeField(mesh, v, name=c) for c, v in out.items()}
+    return {"s": s0, "e": e0, **{c: np.zeros_like(x) for c in ("i", "r", "d", "c")}}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,8 @@ def step(state: SeirdState, params: SeirdParams,
                 f"(last update {change:.3e} > {PICARD_TOL:g})")
     except InvalidArgumentError as exc:
         # coefficients computed by the step, not given by the caller, made a
-        # system indefinite (a large A_e drives sigma far below zero)
+        # system indefinite (a large A_e drives sigma far below zero) or
+        # overflowed (a rate of 1e308)
         raise StepError(f"step to t={state.time + dt:.4g} failed: {exc}") from exc
 
     out = np.empty_like(new)
@@ -323,10 +321,6 @@ def step(state: SeirdState, params: SeirdParams,
 # ---------------------------------------------------------------------------
 # adaptive loop
 
-def _transfer_values(old_mesh, new_mesh, values):
-    return fem.evaluate_many(FeField(old_mesh, values), new_mesh.nodes)
-
-
 def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     """Rank elements by the flux-jump indicator summed over s, e, i; refine
     the top fraction (below max_level), coarsen complete sibling groups in
@@ -334,7 +328,7 @@ def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     mesh = state.mesh
     score = np.zeros(mesh.n_elems)
     for c in ("s", "e", "i"):
-        score += fem.flux_jump_indicator(FeField(mesh, state.fields[c], name=c))
+        score += fem.flux_jump_indicator(mesh, state.fields[c])
     order = np.lexsort((np.arange(mesh.n_elems), -score))
     n_ref = int(policy.refine_fraction * mesh.n_elems)
     n_coar = int(policy.coarsen_fraction * mesh.n_elems)
@@ -350,16 +344,18 @@ def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
 
 
 def remesh_state(state: SeirdState, policy: AmrPolicy) -> SeirdState:
+    """Adapt the mesh by build_amr_plan and interpolate every field, and
+    every previous-step field, onto the new nodes with one point location."""
     plan = build_amr_plan(state, policy)
     new_mesh = refine(state.mesh, plan)
     if new_mesh is state.mesh:
         return state
-    fields = {c: _transfer_values(state.mesh, new_mesh, v)
-              for c, v in state.fields.items()}
+    stack = np.stack([*state.fields.values(), *(state.prev_fields or {}).values()])
+    moved = fem.evaluate_many(state.mesh, stack, new_mesh.nodes)
+    fields = dict(zip(state.fields, moved))
     prev = None
     if state.prev_fields is not None:
-        prev = {c: _transfer_values(state.mesh, new_mesh, v)
-                for c, v in state.prev_fields.items()}
+        prev = dict(zip(state.prev_fields, moved[len(fields):]))
     return SeirdState(mesh=new_mesh, fields=fields, prev_fields=prev,
                       time=state.time, step_index=state.step_index)
 
@@ -374,9 +370,7 @@ def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
     reference = uniform_refine(build_interval_mesh(0.0, 1.0, n_base_elements),
                                policy.initial_uniform_levels)
 
-    init = seird_initial_conditions(reference)
-    state = SeirdState(mesh=reference,
-                       fields={c: init[c].values.copy() for c in COMPARTMENTS},
+    state = SeirdState(mesh=reference, fields=seird_initial_conditions(reference),
                        prev_fields=None, time=0.0, step_index=0)
 
     dt_o_frac = Fraction(str(params.dt_o))
@@ -447,7 +441,7 @@ def refine_elements_one_level(mesh: SimplicialMesh, flagged) -> SimplicialMesh:
     return refine(first, RefinementPlan(refine=kids))
 
 
-def build_demo_donor(passes: int = 3) -> tuple[SimplicialMesh, FeField]:
+def build_demo_donor(passes: int = 3) -> tuple[SimplicialMesh, np.ndarray]:
     """Adaptive donor for the projection demo.
 
     The box indicator is approximated once, by nodal interpolation on the
@@ -457,12 +451,10 @@ def build_demo_donor(passes: int = 3) -> tuple[SimplicialMesh, FeField]:
     transition of the underlying indicator, not of the carried field.
     """
     coarse = build_structured_triangle_mesh([-1, 1], [-1, 1], 10, 10)
-    approx = FeField(coarse, _indicator_values(coarse.nodes), name="chi")
     mesh = coarse
     for _ in range(passes):
         mesh = refine_elements_one_level(mesh, transition_crossing_elements(mesh))
-    carried = fem.evaluate_many(approx, mesh.nodes)
-    return mesh, FeField(mesh, carried, name="chi")
+    return mesh, fem.evaluate_many(coarse, _indicator_values(coarse.nodes), mesh.nodes)
 
 
 def build_jittered_mesh(nx: int = 100, ny: int = 100,
@@ -511,11 +503,11 @@ class IndicatorDemoReport:
 @dataclass
 class IndicatorDemoArtifacts:
     donor: SimplicialMesh
-    donor_field: FeField
+    donor_field: np.ndarray
     structured: SimplicialMesh
-    structured_field: FeField
+    structured_field: np.ndarray
     unstructured: SimplicialMesh
-    unstructured_field: FeField
+    unstructured_field: np.ndarray
     report: IndicatorDemoReport
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import fem, mesh as mesh_mod
 from .dmd import SnapshotMatrix
 from .errors import InvalidArgumentError, StoreError
-from .fem import FeField
 
 TOOL_VERSION = "0.1.0"
 # Each part of a store's files that _run_parts gives a process holds at least
@@ -148,11 +147,6 @@ def _run_child(part, w):
         os._exit(status)
 
 
-def _save_snapshot(msh, fields, path):
-    fem.save_fields([FeField(msh, vals, name=name) for name, vals in fields.items()],
-                    path)
-
-
 def write_store(out_dir, snapshots) -> Path:
     """Write snapshots [(time_fraction, mesh, {name: values})] as a store,
     into out_dir as it is: the caller decides whether it may be reused.
@@ -173,7 +167,7 @@ def write_store(out_dir, snapshots) -> Path:
             jobs.append(functools.partial(mesh_mod.save_mesh, msh, out / name))
             mesh_files[key] = name
         field_name = f"snap_{idx:04d}.field.txt"
-        jobs.append(functools.partial(_save_snapshot, msh, fields, out / field_name))
+        jobs.append(functools.partial(fem.save_fields, msh, fields, out / field_name))
         t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
         lines.append(f"{idx} {t_str} {mesh_files[key]} {field_name}")
     _run_parts(jobs, out)
@@ -228,7 +222,7 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
             raise StoreError(str(exc)) from exc
         entries.append(StoreEntry(index=index, time_str=t_str, time=time,
                                   mesh_file=mesh_file, field_file=field_file, mesh=msh,
-                                  fields={k: f.values for k, f in read.items()}))
+                                  fields=read))
     entries.sort(key=lambda e: e.index)
     return Store(path=root, entries=entries)
 

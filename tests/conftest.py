@@ -92,13 +92,12 @@ def element_mass_quadrature(mesh, degree=2):
     return measures[:, None, None] * local[None, :, :]
 
 
-def l2_norm(fld):
+def l2_norm(mesh, values):
     """L2 norm, exact for P1 (degree-2 quadrature of the squared field)."""
-    rule = fem.reference_rule(fld.mesh.dim, 2)
-    ref = 1.0 if fld.mesh.dim == 1 else 0.5
-    vals = fld.values[fld.mesh.elements]
-    qvals = vals @ rule.points.T
-    sq = np.sum(fld.mesh.element_measures() / ref * ((qvals ** 2) @ rule.weights))
+    rule = fem.reference_rule(mesh.dim, 2)
+    ref = 1.0 if mesh.dim == 1 else 0.5
+    qvals = values[mesh.elements] @ rule.points.T
+    sq = np.sum(mesh.element_measures() / ref * ((qvals ** 2) @ rule.weights))
     return float(np.sqrt(max(sq, 0.0)))
 
 

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,15 @@ from hypothesis import strategies as st
 from amrdmd import fem, mesh as M
 from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
 
-from conftest import (coo_mass, element_mass_quadrature, l2_norm, p1_tridiagonal,
-                      random_refined_interval, random_refined_square, spd_matrix)
+from conftest import (coo_mass, element_mass_quadrature, graded_square, l2_norm,
+                      p1_tridiagonal, random_refined_interval, random_refined_square,
+                      spd_matrix)
+
+# every finite float64, with the edge cases drawn often: signed zero, the
+# smallest subnormal and the largest finite magnitude
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308]))
 
 
 class TestQuadrature:
@@ -82,58 +92,62 @@ class TestEvaluate:
     def test_nodal_values(self, rng):
         m = random_refined_interval(rng)
         vals = rng.normal(size=m.n_nodes)
-        f = fem.FeField(m, vals)
         for j in range(0, m.n_nodes, 3):
-            value = fem.evaluate_many(f, m.nodes[j].reshape(1, -1))[0]
+            value = fem.evaluate_many(m, vals, m.nodes[j].reshape(1, -1))[0]
             assert value == pytest.approx(vals[j], abs=1e-12)
 
     def test_linear_reproduction(self, rng):
         m = random_refined_square(rng)
-        f = fem.FeField(m, 2.0 * m.nodes[:, 0] - 0.5 * m.nodes[:, 1] + 1.0)
+        f = 2.0 * m.nodes[:, 0] - 0.5 * m.nodes[:, 1] + 1.0
         pts = rng.uniform(0, 1, size=(50, 2))
-        vals = fem.evaluate_many(f, pts)
+        vals = fem.evaluate_many(m, f, pts)
         np.testing.assert_allclose(vals, 2 * pts[:, 0] - 0.5 * pts[:, 1] + 1, atol=1e-14)
 
     def test_against_per_element_barycentric_oracle(self, rng):
         from conftest import exhaustive_locate
         m = random_refined_square(rng)
         vals = rng.normal(size=m.n_nodes)
-        f = fem.FeField(m, vals)
         pts = rng.uniform(0, 1, size=(40, 2))
-        got = fem.evaluate_many(f, pts)
+        got = fem.evaluate_many(m, vals, pts)
         for k in range(40):
             eid, lam = exhaustive_locate(m, pts[k])
             expect = float(vals[m.elements[eid]] @ lam)
             assert got[k] == pytest.approx(expect, abs=1e-11)
 
-    def test_field_validation(self):
-        m = M.build_interval_mesh(0, 1, 3)
-        with pytest.raises(InvalidArgumentError):
-            fem.FeField(m, np.zeros(5))
-        with pytest.raises(InvalidArgumentError):
-            fem.FeField(m, np.full(4, np.nan))
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           k=st.integers(1, 12))
+    def test_stacked_equals_per_row_bitwise(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        m = random_refined_interval(rng) if dim == 1 else graded_square(rng, passes=3)
+        pts = np.vstack([M.uniform_refine(m, 1).nodes,
+                         rng.uniform(0, 1, size=(40, dim))])
+        stack = rng.normal(size=(k, m.n_nodes))
+        got = fem.evaluate_many(m, stack, pts)
+        assert got.shape == (k, len(pts))
+        for row, values in zip(got, stack):
+            assert row.tobytes() == fem.evaluate_many(m, values, pts).tobytes()
 
     def test_point_outside_domain_propagates(self):
         from amrdmd.errors import PointNotFoundError
         m = M.build_interval_mesh(0, 1, 3)
-        f = fem.FeField(m, np.ones(4))
         with pytest.raises(PointNotFoundError):
-            fem.evaluate_many(f, np.array([[2.0]]))
+            fem.evaluate_many(m, np.ones(4), np.array([[2.0]]))
 
 
 class TestIntegralsAndNorms:
     def test_constant_field(self):
         m = M.build_interval_mesh(0, 1, 7)
-        f = fem.FeField(m, np.ones(m.n_nodes))
-        assert fem.integrate(f) == pytest.approx(1.0, abs=1e-14)
-        assert l2_norm(f) == pytest.approx(1.0, abs=1e-14)
+        f = np.ones(m.n_nodes)
+        assert fem.integrate(m, f) == pytest.approx(1.0, abs=1e-14)
+        assert l2_norm(m, f) == pytest.approx(1.0, abs=1e-14)
         assert fem.inf_norm(f) == 1.0
 
     def test_linear_field_analytic(self):
         m = M.build_interval_mesh(0, 1, 13)
-        f = fem.FeField(m, m.nodes[:, 0])
-        assert fem.integrate(f) == pytest.approx(0.5, abs=1e-14)
-        assert l2_norm(f) == pytest.approx(1 / np.sqrt(3), abs=1e-14)
+        f = m.nodes[:, 0]
+        assert fem.integrate(m, f) == pytest.approx(0.5, abs=1e-14)
+        assert l2_norm(m, f) == pytest.approx(1 / np.sqrt(3), abs=1e-14)
         assert fem.inf_norm(f) == pytest.approx(1.0)
 
     def test_integrate_is_linear(self, rng):
@@ -141,8 +155,8 @@ class TestIntegralsAndNorms:
         u = rng.normal(size=m.n_nodes)
         v = rng.normal(size=m.n_nodes)
         a, b = rng.normal(size=2)
-        lhs = fem.integrate(fem.FeField(m, a * u + b * v))
-        rhs = a * fem.integrate(fem.FeField(m, u)) + b * fem.integrate(fem.FeField(m, v))
+        lhs = fem.integrate(m, a * u + b * v)
+        rhs = a * fem.integrate(m, u) + b * fem.integrate(m, v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -152,22 +166,22 @@ class TestIntegralsAndNorms:
         m = M.build_interval_mesh(0, 1, 9)
         u = r.normal(size=m.n_nodes)
         v = r.normal(size=m.n_nodes)
-        lhs = l2_norm(fem.FeField(m, u + v))
-        rhs = l2_norm(fem.FeField(m, u)) + l2_norm(fem.FeField(m, v))
+        lhs = l2_norm(m, u + v)
+        rhs = l2_norm(m, u) + l2_norm(m, v)
         assert lhs <= rhs + 1e-12
 
 
 class TestFluxJump:
     def test_linear_field_zero_scores(self, rng):
         m = random_refined_square(rng)
-        f = fem.FeField(m, 3.0 * m.nodes[:, 0] + 2.0 * m.nodes[:, 1])
-        np.testing.assert_allclose(fem.flux_jump_indicator(f), 0.0, atol=1e-12)
+        f = 3.0 * m.nodes[:, 0] + 2.0 * m.nodes[:, 1]
+        np.testing.assert_allclose(fem.flux_jump_indicator(m, f), 0.0, atol=1e-12)
 
     def test_1d_hat_localizes_at_kink(self):
         m = M.build_interval_mesh(0, 1, 4)
         x = m.nodes[:, 0]
-        f = fem.FeField(m, np.minimum(x, 1 - x))   # kink at x = 0.5
-        scores = fem.flux_jump_indicator(f)
+        f = np.minimum(x, 1 - x)   # kink at x = 0.5
+        scores = fem.flux_jump_indicator(m, f)
         order = np.argsort(m.nodes[m.elements].mean(axis=1).ravel())
         mid = np.asarray(scores)[order]
         assert mid[1] > 0 and mid[2] > 0
@@ -177,10 +191,9 @@ class TestFluxJump:
     def test_2d_random_field_vs_direct_recomputation(self, rng):
         m = random_refined_square(rng)
         vals = rng.normal(size=m.n_nodes)
-        f = fem.FeField(m, vals)
-        scores = fem.flux_jump_indicator(f)
+        scores = fem.flux_jump_indicator(m, vals)
         # independent oracle: accumulate jumps facet by facet from scratch
-        grads = fem.element_gradients(f)
+        grads = fem.element_gradients(m, vals)
         acc = np.zeros(m.n_elems)
         edges = {}
         for i, el in enumerate(m.elements):
@@ -201,17 +214,16 @@ class TestFluxJump:
     def test_affine_shift_invariance(self, rng):
         m = random_refined_square(rng)
         vals = rng.normal(size=m.n_nodes)
-        f0 = fem.flux_jump_indicator(fem.FeField(m, vals))
+        f0 = fem.flux_jump_indicator(m, vals)
         affine = 4.0 - 3.0 * m.nodes[:, 0] + 0.7 * m.nodes[:, 1]
-        f1 = fem.flux_jump_indicator(fem.FeField(m, vals + affine))
+        f1 = fem.flux_jump_indicator(m, vals + affine)
         np.testing.assert_allclose(f0, f1, atol=1e-12)
 
     def test_linear_shift_invariance_1d(self, rng):
         m = random_refined_interval(rng)
         vals = rng.normal(size=m.n_nodes)
-        f0 = fem.flux_jump_indicator(fem.FeField(m, vals))
-        f1 = fem.flux_jump_indicator(
-            fem.FeField(m, vals + 2.5 * m.nodes[:, 0] - 1.0))
+        f0 = fem.flux_jump_indicator(m, vals)
+        f1 = fem.flux_jump_indicator(m, vals + 2.5 * m.nodes[:, 0] - 1.0)
         np.testing.assert_allclose(f0, f1, atol=1e-12)
 
 
@@ -259,6 +271,21 @@ class TestCgSolve:
         with pytest.raises(InvalidArgumentError, match="not symmetric"):
             fem.SparseSpd(blocks=fem.ElementBlocks(ids, ids[::-1],
                                                    np.full((2, 2, 1), 1.0), 2))
+
+    @pytest.mark.parametrize("form", ["band", "blocks"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_raises_before_iterating(self, monkeypatch, rng,
+                                                       form, bad):
+        m = random_refined_interval(rng) if form == "band" \
+            else random_refined_square(rng)
+        A = fem.assemble_mass(m)
+        b = rng.normal(size=m.n_nodes)
+        b[m.n_nodes // 2] = bad
+        calls = count_dots(monkeypatch)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(InvalidArgumentError, match="non-finite"):
+            fem.cg_solve(A, b)
+        assert calls[0] == 1                    # the first residual only
 
     def test_deterministic(self, rng):
         m = M.build_interval_mesh(0, 1, 30)
@@ -383,20 +410,19 @@ class TestBandForm:
 class TestFieldIO:
     def test_multi_field_roundtrip(self, tmp_path, rng):
         m = random_refined_interval(rng)
-        fields = [fem.FeField(m, rng.normal(size=m.n_nodes), name=n)
-                  for n in ("s", "e", "i")]
+        fields = {n: rng.normal(size=m.n_nodes) for n in ("s", "e", "i")}
         path = tmp_path / "f.field.txt"
-        fem.save_fields(fields, path)
+        fem.save_fields(m, fields, path)
         back = fem.load_fields(path, m)
         assert list(back) == ["s", "e", "i"]
-        for f in fields:
-            np.testing.assert_array_equal(back[f.name].values, f.values)
+        for name, values in fields.items():
+            np.testing.assert_array_equal(back[name], values)
 
     def test_golden_bytes(self, tmp_path):
         m = M.build_interval_mesh(0, 1, 2)
         path = tmp_path / "g.field.txt"
-        fem.save_fields([fem.FeField(m, [-0.0, 1 / 3, 5e-324], name="u"),
-                         fem.FeField(m, [1e300, -2.5, 0.1], name="v")], path)
+        fem.save_fields(m, {"u": [-0.0, 1 / 3, 5e-324], "v": [1e300, -2.5, 0.1]},
+                        path)
         assert path.read_bytes() == (
             b"3 2\nu v\n-0 1.0000000000000001e+300\n0.33333333333333331 -2.5\n"
             b"4.9406564584124654e-324 0.10000000000000001\n")
@@ -421,7 +447,55 @@ class TestFieldIO:
 
     def test_node_count_mismatch(self, tmp_path):
         m = M.build_interval_mesh(0, 1, 3)
-        fem.save_fields([fem.FeField(m, np.zeros(4))], tmp_path / "f.field.txt")
+        fem.save_fields(m, {"u": np.zeros(4)}, tmp_path / "f.field.txt")
         other = M.build_interval_mesh(0, 1, 5)
         with pytest.raises(InvalidArgumentError):
             fem.load_fields(tmp_path / "f.field.txt", other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_elems=st.integers(1, 6), data=st.data())
+    def test_roundtrip_is_bit_for_bit(self, n_elems, data):
+        m = M.build_interval_mesh(0, 1, n_elems)
+        names = data.draw(st.lists(st.text("abcdefxyz_019", min_size=1, max_size=4),
+                                   min_size=1, max_size=4, unique=True))
+        fields = {name: np.array(data.draw(st.lists(FINITE, min_size=m.n_nodes,
+                                                    max_size=m.n_nodes)))
+                  for name in names}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.field.txt"
+            fem.save_fields(m, fields, path)
+            back = fem.load_fields(path, m)
+        assert list(back) == names
+        for name, values in fields.items():
+            assert back[name].tobytes() == values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_elems=st.integers(1, 6), data=st.data())
+    def test_refused_field_leaves_no_file(self, n_elems, data):
+        m = M.build_interval_mesh(0, 1, n_elems)
+        n = m.n_nodes
+        good = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        bad = good.copy()
+        fault = data.draw(st.sampled_from(["nan", "inf", "-inf", "short", "long"]))
+        if fault in ("short", "long"):
+            bad = bad[:-1] if fault == "short" else np.append(bad, 0.0)
+        else:
+            bad[data.draw(st.integers(0, n - 1))] = float(fault)
+        fields = {"u": good, "v": bad}
+        if data.draw(st.booleans()):
+            fields = {"v": bad, "u": good}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.field.txt"
+            with pytest.raises(InvalidArgumentError, match="field 'v'"):
+                fem.save_fields(m, fields, path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("names", [[], ["a b"], [""], ["a\tb"]],
+                             ids=["empty", "space", "blank", "tab"])
+    def test_refused_names_leave_no_file(self, tmp_path, names):
+        m = M.build_interval_mesh(0, 1, 2)
+        fields = {name: np.zeros(m.n_nodes) for name in names}
+        path = tmp_path / "f.field.txt"
+        with pytest.raises(InvalidArgumentError):
+            fem.save_fields(m, fields, path)
+        assert not path.exists()

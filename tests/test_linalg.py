@@ -106,6 +106,15 @@ class TestRandomizedSvd:
         with pytest.raises(InvalidArgumentError):
             linalg.randomized_svd(A, 2, **knobs)
 
+    def test_power_iters_ceiling(self, rng):
+        A = rng.normal(size=(10, 6))
+        ok = linalg.randomized_svd(A, 2, oversample=2,
+                                   power_iters=linalg.MAX_POWER_ITERS, seed=1)
+        assert ok.rank_kept == 2
+        with pytest.raises(InvalidArgumentError, match="power_iters"):
+            linalg.randomized_svd(A, 2, oversample=2,
+                                  power_iters=linalg.MAX_POWER_ITERS + 1)
+
     def test_gaussian_matrix_moments(self):
         z = linalg.gaussian_matrix(2000, 10, seed=3)
         assert abs(z.mean()) < 0.02

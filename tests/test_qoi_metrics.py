@@ -1,29 +1,22 @@
 import numpy as np
 import pytest
 
-from amrdmd import fem, mesh as M, qoi_metrics as Q
+from amrdmd import mesh as M, qoi_metrics as Q
 from amrdmd.errors import InvalidArgumentError
-
-
-def compartment_fields(mesh, values_by_name):
-    return {name: fem.FeField(mesh, vals, name=name)
-            for name, vals in values_by_name.items()}
 
 
 class TestTotalPopulation:
     def test_constant_compartments_sum_to_one(self):
         m = M.build_interval_mesh(0, 1, 10)
         n = m.n_nodes
-        fields = compartment_fields(m, {
-            "s": np.full(n, 0.6), "e": np.full(n, 0.1), "i": np.full(n, 0.1),
-            "r": np.full(n, 0.1), "d": np.full(n, 0.1)})
-        assert Q.total_population(fields) == pytest.approx(1.0, abs=1e-12)
+        fields = {"s": np.full(n, 0.6), "e": np.full(n, 0.1), "i": np.full(n, 0.1),
+                  "r": np.full(n, 0.1), "d": np.full(n, 0.1)}
+        assert Q.total_population(m, fields) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_compartment_rejected(self):
         m = M.build_interval_mesh(0, 1, 4)
-        fields = compartment_fields(m, {"s": np.ones(m.n_nodes)})
         with pytest.raises(InvalidArgumentError):
-            Q.total_population(fields)
+            Q.total_population(m, {"s": np.ones(m.n_nodes)})
 
     def test_series_normalized_to_first(self, rng):
         m = M.build_interval_mesh(0, 1, 8)
@@ -36,8 +29,7 @@ class TestTotalPopulation:
         series = Q.population_series(snapshots)
         assert series.values[0] == 1.0
         assert series.values[1] == pytest.approx(2.1 / 2.0, rel=1e-12)
-        first = compartment_fields(m, snapshots[0][2])
-        assert Q.total_population(first) == pytest.approx(2.0, rel=1e-12)
+        assert Q.total_population(m, snapshots[0][2]) == pytest.approx(2.0, rel=1e-12)
 
     def test_invariant_under_projection(self, rng):
         from amrdmd import l2projection as L2
@@ -46,11 +38,9 @@ class TestTotalPopulation:
         op = L2.build_projection(donor, target)
         vals = {c: np.abs(rng.normal(size=donor.n_nodes)) + 0.5
                 for c in ("s", "e", "i", "r", "d")}
-        donor_fields = compartment_fields(donor, vals)
-        proj_fields = {c: L2.project(op, donor_fields[c])
-                       for c in donor_fields}
-        p0 = Q.total_population(donor_fields)
-        p1 = Q.total_population(proj_fields)
+        proj_vals = {c: L2.project(op, vals[c]) for c in vals}
+        p0 = Q.total_population(donor, vals)
+        p1 = Q.total_population(target, proj_vals)
         assert p1 == pytest.approx(p0, rel=1e-8)
 
 

@@ -12,9 +12,7 @@ from conftest import (composite_integral_1d, coo_p1_operator, node_order_step,
 
 
 def fresh_state(mesh):
-    init = S.seird_initial_conditions(mesh)
-    return S.SeirdState(mesh=mesh,
-                        fields={c: init[c].values.copy() for c in S.COMPARTMENTS},
+    return S.SeirdState(mesh=mesh, fields=S.seird_initial_conditions(mesh),
                         prev_fields=None, time=0.0, step_index=0)
 
 
@@ -48,11 +46,11 @@ class TestInitialConditions:
         mesh = M.build_interval_mesh(0, 1, 100)   # node exactly at x=0.75
         fields = S.seird_initial_conditions(mesh)
         j = int(np.argmin(np.abs(mesh.nodes[:, 0] - 0.75)))
-        assert fields["e"].values[j] == pytest.approx(1 / 20, rel=1e-12)
+        assert fields["e"][j] == pytest.approx(1 / 20, rel=1e-12)
 
     def test_susceptible_formula_at_035(self):
         mesh = M.build_interval_mesh(0, 1, 2000)
-        s = S.seird_initial_conditions(mesh)["s"].values
+        s = S.seird_initial_conditions(mesh)["s"]
         x = mesh.nodes[:, 0]
         j35 = int(np.argmin(np.abs(x - 0.35)))
         # direct evaluation of the initial-condition formula at x = 0.35;
@@ -67,7 +65,7 @@ class TestInitialConditions:
         mesh = M.build_interval_mesh(0, 1, 50)
         fields = S.seird_initial_conditions(mesh)
         for c in ("i", "r", "d", "c"):
-            np.testing.assert_array_equal(fields[c].values, 0.0)
+            np.testing.assert_array_equal(fields[c], 0.0)
 
     def test_requires_1d(self):
         sq = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
@@ -249,10 +247,10 @@ class TestStep:
             }
             return np.concatenate([Mlu.solve(out[c]) for c in names])
 
-        y0 = np.concatenate([init[c].values for c in names])
+        y0 = np.concatenate([init[c] for c in names])
         sol = solve_ivp(rhs, [0, params.t_end], y0, method="BDF",
                         rtol=1e-10, atol=1e-12)
-        st = S.SeirdState(mesh, {c: init[c].values.copy() for c in names},
+        st = S.SeirdState(mesh, {c: init[c].copy() for c in names},
                           None, 0.0, 0)
         for _ in range(params.n_steps):
             st = S.step(st, params, dirichlet_right=False)
@@ -383,6 +381,23 @@ class TestAmrLoop:
         for c in S.COMPARTMENTS:
             assert np.array_equal(final[c], st.fields[c])
 
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_remesh_moves_every_field_as_per_field_interpolation(self, rng,
+                                                                 with_prev):
+        m = M.build_interval_mesh(0, 1, 12)
+        fields = {c: rng.normal(size=m.n_nodes) for c in S.COMPARTMENTS}
+        prev = ({c: rng.normal(size=m.n_nodes) for c in S.COMPARTMENTS}
+                if with_prev else None)
+        state = S.SeirdState(m, fields, prev, 0.5, 2)
+        moved = S.remesh_state(state, S.AmrPolicy(refine_fraction=0.5,
+                                                  coarsen_fraction=0.0))
+        assert moved.mesh is not m and (moved.time, moved.step_index) == (0.5, 2)
+        assert (moved.prev_fields is None) == (prev is None)
+        for old, new in ((fields, moved.fields), (prev, moved.prev_fields)):
+            for c, values in (old or {}).items():
+                expect = fem.evaluate_many(m, values, moved.mesh.nodes)
+                assert new[c].tobytes() == expect.tobytes(), c
+
     def test_levels_capped_and_min_element_size(self):
         params = S.SeirdParams(t_end=3.0)
         policy = S.AmrPolicy()
@@ -440,7 +455,7 @@ class TestAmrLoop:
         policy = S.AmrPolicy(refine_fraction=0.0,
                              coarsen_fraction=rng.uniform(0, 1))
         plan = S.build_amr_plan(state, policy)
-        score = sum(fem.flux_jump_indicator(fem.FeField(m, state.fields[c]))
+        score = sum(fem.flux_jump_indicator(m, state.fields[c])
                     for c in ("s", "e", "i"))
         n_coar = int(policy.coarsen_fraction * m.n_elems)
         order = sorted(range(m.n_elems), key=lambda e: (-score[e], e))

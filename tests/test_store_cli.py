@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amrdmd
-from amrdmd import dmd, fem, mesh as M, pipeline_cli, seird_sim, store
+from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
@@ -255,6 +255,19 @@ class TestCliSimulate:
         assert "Traceback" not in proc.stderr
         assert "step to t=" in proc.stderr
 
+    @pytest.mark.parametrize("rate", ["alpha", "nu_s", "gamma_e", "delta"])
+    def test_overflowing_rate_exit_3_naming_the_step(self, tmp_path, capsys, rate):
+        # a rate of 1e308 overflows the systems of the first step: the solve
+        # refuses them before iterating, and the step names its time
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dt = 0.25\nt_end = 1\nn_elems = 20\n{rate} = 1e308\n")
+        with np.errstate(all="ignore"):
+            code = run_cli("simulate", cfg, tmp_path / "out", "--quiet")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "t=0.25" in err
+        assert "CG did not converge" not in err
+
     def test_failed_forced_rerun_marks_sub_stores(self, small_run, tmp_path,
                                                   monkeypatch):
         root, cfg, _ = small_run
@@ -319,8 +332,8 @@ class TestCliProjectAndDmd:
         adaptive = store.read_store(out / "adaptive")
         for a, p in zip(adaptive.entries, re_proj.entries):
             for name in ("s", "e", "i"):
-                donor_mean = fem.integrate(fem.FeField(a.mesh, a.fields[name]))
-                proj_mean = fem.integrate(fem.FeField(p.mesh, p.fields[name]))
+                donor_mean = fem.integrate(a.mesh, a.fields[name])
+                proj_mean = fem.integrate(p.mesh, p.fields[name])
                 assert proj_mean == pytest.approx(
                     donor_mean, abs=1e-10 + 1e-8 * abs(donor_mean))
 
@@ -469,6 +482,59 @@ class TestCliProjectAndDmd:
         assert "e.dmd.txt" in proc.stderr
         assert str(pipeline_cli.MAX_PREDICT_TIMES) in proc.stderr
         assert not pred.exists()
+
+    def test_predict_overflow_exit_3_leaves_nothing(self, small_run, tmp_path,
+                                                    capsys):
+        # omega = 500 gives e^500 ~ 1e217 at t = 1 and overflows at t = 2
+        root, cfg, out = small_run
+        model = tmp_path / "e.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "e",
+                       "--rank", "2", "--quiet") == 0
+        lines = model.read_text().splitlines()
+        lines[1 + int(lines[0].split()[1])] = "500 0"     # the first omega
+        model.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / "pred"
+        argv = ("dmd", "predict", model, pred, "--mesh",
+                out / "projected" / "mesh_0000.mesh.txt", "--times", "0,1,2",
+                "--quiet")
+        with np.errstate(all="ignore"):
+            assert run_cli(*argv) == 3
+            assert "t=2 " in capsys.readouterr().err
+            assert not pred.exists()
+            pred.mkdir()
+            (pred / "kept.txt").write_text("")
+            assert run_cli(*argv) == 4          # an existing output comes first
+
+    @pytest.mark.parametrize("command,flag", [("fit", "--t-start"),
+                                              ("fit", "--t-end"),
+                                              ("errors", "--train-end")])
+    def test_nan_flag_exit_2_naming_it(self, small_run, tmp_path, capsys,
+                                       command, flag):
+        root, cfg, out = small_run
+        dest = tmp_path / "out.txt"
+        if command == "fit":
+            argv = ("dmd", "fit", out / "projected", dest, "--field", "s",
+                    "--rank", "2")
+        else:
+            argv = ("report", "errors", out / "projected", out / "projected",
+                    dest, "--field", "s")
+        assert run_cli(*argv, flag, "nan", "--quiet") == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_power_iters_beyond_the_ceiling_exit_2(self, small_run, tmp_path):
+        root, cfg, out = small_run
+        model = tmp_path / "e.dmd.txt"
+        started = time.monotonic()
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "dmd", "fit",
+                            out / "projected", model, "--field", "e", "--rank",
+                            "2", "--svd", "randomized", "--power-iters",
+                            "1000000000", "--quiet", timeout=10)
+        assert time.monotonic() - started < 5
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(linalg.MAX_POWER_ITERS) in proc.stderr
+        assert not model.exists()
 
     @pytest.mark.parametrize("knob", [("--oversample", "-5"),
                                       ("--power-iters", "-1")])
@@ -1009,12 +1075,12 @@ class TestStoreFanOut:
         snaps, _ = written
         parent, plain = os.getpid(), fem.save_fields
 
-        def dies_in_child(fields, path):
+        def dies_in_child(mesh, fields, path):
             if os.getpid() != parent:
                 if how == "exit":
                     os._exit(0)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return plain(fields, path)
+            return plain(mesh, fields, path)
 
         monkeypatch.setattr(fem, "save_fields", dies_in_child)
         st = tmp_path / "fanned"
@@ -1030,11 +1096,11 @@ class TestStoreFanOut:
         snaps, _ = written
         parent, plain = os.getpid(), fem.save_fields
 
-        def interrupted_in_parent(fields, path):
+        def interrupted_in_parent(mesh, fields, path):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(0.2)
-            return plain(fields, path)
+            return plain(mesh, fields, path)
 
         monkeypatch.setattr(fem, "save_fields", interrupted_in_parent)
         with pytest.raises(KeyboardInterrupt):
