@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import FitError, InvalidArgumentError
+from .fem import unit_scale
 from .linalg import SvdResult
 
 ZERO_EIGENVALUE_TOL = 1e-14
@@ -193,6 +194,10 @@ def errors(Y_truth: np.ndarray, Y_hat: np.ndarray) -> ErrorReport:
     if Y_truth.shape != Y_hat.shape:
         raise InvalidArgumentError(
             f"shape mismatch: {Y_truth.shape} vs {Y_hat.shape}")
+    # in units of the larger max, so no norm over- or underflows
+    scale = unit_scale(max(np.abs(Y_truth).max(initial=0.0),
+                           np.abs(Y_hat).max(initial=0.0)))
+    Y_truth, Y_hat = Y_truth * scale, Y_hat * scale
     diff = Y_truth - Y_hat
     col_err = np.linalg.norm(diff, axis=0)
     col_ref = np.linalg.norm(Y_truth, axis=0)

@@ -26,14 +26,8 @@ class AssemblyError(AmrDmdError):
 
 
 class SolverError(AmrDmdError):
-    """Iterative solver failed to converge.
-
-    Carries the final relative residual in ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A linear system is not positive definite, or its solve missed the
+    residual tolerance."""
 
 
 class NumericError(AmrDmdError):

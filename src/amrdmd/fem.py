@@ -1,17 +1,18 @@
 """P1 finite-element machinery on simplicial meshes: quadrature rules,
 mass-matrix assembly, integrals, the max-norm, point evaluation, a facet
-flux-jump refinement indicator, a deterministic factor-then-verify solver
-(exact tridiagonal in 1-d, Jacobi-preconditioned CG in 2-d) and field files.
+flux-jump refinement indicator, a deterministic solve-then-verify solver
+(exact tridiagonal in 1-d, a fixed Jacobi-Chebyshev sweep in 2-d) and field files.
 
 A field is its nodal values, an array (n_nodes,) passed next to its mesh.
 Values are checked only where they enter or leave the program: load_fields
 and save_fields refuse non-finite or wrong-length fields, and cg_solve a
-system whose first residual is not finite.
+non-finite right-hand side before any matvec and a non-finite residual.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +38,12 @@ class ElementBlocks:
 
 
 class SparseSpd:
-    """Symmetric positive-definite matrix with the preconditioner that
-    cg_solve applies to it.
-
-    Either `bands=(order, diag, off)`: a tridiagonal matrix with main
-    diagonal diag (n,) and first off-diagonal off (n - 1,), whose k-th row
-    and column belong to vector entry order[k], or to entry k when order is
-    None; its preconditioner is its exact LDL^T factor, computed on the
-    first solve. Or `blocks`: ElementBlocks with rows == cols and every
-    block symmetric, preconditioned by its diagonal (Jacobi). Both forms
-    are symmetric by construction."""
+    """Symmetric positive-definite matrix with a finite positive diagonal,
+    in one of two forms, both symmetric by construction. Either
+    `bands=(order, diag, off)`: a tridiagonal matrix with main diagonal diag
+    (n,) and first off-diagonal off (n - 1,), whose k-th row and column
+    belong to vector entry order[k], or to entry k when order is None. Or
+    `blocks`: ElementBlocks with rows == cols and every block symmetric."""
 
     def __init__(self, *, bands=None, blocks=None):
         self.blocks = blocks
@@ -60,8 +57,8 @@ class SparseSpd:
             self.order, self.off = None, None
             self.diag = np.bincount(blocks.rows.reshape(-1),
                                     b[range(k), range(k)].reshape(-1), blocks.n_rows)
-        if (self.diag <= 0).any():
-            raise InvalidArgumentError("matrix diagonal must be strictly positive")
+        if not 0.0 < self.diag.min() <= self.diag.max() < np.inf:    # False for NaN
+            raise InvalidArgumentError("matrix diagonal must be finite and positive")
         self._factor = None
 
     @classmethod
@@ -98,25 +95,16 @@ class SparseSpd:
         y[..., self.order] = ys
         return y
 
-    def precondition(self, r):
-        """The exact solve for the band form, Jacobi for the block form."""
-        if self.blocks is not None:
-            if self._factor is None:
-                self._factor = 1.0 / self.diag
-            return self._factor * r
-        from scipy.linalg.lapack import dpttrf, dpttrs
+    def _ldlt(self):
+        """LDL^T factor (d, e) of the band form, computed on the first call."""
         if self._factor is None:
+            from scipy.linalg.lapack import dpttrf
             d, e, info = dpttrf(self.diag, self.off)
             if info != 0:
                 raise SolverError(f"tridiagonal matrix is not positive definite "
                                   f"(LDL^T pivot {info} of {self.n})")
-            self._factor = (d, e)
-        if self.order is None:
-            return dpttrs(*self._factor, r)[0]
-        xs, info = dpttrs(*self._factor, r[self.order])
-        x = np.empty_like(xs)
-        x[self.order] = xs
-        return x
+            self._factor = d, e
+        return self._factor
 
 
 @dataclass(frozen=True)
@@ -220,9 +208,16 @@ def integrate(mesh: SimplicialMesh, values) -> float:
     return float(np.sum(mesh.element_measures() / ref * (qvals @ rule.weights)))
 
 
+def unit_scale(top: float) -> float:
+    """The power of two s with s * top in [1/2, 1) for a normal top, 1 for
+    top = 0, 2**1022 for a subnormal top (where 2**-frexp(top) overflows).
+    Scaling by s is exact unless a product is subnormal."""
+    return 2.0 ** -max(math.frexp(top)[1], -1022)
+
+
 def inf_norm(values) -> float:
     """Max-norm; P1 extrema sit at nodes."""
-    return float(np.max(np.abs(values))) if values.size else 0.0
+    return float(np.abs(values).max()) if values.size else 0.0
 
 
 def element_gradients(mesh: SimplicialMesh, values) -> np.ndarray:
@@ -270,53 +265,75 @@ def flux_jump_indicator(mesh: SimplicialMesh, values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # linear solver
 
-def _dot(a, b) -> float:
-    # numpy's pairwise sum, not BLAS, so the bits do not depend on threads
-    return float((a * b).sum())
+SOLVE_TOL = 1e-12        # relative residual every solve must meet
 
 
-def cg_solve(A: SparseSpd, b: np.ndarray, tol: float = 1e-12,
-             max_iter: int | None = None) -> np.ndarray:
-    """Solve A x = b: start from x = A.precondition(b), return it once one
-    matvec shows ||b - A x|| <= tol ||b||, else correct it by preconditioned
-    conjugate gradients. With the exact factor of the band form the start
-    is the answer; with Jacobi this is plain PCG. A first residual norm that
-    is not finite (nor small) raises InvalidArgumentError before any
-    iteration. The iteration order is fixed and no reduction uses BLAS, so
-    repeated runs are bit-identical whatever the thread count."""
+def _chebyshev_sweep(A: SparseSpd, b):
+    """Jacobi-Chebyshev semi-iteration from x = 0 on [1/2, 2] (Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., Alg. 12.1).
+
+    For P1 mass matrices D^-1 A has its spectrum in [1/2, 2] on any mesh
+    (Wathen, IMA J. Numer. Anal. 7, 1987), so after k steps the residual is
+    at most 2 * 3**-k of |b| in the D^-1 norm, and 2 * 3**-k * sqrt(max(D) /
+    min(D)) in the Euclidean one. The length makes that SOLVE_TOL / 2: the
+    other factor 2 is headroom for rounding."""
+    inv_d = 1.0 / A.diag
+    steps = math.ceil((math.log(4.0 / SOLVE_TOL) + 0.5 * (
+        math.log(A.diag.max()) - math.log(A.diag.min()))) / math.log(3.0))
+    rho = 3.0 / 5.0               # w / c: [1/2, 2] has centre 5/4, half-width 3/4
+    d = (4.0 / 5.0) * inv_d * b   # 1 / c; below 10/3 = 2 c / w and 8/3 = 2 / w
+    x, r = d.copy(), b
+    for _ in range(steps - 1):
+        r = r - A.dot(d)
+        rho, last = 1.0 / (10.0 / 3.0 - rho), rho
+        d = (rho * last) * d + (8.0 / 3.0 * rho) * (inv_d * r)
+        x += d
+    return x
+
+
+def cg_solve(A: SparseSpd, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b in one pass, the band form by its exact factor and the
+    block form by _chebyshev_sweep, and check |b - A x| <= SOLVE_TOL |b| (or,
+    for the band form, |A||x|) with one matvec; a miss raises SolverError, as
+    for a block matrix whose Jacobi-scaled spectrum leaves [1/2, 2]. b is
+    first scaled by unit_scale: no norm overflows and, barring subnormals,
+    the bits are those of an unscaled solve. A non-finite b raises
+    InvalidArgumentError before any matvec, a non-finite residual after it.
+    No reduction uses BLAS."""
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise InvalidArgumentError(f"rhs has shape {b.shape}, expected ({A.n},)")
-    if max_iter is None:
-        max_iter = 10 * A.n
-    norm_b = np.sqrt(_dot(b, b))
-    x = A.precondition(b)
+    top = inf_norm(b)
+    if not math.isfinite(top):
+        raise InvalidArgumentError(f"linear system has non-finite values ({top})")
+    scale = unit_scale(top)                  # 1 for b = 0, solved as any b
+    b = b * scale
+    if A.blocks is None:
+        from scipy.linalg.lapack import dpttrs
+        rows = slice(None) if A.order is None else A.order
+        xs = dpttrs(*A._ldlt(), b[rows])[0]
+        x = np.empty_like(b)
+        x[rows] = xs
+    else:
+        x = _chebyshev_sweep(A, b)
     r = b - A.dot(x)
-    norm_r = np.sqrt(_dot(r, r))
-    if norm_r <= tol * norm_b:
-        return x
-    if not np.isfinite(norm_r):
-        raise InvalidArgumentError(f"linear system has non-finite values ({norm_r})")
-    z = A.precondition(r)
-    p = z.copy()
-    rz = _dot(r, z)
-    for _ in range(max_iter):
-        Ap = A.dot(p)
-        alpha = rz / _dot(p, Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.sqrt(_dot(r, r)) <= tol * norm_b:
-            return x
-        z = A.precondition(r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    r = b - A.dot(x)
-    res = float(np.sqrt(_dot(r, r)) / norm_b)
-    if res <= tol:
-        return x
-    raise SolverError(f"CG did not converge in {max_iter} iterations "
-                      f"(relative residual {res:.3e})", residual=res)
+    # numpy's pairwise sums, not BLAS, so the bits do not depend on threads
+    rr, bb = float((r * r).sum()), float((b * b).sum())
+    if A.blocks is None and not rr <= SOLVE_TOL ** 2 * bb:
+        # the factor solve is backward stable (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 2nd ed., ch. 9): rounding in |A||x| bounds
+        # its residual, and where diffusion dominates the mass that exceeds
+        # SOLVE_TOL |b| and no refinement step lowers it. |A||x| >= |b|.
+        w = A.diag * np.abs(xs)
+        w[:-1] += np.abs(A.off * xs[1:])
+        w[1:] += np.abs(A.off * xs[:-1])
+        bb = float((w * w).sum())
+    if rr <= SOLVE_TOL ** 2 * bb:
+        return x / scale
+    if not math.isfinite(rr):
+        raise InvalidArgumentError(f"linear system has non-finite values ({rr})")
+    raise SolverError(f"solve missed its tolerance: relative residual "
+                      f"{math.sqrt(rr / bb):.3e} > {SOLVE_TOL:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,12 @@ def project(op: ProjectionOperator, values: np.ndarray, load=None) -> np.ndarray
 def projection_residual(op: ProjectionOperator, load: np.ndarray,
                         proj: np.ndarray) -> float:
     """Relative residual |M proj - load| / |load| of a projection with
-    load P u; 0 when the load vanishes."""
+    load P u; 0 when the load vanishes. Both are first scaled by
+    fem.unit_scale of max|load|, so no norm over- or underflows."""
+    scale = fem.unit_scale(fem.inf_norm(load))
+    load = load * scale
     nrm = float(np.linalg.norm(load))
-    if nrm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(op.M.dot(proj) - load) / nrm)
+    return float(np.linalg.norm(op.M.dot(proj * scale) - load) / nrm) if nrm else 0.0
 
 
 def project_snapshots(snapshots, target: SimplicialMesh):

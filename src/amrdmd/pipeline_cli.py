@@ -80,9 +80,10 @@ def cmd_simulate(args) -> int:
     # readers open the sub-stores, so a failed forced rerun marks them too
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
-        reference, adaptive = seird_sim.run_seird_amr(params, policy,
-                                                      n_base_elements=n_elems)
-        projected, _ = l2projection.project_snapshots(adaptive, reference)
+        with np.errstate(all="ignore"):     # steps and store writes check
+            reference, adaptive = seird_sim.run_seird_amr(
+                params, policy, n_base_elements=n_elems)
+            projected, _ = l2projection.project_snapshots(adaptive, reference)
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
         for name, snapshots in (("adaptive", adaptive), ("projected", projected)):
@@ -175,7 +176,8 @@ def cmd_dmd_predict(args) -> int:
     _refuse_existing(args.out_store, args.force)
     snapshots = []              # all evaluated before the output exists
     for t in time_fracs:
-        vec = dmd.evaluate(model, float(t))
+        with np.errstate(all="ignore"):         # checked on the next line
+            vec = dmd.evaluate(model, float(t))
         if not np.isfinite(vec).all():
             raise NumericError(f"model {args.model}: the prediction at "
                                f"t={store.fraction_to_decimal(t)} is not finite")

@@ -213,7 +213,7 @@ def _solve(A, rhs, pin):
     if pin is not None:
         rhs = rhs.copy()
         rhs[pin] = 0.0
-    return cg_solve(A, rhs, tol=1e-12)
+    return cg_solve(A, rhs)
 
 
 def _product_load(h, factors):

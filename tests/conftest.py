@@ -275,7 +275,7 @@ def node_order_solve(A, rhs, bc_node):
     if bc_node is not None:
         rhs = rhs.copy()
         rhs[bc_node] = 0.0
-    return fem.cg_solve(A, rhs, tol=1e-12)
+    return fem.cg_solve(A, rhs)
 
 
 def node_order_product_load(mesh, factors):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,34 @@ class TestProject:
         u = rng.normal(size=donor.n_nodes)
         proj = L2.project(op, u)
         assert L2.projection_residual(op, op.P.dot(u), proj) <= 1e-11
+
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_residual_does_not_depend_on_magnitude(self, rng, k):
+        # the squared norms of 2**700 or 2**-700 times the load over- or
+        # underflow; in units of max|load| they do not
+        donor = random_refined_square(rng)
+        target = M.build_structured_triangle_mesh([0, 1], [0, 1], 5, 4)
+        op = L2.build_projection(donor, target)
+        u = rng.normal(size=donor.n_nodes)
+        load = op.P.dot(u)
+        proj = L2.project(op, u, load)
+        want = L2.projection_residual(op, load, proj)
+        assert 0 < want <= fem.SOLVE_TOL
+        assert L2.projection_residual(op, np.ldexp(load, k),
+                                      np.ldexp(proj, k)) == want
+
+
+    def test_residual_of_a_subnormal_load(self, rng):
+        # below 2**-1022 the scale stops at 2**1022 instead of overflowing
+        donor = random_refined_square(rng)
+        target = M.build_structured_triangle_mesh([0, 1], [0, 1], 5, 4)
+        op = L2.build_projection(donor, target)
+        u = rng.normal(size=donor.n_nodes)
+        load = op.P.dot(u)
+        proj = L2.project(op, u, load)
+        k = -1025 - math.frexp(fem.inf_norm(load))[1]  # max|load| near 2**-1026
+        assert L2.projection_residual(op, np.ldexp(load, k),
+                                      np.ldexp(proj, k)) <= 1e-10
 
 
 class TestProjectSnapshots:

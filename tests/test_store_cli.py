@@ -255,18 +255,31 @@ class TestCliSimulate:
         assert "Traceback" not in proc.stderr
         assert "step to t=" in proc.stderr
 
+    @pytest.mark.parametrize("setting", [
+        # the i system of the first step has the subnormal load alpha M e
+        "n_elems = 20\nalpha = 1e-310",
+        # kappa dt / h^2 near 1e5: the band solves miss 1e-12 |b| by rounding
+        # in |A||x| alone, so they are measured against |A||x|
+        "n_elems = 1000\nnu_e = 0.03"], ids=["subnormal_load", "diffusive"])
+    def test_extreme_but_valid_config_runs(self, tmp_path, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dt = 0.25\nt_end = 0.5\n{setting}\n")
+        assert run_cli("simulate", cfg, tmp_path / "out", "--quiet") == 0
+        assert len(store.read_store(tmp_path / "out" / "projected").entries) == 3
+
     @pytest.mark.parametrize("rate", ["alpha", "nu_s", "gamma_e", "delta"])
-    def test_overflowing_rate_exit_3_naming_the_step(self, tmp_path, capsys, rate):
-        # a rate of 1e308 overflows the systems of the first step: the solve
-        # refuses them before iterating, and the step names its time
+    def test_overflowing_rate_exit_3_naming_the_step(self, tmp_path, rate):
+        # a rate of 1e308 overflows the systems of the first step: they are
+        # refused before any solve, the step names its time, and the error
+        # line is all of stderr (no numpy warning text)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dt = 0.25\nt_end = 1\nn_elems = 20\n{rate} = 1e308\n")
-        with np.errstate(all="ignore"):
-            code = run_cli("simulate", cfg, tmp_path / "out", "--quiet")
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "t=0.25" in err
-        assert "CG did not converge" not in err
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", "simulate", cfg,
+                            tmp_path / "out", "--quiet")
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "t=0.25" in lines[0]
 
     def test_failed_forced_rerun_marks_sub_stores(self, small_run, tmp_path,
                                                   monkeypatch):
@@ -356,6 +369,47 @@ class TestCliProjectAndDmd:
             assert run_cli("report", "qoi", out / sub, csv, "--quiet") == 0
             assert csv.read_bytes() == \
                    (out / f"population_{sub}.csv").read_bytes()
+
+    def test_project_2d_store_near_1e200(self, tmp_path, capsys, rng):
+        # the solve and the residual work in units of max|load|, so values
+        # near 1e200 project like any others and report a finite residual
+        donor = M.refine(M.build_structured_triangle_mesh([0, 1], [0, 1], 10, 10),
+                         M.RefinementPlan(refine=frozenset(range(0, 200, 3))))
+        target = M.build_structured_triangle_mesh([0, 1], [0, 1], 7, 9)
+        M.save_mesh(target, tmp_path / "target.mesh.txt")
+        u = rng.uniform(0.5, 1.0, donor.n_nodes)
+        projected = {}
+        for name, scale in (("plain", 1.0), ("huge", 1e200)):
+            store.write_store(tmp_path / name,
+                              [(Fraction(0), donor, {"u": scale * u})])
+            assert run_cli("project", tmp_path / name, tmp_path / "target.mesh.txt",
+                           tmp_path / f"{name}_proj") == 0
+            said = capsys.readouterr().out
+            residual = float(said.split("projection residual")[1].split()[0])
+            assert residual <= 1e-12, said
+            entry = store.read_store(tmp_path / f"{name}_proj").entries[0]
+            projected[name] = entry.fields["u"]
+        want = 1e200 * projected["plain"]
+        assert np.max(np.abs(projected["huge"] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_report_errors_near_1e200(self, tmp_path, rng):
+        # the norms are taken in units of the larger max: the etas of a
+        # store of values near 1e200 are those of the unscaled store
+        m = M.build_interval_mesh(0, 1, 30)
+        u = rng.uniform(0.5, 1.0, (3, m.n_nodes))
+        noise = 1e-3 * rng.normal(size=u.shape)
+        etas = {}
+        for name, scale in (("plain", 1.0), ("huge", 1e200)):
+            for kind, values in (("truth", u), ("approx", u + noise)):
+                store.write_store(tmp_path / f"{name}_{kind}", [
+                    (Fraction(k), m, {"u": scale * v}) for k, v in enumerate(values)])
+            csv = tmp_path / f"{name}.csv"
+            assert run_cli("report", "errors", tmp_path / f"{name}_truth",
+                           tmp_path / f"{name}_approx", csv, "--quiet") == 0
+            etas[name] = np.array([float(line.split(",")[1])
+                                   for line in csv.read_text().splitlines()[1:]])
+        assert np.isfinite(etas["huge"]).all()
+        np.testing.assert_allclose(etas["huge"], etas["plain"], rtol=1e-12)
 
     def test_project_onto_gapped_target(self, small_run, tmp_path):
         # a 1-d target of two disjoint pieces has a block-diagonal mass matrix
@@ -497,13 +551,15 @@ class TestCliProjectAndDmd:
         argv = ("dmd", "predict", model, pred, "--mesh",
                 out / "projected" / "mesh_0000.mesh.txt", "--times", "0,1,2",
                 "--quiet")
-        with np.errstate(all="ignore"):
-            assert run_cli(*argv) == 3
-            assert "t=2 " in capsys.readouterr().err
-            assert not pred.exists()
-            pred.mkdir()
-            (pred / "kept.txt").write_text("")
-            assert run_cli(*argv) == 4          # an existing output comes first
+        proc = fresh_python("-m", "amrdmd.pipeline_cli", *argv)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()       # no numpy warning text
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "t=2 " in lines[0]
+        assert not pred.exists()
+        pred.mkdir()
+        (pred / "kept.txt").write_text("")
+        assert run_cli(*argv) == 4          # an existing output comes first
 
     @pytest.mark.parametrize("command,flag", [("fit", "--t-start"),
                                               ("fit", "--t-end"),
