@@ -98,7 +98,7 @@ def choose_rank(sigma, tau: float) -> int:
         raise InvalidArgumentError("empty singular value sequence")
     if not 0 <= tau < 1:
         raise InvalidArgumentError(f"tau must be in [0, 1), got {tau}")
-    energy = sigma ** 2
+    energy = (sigma * unit_scale(sigma[0])) ** 2   # no overflow near 1e308
     total = energy.sum()
     if total == 0.0:
         raise InvalidArgumentError("all singular values are zero")

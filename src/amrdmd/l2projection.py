@@ -165,11 +165,11 @@ def project_snapshots(snapshots, target: SimplicialMesh):
         op = ops.get(id(donor))
         if op is None:          # op.donor keeps the id from being reused
             op = ops[id(donor)] = build_projection(donor, target)
-        values, worst = {}, 0.0
+        values, res = {}, []
         for name, vals in fields.items():
             load = op.P.dot(vals)           # one P u for the solve and residual
             values[name] = project(op, vals, load)
-            worst = max(worst, projection_residual(op, load, values[name]))
+            res.append(projection_residual(op, load, values[name]))
         projected.append((time, target, values))
-        residuals.append(worst)
+        residuals.append(float(np.max(res, initial=0.0)))   # keeps a NaN
     return projected, residuals

@@ -14,6 +14,12 @@ Element storage conventions (these carry the bisection bookkeeping):
        edge and p the most recently created ("newest") vertex. Bisection
        inserts the midpoint M of (a, b) and emits children (M, p, a) and
        (M, b, p), which keeps orientation and the newest-vertex labeling.
+
+Refinement history: element keys (root, path) in a forest of binary
+bisection trees, holding no node ids. A mesh with no history has lineage
+None, and its element i is the root (i, 1). Bisecting (r, p) gives (r, 2p)
+to the child made first, (a, M) or (M, p, a), and (r, 2p + 1) to the other,
+so siblings share (r, p >> 1) and the level is p.bit_length() - 1.
 """
 
 from __future__ import annotations
@@ -30,19 +36,14 @@ NODE_DEDUP_TOL = 1e-12
 BARY_TOL = 1e-10
 BIN_ENTRIES_PER_ELEM = 64
 
-# Lineage of an element: None for a root element, else a pair
-# (parent_node_tuple, parent_lineage). Node ids in the tuple are plain ints
-# of the mesh the element lives in, remapped when nodes are compacted.
-Lineage = tuple | None
-
 
 @dataclass
 class SimplicialMesh:
     dim: int
     nodes: np.ndarray      # (n_nodes, dim) float
     elements: np.ndarray   # (n_elems, dim + 1) int
-    level: np.ndarray      # (n_elems,) int, refinement depth
-    lineage: tuple = ()    # per-element Lineage entries
+    lineage: tuple | None = None   # per-element (root, path) keys, or None
+    level: np.ndarray = field(init=False)   # (n_elems,) int, refinement depth
     _locator: object = field(default=None, repr=False, compare=False)
     _band: object = field(default=None, repr=False, compare=False)
 
@@ -51,9 +52,11 @@ class SimplicialMesh:
         if self.nodes.shape[1] != self.dim:
             self.nodes = self.nodes.reshape(-1, self.dim)
         self.elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
-        self.level = np.asarray(self.level, dtype=np.int64)
-        if not self.lineage:
-            self.lineage = (None,) * self.n_elems
+        if self.lineage is None:
+            self.level = np.zeros(self.n_elems, dtype=np.int64)
+        else:
+            self.level = np.fromiter((p.bit_length() - 1 for _, p in self.lineage),
+                                     dtype=np.int64, count=len(self.lineage))
         self.nodes.setflags(write=False)
         self.elements.setflags(write=False)
         self.level.setflags(write=False)
@@ -106,8 +109,7 @@ def build_interval_mesh(a: float, b: float, n_elems: int) -> SimplicialMesh:
         raise InvalidArgumentError(f"need a < b, got [{a}, {b}]")
     nodes = np.linspace(a, b, n_elems + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n_elems), np.arange(1, n_elems + 1)])
-    mesh = SimplicialMesh(dim=1, nodes=nodes, elements=elements,
-                          level=np.zeros(n_elems, dtype=np.int64))
+    mesh = SimplicialMesh(dim=1, nodes=nodes, elements=elements)
     validate_mesh(mesh)
     return mesh
 
@@ -132,8 +134,7 @@ def build_structured_triangle_mesh(x_range, y_range, nx: int, ny: int) -> Simpli
     lr, ul, ur = ll + 1, ll + (nx + 1), ll + (nx + 2)
     # peak-first storage; refinement edge = (ll, ur) diagonal
     elements = np.column_stack([lr, ur, ll, ul, ll, ur]).reshape(-1, 3)
-    mesh = SimplicialMesh(dim=2, nodes=nodes, elements=elements,
-                          level=np.zeros(len(elements), dtype=np.int64))
+    mesh = SimplicialMesh(dim=2, nodes=nodes, elements=elements)
     validate_mesh(mesh)
     return mesh
 
@@ -220,7 +221,7 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
     if pairs.size:
         raise InvalidArgumentError(
             f"duplicate nodes within tolerance: {pairs[:3].tolist()}")
-    if len(mesh.lineage) != mesh.n_elems:
+    if mesh.lineage is not None and len(mesh.lineage) != mesh.n_elems:
         raise InvalidArgumentError("lineage length mismatch")
 
 
@@ -238,119 +239,101 @@ class _MeshWork:
         self.dim = mesh.dim
         self.coords = [tuple(row) for row in mesh.nodes]
         self.elems = {i: tuple(el) for i, el in enumerate(mesh.elements.tolist())}
-        self.level = {i: int(lv) for i, lv in enumerate(mesh.level)}
-        self.lineage = {i: mesh.lineage[i] for i in range(mesh.n_elems)}
+        self.keys = dict(enumerate(mesh.lineage if mesh.lineage is not None
+                                   else ((i, 1) for i in range(mesh.n_elems))))
         self.next_id = mesh.n_elems
-        self.node_elems = {}          # node id -> set of live element ids
-        for eid, el in self.elems.items():
-            for v in el:
-                self.node_elems.setdefault(v, set()).add(eid)
         if self.dim == 2:
             self.edge_map = {}        # edge key -> set of live element ids
             for eid, el in self.elems.items():
                 for u, v in self._edges(el):
                     self.edge_map.setdefault(_edge_key(u, v), set()).add(eid)
-        self.midpoints = {}           # edge key -> node id created this pass
 
     @staticmethod
     def _edges(el):
         p, a, b = el
         return ((p, a), (a, b), (b, p))
 
-    def _new_elem(self, nodes, level, lineage):
-        eid = self.next_id
-        self.next_id += 1
-        self.elems[eid] = nodes
-        self.level[eid] = level
-        self.lineage[eid] = lineage
-        for v in nodes:
-            self.node_elems.setdefault(v, set()).add(eid)
+    def _new_elem(self, nodes, key):
+        self.elems[self.next_id] = nodes
+        self.keys[self.next_id] = key
         if self.dim == 2:
             for u, v in self._edges(nodes):
-                self.edge_map.setdefault(_edge_key(u, v), set()).add(eid)
-        return eid
+                self.edge_map.setdefault(_edge_key(u, v), set()).add(self.next_id)
+        self.next_id += 1
 
     def _drop_elem(self, eid):
         nodes = self.elems.pop(eid)
-        self.level.pop(eid)
-        self.lineage.pop(eid)
-        for v in nodes:
-            self.node_elems[v].discard(eid)
+        self.keys.pop(eid)
         if self.dim == 2:
             for u, v in self._edges(nodes):
                 self.edge_map[_edge_key(u, v)].discard(eid)
 
     def _midpoint_node(self, u, v):
-        key = _edge_key(u, v)
-        nid = self.midpoints.get(key)
-        if nid is None:
-            cu = self.coords[u]
-            cv = self.coords[v]
-            self.coords.append(tuple(0.5 * (np.asarray(cu) + np.asarray(cv))))
-            nid = len(self.coords) - 1
-            self.midpoints[key] = nid
-        return nid
+        self.coords.append(tuple(0.5 * np.add(self.coords[u], self.coords[v])))
+        return len(self.coords) - 1
 
     # -- coarsening --------------------------------------------------------
 
-    def coarsen(self, coarsen_ids, siblings):
-        """Merge complete sibling groups; conformity-blocked merges are
-        skipped (a midpoint still used by finer neighbors must stay).
-        siblings is sibling_groups of the mesh this work started from."""
-        groups = {}
+    def coarsen(self, coarsen_ids, siblings, incident):
+        """Merge complete sibling groups, skipping those whose midpoint finer
+        neighbors still use. siblings (sibling_groups) and incident (elements
+        per node) are those of the mesh this work started from."""
+        pairs = {}
         for eid in sorted(coarsen_ids):
-            lin = self.lineage[eid]
-            if lin is None or self.level[eid] < 1:
+            r, p = self.keys[eid]
+            if p < 2:
                 raise InvalidPlanError(f"element {eid} has no parent to merge into")
-            members = siblings[lin[0]]
+            parent = (r, p >> 1)
+            members = siblings[parent]
             if len(members) != 2 or not coarsen_ids.issuperset(members):
-                raise InvalidPlanError(
-                    f"partial sibling group for parent nodes {lin[0]}")
-            groups[lin[0]] = members
-        # merge units: all groups sharing one midpoint node must merge together
+                raise InvalidPlanError(f"partial sibling group for parent {parent}")
+            # the child made first (even path) leads: a parent made by an
+            # earlier merge has a higher id, so ids do not give the order
+            pairs[parent] = sorted(members, key=lambda e: self.keys[e][1])
+        # merge units: all pairs sharing one midpoint node must merge together
         units = {}
-        for parent_nodes, members in groups.items():
-            mid = self._group_midpoint(members)
-            units.setdefault(mid, []).append(parent_nodes)
-        for mid, parent_list in sorted(units.items()):
-            children = [e for p in parent_list for e in groups[p]]
-            if self.node_elems.get(mid, set()) != set(children):
+        for parent, (first, _) in pairs.items():
+            mid = self.elems[first][1 if self.dim == 1 else 0]
+            units.setdefault(mid, []).append(parent)
+        for mid, parents in sorted(units.items()):
+            # The unit's children are all the elements at mid iff they number
+            # incident[mid]. Counting in the start mesh is exact: coarsening
+            # runs before any bisection, a merge changes incidence only at the
+            # nodes of its parent, and a unit whose midpoint is one of those
+            # nodes fails the check before and after that merge alike.
+            if incident[mid] != 2 * len(parents):
                 continue  # midpoint still needed by finer neighbors
-            for parent_nodes in parent_list:
-                members = groups[parent_nodes]
-                lvl = self.level[members[0]] - 1
-                grand = self.lineage[members[0]][1]
-                for e in members:
-                    self._drop_elem(e)
-                self._new_elem(tuple(parent_nodes), lvl, grand)
-
-    def _group_midpoint(self, members):
-        if self.dim == 1:
-            (a1, b1), (a2, b2) = (self.elems[m] for m in members)
-            return b1 if b1 == a2 else a1
-        # 2-d children both carry the midpoint as their peak (vertex 0)
-        return self.elems[members[0]][0]
+            for parent in parents:
+                first, second = pairs[parent]
+                c1, c2 = self.elems[first], self.elems[second]
+                # (a, M), (M, b) -> (a, b); (M, p, a), (M, b, p) -> (p, a, b)
+                nodes = (c1[0], c2[1]) if self.dim == 1 else (c1[1], c1[2], c2[1])
+                self._drop_elem(first)
+                self._drop_elem(second)
+                self._new_elem(nodes, parent)
 
     # -- refinement --------------------------------------------------------
 
-    def refine(self, refine_ids, max_level):
+    def refine(self, refine_ids):
         for eid in sorted(refine_ids):
-            if eid not in self.elems:
-                continue  # already bisected through closure
-            if max_level is not None and self.level[eid] >= max_level:
-                raise InvalidPlanError(
-                    f"element {eid} already at max_level {max_level}")
-            self._bisect_conforming(eid)
+            if eid in self.elems:     # else already bisected through closure
+                self._bisect_conforming(eid)
+
+    def _bisect(self, eid, mid):
+        """Replace element eid by its two children at the new node mid."""
+        r, p = self.keys[eid]
+        el = self.elems[eid]
+        self._drop_elem(eid)
+        if self.dim == 1:
+            kids = (el[0], mid), (mid, el[1])
+        else:
+            kids = (mid, el[0], el[1]), (mid, el[2], el[0])
+        self._new_elem(kids[0], (r, 2 * p))
+        self._new_elem(kids[1], (r, 2 * p + 1))
 
     def _bisect_conforming(self, eid):
         if self.dim == 1:
-            a, b = self.elems[eid]
-            mid = self._midpoint_node(a, b)
-            lvl = self.level[eid] + 1
-            lin = ((a, b), self.lineage[eid])
-            self._drop_elem(eid)
-            self._new_elem((a, mid), lvl, lin)
-            self._new_elem((mid, b), lvl, lin)
+            self._bisect(eid, self._midpoint_node(*self.elems[eid]))
             return
         stack = [eid]
         on_stack = {eid}
@@ -360,7 +343,7 @@ class _MeshWork:
                 stack.pop()
                 on_stack.discard(top)
                 continue
-            p, a, b = self.elems[top]
+            _, a, b = self.elems[top]
             key = _edge_key(a, b)
             nbrs = self.edge_map.get(key, set()) - {top}
             partner = None
@@ -378,20 +361,11 @@ class _MeshWork:
                 stack.append(incompatible)
                 on_stack.add(incompatible)
                 continue
-            self._bisect_pair(top, partner)
+            mid = self._midpoint_node(a, b)
+            for e in (top,) if partner is None else (top, partner):
+                self._bisect(e, mid)
             stack.pop()
             on_stack.discard(top)
-
-    def _bisect_pair(self, eid, partner):
-        p, a, b = self.elems[eid]
-        mid = self._midpoint_node(a, b)
-        for e in (eid, partner) if partner is not None else (eid,):
-            ep, ea, eb = self.elems[e]
-            lvl = self.level[e] + 1
-            lin = ((ep, ea, eb), self.lineage[e])
-            self._drop_elem(e)
-            self._new_elem((mid, ep, ea), lvl, lin)
-            self._new_elem((mid, eb, ep), lvl, lin)
 
     # -- output ------------------------------------------------------------
 
@@ -403,26 +377,10 @@ class _MeshWork:
         remap[used] = np.arange(len(used))
         elements = remap[elements]
         nodes = np.asarray([self.coords[i] for i in used], dtype=float)
-
-        kept = remap if used.size < remap.size else None   # None: no node dropped
-        lineage = tuple(_remap_lineage(self.lineage[i], kept) for i in order)
-        level = np.asarray([self.level[i] for i in order], dtype=np.int64)
         mesh = SimplicialMesh(dim=self.dim, nodes=nodes, elements=elements,
-                              level=level, lineage=lineage)
+                              lineage=tuple(self.keys[i] for i in order))
         validate_mesh(mesh)
         return mesh
-
-
-def _remap_lineage(lin, remap):
-    """lin = (node tuple, parent lin) with node ids mapped through remap,
-    or lin itself when remap is None."""
-    if lin is None or remap is None:
-        return lin
-    node_tuple, parent = lin
-    new_tuple = tuple(int(remap[v]) for v in node_tuple)
-    if any(v < 0 for v in new_tuple):
-        raise AssertionError("lineage references a dropped node")
-    return (new_tuple, _remap_lineage(parent, remap))
 
 
 def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
@@ -439,24 +397,24 @@ def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
     for eid in plan.refine | plan.coarsen:
         if not 0 <= eid < n:
             raise InvalidPlanError(f"plan references element {eid} of {n}")
-    if plan.max_level is not None:
-        levels = mesh.level[np.fromiter(plan.refine, dtype=np.int64)] if plan.refine else []
-        if len(levels) and np.max(levels) >= plan.max_level:
-            raise InvalidPlanError("plan would exceed max_level")
+    if plan.max_level is not None and any(mesh.level[e] >= plan.max_level
+                                          for e in plan.refine):
+        raise InvalidPlanError("plan would exceed max_level")
     work = _MeshWork(mesh)
     if plan.coarsen:
-        work.coarsen(plan.coarsen, sibling_groups(mesh))
-    # surviving elements keep their ids in the work structure
-    work.refine([e for e in plan.refine if e in work.elems], plan.max_level)
+        work.coarsen(plan.coarsen, sibling_groups(mesh),
+                     np.bincount(mesh.elements.ravel()))
+    # coarsening drops no flagged element and reuses no id below n
+    work.refine(plan.refine)
     return work.to_mesh()
 
 
 def sibling_groups(mesh: SimplicialMesh) -> dict:
-    """Parent node tuple -> ascending ids of its children in the mesh."""
+    """Parent key (root, path) -> ascending ids of its children in the mesh."""
     groups = {}
-    for eid, (lin, lvl) in enumerate(zip(mesh.lineage, mesh.level.tolist())):
-        if lin is not None and lvl >= 1:
-            groups.setdefault(lin[0], []).append(eid)
+    for eid, (r, p) in enumerate(mesh.lineage or ()):
+        if p > 1:
+            groups.setdefault((r, p >> 1), []).append(eid)
     return groups
 
 
@@ -680,8 +638,7 @@ def load_mesh(path) -> SimplicialMesh:
                 raise ValueError(f"rows after the {n_elems} element rows")
             _check_tables(dim, nodes, elements)   # before _normalize_elements
             mesh = SimplicialMesh(dim=dim, nodes=nodes,
-                                  elements=_normalize_elements(dim, nodes, elements),
-                                  level=np.zeros(n_elems, dtype=np.int64))
+                                  elements=_normalize_elements(dim, nodes, elements))
             validate_mesh(mesh)
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc

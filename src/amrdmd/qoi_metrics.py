@@ -38,8 +38,13 @@ def total_population(mesh, fields: dict) -> float:
 
 def population_series(snapshots) -> QoiSeries:
     """Total population over snapshots [(time, mesh, {name: values})],
-    normalized by its first value."""
-    values = np.array([total_population(msh, fields) for _, msh, fields in snapshots])
+    normalized by its first value. The fields are integrated in units of
+    their largest |value|, a power of two, so no sum overflows."""
+    top = max((fem.inf_norm(fields[c]) for _, _, fields in snapshots
+               for c in COMPARTMENTS if c in fields), default=0.0)
+    scale = fem.unit_scale(top)
+    values = np.array([total_population(msh, {c: scale * v for c, v in fields.items()})
+                       for _, msh, fields in snapshots])
     if values.size == 0:
         raise InvalidArgumentError("empty series")
     ref = values[0]

@@ -433,11 +433,10 @@ def refine_elements_one_level(mesh: SimplicialMesh, flagged) -> SimplicialMesh:
     """One full refinement level for the flagged elements: two bisection
     passes, so each flagged triangle ends up split along all three edges."""
     flagged = frozenset(int(e) for e in flagged)
-    parent_keys = set(tuple(sorted(mesh.elements[e].tolist())) for e in flagged)
     first = refine(mesh, RefinementPlan(refine=flagged))
-    kids = frozenset(
-        i for i, lin in enumerate(first.lineage)
-        if lin is not None and tuple(sorted(lin[0])) in parent_keys)
+    parents = {(e, 1) if mesh.lineage is None else mesh.lineage[e] for e in flagged}
+    kids = frozenset(i for i, (r, p) in enumerate(first.lineage or ())
+                     if (r, p >> 1) in parents)
     return refine(first, RefinementPlan(refine=kids))
 
 
@@ -470,8 +469,7 @@ def build_jittered_mesh(nx: int = 100, ny: int = 100,
                 & (np.abs(np.abs(mesh.nodes[:, 1]) - 1.0) > 1e-12))
     nodes = mesh.nodes.copy()
     nodes[interior] += offsets[interior]
-    return SimplicialMesh(dim=2, nodes=nodes, elements=mesh.elements.copy(),
-                          level=np.zeros(mesh.n_elems, dtype=np.int64))
+    return SimplicialMesh(dim=2, nodes=nodes, elements=mesh.elements.copy())
 
 
 @dataclass

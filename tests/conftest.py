@@ -366,6 +366,14 @@ def node_order_step(state, params, dirichlet_right=True):
                         time=state.time + dt, step_index=state.step_index + 1)
 
 
+def element_keys(mesh):
+    """The (root, path) key of every element; element i of a mesh with no
+    refinement history is the root (i, 1)."""
+    if mesh.lineage is None:
+        return [(i, 1) for i in range(mesh.n_elems)]
+    return list(mesh.lineage)
+
+
 def random_refined_interval(rng, n_base=5, passes=2, lo=0.0, hi=1.0):
     """A 1-d mesh on [lo, hi] after a couple of random refinement rounds."""
     m = mesh_mod.build_interval_mesh(lo, hi, n_base)

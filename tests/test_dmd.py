@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,19 @@ class TestFit:
         got = np.sort(model.lam.real)[::-1]
         np.testing.assert_allclose(got, [0.9, 0.7], atol=1e-8)
         assert np.max(np.abs(model.lam.imag)) <= 1e-10
+
+    def test_tau_rank_near_the_float_limit(self):
+        # sigma is scaled to [1/2, 1) before it is squared: 2**600 Y selects
+        # the rank of Y, with no overflow warning and no rank reduction
+        x = np.linspace(0.0, 1.0, 40)
+        data = sum(np.outer(np.sin(k * np.pi * x), lam ** np.arange(9))
+                   for k, lam in ((1, 0.9), (2, 0.7), (3, 0.5)))
+        ranks = []
+        for scale in (1.0, 2.0 ** 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ranks.append(dmd.fit(make_snapshots(scale * data), tau=1e-6).rank)
+        assert ranks == [3, 3]
 
     def test_rank_and_tau_exclusive(self):
         Y = make_snapshots(np.random.default_rng(0).normal(size=(4, 5)))

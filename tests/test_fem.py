@@ -444,7 +444,7 @@ class TestBandForm:
     def test_element_joining_non_neighbours_raises(self):
         # node 1 at x = 0.5 lies between the nodes of element (0, 2)
         m = M.SimplicialMesh(dim=1, nodes=[[0.0], [0.5], [1.0]],
-                             elements=[[0, 2], [1, 2]], level=[0, 0])
+                             elements=[[0, 2], [1, 2]])
         with pytest.raises(AssemblyError, match="element 0"):
             fem.assemble_mass(m)
 

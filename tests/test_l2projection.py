@@ -334,6 +334,24 @@ class TestProjectSnapshots:
                 L2.projection_residual(op, op.P.dot(vals), alone[name])
                 for name, vals in fields.items())
 
+    def test_nan_residual_is_reported(self, rng, monkeypatch):
+        # Python's max(0.0, nan) is 0.0: the worst residual must keep a NaN
+        mesh = M.build_interval_mesh(0, 1, 5)
+        target = M.build_interval_mesh(0, 1, 7)
+        snapshots = [(k, mesh, {name: rng.normal(size=mesh.n_nodes)
+                                for name in ("u", "v")}) for k in range(2)]
+        plain = L2.projection_residual
+        calls = []
+
+        def poisoned(op, load, proj):    # NaN for field u of snapshot 1
+            calls.append(load)
+            return float("nan") if len(calls) == 3 else plain(op, load, proj)
+
+        monkeypatch.setattr(L2, "projection_residual", poisoned)
+        _, residuals = L2.project_snapshots(snapshots, target)
+        assert len(calls) == 4
+        assert np.isfinite(residuals[0]) and np.isnan(residuals[1])
+
 
 class TestRankCheck:
     def test_same_mesh_full_rank(self):

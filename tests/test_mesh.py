@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from amrdmd import mesh as M, seird_sim
 from amrdmd.errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
-from conftest import (exhaustive_locate, graded_square,
+from conftest import (element_keys, exhaustive_locate, graded_square,
                       loop_normalize_elements_2d, random_refined_interval,
                       random_refined_square)
 
@@ -103,7 +103,7 @@ class TestRefine:
     def test_refine_then_coarsen_restores_parent(self):
         m = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
         r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
-        created = [i for i, lin in enumerate(r.lineage) if lin is not None]
+        created = [i for i, (_, p) in enumerate(r.lineage) if p > 1]
         back = M.refine(r, M.RefinementPlan(coarsen=frozenset(created)))
         orig = {tuple(sorted(el)) for el in m.elements[np.argsort(m.elements[:, 0])]}
         rest = {tuple(sorted(el)) for el in back.elements}
@@ -115,7 +115,7 @@ class TestRefine:
     def test_partial_sibling_group_rejected(self):
         m = M.build_interval_mesh(0, 1, 2)
         r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
-        children = [i for i, lin in enumerate(r.lineage) if lin is not None]
+        children = [i for i, (_, p) in enumerate(r.lineage) if p > 1]
         with pytest.raises(InvalidPlanError):
             M.refine(r, M.RefinementPlan(coarsen=frozenset(children[:1])))
 
@@ -145,10 +145,10 @@ class TestRefine:
 
     def test_coarsen_conformity_preserved(self, rng):
         m = random_refined_square(rng, nx=2, passes=3)
-        candidates = [i for i in range(m.n_elems) if m.lineage[i] is not None]
         groups = {}
-        for e in candidates:
-            groups.setdefault(m.lineage[e][0], []).append(e)
+        for e, (root, path) in enumerate(element_keys(m)):
+            if path > 1:
+                groups.setdefault((root, path >> 1), []).append(e)
         full = [e for mem in groups.values() if len(mem) == 2 for e in mem]
         r = M.refine(m, M.RefinementPlan(coarsen=frozenset(full)))
         assert_conforming(r)
@@ -156,7 +156,9 @@ class TestRefine:
 
     def test_coarsening_leaves_no_reference_cycle(self):
         m = M.uniform_refine(M.build_interval_mesh(0, 1, 4), 2)
-        group = [e for e in range(m.n_elems) if m.lineage[e][0] == m.lineage[0][0]]
+        parent = (m.lineage[0][0], m.lineage[0][1] >> 1)
+        group = [e for e, (root, path) in enumerate(m.lineage)
+                 if (root, path >> 1) == parent]
         gc.collect()
         gc.disable()
         try:
@@ -167,18 +169,93 @@ class TestRefine:
         assert found == 0
         assert r.n_nodes == m.n_nodes - 1        # the group's midpoint is gone
 
-        def in_coords(mesh, lin):
-            chain = []
-            while lin is not None:
-                chain.append([mesh.nodes[v, 0] for v in lin[0]])
-                lin = lin[1]
-            return chain
+        before = {tuple(m.nodes[el, 0]): key
+                  for el, key in zip(m.elements, m.lineage)}
+        for el, key in zip(r.elements, r.lineage):
+            assert key == before.get(tuple(r.nodes[el, 0]), parent)
 
-        before = {tuple(m.nodes[el, 0]): in_coords(m, lin)
-                  for el, lin in zip(m.elements, m.lineage)}
-        restored = in_coords(m, m.lineage[group[0]])[1:]
-        for el, lin in zip(r.elements, r.lineage):
-            assert in_coords(r, lin) == before.get(tuple(r.nodes[el, 0]), restored)
+
+def random_plan(rng, m):
+    """Coarsen a random share of the complete sibling groups and refine a
+    random share of the other elements."""
+    share = rng.uniform(0, 1)
+    coarsen = {e for g in M.sibling_groups(m).values()
+               if len(g) == 2 and rng.uniform() < share for e in g}
+    share = rng.uniform(0, 0.6)
+    refine = {e for e in range(m.n_elems)
+              if e not in coarsen and rng.uniform() < share}
+    return M.RefinementPlan(refine=frozenset(refine), coarsen=frozenset(coarsen))
+
+
+def start_mesh(rng, dim):
+    if dim == 1:
+        return M.build_interval_mesh(0, 1, int(rng.integers(1, 8)))
+    n = int(rng.integers(1, 4))
+    return M.build_structured_triangle_mesh([0, 1], [0, 1], n, n)
+
+
+def corner_set(m, e):
+    return frozenset(map(tuple, m.nodes[m.elements[e]].tolist()))
+
+
+class TestBisectionKeys:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_keys_after_random_refine_coarsen_sequences(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        m = start_mesh(rng, dim)
+        seen = {(i, 1): corner_set(m, i) for i in range(m.n_elems)}
+        for _ in range(6):
+            m = M.refine(m, random_plan(rng, m))
+            keys = element_keys(m)
+            assert m.level.tolist() == [p.bit_length() - 1 for _, p in keys]
+            pairs = {}
+            for e, (r, p) in enumerate(keys):
+                if p > 1:
+                    pairs.setdefault((r, p >> 1), []).append(e)
+            assert M.sibling_groups(m) == pairs
+            for parent, members in pairs.items():
+                if len(members) == 1:
+                    continue
+                assert len(members) == 2
+                first, second = sorted(members, key=lambda e: keys[e][1])
+                c1, c2 = m.elements[first], m.elements[second]
+                # (a, M), (M, b) of (a, b); (M, p, a), (M, b, p) of (p, a, b)
+                if dim == 1:
+                    assert c1[1] == c2[0]
+                    corners, mid = [c1[0], c2[1]], c1[1]
+                else:
+                    assert c1[0] == c2[0] and c1[1] == c2[2]
+                    corners, mid = [c1[1], c1[2], c2[1]], c1[0]
+                ends = m.nodes[corners[-2:]]
+                assert m.nodes[mid].tolist() == (0.5 * (ends[0] + ends[1])).tolist()
+                covered = frozenset(map(tuple, m.nodes[corners].tolist()))
+                assert seen.setdefault(parent, covered) == covered
+            for e, key in enumerate(keys):
+                assert seen.setdefault(key, corner_set(m, e)) == corner_set(m, e)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+           st.integers(1, 2))
+    def test_coarsening_every_group_returns_to_the_roots(self, seed, dim, passes):
+        rng = np.random.default_rng(seed)
+        start = start_mesh(rng, dim)
+        m = start
+        for _ in range(passes):
+            share = rng.uniform(0, 1)
+            m = M.refine(m, M.RefinementPlan(refine=frozenset(
+                e for e in range(m.n_elems) if rng.uniform() < share)))
+        for _ in range(10):
+            coarsen = frozenset(e for g in M.sibling_groups(m).values()
+                                if len(g) == 2 for e in g)
+            if not coarsen:
+                break
+            m = M.refine(m, M.RefinementPlan(coarsen=coarsen))
+        else:
+            pytest.fail("coarsening did not finish")
+        root_of = {corner_set(start, i): (i, 1) for i in range(start.n_elems)}
+        assert {corner_set(m, e): key for e, key in enumerate(element_keys(m))} \
+            == root_of
 
 
 class TestFacets:
@@ -211,8 +288,7 @@ class TestFacets:
     def test_three_triangles_on_one_edge_rejected(self):
         nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.2, 0.5]]
         elements = [[2, 0, 1], [3, 1, 0], [4, 0, 1]]
-        m = M.SimplicialMesh(dim=2, nodes=nodes, elements=elements,
-                             level=np.zeros(3, dtype=np.int64))
+        m = M.SimplicialMesh(dim=2, nodes=nodes, elements=elements)
         with pytest.raises(InvalidArgumentError, match="shared by >2"):
             M.facets(m)
         with pytest.raises(InvalidArgumentError, match="shared by >2"):
@@ -275,8 +351,7 @@ class TestCloseNodePairs:
     def test_non_finite_node_rejected(self, bad):
         nodes = np.array([[0.0], [0.5], [1.0]])
         nodes[1, 0] = bad
-        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]],
-                             level=np.zeros(2, dtype=np.int64))
+        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]])
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             M.validate_mesh(m)
 
@@ -399,8 +474,7 @@ class TestLocate:
         # L-shaped mesh: the upper-right cell's two triangles are removed,
         # so its centre is inside the bounding box but in no element
         full = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
-        m = M.SimplicialMesh(dim=2, nodes=full.nodes, elements=full.elements[:6],
-                             level=full.level[:6])
+        m = M.SimplicialMesh(dim=2, nodes=full.nodes, elements=full.elements[:6])
         with pytest.raises(PointNotFoundError) as err:
             M.locate_points(m, [[0.25, 0.25], [0.75, 0.75]])
         np.testing.assert_array_equal(err.value.points, [[0.75, 0.75]])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from amrdmd import dmd, fem, l2projection, mesh as M, qoi_metrics, seird_sim as S
 from amrdmd.errors import AssemblyError, InvalidArgumentError
 
-from conftest import (composite_integral_1d, coo_p1_operator, node_order_step,
-                      p1_tridiagonal, piecewise_linear_1d,
+from conftest import (composite_integral_1d, coo_p1_operator, element_keys,
+                      node_order_step, p1_tridiagonal, piecewise_linear_1d,
                       random_refined_interval, spd_matrix, synth_linear_series)
 
 
@@ -286,10 +288,17 @@ def renumbered(state, rng):
     new_id = np.empty_like(perm)
     new_id[perm] = np.arange(mesh.n_nodes)
     elements = new_id[mesh.elements][rng.permutation(mesh.n_elems)]
-    shuffled = M.SimplicialMesh(dim=1, nodes=mesh.nodes[perm], elements=elements,
-                                level=np.zeros(mesh.n_elems, dtype=np.int64))
+    shuffled = M.SimplicialMesh(dim=1, nodes=mesh.nodes[perm], elements=elements)
     return S.SeirdState(shuffled, {c: v[perm] for c, v in state.fields.items()},
                         None, state.time, state.step_index)
+
+
+def mesh_digest(meshes):
+    h = hashlib.sha256()
+    for m in meshes:
+        for a in (m.nodes, m.elements, m.level):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def same_bits(a, b):
@@ -345,8 +354,7 @@ class TestBandLayoutStep:
          "degenerate element 1"),
     ], ids=["gap", "misoriented", "duplicate_node"])
     def test_bad_chain_raises(self, nodes, elements, match):
-        mesh = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
-                                level=np.zeros(len(elements), dtype=np.int64))
+        mesh = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements)
         state = S.SeirdState(mesh, {c: np.zeros(mesh.n_nodes)
                                     for c in S.COMPARTMENTS}, None, 0.0, 0)
         with pytest.raises(AssemblyError, match=match):
@@ -357,7 +365,7 @@ class TestBandLayoutStep:
 
     def test_gap_keeps_a_block_diagonal_mass(self):
         mesh = M.SimplicialMesh(dim=1, nodes=[0.0, 0.25, 0.5, 1.0],
-                                elements=[[2, 3], [0, 1]], level=[0, 0])
+                                elements=[[2, 3], [0, 1]])
         h = mesh.element_measures()
         ref = spd_matrix(p1_tridiagonal(mesh, h * (2.0 / 6.0), h * (2.0 / 6.0),
                                         h * (1.0 / 6.0))).toarray()
@@ -433,6 +441,22 @@ class TestAmrLoop:
         _, residuals = l2projection.project_snapshots(adaptive, reference)
         assert max(residuals) <= 1e-10
 
+    def test_meshes_of_a_small_run_are_pinned(self):
+        """sha256 of the nodes, elements and levels of every mesh a small
+        adaptive run visits (16 remeshes, refining and coarsening)."""
+        params = S.SeirdParams(t_end=8.0)
+        policy = S.AmrPolicy(remesh_every=2, refine_fraction=0.3,
+                             coarsen_fraction=0.3, max_level=3,
+                             initial_uniform_levels=1)
+        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
+        meshes = [snapshots[0][1]]
+        for _, mesh, _ in snapshots[1:]:
+            if mesh is not meshes[-1]:
+                meshes.append(mesh)
+        assert len(meshes) == 17
+        assert mesh_digest(meshes) == (
+            "1b25a87813428300c937a187c4a72d5a606c66ca91dc0c43571edbe92fc35693")
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_coarsen_set_is_complete_sibling_pairs_of_pool(self, seed):
@@ -461,11 +485,13 @@ class TestAmrLoop:
         order = sorted(range(m.n_elems), key=lambda e: (-score[e], e))
         pool = set(order[m.n_elems - n_coar:]) if n_coar else set()
         want = set()
+        keys = element_keys(m)
         for e in pool:
-            if m.lineage[e] is None:
+            root, path = keys[e]
+            if path < 2:
                 continue
-            sibs = [i for i, lin in enumerate(m.lineage)
-                    if lin is not None and lin[0] == m.lineage[e][0]]
+            sibs = [i for i, (r, p) in enumerate(keys)
+                    if (r, p >> 1) == (root, path >> 1)]
             if len(sibs) == 2 and pool.issuperset(sibs):
                 want.add(e)
         assert plan.coarsen == want
@@ -483,11 +509,14 @@ class TestIndicatorDemoPieces:
         # flagged element -> 4 grandchildren; closure may add more splits
         assert out.n_elems >= mesh.n_elems + 3
         assert out.total_measure() == pytest.approx(1.0, rel=1e-12)
+        assert S.refine_elements_one_level(mesh, set()) is mesh
 
     def test_donor_counts(self):
         donor, chi = S.build_demo_donor()
         assert donor.n_elems == 1672
         assert donor.n_nodes == 857
+        assert mesh_digest([donor]) == (
+            "5da0747663bd90ac03ae2df556b15e502aac7e923754052ca3a48e9636c921c3")
         assert fem.inf_norm(chi) == pytest.approx(1.0, abs=1e-12)
 
     def test_jittered_mesh_is_valid_and_deterministic(self):

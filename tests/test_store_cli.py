@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,12 +412,28 @@ class TestCliProjectAndDmd:
         assert np.isfinite(etas["huge"]).all()
         np.testing.assert_allclose(etas["huge"], etas["plain"], rtol=1e-12)
 
+    def test_report_qoi_near_the_float_limit(self, tmp_path, rng):
+        # the populations are integrated in units of the largest |value|, a
+        # power of two: a store of 2**1023 u writes the bytes of the store of u
+        m = M.build_interval_mesh(0, 1, 30)
+        u = rng.uniform(0.5, 1.0, (3, 5, m.n_nodes))
+        written = {}
+        for name, scale in (("plain", 1.0), ("huge", 2.0 ** 1023)):
+            store.write_store(tmp_path / name, [
+                (Fraction(k), m, dict(zip("seird", scale * v)))
+                for k, v in enumerate(u)])
+            csv = tmp_path / f"{name}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run_cli("report", "qoi", tmp_path / name, csv, "--quiet") == 0
+            written[name] = csv.read_bytes()
+        assert written["huge"] == written["plain"]
+
     def test_project_onto_gapped_target(self, small_run, tmp_path):
         # a 1-d target of two disjoint pieces has a block-diagonal mass matrix
         root, cfg, out = small_run
         target = M.SimplicialMesh(dim=1, nodes=[0.0, 0.25, 0.5, 0.75, 1.0],
-                                  elements=[[3, 4], [0, 1], [1, 2]],
-                                  level=[0, 0, 0])
+                                  elements=[[3, 4], [0, 1], [1, 2]])
         M.save_mesh(target, tmp_path / "gapped.mesh.txt")
         dest = tmp_path / "proj"
         assert run_cli("project", out / "adaptive", tmp_path / "gapped.mesh.txt",
