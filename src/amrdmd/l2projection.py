@@ -4,11 +4,14 @@ The projection solves M u_proj = P u on the target mesh, where M is the
 target mass matrix and P couples target and donor shape functions. In 1-d,
 P is exact: every target element is cut at the donor nodes inside it, and
 each piece, on which both shape functions are linear, is integrated by the
-2-point Gauss rule. In 2-d, a degree-4 rule runs on each of the 4
-congruent sub-triangles of every target element. Donor basis values at
-quadrature points come from point location. P holds one k x k block per
-(target element, donor element) pair that shares quadrature points, summed
-by bincount; P u is a gather, a block product and a bincount (numpy only).
+2-point Gauss rule. In 2-d, the first quadrature point of every target
+element is located. An element inside the donor element holding that
+point gets the exact block, from the barycentrics of its vertices in that
+donor element; an element that a donor edge cuts gets a degree-4 rule on
+each of its 4 congruent sub-triangles, with donor basis values at the
+quadrature points from point location. P holds one k x k block per
+(target element, donor element) pair, the point sums summed by bincount;
+P u is a gather, a block product and a bincount (numpy only).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import fem
 from .errors import CoverageError, InvalidArgumentError, PointNotFoundError
 from .fem import ElementBlocks, SparseSpd, cg_solve, reference_rule
-from .mesh import SimplicialMesh, locate_points
+from .mesh import BARY_TOL, SimplicialMesh, barycentric, locate_points
 
 QUAD_DEGREE_2D = 4
 SUB_SPLITS_2D = 2
@@ -85,6 +88,58 @@ def _subdivided_rule_2d():
     return np.vstack(pts), np.concatenate(wts)
 
 
+def _located_blocks(donor: SimplicialMesh, owner, phys, tbary, weights):
+    """Ascending keys owner * donor.n_elems + donor element of the (target
+    element, donor element) pairs that share quadrature points, and their
+    k x k blocks, summed over those points, as (k * k, n_pairs) rows."""
+    d_eids, d_bary = _locate(donor, phys)
+    pair, inv = np.unique(owner * donor.n_elems + d_eids, return_inverse=True)
+    wt = weights[:, None] * tbary
+    k = tbary.shape[1]
+    return pair, np.array([np.bincount(inv, wt[:, a] * d_bary[:, b], pair.size)
+                           for a in range(k) for b in range(k)])
+
+
+def _locate(donor: SimplicialMesh, pts):
+    """locate_points, raising CoverageError for points outside the donor."""
+    try:
+        return locate_points(donor, pts)
+    except PointNotFoundError as exc:
+        raise CoverageError(
+            f"target quadrature points not covered by donor mesh: {exc}",
+            points=getattr(exc, "points", pts)) from exc
+
+
+def _blocks_2d(donor: SimplicialMesh, target: SimplicialMesh, eids, measures):
+    """Pair keys and blocks, as _located_blocks returns them, of the 2-d
+    target elements eids. An element inside the donor element that holds
+    its first quadrature point gets that pair's exact block; the others run
+    the sub-split rule."""
+    bary, wref = _subdivided_rule_2d()
+    corners = target.nodes[target.elements[eids]]     # (ne, 3, 2)
+    phys = bary @ corners                             # (ne, nq, 2)
+    host, _ = _locate(donor, phys[:, 0])
+    # lam[c, b, e]: donor basis b of the host at vertex c of element e; the
+    # host is convex, so it holds the element iff it holds the vertices
+    vertices = corners.transpose(1, 0, 2).reshape(-1, 2)
+    lam = barycentric(donor, np.tile(host, 3), vertices).reshape(3, -1, 3)
+    lam = lam.transpose(0, 2, 1)
+    held = np.all(lam >= -BARY_TOL, axis=(0, 1))
+    # on T, for the target basis phi_a and a linear lam_b:
+    # int phi_a lam_b = |T| / 12 * (sum_c lam_b(x_c) + lam_b(x_a))
+    lam = lam[:, :, held]
+    exact = (lam + (lam[0] + lam[1] + lam[2])) * (measures[eids[held]] / 12)
+    cut = eids[~held]
+    cut_pair, cut_blocks = _located_blocks(
+        donor, np.repeat(cut, wref.size), phys[~held].reshape(-1, 2),
+        np.tile(bary, (cut.size, 1)),
+        (measures[cut, None] / 0.5 * wref[None, :]).reshape(-1))
+    pair = np.concatenate([eids[held] * donor.n_elems + host[held], cut_pair])
+    order = np.argsort(pair)        # one pair per held element: keys distinct
+    blocks = np.concatenate([exact.reshape(9, -1), cut_blocks], axis=1)
+    return pair[order], blocks[:, order]
+
+
 def build_projection(donor: SimplicialMesh,
                      target: SimplicialMesh) -> ProjectionOperator:
     """Assemble the cross-mesh coupling P and the target mass matrix M."""
@@ -92,9 +147,7 @@ def build_projection(donor: SimplicialMesh,
         raise InvalidArgumentError("donor and target dimensions differ")
     M = fem.assemble_mass(target)
     k = target.dim + 1            # nodes per element, on both meshes
-    if target.dim == 2:
-        bary, wref = _subdivided_rule_2d()
-        measures = target.element_measures()
+    measures = target.element_measures()
 
     # summed chunk by chunk: one chunk's points live at a time, and no
     # (target element, donor element) pair spans two chunks
@@ -103,27 +156,12 @@ def build_projection(donor: SimplicialMesh,
     for start in range(0, target.n_elems, chunk):
         eids = np.arange(start, min(start + chunk, target.n_elems))
         if target.dim == 1:
-            owner, phys, tbary, weights = _donor_cut_points_1d(donor, target, eids)
+            pair, block = _located_blocks(
+                donor, *_donor_cut_points_1d(donor, target, eids))
         else:
-            corners = target.nodes[target.elements[eids]]     # (ne, 3, 2)
-            phys = (bary @ corners).reshape(-1, 2)
-            tbary = np.tile(bary, (len(eids), 1))
-            weights = (measures[eids, None] / 0.5 * wref[None, :]).reshape(-1)
-            owner = np.repeat(eids, wref.size)
-
-        try:
-            d_eids, d_bary = locate_points(donor, phys)
-        except PointNotFoundError as exc:
-            offending = getattr(exc, "points", phys)
-            raise CoverageError(
-                f"target quadrature points not covered by donor mesh: {exc}",
-                points=offending) from exc
-
-        pair, inv = np.unique(owner * donor.n_elems + d_eids, return_inverse=True)
-        wt = weights[:, None] * tbary
-        blocks.append([np.bincount(inv, wt[:, a] * d_bary[:, b], pair.size)
-                       for a in range(k) for b in range(k)])
+            pair, block = _blocks_2d(donor, target, eids, measures)
         pairs.append(pair)
+        blocks.append(block)
     t_elem, d_elem = np.divmod(np.concatenate(pairs), donor.n_elems)
     P = ElementBlocks(rows=target.elements.T.take(t_elem, axis=1),
                       cols=donor.elements.T.take(d_elem, axis=1),

@@ -24,6 +24,7 @@ so siblings share (r, p >> 1) and the level is p.bit_length() - 1.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -560,14 +561,21 @@ def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
     return _locator(mesh).locate(pts)
 
 
+def barycentric(mesh: SimplicialMesh, eids, pts) -> np.ndarray:
+    """Barycentric coordinates of pts[i] in element eids[i], shape
+    (n, dim + 1); a point outside its element has a negative one."""
+    lam, _ = _locator(mesh).barycentric(eids, pts)
+    return np.column_stack(lam)
+
+
 def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
     """Ascending ids of the elements of x's bin that contain x (BARY_TOL)."""
     loc = _locator(mesh)
     pt = np.asarray(x, dtype=float).reshape(1, -1)
     key = np.ravel_multi_index(loc._cell_index(pt)[0], loc.shape)
     cands = loc.bin_elems[loc.bin_ptr[key]:loc.bin_ptr[key + 1]]
-    _, inside = loc.barycentric(cands, np.repeat(pt, cands.size, axis=0))
-    return cands[inside]
+    lam = barycentric(mesh, cands, np.repeat(pt, cands.size, axis=0))
+    return cands[np.all(lam >= -BARY_TOL, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +616,16 @@ def band_layout(mesh: SimplicialMesh) -> BandLayout:
 
 # ---------------------------------------------------------------------------
 # mesh file format: line 1 "dim n_nodes n_elems", then node coordinates,
-# then 0-based element connectivity. Extension ".mesh.txt".
+# then 0-based element connectivity. Extension ".mesh.txt". A mesh has at
+# least one element, and every node belongs to one.
 
 def save_mesh(mesh: SimplicialMesh, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elems}\n")
         row = " ".join(["%.17g"] * mesh.dim) + "\n"
-        fh.writelines(row % tuple(r) for r in mesh.nodes.tolist())
+        fh.writelines(row % r for r in zip(*mesh.nodes.T.tolist()))
         row = " ".join(["%d"] * (mesh.dim + 1)) + "\n"
-        fh.writelines(row % tuple(r) for r in mesh.elements.tolist())
+        fh.writelines(row % r for r in zip(*mesh.elements.T.tolist()))
 
 
 def load_mesh(path) -> SimplicialMesh:
@@ -630,13 +639,21 @@ def load_mesh(path) -> SimplicialMesh:
             if len(first) != 3:
                 raise ValueError("expected 'dim n_nodes n_elems'")
             dim, n_nodes, n_elems = (int(v) for v in first)
-            nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
-                               dtype=float).reshape(n_nodes, dim)
-            elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
-                                  dtype=np.int64).reshape(n_elems, dim + 1)
+            if n_elems < 1 or n_nodes < 1:
+                raise ValueError("a mesh needs at least one element and one node")
+            with warnings.catch_warnings():   # a short table fails the reshape
+                warnings.simplefilter("ignore", UserWarning)
+                nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
+                                   dtype=float).reshape(n_nodes, dim)
+                elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
+                                      dtype=np.int64).reshape(n_elems, dim + 1)
             if fh.read().strip():
                 raise ValueError(f"rows after the {n_elems} element rows")
             _check_tables(dim, nodes, elements)   # before _normalize_elements
+            orphan = np.flatnonzero(np.bincount(elements.ravel(),
+                                                minlength=n_nodes) == 0)
+            if orphan.size:
+                raise ValueError(f"node {orphan[0]} belongs to no element")
             mesh = SimplicialMesh(dim=dim, nodes=nodes,
                                   elements=_normalize_elements(dim, nodes, elements))
             validate_mesh(mesh)

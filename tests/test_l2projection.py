@@ -156,6 +156,37 @@ class TestBuildProjection:
         assert offending.size > 0
         assert np.all(offending > 1.0)   # only points beyond the donor domain
 
+    def test_coverage_error_when_target_larger_2d(self):
+        donor = M.build_structured_triangle_mesh([0, 1], [0, 1], 4, 4)
+        target = M.build_structured_triangle_mesh([0, 2], [0, 2], 4, 4)
+        with pytest.raises(CoverageError) as err:
+            L2.build_projection(donor, target)
+        offending = np.asarray(err.value.points)
+        assert offending.size > 0
+        assert np.all(offending.max(axis=1) > 1.0)   # each outside [0, 1]^2
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_elements_inside_one_donor_element_locate_one_point(
+            self, rng, monkeypatch, nested):
+        # every element of the donor itself or of a refinement of it lies in
+        # one donor element: only its probe point is located
+        donor = graded_square(rng, nx=3, passes=3)
+        target = M.uniform_refine(donor, 1) if nested else donor
+        located = []
+        plain = L2.locate_points
+
+        def counted(mesh, pts):
+            located.append(len(pts))
+            return plain(mesh, pts)
+
+        monkeypatch.setattr(L2, "locate_points", counted)
+        op = L2.build_projection(donor, target)
+        assert sum(located) == target.n_elems
+        if not nested:
+            P = coupling_matrix(op).toarray()
+            mass = spd_matrix(op.M).toarray()
+            assert abs(P - mass).max() <= 1e-15 * abs(mass).max()
+
 
 def theory_pair(seed, dim):
     """A donor, a non-nested target and a nested finer target on one

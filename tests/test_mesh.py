@@ -542,6 +542,33 @@ class TestMeshIO:
         back = M.load_mesh(path)
         assert back.element_measures()[0] > 0
 
+    def test_saved_text_is_pinned(self, tmp_path):
+        one = M.build_interval_mesh(0, 1, 3)
+        two = M.build_structured_triangle_mesh([0, 1], [0, 0.5], 3, 1)
+        M.save_mesh(one, tmp_path / "one.mesh.txt")
+        M.save_mesh(two, tmp_path / "two.mesh.txt")
+        assert (tmp_path / "one.mesh.txt").read_text() == (
+            "1 4 3\n0\n0.33333333333333331\n0.66666666666666663\n1\n"
+            "0 1\n1 2\n2 3\n")
+        assert (tmp_path / "two.mesh.txt").read_text() == (
+            "2 8 6\n0 0\n0.33333333333333331 0\n0.66666666666666663 0\n1 0\n"
+            "0 0.5\n0.33333333333333331 0.5\n0.66666666666666663 0.5\n1 0.5\n"
+            "1 5 0\n4 0 5\n2 6 1\n5 1 6\n3 7 2\n6 2 7\n")
+
+    @pytest.mark.parametrize("text", [
+        "2 4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n",         # node 3 in no element
+        "1 2 0\n0\n1\n",                               # no element
+        "1 0 0\n",
+    ], ids=["orphan_node", "no_elements", "empty"])
+    def test_mesh_not_made_of_its_elements_rejected(self, tmp_path, recwarn,
+                                                    text):
+        path = tmp_path / "bad.mesh.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError,
+                           match="malformed mesh file .*bad.mesh.txt"):
+            M.load_mesh(path)
+        assert not recwarn.list
+
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.mesh.txt"
         path.write_text("1 3 2\n0\n0.5\n1\n0 1\n")      # one element missing

@@ -943,6 +943,42 @@ class TestCliProjectAndDmd:
         code = run_cli("project", out / "adaptive", bad, tmp_path / "p", "--quiet")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["project", "dmd predict"])
+    @pytest.mark.parametrize("defect", ["orphan_node", "no_elements"])
+    def test_mesh_not_made_of_its_elements_exit_2(self, small_run, tmp_path,
+                                                  capsys, recwarn, command,
+                                                  defect, rng):
+        # refused while the file is read: before any output exists, and
+        # before a mass matrix with an empty row can be assembled
+        root, cfg, out = small_run
+        m = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
+        nodes = [f"{x!r} {y!r}" for x, y in m.nodes.tolist()]
+        elems = [" ".join(map(str, e)) for e in m.elements.tolist()]
+        if defect == "orphan_node":
+            nodes.append("0.5 0.25")
+        else:
+            elems = []
+        bad = tmp_path / "bad.mesh.txt"
+        bad.write_text("\n".join([f"2 {len(nodes)} {len(elems)}", *nodes,
+                                  *elems]) + "\n")
+        if command == "project":
+            store.write_store(tmp_path / "st2", [
+                (Fraction(k), m, {"u": rng.normal(size=m.n_nodes)}) for k in range(2)])
+            argv = ("project", tmp_path / "st2", bad, tmp_path / "out")
+        else:
+            model = tmp_path / "s.dmd.txt"
+            assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
+                           "--rank", "2", "--quiet") == 0
+            argv = ("dmd", "predict", model, tmp_path / "out", "--mesh", bad,
+                    "--until", "1")
+        capsys.readouterr()
+        recwarn.clear()
+        assert run_cli(*argv, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"malformed mesh file {bad}" in err
+        assert "Warning" not in err and not recwarn.list
+        assert not (tmp_path / "out").exists()
+
 
 def five_field_store(path, rng, n_snaps=3):
     m = M.build_interval_mesh(0, 1, 4)
