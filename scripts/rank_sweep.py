@@ -4,12 +4,15 @@ projected snapshot store.
 
 Compartments that start identically zero defeat first-snapshot amplitudes;
 pass --t-start to skip the silent initial transient (the pipeline uses 3).
+A store it cannot use (adaptive, damaged, or without the field) ends in one
+"error:" line and exit 3, a bad argument in exit 2, as in the amrdmd CLI.
 """
 
 import argparse
 import sys
 
-from amrdmd import dmd, store
+from amrdmd import dmd, pipeline_cli, store
+from amrdmd.errors import AmrDmdError, InvalidArgumentError
 
 
 def main():
@@ -21,18 +24,24 @@ def main():
     ap.add_argument("--t-start", type=float, default=None)
     ap.add_argument("--t-end", type=float, default=None)
     args = ap.parse_args()
-
-    src = store.read_store(args.store_dir, [args.field], args.t_start, args.t_end)
-    Y = store.store_to_snapshot_matrix(src, args.field)
-    print(f"{'rank':>6} {'eta_F':>12}")
-    for r in args.ranks or [5, 10, 15, 30, 45, 60]:
-        if r > Y.m:
-            print(f"{r:>6} {'(> m, skipped)':>12}")
-            continue
-        model = dmd.fit(Y, rank=r)
-        rec = dmd.reconstruct(model, Y.times)
-        print(f"{r:>6} {dmd.errors(Y.data, rec).eta_F:>12.4e}")
-    return 0
+    try:
+        src = store.read_store(args.store_dir, [args.field], args.t_start, args.t_end)
+        Y = store.store_to_snapshot_matrix(src, args.field)
+        print(f"{'rank':>6} {'eta_F':>12}")
+        for r in args.ranks:
+            if r > Y.m:
+                print(f"{r:>6} {'(> m, skipped)':>12}")
+                continue
+            model = dmd.fit(Y, rank=r)
+            rec = dmd.reconstruct(model, Y.times)
+            print(f"{r:>6} {dmd.errors(Y.data, rec).eta_F:>12.4e}")
+    except InvalidArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return pipeline_cli.EXIT_USAGE
+    except (AmrDmdError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return pipeline_cli.EXIT_RUNTIME
+    return pipeline_cli.EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ class SnapshotMatrix:
     t0: float = 0.0
     dt_o: float = 1.0
     field_name: str = "u"
-    mesh: object = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -236,7 +235,9 @@ def load_model(path) -> DmdModel:
             if not (np.isfinite(t0) and np.isfinite(dt_o) and dt_o > 0):
                 raise ValueError(f"t0 = {head[2]} must be finite and "
                                  f"dt_o = {head[3]} finite and positive")
-            raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
+            with warnings.catch_warnings():   # a short table fails the shape check
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
             if fh.read().strip():
                 raise ValueError(f"rows after the {(3 + n) * r} table rows")
         except (ValueError, OverflowError) as exc:

@@ -568,16 +568,6 @@ def barycentric(mesh: SimplicialMesh, eids, pts) -> np.ndarray:
     return np.column_stack(lam)
 
 
-def elements_containing(mesh: SimplicialMesh, x) -> np.ndarray:
-    """Ascending ids of the elements of x's bin that contain x (BARY_TOL)."""
-    loc = _locator(mesh)
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    key = np.ravel_multi_index(loc._cell_index(pt)[0], loc.shape)
-    cands = loc.bin_elems[loc.bin_ptr[key]:loc.bin_ptr[key + 1]]
-    lam = barycentric(mesh, cands, np.repeat(pt, cands.size, axis=0))
-    return cands[np.all(lam >= -BARY_TOL, axis=1)]
-
-
 # ---------------------------------------------------------------------------
 # 1-d band layout
 

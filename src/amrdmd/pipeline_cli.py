@@ -105,19 +105,19 @@ def cmd_demo_indicator(args) -> int:
     from . import seird_sim
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
-        demo = seird_sim.indicator_projection_demo()
-        for name, msh, values in (
-                ("donor", demo.donor, demo.donor_field),
-                ("structured", demo.structured, demo.structured_field),
-                ("unstructured", demo.unstructured, demo.unstructured_field)):
+        report = []
+        for name, (msh, values) in seird_sim.indicator_projection_demo().items():
             mesh_mod.save_mesh(msh, out / f"{name}.mesh.txt")
             fem.save_fields(msh, {"chi": values}, out / f"{name}.field.txt")
-        (out / "report.txt").write_text("\n".join(demo.report.lines()) + "\n")
+            report += [f"{name}_elements = {msh.n_elems}",
+                       f"{name}_nodes = {msh.n_nodes}",
+                       f"{name}_inf_norm = {fem.inf_norm(values):.17g}"]
+        (out / "report.txt").write_text("\n".join(report) + "\n")
         store.write_run_manifest(
             out, command="demo indicator", seed=args.seed, config_snapshot="-",
             outputs=["donor.mesh.txt", "report.txt"],
             timings={"demo": _time.perf_counter() - t0})
-    for line in demo.report.lines():
+    for line in report:
         _say(args, line)
     return EXIT_OK
 
@@ -202,9 +202,10 @@ def cmd_report_errors(args) -> int:
             raise InvalidArgumentError(
                 f"ambiguous field (common: {sorted(common)}); pass --field")
         field = common.pop()
-    approx_by_time = {e.time_str: e for e in approx.entries}
-    pairs = [(e, approx_by_time[e.time_str]) for e in truth.entries
-             if e.time_str in approx_by_time]
+    # "0.25" and "2.500e-01" name one time: pair by the exact value
+    approx_by_time = {Fraction(e.time_str): e for e in approx.entries}
+    pairs = [(e, a) for e in truth.entries
+             if (a := approx_by_time.get(Fraction(e.time_str))) is not None]
     if not pairs:
         raise StoreError("no common snapshot times between the stores")
     for t, a in pairs:

@@ -17,12 +17,12 @@ from . import fem, l2projection
 from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
                      StepError)
 from .fem import cg_solve
-from .mesh import (RefinementPlan, SimplicialMesh, band_layout,
-                   build_interval_mesh, build_structured_triangle_mesh,
-                   elements_containing, refine, sibling_groups, uniform_refine)
+from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, band_layout,
+                   barycentric, build_interval_mesh,
+                   build_structured_triangle_mesh, refine, sibling_groups,
+                   uniform_refine)
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
-LIVING = ("s", "e", "i", "r")
 PICARD_TOL = 1e-8       # relative update that ends the Picard loop
 PICARD_MAX = 25         # Picard iterations before a step fails
 # simulate refuses a run of more time steps, snapshots (held in memory until
@@ -424,8 +424,10 @@ def transition_crossing_elements(mesh: SimplicialMesh) -> frozenset:
     vals = u[mesh.elements]
     flagged = set(np.where(vals.max(axis=1) - vals.min(axis=1) > 1e-12)[0].tolist())
     w = BOX_HALF_WIDTH
+    eids = np.arange(mesh.n_elems)
     for corner in ((w, w), (w, -w), (-w, w), (-w, -w)):
-        flagged.update(elements_containing(mesh, corner).tolist())
+        lam = barycentric(mesh, eids, np.tile(corner, (mesh.n_elems, 1)))
+        flagged.update(np.flatnonzero(np.all(lam >= -BARY_TOL, axis=1)).tolist())
     return frozenset(flagged)
 
 
@@ -472,67 +474,15 @@ def build_jittered_mesh(nx: int = 100, ny: int = 100,
     return SimplicialMesh(dim=2, nodes=nodes, elements=mesh.elements.copy())
 
 
-@dataclass
-class IndicatorDemoReport:
-    donor_elements: int
-    donor_nodes: int
-    donor_inf_norm: float
-    structured_elements: int
-    structured_nodes: int
-    structured_inf_norm: float
-    unstructured_elements: int
-    unstructured_nodes: int
-    unstructured_inf_norm: float
-
-    def lines(self):
-        return [
-            f"donor_elements = {self.donor_elements}",
-            f"donor_nodes = {self.donor_nodes}",
-            f"donor_inf_norm = {self.donor_inf_norm:.17g}",
-            f"structured_elements = {self.structured_elements}",
-            f"structured_nodes = {self.structured_nodes}",
-            f"structured_inf_norm = {self.structured_inf_norm:.17g}",
-            f"unstructured_elements = {self.unstructured_elements}",
-            f"unstructured_nodes = {self.unstructured_nodes}",
-            f"unstructured_inf_norm = {self.unstructured_inf_norm:.17g}",
-        ]
-
-
-@dataclass
-class IndicatorDemoArtifacts:
-    donor: SimplicialMesh
-    donor_field: np.ndarray
-    structured: SimplicialMesh
-    structured_field: np.ndarray
-    unstructured: SimplicialMesh
-    unstructured_field: np.ndarray
-    report: IndicatorDemoReport
-
-
-def indicator_projection_demo() -> IndicatorDemoArtifacts:
+def indicator_projection_demo() -> dict:
     """Adaptive interpolation of a box indicator projected onto a matching
-    structured mesh and a finer jittered mesh; reports sizes and sup-norms.
-    """
+    structured mesh and a finer jittered mesh: {"donor", "structured",
+    "unstructured"}, in that order, each a (mesh, values) pair."""
     donor, chi = build_demo_donor()
-    structured = build_structured_triangle_mesh([-1, 1], [-1, 1], 80, 80)
-    unstructured = build_jittered_mesh()
-    projections = {}
-    for name, target in (("structured", structured), ("unstructured", unstructured)):
+    outputs = {"donor": (donor, chi)}
+    for name, target in (
+            ("structured", build_structured_triangle_mesh([-1, 1], [-1, 1], 80, 80)),
+            ("unstructured", build_jittered_mesh())):
         op = l2projection.build_projection(donor, target)
-        projections[name] = l2projection.project(op, chi)
-    report = IndicatorDemoReport(
-        donor_elements=donor.n_elems,
-        donor_nodes=donor.n_nodes,
-        donor_inf_norm=fem.inf_norm(chi),
-        structured_elements=structured.n_elems,
-        structured_nodes=structured.n_nodes,
-        structured_inf_norm=fem.inf_norm(projections["structured"]),
-        unstructured_elements=unstructured.n_elems,
-        unstructured_nodes=unstructured.n_nodes,
-        unstructured_inf_norm=fem.inf_norm(projections["unstructured"]),
-    )
-    return IndicatorDemoArtifacts(
-        donor=donor, donor_field=chi,
-        structured=structured, structured_field=projections["structured"],
-        unstructured=unstructured, unstructured_field=projections["unstructured"],
-        report=report)
+        outputs[name] = (target, l2projection.project(op, chi))
+    return outputs

@@ -242,7 +242,7 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
         raise StoreError("snapshots are not uniformly sampled in the window")
     data = np.column_stack([e.fields[field] for e in store.entries])
     return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(gaps[0]),
-                          field_name=field, mesh=store.entries[0].mesh)
+                          field_name=field)
 
 
 # ---------------------------------------------------------------------------

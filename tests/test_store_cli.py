@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import amrdmd
@@ -130,6 +130,56 @@ class TestStoreRoundtrip:
         assert back.entries[1].time_str == "0.25"
         np.testing.assert_allclose(back.entries[2].fields["v"],
                                    snaps[2][2]["v"], atol=0)
+
+    MAX = 1.7976931348623157e308
+
+    @staticmethod
+    def chain(coords):
+        """1-d mesh on the ascending coordinates whose gaps are finite and
+        wider than the duplicate-node tolerance; None when under two."""
+        x = []
+        for c in sorted(coords):
+            if not x or M.NODE_DEDUP_TOL < c - x[-1] < float("inf"):
+                x.append(c)
+        if len(x) < 2:
+            return None
+        return M.SimplicialMesh(dim=1, nodes=np.array(x)[:, None],
+                                elements=np.column_stack([np.arange(len(x) - 1),
+                                                          np.arange(1, len(x))]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=2, max_size=5),
+                           min_size=1, max_size=3),
+           mesh_of=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           times=st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4),
+                          min_size=6, max_size=6),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=30, max_size=30))
+    @example(coords=[[-MAX, -0.0, 1.0], [5e-324, 1.0, MAX]], mesh_of=[0, 1, 0],
+             times=[Fraction(0), Fraction(1, 3), Fraction(-5, 2)] * 2,
+             values=[-0.0, 5e-324, -MAX, MAX, -2.5e-310] * 6)
+    def test_values_and_nodes_come_back_bit_for_bit(self, coords, mesh_of, times,
+                                                    values):
+        meshes = [m for m in map(self.chain, coords) if m is not None]
+        assume(meshes)
+        snaps = []
+        for k, j in enumerate(mesh_of):
+            m = meshes[j % len(meshes)]
+            u = np.array(values[5 * k:5 * k + m.n_nodes])
+            snaps.append((times[k], m, {"u": u}))
+        with tempfile.TemporaryDirectory() as tmp:
+            back = store.read_store(store.write_store(Path(tmp) / "st", snaps))
+            n_files = len({p.name for p in Path(tmp, "st").glob("*.mesh.txt")})
+        assert n_files == len({id(m) for _, m, _ in snaps})
+        assert len(back.entries) == len(snaps)
+        for a, (ta, ma, fa) in zip(back.entries, snaps):
+            assert a.time_str == store.fraction_to_decimal(ta)
+            assert a.mesh.nodes.tobytes() == ma.nodes.tobytes()
+            assert a.fields["u"].tobytes() == fa["u"].tobytes()
+            for b, (_, mb, _) in zip(back.entries, snaps):
+                assert (a.mesh is b.mesh) == (a.mesh_file == b.mesh_file) \
+                    == (ma is mb)
 
     def test_failed_marker_blocks_read(self, tmp_path, rng):
         mesh, snaps = self.make_snapshots(rng)
@@ -825,7 +875,7 @@ class TestCliProjectAndDmd:
         assert code == 3
         assert "snap_0000.field.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["trailing_rows", "t0_nan"])
+    @pytest.mark.parametrize("damage", ["trailing_rows", "t0_nan", "header_only"])
     def test_damaged_model_exit_2(self, small_run, tmp_path, damage):
         # dt_o <= 0 is tested in-process, where a missing check cannot hang
         root, cfg, out = small_run
@@ -835,6 +885,8 @@ class TestCliProjectAndDmd:
         head, rest = model.read_text().split("\n", 1)
         if damage == "trailing_rows":
             rest += "1 2\n3 4\n"
+        elif damage == "header_only":
+            rest = ""
         else:
             head = " ".join([*head.split()[:2], "nan", *head.split()[3:]])
         model.write_text(head + "\n" + rest)
@@ -845,6 +897,8 @@ class TestCliProjectAndDmd:
         assert proc.returncode == 2
         assert "s.dmd.txt" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "pred").exists()
 
     def test_predict_mesh_size_mismatch_exit_2(self, small_run, tmp_path):
         root, cfg, out = small_run
@@ -868,6 +922,28 @@ class TestCliProjectAndDmd:
                        tmp_path / "x.csv", "--field", "s", "--quiet")
         assert code == 3
 
+    @pytest.mark.parametrize("truth_text,approx_text", [
+        (None, ["0.000e+00", "2.500e-01", "5.000e-01"]),
+        (["0e0", "2.5E-1", "0.50"], None),
+    ], ids=["approx_scientific", "truth_scientific"])
+    def test_report_pairs_times_by_value(self, tmp_path, rng, truth_text,
+                                         approx_text):
+        m = M.build_interval_mesh(0, 1, 4)
+        times = [Fraction(k, 4) for k in range(3)]
+        truth = [rng.normal(size=m.n_nodes) for _ in times]
+        for name, text, scale in (("truth", truth_text, 1.0),
+                                  ("approx", approx_text, 1.5)):
+            store.write_store(tmp_path / name, [
+                (t if text is None else text[k], m, {"s": scale * truth[k]})
+                for k, t in enumerate(times)])
+        assert run_cli("report", "errors", tmp_path / "truth", tmp_path / "approx",
+                       tmp_path / "e.csv", "--field", "s", "--quiet") == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "e.csv").read_text().splitlines()[1:-1]]
+        want = truth_text or [store.fraction_to_decimal(t) for t in times]
+        assert [r[0] for r in rows] == want
+        np.testing.assert_allclose([float(r[1]) for r in rows], 0.5, rtol=1e-14)
+
     def test_report_qoi_missing_compartments_exit_3(self, tmp_path, rng):
         m = M.build_interval_mesh(0, 1, 4)
         snaps = [(Fraction(0), m, {"s": rng.normal(size=m.n_nodes)})]
@@ -879,9 +955,20 @@ class TestCliProjectAndDmd:
     def test_demo_indicator_via_cli(self, tmp_path):
         out = tmp_path / "demo"
         assert run_cli("demo", "indicator", out, "--quiet") == 0
-        text = (out / "report.txt").read_text()
-        assert "donor_elements = 1672" in text
-        assert "donor_nodes = 857" in text
+        report = [line.split(" = ")
+                  for line in (out / "report.txt").read_text().splitlines()]
+        assert [k for k, _ in report] == [
+            f"{name}_{what}" for name in ("donor", "structured", "unstructured")
+            for what in ("elements", "nodes", "inf_norm")]
+        values = dict(report)
+        assert {k: int(v) for k, v in values.items() if not k.endswith("norm")} == {
+            "donor_elements": 1672, "donor_nodes": 857,
+            "structured_elements": 12800, "structured_nodes": 6561,
+            "unstructured_elements": 20000, "unstructured_nodes": 10201}
+        for key, norm in (("donor_inf_norm", 1.0000000000000002),
+                          ("structured_inf_norm", 1.000000000000036),
+                          ("unstructured_inf_norm", 1.0049496944577712)):
+            assert float(values[key]) == pytest.approx(norm, abs=1e-12)
         assert (out / "donor.mesh.txt").exists()
         assert (out / "unstructured.field.txt").exists()
 
@@ -932,6 +1019,36 @@ class TestCliProjectAndDmd:
         assert proc.returncode == code, proc.stderr
         assert "usage:" in proc.stdout + proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_rank_sweep_script(self, small_run, tmp_path, rng):
+        root, cfg, out = small_run
+        store.write_store(tmp_path / "adaptive", [
+            (Fraction(k), m, {"s": rng.normal(size=m.n_nodes)})
+            for k, m in enumerate(M.build_interval_mesh(0, 1, n) for n in (4, 5, 4))])
+        script = Path(__file__).resolve().parents[1] / "scripts" / "rank_sweep.py"
+        proc = fresh_python(script, out / "projected", "s", "2", "4", "99")
+        assert proc.returncode == 0, proc.stderr
+        table = [line.split() for line in proc.stdout.splitlines()]
+        assert table[0] == ["rank", "eta_F"]
+        assert [row[0] for row in table[1:]] == ["2", "4", "99"]
+        assert float(table[2][1]) < float(table[1][1]) < 1
+        assert "skipped" in proc.stdout
+        for argv, code in (((tmp_path / "adaptive", "s"), 3),
+                           ((out / "projected", "zz"), 3),
+                           ((out / "projected", "s", "0"), 2)):
+            proc = fresh_python(script, *argv)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stderr.startswith("error: "), proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_indicator_demo_script(self, tmp_path):
+        script = (Path(__file__).resolve().parents[1] / "scripts"
+                  / "run_indicator_demo.py")
+        proc = fresh_python(script, tmp_path / "demo")
+        assert proc.returncode == 0, proc.stderr
+        assert "donor_elements = 1672" in proc.stdout
+        report = (tmp_path / "demo" / "report.txt").read_text()
+        assert report.splitlines()[0] == "donor_elements = 1672"
 
     def test_usage_error_exit_2(self):
         assert run_cli("dmd", "fit") == 2
