@@ -35,9 +35,10 @@ class NumericError(AmrDmdError):
 
 
 class CoverageError(AmrDmdError):
-    """Quadrature points of the target mesh were not locatable in the donor.
+    """The donor mesh does not cover every element of the target mesh.
 
-    Carries the offending points in ``points``.
+    Carries the offending points in ``points``: the target element centroids
+    no donor element holds, or the vertices of elements covered only in part.
     """
 
     def __init__(self, message, points=None):

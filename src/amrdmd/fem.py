@@ -132,30 +132,15 @@ def gauss_rule_1d(degree: int) -> QuadratureRule:
 
 
 def triangle_rule(degree: int) -> QuadratureRule:
-    """Symmetric triangle rules: centroid (deg 1), 3-point (deg 2),
-    6-point Dunavant (deg 4)."""
-    if degree <= 1:
-        pts = np.array([[1 / 3, 1 / 3, 1 / 3]])
-        w = np.array([0.5])
-        deg = 1
-    elif degree == 2:
-        pts = np.array([
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ])
-        w = np.full(3, 1 / 6)
-        deg = 2
-    else:
-        a1, b1, w1 = 0.108103018168070, 0.445948490915965, 0.223381589678011
-        a2, b2, w2 = 0.816847572980459, 0.091576213509771, 0.109951743655322
-        pts = np.array([
-            [a1, b1, b1], [b1, a1, b1], [b1, b1, a1],
-            [a2, b2, b2], [b2, a2, b2], [b2, b2, a2],
-        ])
-        w = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
-        deg = 4
-    return QuadratureRule(dim=2, points=pts, weights=w, degree=deg)
+    """The symmetric 3-point rule, exact to degree 2."""
+    if degree > 2:
+        raise InvalidArgumentError(f"no triangle rule of degree {degree}")
+    pts = np.array([
+        [2 / 3, 1 / 6, 1 / 6],
+        [1 / 6, 2 / 3, 1 / 6],
+        [1 / 6, 1 / 6, 2 / 3],
+    ])
+    return QuadratureRule(dim=2, points=pts, weights=np.full(3, 1 / 6), degree=2)
 
 
 @functools.cache
@@ -356,12 +341,12 @@ def save_fields(mesh: SimplicialMesh, fields: dict, path) -> None:
                                        f"for {mesh.n_nodes} nodes")
         if not np.isfinite(values).all():
             raise InvalidArgumentError(f"field '{name}' has non-finite values")
-        columns.append(values.tolist())
+        columns.append(values)
     with open(path, "w") as fh:
         fh.write(f"{mesh.n_nodes} {len(fields)}\n")
         fh.write(" ".join(fields) + "\n")
         row = " ".join(["%.17g"] * len(fields)) + "\n"
-        fh.writelines(row % r for r in zip(*columns))
+        fh.write(row * mesh.n_nodes % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, np.ndarray]:

@@ -1,17 +1,14 @@
 """L2-projection of P1 fields between non-matching meshes.
 
 The projection solves M u_proj = P u on the target mesh, where M is the
-target mass matrix and P couples target and donor shape functions. In 1-d,
-P is exact: every target element is cut at the donor nodes inside it, and
-each piece, on which both shape functions are linear, is integrated by the
-2-point Gauss rule. In 2-d, the first quadrature point of every target
-element is located. An element inside the donor element holding that
-point gets the exact block, from the barycentrics of its vertices in that
-donor element; an element that a donor edge cuts gets a degree-4 rule on
-each of its 4 congruent sub-triangles, with donor basis values at the
-quadrature points from point location. P holds one k x k block per
-(target element, donor element) pair, the point sums summed by bincount;
-P u is a gather, a block product and a bincount (numpy only).
+target mass matrix and P couples target and donor shape functions. P is
+exact: each target element is cut into simplex pieces that lie in one donor
+element each (a local supermesh, Farrell et al., CMAME 2009), and on a piece
+S with vertices v_c, where the target basis phi_a and the donor basis lam_b
+are linear, int_S phi_a lam_b = |S| / (k (k + 1)) * (sum_c phi_a(v_c)
+sum_c lam_b(v_c) + sum_c phi_a(v_c) lam_b(v_c)), with k = dim + 1. P holds
+one k x k block per (target element, donor element) pair, summed over the
+pieces by bincount; P u is a gather, a block product and a bincount.
 """
 
 from __future__ import annotations
@@ -22,11 +19,9 @@ import numpy as np
 
 from . import fem
 from .errors import CoverageError, InvalidArgumentError, PointNotFoundError
-from .fem import ElementBlocks, SparseSpd, cg_solve, reference_rule
-from .mesh import BARY_TOL, SimplicialMesh, barycentric, locate_points
-
-QUAD_DEGREE_2D = 4
-SUB_SPLITS_2D = 2
+from .fem import ElementBlocks, SparseSpd, cg_solve
+from .mesh import (BARY_TOL, SimplicialMesh, barycentric, elements_meeting,
+                   locate_points)
 
 
 @dataclass
@@ -37,107 +32,103 @@ class ProjectionOperator:
     P: ElementBlocks              # (target nodes) x (donor nodes)
 
 
-def _donor_cut_points_1d(donor: SimplicialMesh, target: SimplicialMesh,
-                         eids: np.ndarray):
-    """Quadrature for target elements eids on their common refinement with
-    the donor: each element is cut at the donor nodes strictly inside it and
-    every piece gets the 2-point Gauss rule, exact for the quadratic
-    integrand. Returns (owner element, points, target barycentrics, weights)."""
-    x0 = target.nodes[target.elements[eids, 0], 0]
-    x1 = target.nodes[target.elements[eids, 1], 0]
-    d = np.sort(donor.nodes[:, 0])
-    first = np.searchsorted(d, x0 + 1e-14, side="right")
-    n_cuts = np.maximum(np.searchsorted(d, x1 - 1e-14) - first, 0)
-    starts = np.cumsum(n_cuts) - n_cuts            # first cut of each element
-    cut_loc = np.repeat(np.arange(eids.size), n_cuts)
-    cuts = d[np.arange(cut_loc.size) - starts[cut_loc] + first[cut_loc]]
-    # the pieces of an element with cuts c1 < ... < cn: [x0, c1], ..., [cn, x1]
-    lo = np.insert(cuts, starts, x0)
-    hi = np.insert(cuts, starts + n_cuts, x1)
-    loc = np.repeat(np.arange(eids.size), n_cuts + 1)
-
-    gauss = reference_rule(1, 3)
-    phys = (lo[:, None] + (hi - lo)[:, None] * gauss.points[None, :, 1]).reshape(-1)
-    loc = np.repeat(loc, gauss.weights.size)
-    t = (phys - x0[loc]) / (x1 - x0)[loc]
-    weights = ((hi - lo)[:, None] * gauss.weights[None, :]).reshape(-1)
-    return eids[loc], phys[:, None], np.column_stack([1.0 - t, t]), weights
+def _clip(vert, poly, j):
+    """One Sutherland-Hodgman step. vert[i] is a vertex of the convex polygon
+    poly[i], each polygon's vertices contiguous and in order; returns the
+    vertices and polygon ids of the parts where column j is >= 0. The columns
+    are affine functions on the plane, so a crossing interpolates them all."""
+    nxt = np.arange(1, poly.size + 1)
+    nxt[np.diff(poly, append=-1) != 0] = np.flatnonzero(np.diff(poly, prepend=-1))
+    s = vert[:, j]
+    s_next = s[nxt]
+    keep = s >= 0
+    cross = np.sign(s) * np.sign(s_next) < 0
+    # edge (i, nxt[i]) emits vertex i if kept, then its crossing point
+    emit = keep.astype(np.int64) + cross
+    at = np.cumsum(emit) - emit
+    out = np.empty((emit.sum(), vert.shape[1]))
+    out[at[keep]] = vert[keep]
+    v, w = vert[cross], vert[nxt[cross]]
+    t = s[cross] / (s[cross] - s_next[cross])
+    out[at[cross] + keep[cross]] = v + t[:, None] * (w - v)
+    return out, np.repeat(poly, emit)
 
 
-def _subdivided_rule_2d():
-    """Degree-QUAD_DEGREE_2D rule on the reference triangle subdivided into
-    SUB_SPLITS_2D^2 congruent subtriangles; returns barycentric points and
-    weights that sum to the reference measure 1/2."""
-    base = reference_rule(2, QUAD_DEGREE_2D)
-    s = SUB_SPLITS_2D
+def _pieces(donor: SimplicialMesh, corners, measures, d_elem):
+    """The pieces of positive measure of target element i (vertices
+    corners[i], measure measures[i]) inside donor element d_elem[i]: per
+    piece i, its measure, and the target and donor basis at its vertices,
+    phi[:, c, a] and lam[:, c, b]."""
+    if corners.shape[2] == 1:         # the interval intersection
+        x = corners[:, :, 0]
+        ends = np.clip(donor.nodes[donor.elements[d_elem], 0], x[:, :1], x[:, 1:])
+        t = (ends - x[:, :1]) / (x[:, 1:] - x[:, :1])
+        phi = np.stack([1.0 - t, t], axis=2)
+        lam = barycentric(donor, np.repeat(d_elem, 2), ends.reshape(-1, 1)).reshape(-1, 2, 2)
+        owner, size = np.arange(len(x)), ends[:, 1] - ends[:, 0]
+    else:
+        # clip in the donor element's barycentrics, carrying the target's;
+        # an element with every vertex below one of them misses it
+        lam = barycentric(donor, np.repeat(d_elem, 3),
+                          corners.reshape(-1, 2)).reshape(-1, 3, 3)
+        poly = np.flatnonzero(np.all(np.maximum(np.maximum(lam[:, 0], lam[:, 1]),
+                                                lam[:, 2]) >= 0, axis=1))
+        vert = np.concatenate([lam[poly].reshape(-1, 3),
+                               np.tile(np.eye(3), (poly.size, 1))], axis=1)
+        poly = np.repeat(poly, 3)
+        for j in range(3):
+            vert, poly = _clip(vert, poly, j)
+        # the fan triangles (first, i, i + 1) of each clipped polygon
+        first = np.diff(poly, prepend=-1) != 0
+        mid = np.flatnonzero(~first & (np.diff(poly, append=-1) == 0))
+        fan = np.maximum.accumulate(np.where(first, np.arange(poly.size), 0))[mid]
+        tri = np.stack([vert[fan], vert[mid], vert[mid + 1]], axis=1)
+        lam, phi, owner = tri[:, :, :3], tri[:, :, 3:], poly[mid]
+        d = phi[:, 1:, 1:] - phi[:, :1, 1:]
+        size = measures[owner] * (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
+    keep = size > 0
+    return owner[keep], size[keep], phi[keep], lam[keep]
 
-    def lattice(i, j):
-        return np.array([1.0 - (i + j) / s, i / s, j / s])
 
-    corners = []
-    for j in range(s):
-        for i in range(s - j):
-            corners.append((lattice(i, j), lattice(i + 1, j), lattice(i, j + 1)))
-            if i + j < s - 1:
-                corners.append((lattice(i + 1, j), lattice(i + 1, j + 1),
-                                lattice(i, j + 1)))
-    pts, wts = [], []
-    for (A, B, C) in corners:
-        pts.append(base.points @ np.vstack([A, B, C]))
-        wts.append(base.weights / (s * s))
-    return np.vstack(pts), np.concatenate(wts)
-
-
-def _located_blocks(donor: SimplicialMesh, owner, phys, tbary, weights):
-    """Ascending keys owner * donor.n_elems + donor element of the (target
-    element, donor element) pairs that share quadrature points, and their
-    k x k blocks, summed over those points, as (k * k, n_pairs) rows."""
-    d_eids, d_bary = _locate(donor, phys)
-    pair, inv = np.unique(owner * donor.n_elems + d_eids, return_inverse=True)
-    wt = weights[:, None] * tbary
-    k = tbary.shape[1]
-    return pair, np.array([np.bincount(inv, wt[:, a] * d_bary[:, b], pair.size)
-                           for a in range(k) for b in range(k)])
-
-
-def _locate(donor: SimplicialMesh, pts):
-    """locate_points, raising CoverageError for points outside the donor."""
+def _chunk_blocks(donor: SimplicialMesh, target: SimplicialMesh, eids, measures):
+    """Ascending keys target element * donor.n_elems + donor element of the
+    pairs sharing a piece of the target elements eids, whose measures are
+    measures, and their k x k blocks summed over the pieces, as (k * k, n)."""
+    k = target.dim + 1
+    corners = target.nodes[target.elements[eids]]          # (ne, k, dim)
     try:
-        return locate_points(donor, pts)
+        host, _ = locate_points(donor, corners.mean(axis=1))
     except PointNotFoundError as exc:
-        raise CoverageError(
-            f"target quadrature points not covered by donor mesh: {exc}",
-            points=getattr(exc, "points", pts)) from exc
-
-
-def _blocks_2d(donor: SimplicialMesh, target: SimplicialMesh, eids, measures):
-    """Pair keys and blocks, as _located_blocks returns them, of the 2-d
-    target elements eids. An element inside the donor element that holds
-    its first quadrature point gets that pair's exact block; the others run
-    the sub-split rule."""
-    bary, wref = _subdivided_rule_2d()
-    corners = target.nodes[target.elements[eids]]     # (ne, 3, 2)
-    phys = bary @ corners                             # (ne, nq, 2)
-    host, _ = _locate(donor, phys[:, 0])
-    # lam[c, b, e]: donor basis b of the host at vertex c of element e; the
+        raise CoverageError(f"target element centroids not covered by donor "
+                            f"mesh: {exc}", points=exc.points) from exc
+    # lam[e, c, b]: donor basis b of the host at vertex c of element e; the
     # host is convex, so it holds the element iff it holds the vertices
-    vertices = corners.transpose(1, 0, 2).reshape(-1, 2)
-    lam = barycentric(donor, np.tile(host, 3), vertices).reshape(3, -1, 3)
-    lam = lam.transpose(0, 2, 1)
-    held = np.all(lam >= -BARY_TOL, axis=(0, 1))
-    # on T, for the target basis phi_a and a linear lam_b:
-    # int phi_a lam_b = |T| / 12 * (sum_c lam_b(x_c) + lam_b(x_a))
-    lam = lam[:, :, held]
-    exact = (lam + (lam[0] + lam[1] + lam[2])) * (measures[eids[held]] / 12)
-    cut = eids[~held]
-    cut_pair, cut_blocks = _located_blocks(
-        donor, np.repeat(cut, wref.size), phys[~held].reshape(-1, 2),
-        np.tile(bary, (cut.size, 1)),
-        (measures[cut, None] / 0.5 * wref[None, :]).reshape(-1))
-    pair = np.concatenate([eids[held] * donor.n_elems + host[held], cut_pair])
-    order = np.argsort(pair)        # one pair per held element: keys distinct
-    blocks = np.concatenate([exact.reshape(9, -1), cut_blocks], axis=1)
-    return pair[order], blocks[:, order]
+    lam = barycentric(donor, np.repeat(host, k),
+                      corners.reshape(-1, target.dim)).reshape(-1, k, k)
+    inside = np.all(lam >= -BARY_TOL, axis=(1, 2))
+    held, cut = np.flatnonzero(inside), np.flatnonzero(~inside)
+    # a held element is its own piece; the others are cut by the donor
+    # elements whose bounding boxes meet theirs
+    box, d_elem = np.divmod(elements_meeting(donor, corners[cut].min(axis=1),
+                                             corners[cut].max(axis=1)), donor.n_elems)
+    piece, size, phi, lam_cut = _pieces(donor, corners[cut[box]],
+                                        measures[cut[box]], d_elem)
+    short = cut[np.bincount(box[piece], size, cut.size)
+                < measures[cut] * (1.0 - BARY_TOL)]
+    if short.size:
+        raise CoverageError(f"{short.size} target elements not covered by donor "
+                            f"mesh (first: element {eids[short[0]]})",
+                            points=corners[short].reshape(-1, target.dim))
+    owner = np.concatenate([held, cut[box[piece]]])
+    size = np.concatenate([measures[held], size])
+    phi = np.concatenate([np.broadcast_to(np.eye(k), (held.size, k, k)), phi])
+    lam = np.concatenate([lam[held], lam_cut])
+    block = ((phi.sum(axis=1)[:, :, None] * lam.sum(axis=1)[:, None, :]
+              + np.swapaxes(phi, 1, 2) @ lam) * (size / (k * (k + 1)))[:, None, None])
+    d_elem = np.concatenate([host[held], d_elem[piece]])
+    key, inv = np.unique(eids[owner] * donor.n_elems + d_elem, return_inverse=True)
+    return key, np.array([np.bincount(inv, block[:, a, b], key.size)
+                          for a in range(k) for b in range(k)])
 
 
 def build_projection(donor: SimplicialMesh,
@@ -148,21 +139,12 @@ def build_projection(donor: SimplicialMesh,
     M = fem.assemble_mass(target)
     k = target.dim + 1            # nodes per element, on both meshes
     measures = target.element_measures()
-
-    # summed chunk by chunk: one chunk's points live at a time, and no
-    # (target element, donor element) pair spans two chunks
-    pairs, blocks = [], []
-    chunk = 2048
-    for start in range(0, target.n_elems, chunk):
-        eids = np.arange(start, min(start + chunk, target.n_elems))
-        if target.dim == 1:
-            pair, block = _located_blocks(
-                donor, *_donor_cut_points_1d(donor, target, eids))
-        else:
-            pair, block = _blocks_2d(donor, target, eids, measures)
-        pairs.append(pair)
-        blocks.append(block)
-    t_elem, d_elem = np.divmod(np.concatenate(pairs), donor.n_elems)
+    # chunk by chunk: one chunk's pieces live at a time, and no (target
+    # element, donor element) pair spans two chunks
+    ids = np.arange(target.n_elems)
+    keys, blocks = zip(*[_chunk_blocks(donor, target, eids, measures[eids])
+                         for eids in np.split(ids, range(2048, ids.size, 2048))])
+    t_elem, d_elem = np.divmod(np.concatenate(keys), donor.n_elems)
     P = ElementBlocks(rows=target.elements.T.take(t_elem, axis=1),
                       cols=donor.elements.T.take(d_elem, axis=1),
                       blocks=np.concatenate(blocks, axis=1).reshape(k, k, -1),

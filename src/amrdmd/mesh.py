@@ -6,7 +6,7 @@ the result is always conforming (no hanging nodes). Coarsening merges
 complete sibling groups back into their parent. Point location bins the
 elements in a uniform grid held as CSR arrays, tests the candidates of all
 query points in vectorized passes, lowest id first, and falls back to an
-exhaustive scan.
+exhaustive scan; the same bins give the elements meeting a box.
 
 Element storage conventions (these carry the bisection bookkeeping):
   1-d: element (a, b) with x[a] < x[b]; bisection splits at the midpoint.
@@ -218,7 +218,10 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
         raise InvalidArgumentError(
             f"element {bad} has non-positive measure {measures[bad]:g}")
     facets(mesh)
-    pairs = _close_node_pairs(mesh.nodes, NODE_DEDUP_TOL)
+    # nodes closer than NODE_DEDUP_TOL of the extent; halves do not overflow
+    half = mesh.nodes / 2
+    extent = 2 * float(np.max(half.max(axis=0) - half.min(axis=0)))
+    pairs = _close_node_pairs(mesh.nodes, NODE_DEDUP_TOL * extent)
     if pairs.size:
         raise InvalidArgumentError(
             f"duplicate nodes within tolerance: {pairs[:3].tolist()}")
@@ -443,26 +446,23 @@ class _Locator:
         diam = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
         cell = max(0.5 * float(np.median(diam)), 1e-300)
         extent = np.maximum(self.hi - self.lo, 1e-300)
+        box_lo, box_hi = pts.min(axis=1), pts.max(axis=1)
         while True:
             self.shape = np.minimum(np.maximum((extent / cell).astype(int), 1), 2048)
             self.cell = extent / self.shape
-            # one (element, cell) pair per cell of each element's bounding box
-            lo_idx = self._cell_index(pts.min(axis=1))
-            span = self._cell_index(pts.max(axis=1)) - lo_idx + 1
-            count = np.prod(span, axis=1)
-            if (count.sum() + np.prod(self.shape)
+            lo_idx = self._cell_index(box_lo)
+            span = self._cell_index(box_hi) - lo_idx + 1
+            if (np.prod(span, axis=1).sum() + np.prod(self.shape)
                     <= BIN_ENTRIES_PER_ELEM * max(mesh.n_elems, 1)):
                 break
             cell *= 2.0
         # the stable sort keeps element ids ascending within every bin
-        pair_elem = np.repeat(np.arange(mesh.n_elems), count)
-        rank = np.arange(pair_elem.size) - np.repeat(np.cumsum(count) - count, count)
-        pair_cell = lo_idx[pair_elem]
-        for d in range(mesh.dim - 1, -1, -1):
-            pair_cell[:, d] += rank % span[pair_elem, d]
-            rank //= span[pair_elem, d]
-        key = np.ravel_multi_index(pair_cell.T, self.shape)
+        pair_elem, pair_cell = self._box_cells(lo_idx, span)
+        key = np.ravel_multi_index(pair_cell, self.shape)
         self.bin_elems = pair_elem[np.argsort(key, kind="stable")]
+        # per axis, a row over the elements: bounding boxes and first cells
+        self.box_lo, self.box_hi, self.lo_idx = (np.ascontiguousarray(a.T)
+                                                 for a in (box_lo, box_hi, lo_idx))
         self.bin_ptr = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=self.bin_ptr.size - 1),
                   out=self.bin_ptr[1:])
@@ -479,6 +479,18 @@ class _Locator:
     def _cell_index(self, pts):
         idx = ((pts - self.lo) / self.cell).astype(int)
         return np.clip(idx, 0, self.shape - 1)
+
+    def _box_cells(self, lo_idx, span):
+        """A (box, cell) pair per cell of box i, span[i] cells from lo_idx[i]:
+        the box ids, ascending, and the cell multi-indices, a row per axis."""
+        count = np.prod(span, axis=1)
+        box = np.repeat(np.arange(len(count)), count)
+        rank = np.arange(box.size) - np.repeat(np.cumsum(count) - count, count)
+        cell = lo_idx.T[:, box]
+        for d in range(self.mesh.dim - 1, -1, -1):
+            cell[d] += rank % span[box, d]
+            rank //= span[box, d]
+        return box, cell
 
     def barycentric(self, eids, pts):
         """Barycentric coordinates of pts[i] in element eids[i], as dim + 1
@@ -561,6 +573,30 @@ def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
     return _locator(mesh).locate(pts)
 
 
+def elements_meeting(mesh: SimplicialMesh, lo, hi) -> np.ndarray:
+    """For the boxes [lo[i], hi[i]] given by the rows of two (n, dim)
+    arrays, the ascending keys i * n_elems + e of the elements e whose
+    bounding box meets box i, boundary included."""
+    loc, dim = _locator(mesh), mesh.dim
+    lo_idx = loc._cell_index(lo)
+    box, cell = loc._box_cells(lo_idx, loc._cell_index(hi) - lo_idx + 1)
+    key = np.ravel_multi_index(cell, loc.shape)
+    first = loc.bin_ptr[key]
+    count = loc.bin_ptr[key + 1] - first
+    box, cell = np.repeat(box, count), np.repeat(cell, count, axis=1)
+    elem = loc.bin_elems[np.arange(box.size)
+                         - np.repeat(np.cumsum(count) - count - first, count)]
+    # a box and an element that share cells meet once, in the first of them
+    keep = np.ones(box.size, dtype=bool)
+    for d in range(dim):
+        keep &= cell[d] == np.maximum(loc.lo_idx[d, elem], lo_idx[box, d])
+    box, elem = box[keep], elem[keep]
+    for d in range(dim):
+        keep = (loc.box_lo[d, elem] <= hi[box, d]) & (loc.box_hi[d, elem] >= lo[box, d])
+        box, elem = box[keep], elem[keep]
+    return np.sort(box * mesh.n_elems + elem)
+
+
 def barycentric(mesh: SimplicialMesh, eids, pts) -> np.ndarray:
     """Barycentric coordinates of pts[i] in element eids[i], shape
     (n, dim + 1); a point outside its element has a negative one."""
@@ -612,10 +648,11 @@ def band_layout(mesh: SimplicialMesh) -> BandLayout:
 def save_mesh(mesh: SimplicialMesh, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elems}\n")
+        # one format over the whole table: no Python step per row
         row = " ".join(["%.17g"] * mesh.dim) + "\n"
-        fh.writelines(row % r for r in zip(*mesh.nodes.T.tolist()))
+        fh.write(row * mesh.n_nodes % tuple(mesh.nodes.ravel().tolist()))
         row = " ".join(["%d"] * (mesh.dim + 1)) + "\n"
-        fh.writelines(row % r for r in zip(*mesh.elements.T.tolist()))
+        fh.write(row * mesh.n_elems % tuple(mesh.elements.ravel().tolist()))
 
 
 def load_mesh(path) -> SimplicialMesh:

@@ -54,15 +54,9 @@ def _output_dir(path, force, sub_stores=()):
     (out / ".failed").unlink(missing_ok=True)   # write_store may have cleared it
 
 
-def _number(text):
-    """argparse type: a float that is not NaN."""
-    if np.isnan(value := float(text)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    return value
-
-
-def _parse_time(text):
-    """Exact rational time from command-line text; must be a finite number."""
+def exact_time(text):
+    """Exact rational time from command-line text; must be a finite number.
+    Also an argparse type: its refusal is a ValueError."""
     try:
         t = Fraction(text)
         float(t)
@@ -161,15 +155,14 @@ def cmd_dmd_predict(args) -> int:
         raise InvalidArgumentError(
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
     if args.times:
-        time_fracs = [_parse_time(tok) for tok in args.times.split(",") if tok]
+        time_fracs = [exact_time(tok) for tok in args.times.split(",") if tok]
     else:
         t0 = Fraction(repr(model.t0))
         dt = Fraction(repr(model.dt_o))
-        until = _parse_time(repr(args.until))
-        n = max((until + Fraction(1, 10 ** 9) - t0) // dt + 1, 0)
+        n = max((args.until - t0) // dt + 1, 0)
         if n > MAX_PREDICT_TIMES:
-            raise InvalidArgumentError(f"model {args.model}: --until {args.until:g} "
-                                       f"is {n} times, more than {MAX_PREDICT_TIMES}")
+            raise InvalidArgumentError(f"model {args.model}: --until {float(args.until):g}"
+                                       f" is {n} times, more than {MAX_PREDICT_TIMES}")
         time_fracs = [t0 + k * dt for k in range(n)]
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
@@ -220,7 +213,7 @@ def cmd_report_errors(args) -> int:
         fh.write("time,eta,regime\n")
         for (entry, _), eta in zip(pairs, report.eta_series):
             regime = ("reconstruction" if args.train_end is None
-                      or entry.time <= args.train_end + 1e-9 else "prediction")
+                      or Fraction(entry.time_str) <= args.train_end else "prediction")
             fh.write(f"{entry.time_str},{eta:.17g},{regime}\n")
         fh.write(f"eta_F,{report.eta_F:.17g}\n")
     _say(args, f"eta_F = {report.eta_F:.6e} over {len(pairs)} snapshots")
@@ -280,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("store_dir")
     fit.add_argument("out_model")
     fit.add_argument("--field", required=True)
-    fit.add_argument("--t-start", type=_number, default=None)
-    fit.add_argument("--t-end", type=_number, default=None)
+    fit.add_argument("--t-start", type=exact_time, default=None)
+    fit.add_argument("--t-end", type=exact_time, default=None)
     rank_group = fit.add_mutually_exclusive_group(required=True)
     rank_group.add_argument("--rank", type=int, default=None)
     rank_group.add_argument("--tau", type=float, default=None)
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mesh file the model snapshots live on")
     when = pred.add_mutually_exclusive_group(required=True)
     when.add_argument("--times", help="comma-separated evaluation times")
-    when.add_argument("--until", type=_number,
+    when.add_argument("--until", type=exact_time,
                       help="evaluate on the model grid up to this time")
     pred.set_defaults(func=cmd_dmd_predict)
 
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     err.add_argument("approx_store")
     err.add_argument("out_csv")
     err.add_argument("--field", default=None)
-    err.add_argument("--train-end", type=_number, default=None,
+    err.add_argument("--train-end", type=exact_time, default=None,
                      help="times after this are labelled prediction")
     err.set_defaults(func=cmd_report_errors)
 

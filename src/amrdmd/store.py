@@ -179,8 +179,8 @@ def write_store(out_dir, snapshots) -> Path:
 def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     """Read a store in this process. Every manifest line is checked, but the
     mesh and field files are opened only for the snapshots with
-    t_start - 1e-9 <= time <= t_end + 1e-9 (an omitted bound is open), the
-    only entries returned; of each field file only the columns named in
+    t_start <= time <= t_end, compared exactly (an omitted bound is open),
+    the only entries returned; of each field file only the columns named in
     fields (all when None) are converted. The first fault in manifest order
     is raised: StoreError for a damaged manifest, mesh or field file, OSError
     for a missing one."""
@@ -201,7 +201,7 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
             if len(parts) != 4:
                 raise ValueError("expected 'index time mesh_file field_file'")
             idx, t_str, mesh_file, field_file = parts
-            index, time = int(idx), float(Fraction(t_str))
+            index, time = int(idx), float(exact := Fraction(t_str))
             for name in (mesh_file, field_file):
                 if name in (".", "..") or "/" in name or "\\" in name:
                     raise ValueError(f"file name {name!r} leaves the store")
@@ -210,8 +210,8 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
         except (ValueError, OverflowError) as exc:
             raise StoreError(f"malformed line {line_no} of {manifest}: "
                              f"{raw!r} ({exc})") from exc
-        if not ((t_start is None or time >= t_start - 1e-9)
-                and (t_end is None or time <= t_end + 1e-9)):
+        if not ((t_start is None or exact >= t_start)
+                and (t_end is None or exact <= t_end)):
             continue
         try:
             if mesh_file not in mesh_cache:
@@ -238,10 +238,11 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")
     times = np.array([e.time for e in store.entries])
     gaps = np.diff(times)
-    if np.max(np.abs(gaps - gaps[0])) > 1e-9:
+    if np.max(np.abs(gaps - gaps[0])) > 1e-9 * abs(gaps[0]):
         raise StoreError("snapshots are not uniformly sampled in the window")
     data = np.column_stack([e.fields[field] for e in store.entries])
-    return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(gaps[0]),
+    first, second = (Fraction(e.time_str) for e in store.entries[:2])  # exact step
+    return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(second - first),
                           field_name=field)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from amrdmd import fem, l2projection, mesh as mesh_mod, seird_sim as S
+from amrdmd import fem, mesh as mesh_mod, seird_sim as S
 from amrdmd.dmd import SnapshotMatrix
 from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError
 from amrdmd.linalg import gaussian_matrix
@@ -110,25 +110,81 @@ def partition_defect(op):
     return float(np.max(np.abs(op.P.dot(ones_d) - op.M.dot(ones_t))))
 
 
+def _clip_left(poly, a, b):
+    """The part of the convex polygon poly, a list of (x, y), on the left of
+    the directed line a -> b (Sutherland-Hodgman, one edge)."""
+    def side(p):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    out = []
+    for i, p in enumerate(poly):
+        q = poly[(i + 1) % len(poly)]
+        sp_, sq = side(p), side(q)
+        if sp_ >= 0:
+            out.append(p)
+        if (sp_ > 0 > sq) or (sp_ < 0 < sq):
+            t = sp_ / (sp_ - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _affine_barycentric(mesh):
+    """Per element (x0, y0, inverse Jacobian rows): the barycentrics of a
+    point x are (1 - l1 - l2, l1, l2) with (l1, l2) = J^-1 (x - x0)."""
+    out = []
+    for p in mesh.nodes[mesh.elements]:
+        J = np.column_stack([p[1] - p[0], p[2] - p[0]])
+        out.append((*p[0], *np.linalg.inv(J).ravel()))
+    return out
+
+
+def _bary(aff, x, y):
+    x0, y0, a, b, c, d = aff
+    l1 = a * (x - x0) + b * (y - y0)
+    l2 = c * (x - x0) + d * (y - y0)
+    return (1.0 - l1 - l2, l1, l2)
+
+
 def coo_coupling_2d(donor, target):
-    """The 2-d coupling P of l2projection.build_projection assembled point
-    by point: every quadrature point gives 3 x 3 COO triples, summed in one
-    CSR conversion; the reference for the element-pair blocks."""
-    bary, wref = l2projection._subdivided_rule_2d()
-    corners = target.nodes[target.elements]
-    phys = np.einsum("eki,qk->eqi", corners, bary).reshape(-1, 2)
-    tbary = np.tile(bary, (target.n_elems, 1))
-    weights = (target.element_measures()[:, None] / 0.5 * wref[None, :]).reshape(-1)
-    owner = np.repeat(np.arange(target.n_elems), wref.size)
-    d_eids, d_bary = mesh_mod.locate_points(donor, phys)
-    t_nodes = target.elements[owner]
-    d_nodes = donor.elements[d_eids]
-    contrib = weights[:, None, None] * tbary[:, :, None] * d_bary[:, None, :]
-    return sp.coo_matrix(
-        (contrib.reshape(-1),
-         (np.repeat(t_nodes, 3, axis=1).reshape(-1),
-          np.tile(d_nodes, (1, 3)).reshape(-1))),
-        shape=(target.n_nodes, donor.n_nodes)).tocsr()
+    """The 2-d coupling P of l2projection.build_projection from the common
+    refinement, one scalar step at a time: every donor element whose
+    bounding box meets a target element's clips it in physical coordinates,
+    each fan triangle of the clip gets the 3-point rule (exact for the
+    product of two linear functions), and the 3 x 3 COO triples of its
+    points are summed in one CSR conversion."""
+    rule = fem.reference_rule(2, 2)
+    d_pts = donor.nodes[donor.elements]
+    d_lo, d_hi = d_pts.min(axis=1), d_pts.max(axis=1)
+    d_aff, t_aff = _affine_barycentric(donor), _affine_barycentric(target)
+    d_tri = [[tuple(v) for v in p] for p in d_pts.tolist()]
+    rows, cols, vals = [], [], []
+    for e, corners in enumerate(target.nodes[target.elements]):
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        near = np.flatnonzero(np.all((d_lo <= hi) & (d_hi >= lo), axis=1))
+        for f in near.tolist():
+            poly = [tuple(v) for v in corners.tolist()]
+            tri = d_tri[f]
+            for i in range(3):
+                poly = _clip_left(poly, tri[i], tri[(i + 1) % 3])
+                if not poly:
+                    break
+            for i in range(1, len(poly) - 1):
+                (x0, y0), (x1, y1), (x2, y2) = poly[0], poly[i], poly[i + 1]
+                area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+                if area <= 0:
+                    continue
+                for (b0, b1, b2), w in zip(rule.points.tolist(), rule.weights.tolist()):
+                    x = b0 * x0 + b1 * x1 + b2 * x2
+                    y = b0 * y0 + b1 * y1 + b2 * y2
+                    phi = _bary(t_aff[e], x, y)
+                    lam = _bary(d_aff[f], x, y)
+                    for a in range(3):
+                        for b in range(3):
+                            rows.append(target.elements[e, a])
+                            cols.append(donor.elements[f, b])
+                            vals.append(w / 0.5 * area * phi[a] * lam[b])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(target.n_nodes, donor.n_nodes)).tocsr()
 
 
 def rank_check(op):

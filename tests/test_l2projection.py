@@ -127,9 +127,9 @@ class TestBuildProjection:
 
     @pytest.mark.parametrize("case", ["demo", "graded"])
     def test_2d_P_matches_per_point_coo_assembly(self, case, rng):
-        """P summed into element-pair blocks chunk by chunk equals the
-        per-point COO sum up to the order of summation; the demo target
-        spans 10 chunks."""
+        """P summed into element-pair blocks chunk by chunk equals the COO
+        sum over the clipped pieces, quadrature point by point, up to
+        rounding; the demo target spans 10 chunks."""
         if case == "demo":
             donor, _ = seird_sim.build_demo_donor()
             target = seird_sim.build_jittered_mesh()
@@ -164,6 +164,21 @@ class TestBuildProjection:
         offending = np.asarray(err.value.points)
         assert offending.size > 0
         assert np.all(offending.max(axis=1) > 1.0)   # each outside [0, 1]^2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_coverage_error_when_target_leaves_donor_partly(self, dim):
+        # every target centroid lies in the donor, but the last elements
+        # along each axis reach past it
+        if dim == 1:
+            donor = M.build_interval_mesh(0, 1, 4)
+            target = M.build_interval_mesh(0, 1.01, 4)
+        else:
+            donor = M.build_structured_triangle_mesh([0, 1], [0, 1], 4, 4)
+            target = M.build_structured_triangle_mesh([0, 1.01], [0, 1.01], 4, 4)
+        with pytest.raises(CoverageError) as err:
+            L2.build_projection(donor, target)
+        offending = np.asarray(err.value.points)
+        assert np.any(offending.max(axis=1) > 1.0)
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_elements_inside_one_donor_element_locate_one_point(
@@ -220,6 +235,17 @@ class TestBlockCouplingTheory:
         proj = L2.project(L2.build_projection(donor, nested), u)
         np.testing.assert_allclose(proj, fem.evaluate_many(donor, u, nested.nodes),
                                    rtol=0, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_2d_mean_conservation_non_nested(self, seed):
+        # P is exact on the common refinement, so the projection keeps the
+        # integral of a positive field up to the solve's rounding
+        rng, donor, other, _ = theory_pair(seed, 2)
+        u = rng.uniform(0.5, 1.5, size=donor.n_nodes)
+        proj = L2.project(L2.build_projection(donor, other), u)
+        mean = fem.integrate(donor, u)
+        assert abs(fem.integrate(other, proj) - mean) <= 1e-12 * mean
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))

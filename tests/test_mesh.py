@@ -347,6 +347,28 @@ class TestCloseNodePairs:
         assert M._close_node_pairs(nodes, M.NODE_DEDUP_TOL).tolist() == \
             [[0, len(nodes) - 1]]
 
+    def test_tiny_interval_mesh_validates(self):
+        assert M.build_interval_mesh(0, 1e-11, 100).n_elems == 100
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -40])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_duplicate_tolerance_follows_the_extent(self, dim, scale):
+        # a mesh scaled by a power of two validates as the unit mesh does,
+        # and a node pair 1e-13 of the extent apart is refused at any scale
+        if dim == 1:
+            M.validate_mesh(M.build_interval_mesh(0, scale, 100))
+            near = M.SimplicialMesh(dim=1, nodes=np.array([[0.0], [1e-13], [0.5], [1.0]]),
+                                    elements=[[0, 1], [1, 2], [2, 3]])
+        else:
+            M.validate_mesh(M.build_structured_triangle_mesh([0, scale], [0, scale],
+                                                             10, 10))
+            near = M.SimplicialMesh(dim=2, nodes=np.array([[0.0, 0.0], [1e-13, 0.0],
+                                                           [1.0, 0.0], [0.0, 1.0]]),
+                                    elements=[[0, 1, 3], [1, 2, 3]])
+        near = M.SimplicialMesh(dim=dim, nodes=near.nodes * scale, elements=near.elements)
+        with pytest.raises(InvalidArgumentError, match="duplicate nodes"):
+            M.validate_mesh(near)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, bad):
         nodes = np.array([[0.0], [0.5], [1.0]])
@@ -354,6 +376,26 @@ class TestCloseNodePairs:
         m = M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]])
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             M.validate_mesh(m)
+
+
+class TestElementsMeeting:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]))
+    def test_matches_dense_box_test(self, seed, dim):
+        # boxes inside, across and outside a graded mesh, some of them
+        # degenerate; a box that touches an element's box meets it
+        rng = np.random.default_rng(seed)
+        m = random_refined_interval(rng) if dim == 1 else graded_square(rng, passes=4)
+        lo = rng.uniform(-0.3, 1.2, size=(60, dim))
+        hi = lo + rng.choice([0.0, 0.01, 0.3], size=(60, 1)) * rng.uniform(size=(60, dim))
+        lo[:5] = m.nodes[m.elements[:5, 0]]        # corners of element boxes
+        hi[:5] = lo[:5]
+        pts = m.nodes[m.elements]
+        meets = np.all((pts.min(axis=1)[None] <= hi[:, None])
+                       & (pts.max(axis=1)[None] >= lo[:, None]), axis=2)
+        box, elem = np.nonzero(meets)
+        assert M.elements_meeting(m, lo, hi).tolist() == \
+            (box * m.n_elems + elem).tolist()
 
 
 class TestLocate:

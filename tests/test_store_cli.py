@@ -136,10 +136,13 @@ class TestStoreRoundtrip:
     @staticmethod
     def chain(coords):
         """1-d mesh on the ascending coordinates whose gaps are finite and
-        wider than the duplicate-node tolerance; None when under two."""
+        wider than the duplicate-node tolerance, NODE_DEDUP_TOL of the
+        extent of all the coordinates; None when under two."""
+        half = np.array(coords) / 2
+        tol = M.NODE_DEDUP_TOL * (2 * float(half.max() - half.min()))
         x = []
         for c in sorted(coords):
-            if not x or M.NODE_DEDUP_TOL < c - x[-1] < float("inf"):
+            if not x or tol < c - x[-1] < float("inf"):
                 x.append(c)
         if len(x) < 2:
             return None
@@ -967,7 +970,7 @@ class TestCliProjectAndDmd:
             "unstructured_elements": 20000, "unstructured_nodes": 10201}
         for key, norm in (("donor_inf_norm", 1.0000000000000002),
                           ("structured_inf_norm", 1.000000000000036),
-                          ("unstructured_inf_norm", 1.0049496944577712)):
+                          ("unstructured_inf_norm", 1.0048854385611701)):
             assert float(values[key]) == pytest.approx(norm, abs=1e-12)
         assert (out / "donor.mesh.txt").exists()
         assert (out / "unstructured.field.txt").exists()
@@ -1111,6 +1114,66 @@ def edit_rows(field_file, edit):
     field_file.write_text("\n".join([head, names, *edit(rows)]) + "\n")
 
 
+def decimal_time_store(path, rng, steps, unit):
+    """A one-field store at the times k * unit for k in steps (unit a
+    decimal string), written as exact decimals."""
+    m = M.build_interval_mesh(0, 1, 4)
+    return store.write_store(path, [(k * Fraction(unit), m,
+                                     {"u": rng.uniform(size=m.n_nodes)})
+                                    for k in steps])
+
+
+class TestExactTimes:
+    """Times and time flags compare as the exact decimals they are, at any
+    scale: no absolute slack widens a window or a grid."""
+
+    def fit(self, st, tmp_path, *flags):
+        return run_cli("dmd", "fit", st, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--rank", "1", "--force", *flags)
+
+    def test_gaps_are_compared_relative_to_the_first(self, tmp_path, rng):
+        gapped = decimal_time_store(tmp_path / "gapped", rng, [0, 1, 3, 4, 6, 7],
+                                    "1e-10")
+        assert self.fit(gapped, tmp_path, "--quiet") == 3
+        uniform = decimal_time_store(tmp_path / "uniform", rng, range(8), "1e-10")
+        assert self.fit(uniform, tmp_path, "--quiet") == 0
+
+    @pytest.mark.parametrize("flags,window", [
+        (("--t-end", "3e-10"), "[0, 3e-10]"),
+        (("--t-start", "5e-10"), "[5e-10, 7e-10]")])
+    def test_fit_window_is_exact(self, tmp_path, rng, capsys, flags, window):
+        st = decimal_time_store(tmp_path / "st", rng, range(8), "1e-10")
+        assert self.fit(st, tmp_path, *flags) == 0
+        assert f"on t in {window}" in capsys.readouterr().out
+
+    def test_fit_window_keeps_its_end_on_a_decimal_grid(self, tmp_path, rng, capsys):
+        st = decimal_time_store(tmp_path / "st", rng, range(6), "0.1")
+        assert self.fit(st, tmp_path, "--t-end", "0.3") == 0
+        assert "on t in [0, 0.3]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("steps,unit,t_start,until,n", [
+        (range(8), "1e-10", "0", "5e-10", 6),
+        (range(11), "0.1", "0.7", "1", 4)])
+    def test_predict_until_is_exact(self, tmp_path, rng, steps, unit, t_start,
+                                    until, n):
+        # 0.8 - 0.7 rounds above 0.1 in binary: the model steps by 0.1
+        st = decimal_time_store(tmp_path / "st", rng, steps, unit)
+        assert self.fit(st, tmp_path, "--t-start", t_start, "--quiet") == 0
+        pred = tmp_path / "pred"
+        assert run_cli("dmd", "predict", tmp_path / "m.dmd.txt", pred, "--mesh",
+                       st / "mesh_0000.mesh.txt", "--until", until, "--quiet") == 0
+        times = [Fraction(e.time_str) for e in store.read_store(pred).entries]
+        assert times == [Fraction(t_start) + k * Fraction(unit) for k in range(n)]
+
+    def test_train_end_is_exact(self, tmp_path, rng):
+        st = decimal_time_store(tmp_path / "st", rng, range(8), "1e-10")
+        out = tmp_path / "eta.csv"
+        assert run_cli("report", "errors", st, st, out, "--field", "u",
+                       "--train-end", "3e-10", "--quiet") == 0
+        regimes = [row.split(",")[2] for row in out.read_text().splitlines()[1:-1]]
+        assert regimes == ["reconstruction"] * 4 + ["prediction"] * 4
+
+
 class TestReadContract:
     """A command opens only the snapshots in its window and converts only
     the columns it uses; every file it opens is shape-checked whole."""
@@ -1203,9 +1266,9 @@ class TestReadContract:
             root = store.write_store(Path(tmp) / "st", snaps)
             full = store.read_store(root)
             part = store.read_store(root, fields, t_start, t_end)
-        expected = [e for e in full.entries
-                    if (t_start is None or e.time >= t_start - 1e-9)
-                    and (t_end is None or e.time <= t_end + 1e-9)]
+        expected = [e for e in full.entries      # compared exactly
+                    if (t_start is None or Fraction(e.time_str) >= t_start)
+                    and (t_end is None or Fraction(e.time_str) <= t_end)]
         assert [(e.index, e.time_str, e.mesh_file) for e in part.entries] == \
                [(e.index, e.time_str, e.mesh_file) for e in expected]
         # snapshots share a mesh object exactly when they share a mesh file
