@@ -9,6 +9,7 @@ Usage: python scripts/run_seird_pipeline.py [out_dir]
 import argparse
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from amrdmd import dmd, pipeline_cli, store
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
-TRAIN_START, TRAIN_END, HORIZON = 3.0, 30.0, 44.0
+TRAIN_START, TRAIN_END, HORIZON = Fraction(3), Fraction(30), Fraction(44)
 RANK = 15
 
 CONFIG = """\
@@ -65,19 +66,15 @@ def main(argv=None):
             root / f"errors_{c}.csv", "--field", c,
             "--train-end", TRAIN_END, "--quiet")
 
-        truth = store.read_store(root / "sim" / "projected", [c])
-        approx = store.read_store(pred, [c])
-        by_time = {e.time_str: e for e in approx.entries}
-        train_cols = [(e.fields[c], by_time[e.time_str].fields[c])
-                      for e in truth.entries
-                      if TRAIN_START - 1e-9 <= e.time <= TRAIN_END + 1e-9
-                      and e.time_str in by_time]
-        Y = np.column_stack([a for a, _ in train_cols])
-        Yh = np.column_stack([b for _, b in train_cols])
+        truth, approx = ({Fraction(e.time_str): e.fields[c]
+                          for e in store.read_store(path, [c]).entries}
+                         for path in (root / "sim" / "projected", pred))
+        train = [t for t in truth if TRAIN_START <= t <= TRAIN_END and t in approx]
+        Y = np.column_stack([truth[t] for t in train])
+        Yh = np.column_stack([approx[t] for t in train])
         eta_f = dmd.errors(Y, Yh).eta_F
-        final = [e for e in truth.entries if abs(e.time - HORIZON) < 1e-9][0]
-        diff = final.fields[c] - by_time[final.time_str].fields[c]
-        eta44 = np.linalg.norm(diff) / np.linalg.norm(final.fields[c])
+        final = truth[HORIZON]
+        eta44 = np.linalg.norm(final - approx[HORIZON]) / np.linalg.norm(final)
         print(f"{c:>6} {eta_f:>14.3e} {eta44:>14.3e}")
     print(f"artifacts in {root}")
     return 0

@@ -1,7 +1,7 @@
 """Simplicial meshes in 1-d (segments) and 2-d (triangles).
 
 Meshes are immutable after construction. Refinement bisects flagged
-elements; in 2-d this is newest-vertex bisection with recursive closure so
+elements, in 2-d by newest-vertex bisection with marked-edge closure, so
 the result is always conforming (no hanging nodes). Coarsening merges
 complete sibling groups back into their parent. Point location bins the
 elements in a uniform grid held as CSR arrays, tests the candidates of all
@@ -232,185 +232,131 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
 # ---------------------------------------------------------------------------
 # refinement / coarsening
 
-def _edge_key(u, v):
-    return (u, v) if u < v else (v, u)
-
-
-class _MeshWork:
-    """Mutable staging area for one refine/coarsen operation."""
-
-    def __init__(self, mesh: SimplicialMesh):
-        self.dim = mesh.dim
-        self.coords = [tuple(row) for row in mesh.nodes]
-        self.elems = {i: tuple(el) for i, el in enumerate(mesh.elements.tolist())}
-        self.keys = dict(enumerate(mesh.lineage if mesh.lineage is not None
-                                   else ((i, 1) for i in range(mesh.n_elems))))
-        self.next_id = mesh.n_elems
-        if self.dim == 2:
-            self.edge_map = {}        # edge key -> set of live element ids
-            for eid, el in self.elems.items():
-                for u, v in self._edges(el):
-                    self.edge_map.setdefault(_edge_key(u, v), set()).add(eid)
-
-    @staticmethod
-    def _edges(el):
-        p, a, b = el
-        return ((p, a), (a, b), (b, p))
-
-    def _new_elem(self, nodes, key):
-        self.elems[self.next_id] = nodes
-        self.keys[self.next_id] = key
-        if self.dim == 2:
-            for u, v in self._edges(nodes):
-                self.edge_map.setdefault(_edge_key(u, v), set()).add(self.next_id)
-        self.next_id += 1
-
-    def _drop_elem(self, eid):
-        nodes = self.elems.pop(eid)
-        self.keys.pop(eid)
-        if self.dim == 2:
-            for u, v in self._edges(nodes):
-                self.edge_map[_edge_key(u, v)].discard(eid)
-
-    def _midpoint_node(self, u, v):
-        self.coords.append(tuple(0.5 * np.add(self.coords[u], self.coords[v])))
-        return len(self.coords) - 1
-
-    # -- coarsening --------------------------------------------------------
-
-    def coarsen(self, coarsen_ids, siblings, incident):
-        """Merge complete sibling groups, skipping those whose midpoint finer
-        neighbors still use. siblings (sibling_groups) and incident (elements
-        per node) are those of the mesh this work started from."""
-        pairs = {}
-        for eid in sorted(coarsen_ids):
-            r, p = self.keys[eid]
-            if p < 2:
-                raise InvalidPlanError(f"element {eid} has no parent to merge into")
-            parent = (r, p >> 1)
-            members = siblings[parent]
-            if len(members) != 2 or not coarsen_ids.issuperset(members):
-                raise InvalidPlanError(f"partial sibling group for parent {parent}")
-            # the child made first (even path) leads: a parent made by an
-            # earlier merge has a higher id, so ids do not give the order
-            pairs[parent] = sorted(members, key=lambda e: self.keys[e][1])
-        # merge units: all pairs sharing one midpoint node must merge together
-        units = {}
-        for parent, (first, _) in pairs.items():
-            mid = self.elems[first][1 if self.dim == 1 else 0]
-            units.setdefault(mid, []).append(parent)
-        for mid, parents in sorted(units.items()):
-            # The unit's children are all the elements at mid iff they number
-            # incident[mid]. Counting in the start mesh is exact: coarsening
-            # runs before any bisection, a merge changes incidence only at the
-            # nodes of its parent, and a unit whose midpoint is one of those
-            # nodes fails the check before and after that merge alike.
-            if incident[mid] != 2 * len(parents):
-                continue  # midpoint still needed by finer neighbors
-            for parent in parents:
-                first, second = pairs[parent]
-                c1, c2 = self.elems[first], self.elems[second]
-                # (a, M), (M, b) -> (a, b); (M, p, a), (M, b, p) -> (p, a, b)
-                nodes = (c1[0], c2[1]) if self.dim == 1 else (c1[1], c1[2], c2[1])
-                self._drop_elem(first)
-                self._drop_elem(second)
-                self._new_elem(nodes, parent)
-
-    # -- refinement --------------------------------------------------------
-
-    def refine(self, refine_ids):
-        for eid in sorted(refine_ids):
-            if eid in self.elems:     # else already bisected through closure
-                self._bisect_conforming(eid)
-
-    def _bisect(self, eid, mid):
-        """Replace element eid by its two children at the new node mid."""
-        r, p = self.keys[eid]
-        el = self.elems[eid]
-        self._drop_elem(eid)
-        if self.dim == 1:
-            kids = (el[0], mid), (mid, el[1])
-        else:
-            kids = (mid, el[0], el[1]), (mid, el[2], el[0])
-        self._new_elem(kids[0], (r, 2 * p))
-        self._new_elem(kids[1], (r, 2 * p + 1))
-
-    def _bisect_conforming(self, eid):
-        if self.dim == 1:
-            self._bisect(eid, self._midpoint_node(*self.elems[eid]))
-            return
-        stack = [eid]
-        on_stack = {eid}
-        while stack:
-            top = stack[-1]
-            if top not in self.elems:
-                stack.pop()
-                on_stack.discard(top)
-                continue
-            _, a, b = self.elems[top]
-            key = _edge_key(a, b)
-            nbrs = self.edge_map.get(key, set()) - {top}
-            partner = None
-            incompatible = None
-            for n in nbrs:
-                np_, na, nb = self.elems[n]
-                if _edge_key(na, nb) == key:
-                    partner = n
-                else:
-                    incompatible = n
-            if incompatible is not None:
-                if incompatible in on_stack:
-                    raise InvalidPlanError(
-                        "refinement closure cycle; mesh labeling incompatible")
-                stack.append(incompatible)
-                on_stack.add(incompatible)
-                continue
-            mid = self._midpoint_node(a, b)
-            for e in (top,) if partner is None else (top, partner):
-                self._bisect(e, mid)
-            stack.pop()
-            on_stack.discard(top)
-
-    # -- output ------------------------------------------------------------
-
-    def to_mesh(self) -> SimplicialMesh:
-        order = sorted(self.elems)
-        elements = np.asarray([self.elems[i] for i in order], dtype=np.int64)
-        used = np.unique(elements) if elements.size else np.arange(0)
-        remap = -np.ones(len(self.coords), dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        elements = remap[elements]
-        nodes = np.asarray([self.coords[i] for i in used], dtype=float)
-        mesh = SimplicialMesh(dim=self.dim, nodes=nodes, elements=elements,
-                              lineage=tuple(self.keys[i] for i in order))
-        validate_mesh(mesh)
-        return mesh
-
-
 def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
     """Apply a refinement/coarsening plan, returning a new conforming mesh.
 
     Coarsening runs first on complete sibling groups (both children
-    flagged), then flagged elements are bisected with closure. A sibling
-    group whose midpoint is still used by finer neighbors is left alone to
-    preserve conformity.
+    flagged), then flagged elements are bisected with marked-edge closure.
+    A sibling group whose midpoint is still used by finer neighbors is left
+    alone to preserve conformity. Untouched elements keep their order,
+    merged parents follow by (midpoint, smaller child id), and children come
+    last in their parents' order; new midpoints are numbered in the order
+    of first split.
     """
     if not plan.refine and not plan.coarsen:
         return mesh
     n = mesh.n_elems
-    for eid in plan.refine | plan.coarsen:
+    ids = plan.refine | plan.coarsen
+    for eid in (min(ids), max(ids)):
         if not 0 <= eid < n:
             raise InvalidPlanError(f"plan references element {eid} of {n}")
-    if plan.max_level is not None and any(mesh.level[e] >= plan.max_level
-                                          for e in plan.refine):
+    split = np.zeros(n, dtype=bool)
+    split[list(plan.refine)] = True
+    if plan.max_level is not None and np.any(mesh.level[split] >= plan.max_level):
         raise InvalidPlanError("plan would exceed max_level")
-    work = _MeshWork(mesh)
-    if plan.coarsen:
-        work.coarsen(plan.coarsen, sibling_groups(mesh),
-                     np.bincount(mesh.elements.ravel()))
-    # coarsening drops no flagged element and reuses no id below n
-    work.refine(plan.refine)
-    return work.to_mesh()
+    keys = (np.array(mesh.lineage, dtype=np.int64).reshape(n, 2) if mesh.lineage
+            else np.column_stack([np.arange(n), np.ones(n, dtype=np.int64)]))
+    elements, keys, split = _coarsen(mesh, keys, split,
+                                     np.array(sorted(plan.coarsen), dtype=np.int64))
+    nodes, elements, keys = _bisect(mesh.dim, mesh.nodes, elements, keys, split)
+    used = np.unique(elements)
+    remap = np.full(len(nodes), -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    lineage = tuple(zip(*keys.T.tolist()))
+    if mesh.lineage:    # reuse the key objects of kept elements: meshes share them
+        same = dict(zip(mesh.lineage, mesh.lineage))
+        lineage = tuple(map(same.get, lineage, lineage))
+    out = SimplicialMesh(dim=mesh.dim, nodes=nodes[used], elements=remap[elements],
+                         lineage=lineage)
+    validate_mesh(out)
+    return out
+
+
+def _coarsen(mesh, keys, split, ids):
+    """Merge the sibling pairs among the flagged ids (ascending) whose
+    midpoint no other element uses. Returns the elements, keys and split
+    flags of the result: the untouched elements in order, then the parents.
+    Raises InvalidPlanError for a flagged root or a partial sibling group."""
+    el = mesh.elements
+    # sorted by key, siblings (r, 2q) and (r, 2q + 1) are adjacent
+    order = np.lexsort(keys[ids].T[::-1])
+    r, p = keys[ids[order]].T
+    lead = np.zeros(ids.size, dtype=bool)     # first of a flagged pair
+    lead[:-1] = (r[1:] == r[:-1]) & (p[1:] == p[:-1] + 1) & (p[:-1] % 2 == 0)
+    bad = np.empty(ids.size, dtype=bool)
+    bad[order] = ~(lead | np.roll(lead, 1))
+    if bad.any():
+        eid = ids[np.argmax(bad)]
+        r, p = keys[eid].tolist()
+        if p < 2:
+            raise InvalidPlanError(f"element {eid} has no parent to merge into")
+        raise InvalidPlanError(f"partial sibling group for parent {(r, p >> 1)}")
+    first, second = ids[order][lead], ids[order][np.roll(lead, 1)]
+    mid = el[first, 1 if mesh.dim == 1 else 0]
+    # a pair merges iff the pairs at its midpoint hold every element there
+    free = (2 * np.bincount(mid, minlength=mesh.n_nodes)[mid]
+            == np.bincount(el.ravel(), minlength=mesh.n_nodes)[mid])
+    rank = np.lexsort((np.minimum(first, second)[free], mid[free]))
+    first, second = first[free][rank], second[free][rank]
+    # (a, M), (M, b) -> (a, b); (M, p, a), (M, b, p) -> (p, a, b)
+    c1, c2 = el[first], el[second]
+    parents = (np.column_stack([c1[:, 0], c2[:, 1]]) if mesh.dim == 1
+               else np.column_stack([c1[:, 1], c1[:, 2], c2[:, 1]]))
+    keep = np.ones(len(el), dtype=bool)
+    keep[first] = keep[second] = False
+    return (np.concatenate([el[keep], parents]),
+            np.concatenate([keys[keep], keys[first] >> [0, 1]]),
+            np.concatenate([split[keep], np.zeros(first.size, dtype=bool)]))
+
+
+def _bisect(dim, nodes, elements, keys, split):
+    """Bisect the flagged elements and, for conformity, every element whose
+    refinement edge the closure marks: an element with a marked edge marks
+    its refinement edge. Returns the nodes, elements and keys after the
+    bisection rounds, one midpoint per marked edge; 1-d takes one round,
+    2-d at most two, since a child's refinement edge is an edge of its
+    parent and a grandchild's is new."""
+    # edge table, refinement edge first: (a, b) of (a, b) or of (p, a, b)
+    cols = [[0, 1]] if dim == 1 else [[1, 2], [0, 1], [2, 0]]
+    ends = np.sort(elements[:, cols], axis=2)
+    _, edge = np.unique(ends[..., 0] * len(nodes) + ends[..., 1],
+                        return_inverse=True)
+    edge = edge.reshape(len(elements), len(cols))
+    new_edge = edge.max() + 1          # stands for every edge bisection makes
+    marked = np.zeros(new_edge + 1, dtype=bool)
+    marked[edge[split, 0]] = True
+    while not marked[need := edge[marked[edge].any(axis=1), 0]].all():
+        marked[need] = True
+    mid = np.full(new_edge + 1, -1, dtype=np.int64)
+    while True:
+        cut = marked[edge[:, 0]]
+        if not cut.any():
+            return nodes, elements, keys
+        el, e, (r, p) = elements[cut], edge[cut], keys[cut].T
+        # a midpoint for each edge not split before, in order of first split
+        fresh = np.flatnonzero(mid[e[:, 0]] < 0)
+        _, first = np.unique(e[fresh, 0], return_index=True)
+        fresh = fresh[np.sort(first)]
+        mid[e[fresh, 0]] = len(nodes) + np.arange(fresh.size)
+        a, b = el[fresh, dim - 1], el[fresh, dim]
+        nodes = np.concatenate([nodes, 0.5 * (nodes[a] + nodes[b])])
+        m = mid[e[:, 0]]
+        if dim == 1:
+            kids = [[el[:, 0], m], [m, el[:, 1]]]
+            kid_edges = [[np.full_like(m, new_edge)]] * 2
+        else:
+            kids = [[m, el[:, 0], el[:, 1]], [m, el[:, 2], el[:, 0]]]
+            kid_edges = [[e[:, k]] + [np.full_like(m, new_edge)] * 2 for k in (1, 2)]
+        elements = np.concatenate([elements[~cut], _children(kids)])
+        edge = np.concatenate([edge[~cut], _children(kid_edges)])
+        keys = np.concatenate([keys[~cut], _children([[r, 2 * p], [r, 2 * p + 1]])])
+
+
+def _children(columns):
+    """Rows of both children of every parent, (r, 2p) first, from the
+    column lists of the first and of the second child."""
+    first, second = (np.column_stack(c) for c in columns)
+    return np.stack([first, second], axis=1).reshape(-1, first.shape[1])
 
 
 def sibling_groups(mesh: SimplicialMesh) -> dict:
@@ -510,7 +456,8 @@ class _Locator:
     def locate(self, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
-        outside = np.any((pts < self.lo - BARY_TOL) | (pts > self.hi + BARY_TOL), axis=1)
+        pad = BARY_TOL * float(np.max(self.hi - self.lo))   # scales with the mesh
+        outside = np.any((pts < self.lo - pad) | (pts > self.hi + pad), axis=1)
         if outside.any():
             err = PointNotFoundError(
                 f"{outside.sum()} points outside the mesh bounding box")

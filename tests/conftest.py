@@ -430,6 +430,74 @@ def element_keys(mesh):
     return list(mesh.lineage)
 
 
+def element_rows(nodes, elements, keys):
+    """(corner coordinates, key) of every element, sorted: the same for any
+    numbering of the nodes and the elements."""
+    corners = nodes[elements].reshape(len(elements), -1).tolist()
+    return sorted(zip(map(tuple, corners), keys))
+
+
+def loop_refine(mesh, plan):
+    """Plain-loop reference for mesh.refine on a valid plan: merge each
+    flagged sibling pair whose midpoint only flagged pairs use, then bisect
+    each flagged element in ascending order, first bisecting any neighbour
+    across its refinement edge that does not share that edge as its own
+    (recursive newest-vertex closure). Returns (nodes, elements, keys):
+    untouched elements in order, merged parents by (midpoint, smaller child
+    id), then children in order of creation; nodes in order of creation."""
+    dim = mesh.dim
+    coords = mesh.nodes.tolist()
+    keys = element_keys(mesh)
+    elems = {i: (tuple(el), keys[i]) for i, el in enumerate(mesh.elements.tolist())}
+    next_id = mesh.n_elems
+    incident = np.bincount(mesh.elements.ravel())
+    pairs = {}
+    for e in sorted(plan.coarsen):
+        r, p = keys[e]
+        pairs.setdefault((r, p >> 1), []).append(e)
+    units = {}
+    for parent, kids in pairs.items():
+        first, second = sorted(kids, key=lambda e: keys[e][1])
+        mid = elems[first][0][1 if dim == 1 else 0]
+        units.setdefault(mid, []).append((min(kids), parent, first, second))
+    for mid in sorted(units):
+        if incident[mid] == 2 * len(units[mid]):
+            for _, parent, first, second in sorted(units[mid]):
+                c1, c2 = elems.pop(first)[0], elems.pop(second)[0]
+                elems[next_id] = ((c1[0], c2[1]) if dim == 1
+                                  else (c1[1], c1[2], c2[1]), parent)
+                next_id += 1
+
+    def bisect(e):
+        nonlocal next_id
+        while e in elems:
+            edge = set(elems[e][0][-2:])          # (a, b) of (a, b) or (p, a, b)
+            nbrs = [f for f in elems if f != e and edge <= set(elems[f][0])]
+            if nbrs and set(elems[nbrs[0]][0][-2:]) != edge:
+                bisect(nbrs[0])
+                continue
+            a, b = elems[e][0][-2:]
+            coords.append((0.5 * (np.array(coords[a]) + np.array(coords[b]))).tolist())
+            m = len(coords) - 1
+            for f in [e] + nbrs:
+                el, (r, p) = elems.pop(f)
+                kids = ([(el[0], m), (m, el[1])] if dim == 1
+                        else [(m, el[0], el[1]), (m, el[2], el[0])])
+                for k, kid in enumerate(kids):
+                    elems[next_id] = (kid, (r, 2 * p + k))
+                    next_id += 1
+
+    for e in sorted(plan.refine):
+        bisect(e)
+    order = sorted(elems)
+    elements = np.array([elems[i][0] for i in order])
+    used = np.unique(elements)
+    remap = np.zeros(len(coords), dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return (np.array(coords)[used], remap[elements],
+            [elems[i][1] for i in order])
+
+
 def random_refined_interval(rng, n_base=5, passes=2, lo=0.0, hi=1.0):
     """A 1-d mesh on [lo, hi] after a couple of random refinement rounds."""
     m = mesh_mod.build_interval_mesh(lo, hi, n_base)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from amrdmd import mesh as M, seird_sim
 from amrdmd.errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
-from conftest import (element_keys, exhaustive_locate, graded_square,
-                      loop_normalize_elements_2d, random_refined_interval,
-                      random_refined_square)
+from conftest import (element_keys, element_rows, exhaustive_locate,
+                      graded_square, loop_normalize_elements_2d, loop_refine,
+                      random_refined_interval, random_refined_square)
 
 
 def facet_census(mesh):
@@ -235,6 +235,25 @@ class TestBisectionKeys:
                 assert seen.setdefault(key, corner_set(m, e)) == corner_set(m, e)
 
     @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_matches_the_recursive_closure_loop(self, seed, dim):
+        """Against the plain-loop reference: the same corners and keys,
+        so the closure bisects nothing more than recursion does; in 1-d
+        the same nodes, elements and keys, numbering included."""
+        rng = np.random.default_rng(seed)
+        m = start_mesh(rng, dim)
+        for _ in range(5):
+            plan = random_plan(rng, m)
+            nodes, elements, keys = loop_refine(m, plan)
+            m = M.refine(m, plan)
+            assert (element_rows(m.nodes, m.elements, element_keys(m))
+                    == element_rows(nodes, elements, keys))
+            if dim == 1:
+                assert m.nodes.tolist() == nodes.tolist()
+                assert m.elements.tolist() == elements.tolist()
+                assert element_keys(m) == keys
+
+    @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
            st.integers(1, 2))
     def test_coarsening_every_group_returns_to_the_roots(self, seed, dim, passes):
@@ -415,6 +434,20 @@ class TestLocate:
         m = M.build_interval_mesh(0, 1, 4)
         with pytest.raises(PointNotFoundError):
             M.locate_points(m, np.array([[1.5]]))
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_box_test_scales_with_the_mesh(self, k):
+        """One ulp past the end is found at any scale of the mesh."""
+        m = M.build_interval_mesh(0, 2.0 ** k, 100)
+        eids, bary = M.locate_points(m, [[np.nextafter(2.0 ** k, np.inf)]])
+        assert eids[0] == 99
+        assert bary[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_far_point_of_a_tiny_mesh_fails_the_box_test(self):
+        """50 elements past the end of a mesh of extent 2**-40."""
+        m = M.build_interval_mesh(0, 2.0 ** -40, 100)
+        with pytest.raises(PointNotFoundError, match="bounding box"):
+            M.locate_points(m, [[1.5 * 2.0 ** -40]])
 
     def test_agrees_with_exhaustive_scan(self, rng):
         m = random_refined_square(rng, nx=3, passes=2)

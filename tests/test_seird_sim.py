@@ -9,8 +9,9 @@ from amrdmd import dmd, fem, l2projection, mesh as M, qoi_metrics, seird_sim as 
 from amrdmd.errors import AssemblyError, InvalidArgumentError
 
 from conftest import (composite_integral_1d, coo_p1_operator, element_keys,
-                      node_order_step, p1_tridiagonal, piecewise_linear_1d,
-                      random_refined_interval, spd_matrix, synth_linear_series)
+                      element_rows, node_order_step, p1_tridiagonal,
+                      piecewise_linear_1d, random_refined_interval, spd_matrix,
+                      synth_linear_series)
 
 
 def fresh_state(mesh):
@@ -301,6 +302,15 @@ def mesh_digest(meshes):
     return h.hexdigest()
 
 
+def geometry_digest(meshes):
+    """sha256 of every mesh's element_rows, as floats."""
+    h = hashlib.sha256()
+    for m in meshes:
+        rows = element_rows(m.nodes, m.elements, element_keys(m))
+        h.update(np.array([c + k for c, k in rows], dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -457,6 +467,18 @@ class TestAmrLoop:
         assert mesh_digest(meshes) == (
             "1b25a87813428300c937a187c4a72d5a606c66ca91dc0c43571edbe92fc35693")
 
+    def test_geometry_of_a_small_run_is_pinned(self):
+        """The numbering-free digest of the meshes of the run above."""
+        params = S.SeirdParams(t_end=8.0)
+        policy = S.AmrPolicy(remesh_every=2, refine_fraction=0.3,
+                             coarsen_fraction=0.3, max_level=3,
+                             initial_uniform_levels=1)
+        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
+        meshes = list({id(m): m for _, m, _ in snapshots}.values())
+        assert len(meshes) == 17
+        assert geometry_digest(meshes) == (
+            "227f841928f4989edd90590c972cdd2342ecc8ef2057f2f1c4f4fde74b1f1512")
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_coarsen_set_is_complete_sibling_pairs_of_pool(self, seed):
@@ -516,7 +538,9 @@ class TestIndicatorDemoPieces:
         assert donor.n_elems == 1672
         assert donor.n_nodes == 857
         assert mesh_digest([donor]) == (
-            "5da0747663bd90ac03ae2df556b15e502aac7e923754052ca3a48e9636c921c3")
+            "e3e7a09b555711e8bf6ea9aa19e8e0d7ddd171f69a577e95a3fdcc07d0b5fd05")
+        assert geometry_digest([donor]) == (
+            "ce1682b161197376d0e22f30082425e7ef2829b2793472edb6c76c4535e1f22f")
         assert fem.inf_norm(chi) == pytest.approx(1.0, abs=1e-12)
 
     def test_jittered_mesh_is_valid_and_deterministic(self):

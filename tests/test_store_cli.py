@@ -1023,6 +1023,22 @@ class TestCliProjectAndDmd:
         assert "usage:" in proc.stdout + proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_pipeline_script_table_matches_the_error_reports(self, tmp_path):
+        """Six rows, and each 'eta at day 44' is the day-44 row of its
+        errors_<c>.csv to the printed digits."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_seird_pipeline.py"
+        proc = fresh_python(script, tmp_path, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        rows = [r for r in rows if len(r) == 3 and r[0] in tuple("seirdc")]
+        assert [r[0] for r in rows] == list("seirdc")
+        for c, _, eta44 in rows:
+            day44 = [line.split(",") for line in
+                     (tmp_path / f"errors_{c}.csv").read_text().splitlines()
+                     if line.startswith("44,")]
+            assert len(day44) == 1
+            assert f"{float(day44[0][1]):.3e}" == eta44
+
     def test_rank_sweep_script(self, small_run, tmp_path, rng):
         root, cfg, out = small_run
         store.write_store(tmp_path / "adaptive", [
