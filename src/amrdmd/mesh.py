@@ -359,15 +359,6 @@ def _children(columns):
     return np.stack([first, second], axis=1).reshape(-1, first.shape[1])
 
 
-def sibling_groups(mesh: SimplicialMesh) -> dict:
-    """Parent key (root, path) -> ascending ids of its children in the mesh."""
-    groups = {}
-    for eid, (r, p) in enumerate(mesh.lineage or ()):
-        if p > 1:
-            groups.setdefault((r, p >> 1), []).append(eid)
-    return groups
-
-
 def uniform_refine(mesh: SimplicialMesh, times: int = 1) -> SimplicialMesh:
     """Bisect every element, repeated `times` times."""
     for _ in range(times):

@@ -7,6 +7,7 @@ damaged store, 4 filesystem safety (existing output without --force).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time as _time
 from contextlib import contextmanager
@@ -45,13 +46,16 @@ def _refuse_existing(path, force):
 def _output_dir(path, force, sub_stores=()):
     """Create (or, with force, reuse) the output directory and yield it.
     It and its sub_stores are marked failed until the body completes, so
-    a run that is killed or interrupted leaves no store readable."""
+    a run that fails, is killed or is interrupted leaves no store readable;
+    the markers are cleared sub-stores first."""
     out = _refuse_existing(path, force)
-    for marked in (out, *(out / s for s in sub_stores)):
-        marked.mkdir(parents=True, exist_ok=True)
-        (marked / ".failed").touch()
+    marked = (*(out / s for s in sub_stores), out)
+    for d in marked:
+        d.mkdir(parents=True, exist_ok=True)
+        (d / ".failed").touch()
     yield out
-    (out / ".failed").unlink(missing_ok=True)   # write_store may have cleared it
+    for d in marked:
+        (d / ".failed").unlink()
 
 
 def exact_time(text):
@@ -75,13 +79,17 @@ def cmd_simulate(args) -> int:
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
         with np.errstate(all="ignore"):     # steps and store writes check
-            reference, adaptive = seird_sim.run_seird_amr(
-                params, policy, n_base_elements=n_elems)
-            projected, _ = l2projection.project_snapshots(adaptive, reference)
+            # the adaptive store is formatted while the run steps; tee keeps
+            # every snapshot for the projection and the CSVs
+            run, kept = itertools.tee(seird_sim.run_seird_amr(
+                params, policy, n_base_elements=n_elems))
+            store.write_store(out / "adaptive", run)
+            adaptive = list(kept)
+            projected, _ = l2projection.project_snapshots(adaptive, adaptive[0][1])
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
+        store.write_store(out / "projected", projected)
         for name, snapshots in (("adaptive", adaptive), ("projected", projected)):
-            store.write_store(out / name, snapshots)
             qoi_metrics.save_qoi_csv(qoi_metrics.population_series(snapshots),
                                      out / f"population_{name}.csv")
         io_s = _time.perf_counter() - t1

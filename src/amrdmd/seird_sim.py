@@ -1,8 +1,8 @@
 """Built-in snapshot generators.
 
 Two families: a 1-d SEIRD reaction-diffusion solver with adaptive mesh
-refinement/coarsening that returns its snapshots on their adaptive meshes,
-and a 2-d indicator-projection demonstration.
+refinement/coarsening that yields its snapshots on their adaptive meshes as
+it computes them, and a 2-d indicator-projection demonstration.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
 from .fem import cg_solve
 from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, band_layout,
                    barycentric, build_interval_mesh,
-                   build_structured_triangle_mesh, refine, sibling_groups,
-                   uniform_refine)
+                   build_structured_triangle_mesh, refine, uniform_refine)
 
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 PICARD_TOL = 1e-8       # relative update that ends the Picard loop
@@ -334,12 +333,16 @@ def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     n_coar = int(policy.coarsen_fraction * mesh.n_elems)
     refine_ids = [int(e) for e in order[:n_ref]
                   if mesh.level[e] < policy.max_level]
-    pool = set(order[mesh.n_elems - n_coar:].tolist())
-    coarsen_ids = [e for members in sibling_groups(mesh).values()
-                   if len(members) == 2 and pool.issuperset(members)
-                   for e in members]
+    # sorted by key, sibling pairs (r, 2q), (r, 2q + 1) of the pool are adjacent
+    pool = order[mesh.n_elems - n_coar:] if mesh.lineage else order[:0]
+    keys = np.array([mesh.lineage[e] for e in pool.tolist()],
+                    dtype=np.int64).reshape(-1, 2)
+    by_key = np.lexsort(keys.T[::-1])
+    pool, (r, p) = pool[by_key], keys[by_key].T
+    lead = (r[1:] == r[:-1]) & (p[1:] == p[:-1] + 1) & (p[:-1] % 2 == 0)
     return RefinementPlan(refine=frozenset(refine_ids),
-                          coarsen=frozenset(coarsen_ids),
+                          coarsen=frozenset([*pool[:-1][lead].tolist(),
+                                             *pool[1:][lead].tolist()]),
                           max_level=policy.max_level)
 
 
@@ -362,11 +365,11 @@ def remesh_state(state: SeirdState, policy: AmrPolicy) -> SeirdState:
 
 def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
                   n_base_elements: int = 125):
-    """Run the adaptive SEIRD simulation on [0, 1] and return (reference,
-    snapshots): the reference mesh, n_base_elements uniform elements refined
-    initial_uniform_levels times, which is also the initial mesh, and every
-    output snapshot on its adaptive mesh as (Fraction time, mesh,
-    {compartment: values}), the shape store.write_store takes."""
+    """Run the adaptive SEIRD simulation on [0, 1], yielding every output
+    snapshot as soon as it is computed, on its adaptive mesh, as (Fraction
+    time, mesh, {compartment: values}), the shape store.write_store takes.
+    The first snapshot's mesh is the reference mesh: n_base_elements uniform
+    elements refined initial_uniform_levels times."""
     reference = uniform_refine(build_interval_mesh(0.0, 1.0, n_base_elements),
                                policy.initial_uniform_levels)
 
@@ -375,16 +378,14 @@ def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
 
     dt_o_frac = Fraction(str(params.dt_o))
     # snapshots share the state's arrays: step and remesh_state make new ones
-    snapshots = [(Fraction(0), reference, dict(state.fields))]
+    yield Fraction(0), reference, dict(state.fields)
     out_every = params.output_every
     for k in range(1, params.n_steps + 1):
         if policy.remesh_every and k % policy.remesh_every == 0:
             state = remesh_state(state, policy)
         state = step(state, params)
         if k % out_every == 0:
-            snapshots.append((k // out_every * dt_o_frac, state.mesh,
-                              dict(state.fields)))
-    return reference, snapshots
+            yield k // out_every * dt_o_frac, state.mesh, dict(state.fields)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from .dmd import SnapshotMatrix
 from .errors import InvalidArgumentError, StoreError
 
 TOOL_VERSION = "0.1.0"
-# Each part of a store's files that _run_parts gives a process holds at least
-# this many files, so a store of fewer than twice as many is written in-process:
-# a fork costs about a millisecond, as much as writing three 501-value files.
-_PART_MIN_JOBS = 12
+# Field files are written in batches of this many. With two or more CPUs a
+# forked child writes each full batch while the snapshots still arrive: a
+# fork costs about a millisecond, as much as writing three 501-value files.
+_BATCH_FILES = 24
 
 
 def fraction_to_decimal(fr: Fraction) -> str:
@@ -81,98 +81,111 @@ class Store:
         return len({e.mesh_file for e in self.entries}) <= 1
 
 
-def _run_parts(jobs, root) -> list:
-    """Return [job() for job in jobs], the jobs spread over the CPUs this
-    process may run on.
-
-    The jobs are cut into contiguous parts, one per CPU in the affinity
-    mask but at least _PART_MIN_JOBS jobs each. The parent runs the first
-    part; a forked child runs each other part and sends back its results, or
-    its first exception, pickled through a pipe. Exceptions are raised in job
-    order with their own type and message, as the plain loop would raise
-    them. Formatting text holds the GIL, so threads would not run the parts
-    at once; the children run no threads and no BLAS. One CPU, no
-    os.fork or fewer than 2 * _PART_MIN_JOBS jobs keep the plain loop."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = min(cpus, len(jobs) // _PART_MIN_JOBS) if hasattr(os, "fork") else 1
-    if parts < 2:
-        return [job() for job in jobs]
-    cuts = [len(jobs) * k // parts for k in range(parts + 1)]
-    children = []                       # [pid or None once reaped, read end]
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _run_child(jobs[lo:hi], w)
-            os.close(w)
-            children.append([pid, open(r, "rb")])
-        results = [job() for job in jobs[:cuts[1]]]
-        for child in children:
-            data = child[1].read()
-            _, status = os.waitpid(child[0], 0)
-            child[0] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0 or not data:
-                raise StoreError(f"a worker for store {root} sent no result "
-                                 f"(exit status {code})")
-            part = pickle.loads(data)      # written by this program's child
-            if isinstance(part, Exception):
-                raise part
-            results += part
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:         # interrupted or failed: stop the rest
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _run_child(part, w):
-    """Body of a forked worker of _run_parts; leaves with os._exit, so no
-    cleanup of the parent runs twice."""
-    status = 1
-    try:
+def _fork_batch(jobs) -> list:
+    """Fork a child that runs jobs and sends back its first exception, or
+    None, pickled through a pipe; returns [pid, read end]. The child leaves
+    with os._exit, so no cleanup of the parent runs twice. Formatting text
+    holds the GIL, so threads would not overlap it; the children run no
+    threads and no BLAS."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
         try:
-            message = [job() for job in part]
-        except Exception as exc:
-            message = exc
-        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(w, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+            os.close(r)
+            message = None
+            try:
+                for job in jobs:
+                    job()
+            except Exception as exc:
+                message = exc
+            with open(w, "wb") as fh:
+                fh.write(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return [pid, open(r, "rb")]
+
+
+def _reap_oldest(children, root):
+    """Wait for the oldest child, close its pipe and drop it; raise the
+    exception it sent, or StoreError when it sent nothing."""
+    child = children[0]
+    with child[1] as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(child[0], 0)
+    children.pop(0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        raise StoreError(f"a worker for store {root} sent no result "
+                         f"(exit status {code})")
+    message = pickle.loads(data)        # written by this program's child
+    if message is not None:
+        raise message
+
+
+def _in_order(children, root, jobs):
+    """Run jobs in this process. The children hold earlier files, so when a
+    job fails they are reaped first: the first failure in file order is the
+    one raised."""
+    try:
+        for job in jobs:
+            job()
+    except Exception:
+        while children:
+            _reap_oldest(children, root)
+        raise
 
 
 def write_store(out_dir, snapshots) -> Path:
-    """Write snapshots [(time_fraction, mesh, {name: values})] as a store,
-    into out_dir as it is: the caller decides whether it may be reused.
+    """Write snapshots, any iterable of (time_fraction, mesh, {name: values})
+    consumed once, as a store into out_dir as it is: the caller decides
+    whether it may be reused, and marks it failed while it is written.
 
-    Repeated mesh objects are written once and shared through the manifest.
-    The files are written on every CPU the process may use (see _run_parts),
-    and the manifest only once all of them are.
+    Each mesh object is written by this process when it first appears, and
+    shared through the manifest. The field files are cut into batches of
+    _BATCH_FILES; if the process may run on two or more CPUs, a forked child
+    writes each full batch as soon as it is full, so a generator's files are
+    formatted while it computes the next snapshots. At most one child per
+    CPU is alive: the oldest is reaped before another is forked. This
+    process writes the last batch, and the manifest once every child has
+    succeeded. Exceptions are raised in file order with their own type and
+    message; an interrupt, or an exception from snapshots, kills and reaps
+    the children. With one CPU or no os.fork every file is written in
+    process; the bytes do not depend on it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mesh_files = {}
-    lines = []
-    jobs = []
-    for idx, (t_frac, msh, fields) in enumerate(snapshots):
-        key = id(msh)
-        if key not in mesh_files:
-            name = f"mesh_{len(mesh_files):04d}.mesh.txt"
-            jobs.append(functools.partial(mesh_mod.save_mesh, msh, out / name))
-            mesh_files[key] = name
-        field_name = f"snap_{idx:04d}.field.txt"
-        jobs.append(functools.partial(fem.save_fields, msh, fields, out / field_name))
-        t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
-        lines.append(f"{idx} {t_str} {mesh_files[key]} {field_name}")
-    _run_parts(jobs, out)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    fork = cpus > 1 and hasattr(os, "fork")
+    meshes = {}                 # id -> (mesh, file): held, so no id is reused
+    lines, batch, children = [], [], []     # children: [pid, pipe], oldest first
+    try:
+        for idx, (t_frac, msh, fields) in enumerate(snapshots):
+            if id(msh) not in meshes:
+                meshes[id(msh)] = msh, f"mesh_{len(meshes):04d}.mesh.txt"
+                _in_order(children, out, [functools.partial(
+                    mesh_mod.save_mesh, msh, out / meshes[id(msh)][1])])
+            field_file = f"snap_{idx:04d}.field.txt"
+            batch.append(functools.partial(fem.save_fields, msh, fields,
+                                           out / field_file))
+            t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
+            lines.append(f"{idx} {t_str} {meshes[id(msh)][1]} {field_file}")
+            if fork and len(batch) == _BATCH_FILES:
+                if len(children) == cpus:
+                    _reap_oldest(children, out)
+                children.append(_fork_batch(batch))
+                batch = []
+        _in_order(children, out, batch)
+        while children:
+            _reap_oldest(children, out)
+    finally:
+        for pid, pipe in children:      # interrupted or failed: stop the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
-    (out / ".failed").unlink(missing_ok=True)       # written whole: valid again
     return out
 
 

@@ -175,11 +175,20 @@ class TestRefine:
             assert key == before.get(tuple(r.nodes[el, 0]), parent)
 
 
+def sibling_groups(m):
+    """Parent key (root, path) -> ascending ids of its children in m."""
+    groups = {}
+    for e, (r, p) in enumerate(element_keys(m)):
+        if p > 1:
+            groups.setdefault((r, p >> 1), []).append(e)
+    return groups
+
+
 def random_plan(rng, m):
     """Coarsen a random share of the complete sibling groups and refine a
     random share of the other elements."""
     share = rng.uniform(0, 1)
-    coarsen = {e for g in M.sibling_groups(m).values()
+    coarsen = {e for g in sibling_groups(m).values()
                if len(g) == 2 and rng.uniform() < share for e in g}
     share = rng.uniform(0, 0.6)
     refine = {e for e in range(m.n_elems)
@@ -209,12 +218,7 @@ class TestBisectionKeys:
             m = M.refine(m, random_plan(rng, m))
             keys = element_keys(m)
             assert m.level.tolist() == [p.bit_length() - 1 for _, p in keys]
-            pairs = {}
-            for e, (r, p) in enumerate(keys):
-                if p > 1:
-                    pairs.setdefault((r, p >> 1), []).append(e)
-            assert M.sibling_groups(m) == pairs
-            for parent, members in pairs.items():
+            for parent, members in sibling_groups(m).items():
                 if len(members) == 1:
                     continue
                 assert len(members) == 2
@@ -265,7 +269,7 @@ class TestBisectionKeys:
             m = M.refine(m, M.RefinementPlan(refine=frozenset(
                 e for e in range(m.n_elems) if rng.uniform() < share)))
         for _ in range(10):
-            coarsen = frozenset(e for g in M.sibling_groups(m).values()
+            coarsen = frozenset(e for g in sibling_groups(m).values()
                                 if len(g) == 2 for e in g)
             if not coarsen:
                 break

@@ -349,7 +349,7 @@ class TestBandLayoutStep:
 
         monkeypatch.setattr(M, "BandLayout", counted)
         params = S.SeirdParams(t_end=3.0)
-        _, snapshots = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
+        snapshots = list(S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10))
         meshes = {id(m): m for _, m, _ in snapshots}
         assert len(meshes) >= 2                 # the run did remesh
         assert len(built) == len(meshes)
@@ -389,7 +389,7 @@ class TestAmrLoop:
         params = S.SeirdParams(t_end=2.0)
         policy = S.AmrPolicy(remesh_every=10 ** 9, initial_uniform_levels=1,
                              max_level=1)
-        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
+        snapshots = list(S.run_seird_amr(params, policy, n_base_elements=20))
         base = M.build_interval_mesh(0, 1, 20)
         init_mesh = M.uniform_refine(base, 1)
         st = fresh_state(init_mesh)
@@ -419,7 +419,7 @@ class TestAmrLoop:
     def test_levels_capped_and_min_element_size(self):
         params = S.SeirdParams(t_end=3.0)
         policy = S.AmrPolicy()
-        _, snapshots = S.run_seird_amr(params, policy)
+        snapshots = list(S.run_seird_amr(params, policy))
         for _, mesh, _ in snapshots:
             assert mesh.level.max() <= policy.max_level
             assert mesh.element_measures().min() >= 0.002 - 1e-12
@@ -428,7 +428,7 @@ class TestAmrLoop:
 
     def test_snapshot_count_and_times(self):
         params = S.SeirdParams(t_end=2.0)
-        _, snapshots = S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10)
+        snapshots = list(S.run_seird_amr(params, S.AmrPolicy(), n_base_elements=10))
         float_times = [float(t) for t, _, _ in snapshots]
         assert len(snapshots) == 9            # t = 0, 0.25, ..., 2.0
         assert float_times[0] == 0.0
@@ -436,8 +436,9 @@ class TestAmrLoop:
 
     def test_population_stays_near_one(self):
         params = S.SeirdParams(t_end=2.0)
-        reference, adaptive = S.run_seird_amr(params, S.AmrPolicy(),
-                                              n_base_elements=25)
+        adaptive = list(S.run_seird_amr(params, S.AmrPolicy(),
+                                        n_base_elements=25))
+        reference = adaptive[0][1]
         projected, _ = l2projection.project_snapshots(adaptive, reference)
         for series in (qoi_metrics.population_series(adaptive),
                        qoi_metrics.population_series(projected)):
@@ -446,8 +447,9 @@ class TestAmrLoop:
 
     def test_projection_residuals_small(self):
         params = S.SeirdParams(t_end=1.0)
-        reference, adaptive = S.run_seird_amr(params, S.AmrPolicy(),
-                                              n_base_elements=10)
+        adaptive = list(S.run_seird_amr(params, S.AmrPolicy(),
+                                        n_base_elements=10))
+        reference = adaptive[0][1]
         _, residuals = l2projection.project_snapshots(adaptive, reference)
         assert max(residuals) <= 1e-10
 
@@ -458,7 +460,7 @@ class TestAmrLoop:
         policy = S.AmrPolicy(remesh_every=2, refine_fraction=0.3,
                              coarsen_fraction=0.3, max_level=3,
                              initial_uniform_levels=1)
-        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
+        snapshots = list(S.run_seird_amr(params, policy, n_base_elements=20))
         meshes = [snapshots[0][1]]
         for _, mesh, _ in snapshots[1:]:
             if mesh is not meshes[-1]:
@@ -473,7 +475,7 @@ class TestAmrLoop:
         policy = S.AmrPolicy(remesh_every=2, refine_fraction=0.3,
                              coarsen_fraction=0.3, max_level=3,
                              initial_uniform_levels=1)
-        _, snapshots = S.run_seird_amr(params, policy, n_base_elements=20)
+        snapshots = list(S.run_seird_amr(params, policy, n_base_elements=20))
         meshes = list({id(m): m for _, m, _ in snapshots}.values())
         assert len(meshes) == 17
         assert geometry_digest(meshes) == (

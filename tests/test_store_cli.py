@@ -373,6 +373,52 @@ class TestCliSimulate:
         assert run_cli("dmd", "fit", out / "projected", tmp_path / "s.model.txt",
                        "--field", "s", "--rank", "2", "--quiet") == 3
 
+    @staticmethod
+    def assert_no_store_readable(out, tmp_path):
+        for sub in ("adaptive", "projected"):
+            assert run_cli("dmd", "fit", out / sub, tmp_path / "s.model.txt",
+                           "--field", "s", "--rank", "2", "--quiet") == 3
+            assert run_cli("report", "qoi", out / sub, tmp_path / "q.csv",
+                           "--quiet") == 3
+
+    def test_interrupt_in_projected_write_leaves_both_stores_failed(
+            self, small_run, tmp_path, monkeypatch):
+        root, cfg, _ = small_run
+        out = tmp_path / "sim"
+        plain = fem.save_fields
+
+        def interrupted(mesh, fields, path):
+            if Path(path).parent.name == "projected":
+                raise KeyboardInterrupt
+            return plain(mesh, fields, path)
+
+        monkeypatch.setattr(fem, "save_fields", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("simulate", cfg, out, "--quiet")
+        monkeypatch.undo()
+        assert (out / "adaptive" / "manifest.txt").exists()   # whole, yet marked
+        self.assert_no_store_readable(out, tmp_path)
+
+    def test_step_error_mid_run_leaves_both_stores_failed(self, small_run,
+                                                          tmp_path,
+                                                          monkeypatch):
+        root, cfg, _ = small_run
+        out = tmp_path / "sim"
+        plain, calls = seird_sim.step, []
+
+        def fails_on_step_5(state, params):
+            calls.append(state.time)
+            if len(calls) == 5:
+                raise StepError("injected failure")
+            return plain(state, params)
+
+        monkeypatch.setattr(seird_sim, "step", fails_on_step_5)
+        assert run_cli("simulate", cfg, out, "--quiet") == 3
+        monkeypatch.undo()
+        assert len(calls) == 5
+        assert (out / "adaptive" / "mesh_0000.mesh.txt").exists()  # streamed
+        self.assert_no_store_readable(out, tmp_path)
+
     def test_deterministic_artifacts(self, small_run, tmp_path):
         root, cfg, out = small_run
         out2 = tmp_path / "sim2"
@@ -1299,25 +1345,25 @@ class TestReadContract:
 
 
 class TestStoreFanOut:
-    """write_store spreads its files over the CPUs of the process, and
-    read_store reads them in one process. Here the affinity mask is faked to
-    three CPUs, so the fan-out runs (a parent part and two forked parts) on
-    any machine, and compared with the plain loop, forced by raising the job
-    threshold."""
+    """write_store forks a child for each full batch of field files as the
+    snapshots arrive, and read_store reads them in one process. Here the
+    affinity mask is faked to two CPUs, so children are forked on any
+    machine, and compared with the in-process write of a faked one-CPU
+    mask."""
 
     N_SNAPS = 40
 
     @pytest.fixture
-    def three_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
 
-    def snapshots(self, rng):
+    def snapshots(self, rng, n=N_SNAPS):
         meshes = [M.build_interval_mesh(0, 1, n) for n in (12, 17, 9)]
         return [(Fraction(k, 4), meshes[k % 3],
                  {"u": rng.normal(size=meshes[k % 3].n_nodes),
                   "v": rng.normal(size=meshes[k % 3].n_nodes) * 1e-300})
-                for k in range(self.N_SNAPS)]
+                for k in range(n)]
 
     @staticmethod
     def contents(st):
@@ -1332,19 +1378,115 @@ class TestStoreFanOut:
     def written(self, tmp_path, rng, monkeypatch):
         snaps = self.snapshots(rng)
         with monkeypatch.context() as m:
-            m.setattr(store, "_PART_MIN_JOBS", 10 ** 9)
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             store.write_store(tmp_path / "serial", snaps)
         return snaps, tmp_path / "serial"
 
-    def test_write_is_byte_identical(self, three_cpus, written, tmp_path):
-        snaps, serial_dir = written
-        store.write_store(tmp_path / "fanned", snaps)
-        self.assert_no_children()
-        a, b = self.contents(serial_dir), self.contents(tmp_path / "fanned")
-        assert len(a) == self.N_SNAPS + 4       # 3 meshes and a manifest
-        assert a == b
+    @pytest.fixture
+    def live(self, monkeypatch):
+        """Children alive after each fork and each reap of this process."""
+        plain_fork, plain_wait, counts = os.fork, os.waitpid, [0]
 
-    def test_read_is_bit_identical(self, three_cpus, written):
+        def fork():
+            pid = plain_fork()
+            if pid:
+                counts.append(counts[-1] + 1)
+            return pid
+
+        def waitpid(pid, options):
+            got = plain_wait(pid, options)
+            if got[0]:
+                counts.append(counts[-1] - 1)
+            return got
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        return counts
+
+    @staticmethod
+    def forks(live):
+        return sum(b > a for a, b in zip(live, live[1:]))
+
+    def test_write_is_byte_identical(self, two_cpus, written, tmp_path, live):
+        snaps, serial_dir = written
+        store.write_store(tmp_path / "from_list", snaps)
+        store.write_store(tmp_path / "from_generator", (s for s in snaps))
+        self.assert_no_children()
+        assert self.forks(live) == 2            # a child for each write
+        a = self.contents(serial_dir)
+        assert len(a) == self.N_SNAPS + 4       # 3 meshes and a manifest
+        assert a == self.contents(tmp_path / "from_list") \
+            == self.contents(tmp_path / "from_generator")
+
+    def test_first_child_forks_before_the_generator_ends(self, two_cpus, rng,
+                                                         tmp_path, monkeypatch):
+        snaps, yielded, at_fork = self.snapshots(rng), [], []
+        plain = os.fork
+
+        def fork():
+            at_fork.append(len(yielded))
+            return plain()
+
+        def run():
+            for snap in snaps:
+                yielded.append(snap)
+                yield snap
+
+        monkeypatch.setattr(os, "fork", fork)
+        store.write_store(tmp_path / "st", run())
+        self.assert_no_children()
+        assert at_fork == [store._BATCH_FILES] and at_fork[0] < self.N_SNAPS
+
+    def test_never_more_live_children_than_cpus(self, two_cpus, rng, tmp_path,
+                                                live):
+        snaps = self.snapshots(rng, 5 * store._BATCH_FILES + 3)
+        store.write_store(tmp_path / "st", iter(snaps))
+        self.assert_no_children()
+        assert len(store.read_store(tmp_path / "st").entries) == len(snaps)
+        assert self.forks(live) == 5
+        assert max(live) == 2 and live[-1] == 0
+
+    def test_each_dropped_mesh_gets_its_own_file(self, two_cpus, rng,
+                                                 tmp_path):
+        # nothing but write_store holds a mesh after its snapshot, so the id
+        # of a freed mesh may come back for the next one
+        sizes = rng.permutation(np.arange(2, 2 + self.N_SNAPS)).tolist()
+
+        def run():
+            for k, n in enumerate(sizes):
+                msh = M.build_interval_mesh(0, 1, n)
+                yield Fraction(k, 4), msh, {"u": np.linspace(0, 1, n + 1)}
+
+        back = store.read_store(store.write_store(tmp_path / "st", run()))
+        assert len({e.mesh_file for e in back.entries}) == self.N_SNAPS
+        for e, n in zip(back.entries, sizes):
+            assert e.mesh.nodes[:, 0].tolist() == \
+                M.build_interval_mesh(0, 1, n).nodes[:, 0].tolist()
+            assert e.fields["u"].tolist() == np.linspace(0, 1, n + 1).tolist()
+
+    def test_generator_error_kills_the_children(self, two_cpus, rng, tmp_path,
+                                                monkeypatch):
+        snaps = self.snapshots(rng)
+        parent, plain = os.getpid(), fem.save_fields
+
+        def slow_in_child(mesh, fields, path):
+            if os.getpid() != parent:
+                time.sleep(10)
+            return plain(mesh, fields, path)
+
+        def run():
+            yield from snaps[:30]
+            raise StepError("Picard iteration stalled at t=7.5")
+
+        monkeypatch.setattr(fem, "save_fields", slow_in_child)
+        t0 = time.monotonic()
+        with pytest.raises(StepError, match="stalled at t=7.5"):
+            store.write_store(tmp_path / "st", run())
+        assert time.monotonic() - t0 < 5        # killed, not waited for
+        self.assert_no_children()
+        assert not (tmp_path / "st" / "manifest.txt").exists()
+
+    def test_read_is_bit_identical(self, two_cpus, written):
         snaps, st = written
         back = store.read_store(st)
         self.assert_no_children()
@@ -1357,24 +1499,28 @@ class TestStoreFanOut:
         # a mesh is one object for all its snapshots
         assert len({id(e.mesh) for e in back.entries}) == 3
 
-    def test_write_fault_matches_the_plain_loop(self, three_cpus, rng,
-                                                tmp_path, monkeypatch):
+    def test_write_fault_matches_the_plain_loop(self, rng, tmp_path,
+                                                monkeypatch):
+        # snapshot 5 goes to a child, snapshot 33 to the last, in-process
+        # batch: the first in file order is the fault raised
         snaps = self.snapshots(rng)
+        snaps[5][2]["bad five"] = snaps[5][2]["u"]
         snaps[33][2]["bad name"] = snaps[33][2]["u"]
         messages = []
-        for threshold in (10 ** 9, store._PART_MIN_JOBS):
-            monkeypatch.setattr(store, "_PART_MIN_JOBS", threshold)
-            out = tmp_path / f"st_{threshold}"
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            out = tmp_path / f"st_{len(cpus)}"
             with pytest.raises(InvalidArgumentError) as err:
                 store.write_store(out, snaps)
             messages.append(str(err.value))
             assert not (out / "manifest.txt").exists()
         self.assert_no_children()
         assert messages[0] == messages[1]
-        assert "bad name" in messages[0]
+        assert "bad five" in messages[0]
 
     @pytest.mark.parametrize("how", ["exit", "signal"])
-    def test_child_that_sends_nothing_gives_store_error(self, three_cpus,
+    def test_child_that_sends_nothing_gives_store_error(self, two_cpus,
                                                         written, tmp_path,
                                                         monkeypatch, how):
         snaps, _ = written
@@ -1396,7 +1542,7 @@ class TestStoreFanOut:
         assert f"exit status {0 if how == 'exit' else -signal.SIGKILL}" \
                in str(err.value)
 
-    def test_interrupt_reaps_every_child(self, three_cpus, written, tmp_path,
+    def test_interrupt_reaps_every_child(self, two_cpus, written, tmp_path,
                                          monkeypatch):
         snaps, _ = written
         parent, plain = os.getpid(), fem.save_fields
