@@ -21,8 +21,8 @@ def main():
     ap.add_argument("field")
     ap.add_argument("ranks", nargs="*", type=int,
                     default=[5, 10, 15, 30, 45, 60])
-    ap.add_argument("--t-start", type=float, default=None)
-    ap.add_argument("--t-end", type=float, default=None)
+    ap.add_argument("--t-start", type=pipeline_cli.exact_time, default=None)
+    ap.add_argument("--t-end", type=pipeline_cli.exact_time, default=None)
     args = ap.parse_args()
     try:
         src = store.read_store(args.store_dir, [args.field], args.t_start, args.t_end)

@@ -1,6 +1,6 @@
-"""P1 finite-element machinery on simplicial meshes: quadrature rules,
-mass-matrix assembly, integrals, the max-norm, point evaluation, a facet
-flux-jump refinement indicator, a deterministic solve-then-verify solver
+"""P1 finite-element machinery on simplicial meshes: mass-matrix assembly
+and integrals from their closed forms, the max-norm, point evaluation, a
+facet flux-jump refinement indicator, a deterministic solve-then-verify solver
 (exact tridiagonal in 1-d, a fixed Jacobi-Chebyshev sweep in 2-d) and field files.
 
 A field is its nodal values, an array (n_nodes,) passed next to its mesh.
@@ -11,9 +11,8 @@ non-finite right-hand side before any matvec and a non-finite residual.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,52 +106,6 @@ class SparseSpd:
         return self._factor
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature on the reference simplex in barycentric coordinates.
-
-    Weights sum to the reference simplex measure (1 for the unit segment,
-    1/2 for the unit triangle); integrals over a physical element scale by
-    measure(element) / measure(reference).
-    """
-
-    dim: int
-    points: np.ndarray   # (nq, dim + 1) barycentric
-    weights: np.ndarray  # (nq,)
-    degree: int = field(default=1)
-
-
-def gauss_rule_1d(degree: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the unit segment, exact to `degree`."""
-    npts = degree // 2 + 1
-    x, w = np.polynomial.legendre.leggauss(npts)
-    t = 0.5 * (x + 1.0)
-    pts = np.column_stack([1.0 - t, t])
-    return QuadratureRule(dim=1, points=pts, weights=0.5 * w, degree=2 * npts - 1)
-
-
-def triangle_rule(degree: int) -> QuadratureRule:
-    """The symmetric 3-point rule, exact to degree 2."""
-    if degree > 2:
-        raise InvalidArgumentError(f"no triangle rule of degree {degree}")
-    pts = np.array([
-        [2 / 3, 1 / 6, 1 / 6],
-        [1 / 6, 2 / 3, 1 / 6],
-        [1 / 6, 1 / 6, 2 / 3],
-    ])
-    return QuadratureRule(dim=2, points=pts, weights=np.full(3, 1 / 6), degree=2)
-
-
-@functools.cache
-def reference_rule(dim: int, degree: int) -> QuadratureRule:
-    """Shared rule on the reference simplex, built once per (dim, degree);
-    its arrays are read-only."""
-    rule = gauss_rule_1d(degree) if dim == 1 else triangle_rule(degree)
-    rule.points.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
-
-
 # ---------------------------------------------------------------------------
 # assembly and integrals
 
@@ -186,11 +139,9 @@ def evaluate_many(mesh: SimplicialMesh, values, pts) -> np.ndarray:
 
 
 def integrate(mesh: SimplicialMesh, values) -> float:
-    """Integral of the field over the mesh (degree-2 quadrature, exact for P1)."""
-    rule = reference_rule(mesh.dim, 2)
-    ref = 1.0 if mesh.dim == 1 else 0.5
-    qvals = values[mesh.elements] @ rule.points.T    # (ne, nq)
-    return float(np.sum(mesh.element_measures() / ref * (qvals @ rule.weights)))
+    """Integral of the field over the mesh: the sum over elements of the
+    measure times the mean of the dim + 1 vertex values, exact for P1."""
+    return float(np.sum(mesh.element_measures() * values[mesh.elements].mean(axis=1)))
 
 
 def unit_scale(top: float) -> float:

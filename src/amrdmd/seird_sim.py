@@ -216,16 +216,22 @@ def _solve(A, rhs, pin):
 
 
 def _product_load(h, factors):
-    """Load vector of the product of nodal P1 factors, by degree-5 Gauss."""
-    rule = fem.reference_rule(1, 5)
-    phi = rule.points                      # (nq, 2)
-    w = rule.weights
-    prod_q = np.ones((h.size, phi.shape[0]))
-    for f in factors:
-        prod_q *= np.column_stack((f[:-1], f[1:])) @ phi.T
+    """Load vector (f g k, phi_j) of three nodal P1 factors on the chain of
+    elements of lengths h, in closed form from int lam0^a lam1^b = h a! b! /
+    (a + b + 1)! on an element (Eisenberg and Malvern, IJNME 1973). With end
+    values f0, f1 (likewise g, k), c30 = f0 g0 k0, c21 = f0 g0 k1 + f0 g1 k0
+    + f1 g0 k0, c12 = f0 g1 k1 + f1 g0 k1 + f1 g1 k0 and c03 = f1 g1 k1, the
+    left node gets h/120 (24 c30 + 6 c21 + 4 c12 + 6 c03) and the right node
+    h/120 (6 c30 + 4 c21 + 6 c12 + 24 c03)."""
+    f, g, k = factors
+    fg0, fg1 = f[:-1] * g[:-1], f[1:] * g[1:]
+    fgx = f[:-1] * g[1:] + f[1:] * g[:-1]
+    c30, c03 = fg0 * k[:-1], fg1 * k[1:]
+    c21, c12 = fg0 * k[1:] + fgx * k[:-1], fgx * k[1:] + fg1 * k[:-1]
+    w = h / 120.0
     rhs = np.zeros(h.size + 1)
-    rhs[:-1] += h * ((prod_q * phi[:, 0][None, :]) @ w)
-    rhs[1:] += h * ((prod_q * phi[:, 1][None, :]) @ w)
+    rhs[:-1] += w * (24.0 * c30 + 6.0 * c21 + 4.0 * c12 + 6.0 * c03)
+    rhs[1:] += w * (6.0 * c30 + 4.0 * c21 + 6.0 * c12 + 24.0 * c03)
     return rhs
 
 
@@ -280,7 +286,7 @@ def step(state: SeirdState, params: SeirdParams,
 
             react_e = (params.alpha + params.gamma_e) * ones \
                 - params.beta_e * sigma * new[0]
-            src_e = _product_load(h, [params.beta_i * sigma, new[0], i])
+            src_e = _product_load(h, (params.beta_i * sigma, new[0], i))
             new[1] = _solve(_operator(h, kappa[1], c0 + react_e, pin),
                             hist[1] + src_e, pin)
             Me = M.dot(new[1])

@@ -26,10 +26,10 @@ from .dmd import SnapshotMatrix
 from .errors import InvalidArgumentError, StoreError
 
 TOOL_VERSION = "0.1.0"
-# Field files are written in batches of this many. With two or more CPUs a
-# forked child writes each full batch while the snapshots still arrive: a
-# fork costs about a millisecond, as much as writing three 501-value files.
-_BATCH_FILES = 24
+# A batch of field files closes once it holds this many values, 24 files of
+# six fields on 501 nodes. With two or more CPUs a forked child writes each
+# full batch as the snapshots arrive: a fork costs as much as 1500 values.
+_BATCH_VALUES = 24 * 6 * 501
 
 
 def fraction_to_decimal(fr: Fraction) -> str:
@@ -144,16 +144,16 @@ def write_store(out_dir, snapshots) -> Path:
     whether it may be reused, and marks it failed while it is written.
 
     Each mesh object is written by this process when it first appears, and
-    shared through the manifest. The field files are cut into batches of
-    _BATCH_FILES; if the process may run on two or more CPUs, a forked child
-    writes each full batch as soon as it is full, so a generator's files are
-    formatted while it computes the next snapshots. At most one child per
-    CPU is alive: the oldest is reaped before another is forked. This
-    process writes the last batch, and the manifest once every child has
-    succeeded. Exceptions are raised in file order with their own type and
-    message; an interrupt, or an exception from snapshots, kills and reaps
-    the children. With one CPU or no os.fork every file is written in
-    process; the bytes do not depend on it.
+    shared through the manifest. The field files are cut into batches that
+    close once they hold _BATCH_VALUES values; if the process may run on two
+    or more CPUs, a forked child writes each full batch as soon as it is
+    full, so a generator's files are formatted while it computes the next
+    snapshots. At most one child per CPU is alive: the oldest is reaped
+    before another is forked. This process writes the last batch, and the
+    manifest once every child has succeeded. Exceptions are raised in file
+    order with their own type and message; an interrupt, or an exception
+    from snapshots, kills and reaps the children. With one CPU or no os.fork
+    every file is written in process; the bytes do not depend on it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,6 +161,7 @@ def write_store(out_dir, snapshots) -> Path:
     fork = cpus > 1 and hasattr(os, "fork")
     meshes = {}                 # id -> (mesh, file): held, so no id is reused
     lines, batch, children = [], [], []     # children: [pid, pipe], oldest first
+    values = 0                  # in the batch
     try:
         for idx, (t_frac, msh, fields) in enumerate(snapshots):
             if id(msh) not in meshes:
@@ -172,11 +173,12 @@ def write_store(out_dir, snapshots) -> Path:
                                            out / field_file))
             t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
             lines.append(f"{idx} {t_str} {meshes[id(msh)][1]} {field_file}")
-            if fork and len(batch) == _BATCH_FILES:
+            values += msh.n_nodes * len(fields)
+            if fork and values >= _BATCH_VALUES:
                 if len(children) == cpus:
                     _reap_oldest(children, out)
                 children.append(_fork_batch(batch))
-                batch = []
+                batch, values = [], 0
         _in_order(children, out, batch)
         while children:
             _reap_oldest(children, out)

@@ -1,5 +1,7 @@
 """Shared oracle helpers: brute-force counterparts of the fast paths."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -82,9 +84,65 @@ def spd_matrix(A):
         shape=(A.n, A.n)).tocsr()
 
 
+# ---------------------------------------------------------------------------
+# quadrature on the reference simplex: the library integrates in closed form,
+# these rules are the independent check
+
+# points (nq, dim + 1) in barycentric coordinates; the weights sum to the
+# reference measure (1 for the unit segment, 1/2 for the unit triangle), so
+# integrals over an element scale by measure(element) / measure(reference)
+QuadratureRule = namedtuple("QuadratureRule", "points weights degree")
+
+
+def gauss_rule_1d(degree):
+    """Gauss-Legendre rule on the unit segment, exact to `degree`."""
+    npts = degree // 2 + 1
+    x, w = np.polynomial.legendre.leggauss(npts)
+    t = 0.5 * (x + 1.0)
+    return QuadratureRule(np.column_stack([1.0 - t, t]), 0.5 * w, 2 * npts - 1)
+
+
+def triangle_rule(degree):
+    """The symmetric 3-point rule, exact to degree 2."""
+    if degree > 2:
+        raise InvalidArgumentError(f"no triangle rule of degree {degree}")
+    pts = np.array([
+        [2 / 3, 1 / 6, 1 / 6],
+        [1 / 6, 2 / 3, 1 / 6],
+        [1 / 6, 1 / 6, 2 / 3],
+    ])
+    return QuadratureRule(pts, np.full(3, 1 / 6), 2)
+
+
+def quadrature_rule(dim, degree):
+    return gauss_rule_1d(degree) if dim == 1 else triangle_rule(degree)
+
+
+def rule_integral(mesh, values):
+    """Integral of the P1 field by the degree-2 rule on every element."""
+    rule = quadrature_rule(mesh.dim, 2)
+    ref = 1.0 if mesh.dim == 1 else 0.5
+    qvals = values[mesh.elements] @ rule.points.T    # (ne, nq)
+    return float(np.sum(mesh.element_measures() / ref * (qvals @ rule.weights)))
+
+
+def gauss_product_load(h, factors):
+    """Load vector of the product of nodal P1 factors on the chain of
+    elements of lengths h, by 3-point Gauss (exact to degree 5)."""
+    rule = gauss_rule_1d(5)
+    phi, w = rule.points, rule.weights
+    prod_q = np.ones((h.size, phi.shape[0]))
+    for f in factors:
+        prod_q *= np.column_stack((f[:-1], f[1:])) @ phi.T
+    rhs = np.zeros(h.size + 1)
+    rhs[:-1] += h * ((prod_q * phi[:, 0]) @ w)
+    rhs[1:] += h * ((prod_q * phi[:, 1]) @ w)
+    return rhs
+
+
 def element_mass_quadrature(mesh, degree=2):
     """Per-element mass matrices by quadrature (the assembly oracle path)."""
-    rule = fem.reference_rule(mesh.dim, degree)
+    rule = quadrature_rule(mesh.dim, degree)
     measures = mesh.element_measures()
     ref = 1.0 if mesh.dim == 1 else 0.5
     phi = rule.points                      # (nq, k): P1 basis == barycentric
@@ -94,7 +152,7 @@ def element_mass_quadrature(mesh, degree=2):
 
 def l2_norm(mesh, values):
     """L2 norm, exact for P1 (degree-2 quadrature of the squared field)."""
-    rule = fem.reference_rule(mesh.dim, 2)
+    rule = quadrature_rule(mesh.dim, 2)
     ref = 1.0 if mesh.dim == 1 else 0.5
     qvals = values[mesh.elements] @ rule.points.T
     sq = np.sum(mesh.element_measures() / ref * ((qvals ** 2) @ rule.weights))
@@ -152,7 +210,7 @@ def coo_coupling_2d(donor, target):
     each fan triangle of the clip gets the 3-point rule (exact for the
     product of two linear functions), and the 3 x 3 COO triples of its
     points are summed in one CSR conversion."""
-    rule = fem.reference_rule(2, 2)
+    rule = triangle_rule(2)
     d_pts = donor.nodes[donor.elements]
     d_lo, d_hi = d_pts.min(axis=1), d_pts.max(axis=1)
     d_aff, t_aff = _affine_barycentric(donor), _affine_barycentric(target)
@@ -335,18 +393,18 @@ def node_order_solve(A, rhs, bc_node):
 
 
 def node_order_product_load(mesh, factors):
+    """seird_sim._product_load's closed form in node order."""
     el = mesh.elements
     h = mesh.element_measures()
-    rule = fem.reference_rule(1, 5)
-    phi = rule.points
-    w = rule.weights
-    prod_q = np.ones((mesh.n_elems, phi.shape[0]))
-    for f in factors:
-        prod_q *= f[el] @ phi.T
+    f, g, k = (v[el] for v in factors)
+    fg0, fg1 = f[:, 0] * g[:, 0], f[:, 1] * g[:, 1]
+    fgx = f[:, 0] * g[:, 1] + f[:, 1] * g[:, 0]
+    c30, c03 = fg0 * k[:, 0], fg1 * k[:, 1]
+    c21, c12 = fg0 * k[:, 1] + fgx * k[:, 0], fgx * k[:, 1] + fg1 * k[:, 0]
+    w = h / 120.0
     rhs = np.zeros(mesh.n_nodes)
-    for j in range(2):
-        contrib = h * ((prod_q * phi[:, j][None, :]) @ w)
-        np.add.at(rhs, el[:, j], contrib)
+    np.add.at(rhs, el[:, 0], w * (24.0 * c30 + 6.0 * c21 + 4.0 * c12 + 6.0 * c03))
+    np.add.at(rhs, el[:, 1], w * (6.0 * c30 + 4.0 * c21 + 6.0 * c12 + 24.0 * c03))
     return rhs
 
 

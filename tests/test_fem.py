@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from amrdmd import fem, mesh as M
 from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
 
-from conftest import (coo_mass, element_mass_quadrature, graded_square, l2_norm,
-                      p1_tridiagonal, random_refined_interval, random_refined_square,
-                      spd_matrix)
+from conftest import (coo_mass, element_mass_quadrature, gauss_rule_1d,
+                      graded_square, l2_norm, p1_tridiagonal,
+                      random_refined_interval, random_refined_square,
+                      rule_integral, spd_matrix, triangle_rule)
 
 # every finite float64, with the edge cases drawn often: signed zero, the
 # smallest subnormal and the largest finite magnitude
@@ -21,9 +22,12 @@ FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 
 class TestQuadrature:
+    """The oracle rules of conftest, which the closed forms are checked
+    against."""
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 5])
     def test_gauss_1d_exactness(self, degree):
-        rule = fem.gauss_rule_1d(degree)
+        rule = gauss_rule_1d(degree)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
         for p in range(rule.degree + 1):
             exact = 1.0 / (p + 1)
@@ -32,11 +36,11 @@ class TestQuadrature:
 
     def test_triangle_rule_refuses_higher_degree(self):
         with pytest.raises(InvalidArgumentError):
-            fem.triangle_rule(3)
+            triangle_rule(3)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_triangle_rule_exactness(self, degree):
-        rule = fem.triangle_rule(degree)
+        rule = triangle_rule(degree)
         assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
         # reference integrals of l1^a l2^b over the unit triangle
         from math import factorial
@@ -162,6 +166,22 @@ class TestIntegralsAndNorms:
         lhs = fem.integrate(m, a * u + b * v)
         rhs = a * fem.integrate(m, u) + b * fem.integrate(m, v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]))
+    def test_integrate_matches_the_rule_on_graded_meshes(self, seed, dim):
+        # the closed form against conftest's degree-2 rule, relative to the
+        # rule's integral of |u| so that cancellation hides no defect
+        r = np.random.default_rng(seed)
+        if dim == 1:
+            lo = r.uniform(-10, 10)
+            m = random_refined_interval(r, int(r.integers(1, 9)), int(r.integers(0, 5)),
+                                        lo, lo + r.uniform(0.01, 10))
+        else:
+            m = graded_square(r, passes=int(r.integers(1, 5)))
+        u = r.normal(size=m.n_nodes) + r.normal()
+        assert abs(fem.integrate(m, u) - rule_integral(m, u)) \
+            <= 1e-14 * rule_integral(m, np.abs(u))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -9,9 +9,9 @@ from amrdmd import dmd, fem, l2projection, mesh as M, qoi_metrics, seird_sim as 
 from amrdmd.errors import AssemblyError, InvalidArgumentError
 
 from conftest import (composite_integral_1d, coo_p1_operator, element_keys,
-                      element_rows, node_order_step, p1_tridiagonal,
-                      piecewise_linear_1d, random_refined_interval, spd_matrix,
-                      synth_linear_series)
+                      element_rows, gauss_product_load, node_order_step,
+                      p1_tridiagonal, piecewise_linear_1d,
+                      random_refined_interval, spd_matrix, synth_linear_series)
 
 
 def fresh_state(mesh):
@@ -104,6 +104,25 @@ def p1_slope_1d(mesh, values):
         return slopes[np.clip(np.searchsorted(xs, x) - 1, 0, slopes.size - 1)]
 
     return f
+
+
+class TestProductLoad:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_gauss(self, seed):
+        # three random P1 factors on a graded chain, the first beta times an
+        # Allee-style sigma = 1 - A_e / N that varies over the mesh
+        r = np.random.default_rng(seed)
+        mesh = random_refined_interval(r, int(r.integers(1, 9)), int(r.integers(0, 5)))
+        layout = M.band_layout(mesh)
+        s, i, rest = r.uniform(0, 1, size=(3, mesh.n_nodes))[:, layout.order]
+        sigma = 1.0 - r.uniform(0, 2) / np.maximum(s + i + rest, 1e-12)
+        factors = (r.uniform(0.1, 2) * sigma, s, i)
+        load = S._product_load(layout.h, factors)
+        # the rule's own rounding reaches 1e-15 of the max (measured against
+        # exact rational arithmetic), so the bound leaves room for it
+        assert np.max(np.abs(load - gauss_product_load(layout.h, factors))) \
+            <= 2e-15 * np.max(np.abs(load))
 
 
 class TestOperator:

@@ -1105,6 +1105,19 @@ class TestCliProjectAndDmd:
             assert proc.returncode == code, proc.stderr
             assert proc.stderr.startswith("error: "), proc.stderr
             assert "Traceback" not in proc.stderr
+        # time bounds are exact: on a store sampled every 0.1, --t-end 0.3
+        # keeps the snapshot at 0.3, so rank 3 has its 3 snapshot pairs
+        msh = M.build_interval_mesh(0, 1, 8)
+        store.write_store(tmp_path / "tenths", [
+            (Fraction(k, 10), msh, {"s": rng.normal(size=msh.n_nodes)})
+            for k in range(8)])
+        proc = fresh_python(script, tmp_path / "tenths", "s", "3", "--t-end", "0.3")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == ["rank", "3"]
+        assert "skipped" not in proc.stdout
+        proc = fresh_python(script, tmp_path / "tenths", "s", "--t-start", "nan")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "nan" in proc.stderr
 
     def test_indicator_demo_script(self, tmp_path):
         script = (Path(__file__).resolve().parents[1] / "scripts"
@@ -1352,11 +1365,18 @@ class TestStoreFanOut:
     mask."""
 
     N_SNAPS = 40
+    BATCH = 24          # snapshots per batch under small_batches
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
+
+    @pytest.fixture
+    def small_batches(self, monkeypatch):
+        """A batch closes after BATCH of the snapshots below: they cycle
+        through meshes of 13, 18 and 10 nodes and carry two fields."""
+        monkeypatch.setattr(store, "_BATCH_VALUES", (13 + 18 + 10) * 2 * self.BATCH // 3)
 
     def snapshots(self, rng, n=N_SNAPS):
         meshes = [M.build_interval_mesh(0, 1, n) for n in (12, 17, 9)]
@@ -1407,7 +1427,8 @@ class TestStoreFanOut:
     def forks(live):
         return sum(b > a for a, b in zip(live, live[1:]))
 
-    def test_write_is_byte_identical(self, two_cpus, written, tmp_path, live):
+    def test_write_is_byte_identical(self, two_cpus, small_batches, written,
+                                     tmp_path, live):
         snaps, serial_dir = written
         store.write_store(tmp_path / "from_list", snaps)
         store.write_store(tmp_path / "from_generator", (s for s in snaps))
@@ -1418,7 +1439,8 @@ class TestStoreFanOut:
         assert a == self.contents(tmp_path / "from_list") \
             == self.contents(tmp_path / "from_generator")
 
-    def test_first_child_forks_before_the_generator_ends(self, two_cpus, rng,
+    def test_first_child_forks_before_the_generator_ends(self, two_cpus,
+                                                         small_batches, rng,
                                                          tmp_path, monkeypatch):
         snaps, yielded, at_fork = self.snapshots(rng), [], []
         plain = os.fork
@@ -1435,19 +1457,30 @@ class TestStoreFanOut:
         monkeypatch.setattr(os, "fork", fork)
         store.write_store(tmp_path / "st", run())
         self.assert_no_children()
-        assert at_fork == [store._BATCH_FILES] and at_fork[0] < self.N_SNAPS
+        assert at_fork == [self.BATCH] and at_fork[0] < self.N_SNAPS
 
-    def test_never_more_live_children_than_cpus(self, two_cpus, rng, tmp_path,
-                                                live):
-        snaps = self.snapshots(rng, 5 * store._BATCH_FILES + 3)
+    def test_never_more_live_children_than_cpus(self, two_cpus, small_batches,
+                                                rng, tmp_path, live):
+        snaps = self.snapshots(rng, 5 * self.BATCH + 3)
         store.write_store(tmp_path / "st", iter(snaps))
         self.assert_no_children()
         assert len(store.read_store(tmp_path / "st").entries) == len(snaps)
         assert self.forks(live) == 5
         assert max(live) == 2 and live[-1] == 0
 
-    def test_each_dropped_mesh_gets_its_own_file(self, two_cpus, rng,
-                                                 tmp_path):
+    def test_a_predicted_store_forks_one_child(self, two_cpus, tmp_path, live):
+        # the size of `dmd predict --until 44` on the preset: 165 files of one
+        # field on 501 nodes. Batches are counted in values, so the first 144
+        # files fill one batch for a child and this process writes the rest.
+        msh = M.build_interval_mesh(0, 1, 500)
+        values = np.linspace(0, 1, msh.n_nodes)
+        store.write_store(tmp_path / "st", [(Fraction(k, 4), msh, {"s": values})
+                                            for k in range(165)])
+        self.assert_no_children()
+        assert self.forks(live) == 1
+
+    def test_each_dropped_mesh_gets_its_own_file(self, two_cpus, small_batches,
+                                                 rng, tmp_path):
         # nothing but write_store holds a mesh after its snapshot, so the id
         # of a freed mesh may come back for the next one
         sizes = rng.permutation(np.arange(2, 2 + self.N_SNAPS)).tolist()
@@ -1464,8 +1497,8 @@ class TestStoreFanOut:
                 M.build_interval_mesh(0, 1, n).nodes[:, 0].tolist()
             assert e.fields["u"].tolist() == np.linspace(0, 1, n + 1).tolist()
 
-    def test_generator_error_kills_the_children(self, two_cpus, rng, tmp_path,
-                                                monkeypatch):
+    def test_generator_error_kills_the_children(self, two_cpus, small_batches,
+                                                rng, tmp_path, monkeypatch):
         snaps = self.snapshots(rng)
         parent, plain = os.getpid(), fem.save_fields
 
@@ -1499,8 +1532,8 @@ class TestStoreFanOut:
         # a mesh is one object for all its snapshots
         assert len({id(e.mesh) for e in back.entries}) == 3
 
-    def test_write_fault_matches_the_plain_loop(self, rng, tmp_path,
-                                                monkeypatch):
+    def test_write_fault_matches_the_plain_loop(self, small_batches, rng,
+                                                tmp_path, monkeypatch):
         # snapshot 5 goes to a child, snapshot 33 to the last, in-process
         # batch: the first in file order is the fault raised
         snaps = self.snapshots(rng)
@@ -1521,6 +1554,7 @@ class TestStoreFanOut:
 
     @pytest.mark.parametrize("how", ["exit", "signal"])
     def test_child_that_sends_nothing_gives_store_error(self, two_cpus,
+                                                        small_batches,
                                                         written, tmp_path,
                                                         monkeypatch, how):
         snaps, _ = written
@@ -1542,8 +1576,8 @@ class TestStoreFanOut:
         assert f"exit status {0 if how == 'exit' else -signal.SIGKILL}" \
                in str(err.value)
 
-    def test_interrupt_reaps_every_child(self, two_cpus, written, tmp_path,
-                                         monkeypatch):
+    def test_interrupt_reaps_every_child(self, two_cpus, small_batches,
+                                         written, tmp_path, monkeypatch):
         snaps, _ = written
         parent, plain = os.getpid(), fem.save_fields
 
@@ -1562,9 +1596,11 @@ class TestStoreFanOut:
                         reason="with one CPU both runs take the plain loop, "
                                "so the comparison would be vacuous")
     def test_simulate_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # 33 snapshots on the preset's 501-node reference mesh: each store
+        # holds more than _BATCH_VALUES values, so each forks a child
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dt = 0.25\nt_end = 8\nn_elems = 10\n"
-                       "initial_uniform_levels = 1\nmax_level = 1\n")
+        cfg.write_text("dt = 0.25\nt_end = 8\nn_elems = 125\n"
+                       "initial_uniform_levels = 2\nmax_level = 2\n")
         outs = []
         for cpus in ({0}, set(sorted(os.sched_getaffinity(0))[:2])):
             out = tmp_path / f"cpus_{len(cpus)}"
@@ -1576,4 +1612,8 @@ class TestStoreFanOut:
                          for p in sorted(out.rglob("*"))
                          if p.is_file() and p.name != "run_manifest.txt"})
         assert len([p for p in outs[0] if p.parent.name == "projected"]) == 35
+        for sub in ("adaptive", "projected"):
+            heads = [data.split(b"\n", 1)[0].split() for p, data in outs[0].items()
+                     if p.parent.name == sub and p.name.endswith(".field.txt")]
+            assert sum(int(n) * int(k) for n, k in heads) > store._BATCH_VALUES, sub
         assert outs[0] == outs[1]
