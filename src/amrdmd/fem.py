@@ -1,7 +1,9 @@
 """P1 finite-element machinery on simplicial meshes: mass-matrix assembly
 and integrals from their closed forms, the max-norm, point evaluation, a
 facet flux-jump refinement indicator, a deterministic solve-then-verify solver
-(exact tridiagonal in 1-d, a fixed Jacobi-Chebyshev sweep in 2-d) and field files.
+(in 1-d LAPACK's exact tridiagonal dpttrf/dpttrs, the only use of scipy, taken
+from its extension module without running the scipy.linalg package; in 2-d a
+fixed Jacobi-Chebyshev sweep) and field files.
 
 A field is its nodal values, an array (n_nodes,) passed next to its mesh.
 Values are checked only where they enter or leave the program: load_fields
@@ -11,7 +13,11 @@ non-finite right-hand side before any matvec and a non-finite residual.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +103,29 @@ class SparseSpd:
     def _ldlt(self):
         """LDL^T factor (d, e) of the band form, computed on the first call."""
         if self._factor is None:
-            from scipy.linalg.lapack import dpttrf
-            d, e, info = dpttrf(self.diag, self.off)
+            d, e, info = _flapack().dpttrf(self.diag, self.off)
             if info != 0:
                 raise SolverError(f"tridiagonal matrix is not positive definite "
                                   f"(LDL^T pivot {info} of {self.n})")
             self._factor = d, e
         return self._factor
+
+
+def _flapack():
+    """scipy's LAPACK extension module, loaded once per process without
+    running the scipy.linalg package (85 modules, ~29 MB) and registered
+    under its own name, so an import of scipy.linalg before or after shares
+    the one module object. ImportError when scipy or the module is missing."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")       # runs no scipy code
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"{name} (scipy's LAPACK) not found", name=name)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +267,8 @@ def cg_solve(A: SparseSpd, b: np.ndarray) -> np.ndarray:
     scale = unit_scale(top)                  # 1 for b = 0, solved as any b
     b = b * scale
     if A.blocks is None:
-        from scipy.linalg.lapack import dpttrs
         rows = slice(None) if A.order is None else A.order
-        xs = dpttrs(*A._ldlt(), b[rows])[0]
+        xs = _flapack().dpttrs(*A._ldlt(), b[rows])[0]
         x = np.empty_like(b)
         x[rows] = xs
     else:

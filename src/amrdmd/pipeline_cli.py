@@ -164,6 +164,8 @@ def cmd_dmd_predict(args) -> int:
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
     if args.times:
         time_fracs = [exact_time(tok) for tok in args.times.split(",") if tok]
+        if any(b <= a for a, b in zip(time_fracs, time_fracs[1:])):
+            raise InvalidArgumentError(f"--times must strictly increase: {args.times}")
     else:
         t0 = Fraction(repr(model.t0))
         dt = Fraction(repr(model.dt_o))
@@ -209,11 +211,18 @@ def cmd_report_errors(args) -> int:
              if (a := approx_by_time.get(Fraction(e.time_str))) is not None]
     if not pairs:
         raise StoreError("no common snapshot times between the stores")
+    meshes = {}
     for t, a in pairs:
         for src, e in ((truth, t), (approx, a)):
             if field not in e.fields:
                 raise StoreError(f"field {field!r} missing from "
                                  f"{src.path / e.field_file}")
+            meshes.setdefault(src.path / e.mesh_file, e)
+    first = pairs[0][0]
+    for path, e in meshes.items():
+        if not np.array_equal(e.mesh.nodes, first.mesh.nodes):
+            raise StoreError(f"{path} (t={e.time_str}) and {truth.path / first.mesh_file} "
+                             f"(t={first.time_str}) are different meshes; project first")
     Y = np.column_stack([t.fields[field] for t, _ in pairs])
     Yhat = np.column_stack([a.fields[field] for _, a in pairs])
     report = dmd.errors(Y, Yhat)

@@ -251,12 +251,15 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
     for e in store.entries:
         if field not in e.fields:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")
+    first, second = (Fraction(e.time_str) for e in store.entries[:2])  # exact step
+    if second <= first:
+        raise StoreError(f"snapshot times do not increase: {store.entries[0].time_str}"
+                         f" then {store.entries[1].time_str}")
     times = np.array([e.time for e in store.entries])
     gaps = np.diff(times)
     if np.max(np.abs(gaps - gaps[0])) > 1e-9 * abs(gaps[0]):
         raise StoreError("snapshots are not uniformly sampled in the window")
     data = np.column_stack([e.fields[field] for e in store.entries])
-    first, second = (Fraction(e.time_str) for e in store.entries[:2])  # exact step
     return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(second - first),
                           field_name=field)
 

@@ -1,6 +1,10 @@
 """Shared oracle helpers: brute-force counterparts of the fast paths."""
 
+import os
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,17 @@ from amrdmd import fem, mesh as mesh_mod, seird_sim as S
 from amrdmd.dmd import SnapshotMatrix
 from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError
 from amrdmd.linalg import gaussian_matrix
+
+
+def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
+    """Run a new interpreter that imports the package from this tree, with
+    env_vars added to the environment."""
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        [str(Path(fem.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def exhaustive_locate(mesh, x, tol=1e-10):

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 from amrdmd import fem, mesh as M
 from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
 
-from conftest import (coo_mass, element_mass_quadrature, gauss_rule_1d,
-                      graded_square, l2_norm, p1_tridiagonal,
+from conftest import (coo_mass, element_mass_quadrature, fresh_python,
+                      gauss_rule_1d, graded_square, l2_norm, p1_tridiagonal,
                       random_refined_interval, random_refined_square,
                       rule_integral, spd_matrix, triangle_rule)
 
@@ -493,20 +496,111 @@ class TestBandForm:
             assert not np.any(x)
 
     def test_factor_is_computed_once(self, monkeypatch, rng):
-        from scipy.linalg import lapack
         m = random_refined_interval(rng)
         A = fem.assemble_mass(m)
         factored = [0]
-        plain = lapack.dpttrf
+        plain = fem._flapack()
 
         def dpttrf(*args):
             factored[0] += 1
-            return plain(*args)
+            return plain.dpttrf(*args)
 
-        monkeypatch.setattr(lapack, "dpttrf", dpttrf)
+        monkeypatch.setattr(fem, "_flapack", lambda: SimpleNamespace(
+            dpttrf=dpttrf, dpttrs=plain.dpttrs))
         for _ in range(3):
             fem.cg_solve(A, rng.normal(size=m.n_nodes))
         assert factored[0] == 1
+
+
+# dpttrf, then dpttrs on a positive definite matrix, for each (d, e, b) case
+# of an .npz; run as a script it does so with the loader's module in a fresh
+# interpreter, saves the outcomes and prints the scipy modules it loaded
+FACTOR_SCRIPT = """
+import sys
+import numpy as np
+
+def outcomes(lapack, cases):
+    out = {}
+    for k in range(len(cases) // 3):
+        d, e, b = (cases[f"{a}{k}"] for a in "deb")
+        try:
+            d, e, out[f"info{k}"] = lapack.dpttrf(d, e)
+            out[f"d{k}"], out[f"e{k}"] = d, e
+            if out[f"info{k}"] == 0:
+                out[f"x{k}"], out[f"xinfo{k}"] = lapack.dpttrs(d, e, b)
+        except ValueError as exc:       # f2py refuses n = 1 with e of size 0
+            out[f"error{k}"] = str(exc)
+    return out
+
+if __name__ == "__main__":
+    from amrdmd import fem
+    np.savez(sys.argv[2], **outcomes(fem._flapack(), np.load(sys.argv[1])))
+    print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def tridiagonal_case(n, kind, seed):
+    """Diagonal, off-diagonal and a right-hand side of an n x n symmetric
+    tridiagonal: 'dominant' strictly diagonally dominant, 'ldlt' L D L^T
+    with D > 0 and a unit bidiagonal L (seldom dominant), 'indefinite' the
+    same with one pivot of D negated. |L| < 1 below the diagonal: rounding
+    in a pivot shrinks on its way down the factor, so no pivot flips sign."""
+    rng = np.random.default_rng(seed)
+    if kind == "dominant":
+        diag, off = rng.uniform(1, 2, n), rng.uniform(-0.49, 0.49, n - 1)
+    else:
+        d, low = rng.uniform(0.1, 2, n), rng.uniform(-1, 1, n - 1)
+        if kind == "indefinite":
+            d[rng.integers(n)] *= -1
+        diag, off = d.copy(), low * d[:-1]
+        diag[1:] += low * off
+    return diag, off, rng.normal(size=n)
+
+
+class TestLapackLoader:
+    @settings(max_examples=5, deadline=None)
+    @given(cases=st.lists(st.tuples(st.integers(1, 600),
+                                    st.sampled_from(["dominant", "ldlt", "indefinite"]),
+                                    st.integers(0, 2 ** 32 - 1)),
+                          min_size=1, max_size=8))
+    def test_same_bits_as_scipy_linalg_lapack(self, cases):
+        from scipy.linalg import lapack
+        arrays = {}
+        for k, case in enumerate(cases):
+            arrays[f"d{k}"], arrays[f"e{k}"], arrays[f"b{k}"] = tridiagonal_case(*case)
+        namespace = {}
+        exec(FACTOR_SCRIPT, namespace)
+        expected = namespace["outcomes"](lapack, arrays)
+        with tempfile.TemporaryDirectory() as tmp:
+            np.savez(Path(tmp, "in.npz"), **arrays)
+            proc = fresh_python("-c", FACTOR_SCRIPT, Path(tmp, "in.npz"),
+                                Path(tmp, "out.npz"))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+            with np.load(Path(tmp, "out.npz")) as got:
+                assert sorted(got.files) == sorted(expected)
+                for key, value in expected.items():
+                    assert got[key].tobytes() == np.asarray(value).tobytes(), key
+        for k, (n, kind, _) in enumerate(cases):
+            if n > 1:
+                assert (expected[f"info{k}"] > 0) == (kind == "indefinite")
+
+    def test_shares_its_module_with_scipy_linalg(self):
+        proc = fresh_python("-c", "import sys, numpy as np\n"
+                                  "from amrdmd import fem, mesh\n"
+                                  "m = mesh.build_interval_mesh(0, 1, 8)\n"
+                                  "fem.cg_solve(fem.assemble_mass(m), np.ones(m.n_nodes))\n"
+                                  "from scipy.linalg import lapack\n"
+                                  "flapack = sys.modules['scipy.linalg._flapack']\n"
+                                  "print(lapack.dpttrf is flapack.dpttrf)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_missing_scipy_is_an_import_error_naming_the_module(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+            fem._flapack()
 
 
 class TestFieldIO:

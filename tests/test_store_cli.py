@@ -1,8 +1,6 @@
 import json
 import os
 import signal
-import subprocess
-import sys
 import tempfile
 import time
 import warnings
@@ -14,10 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import amrdmd
 from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
+
+from conftest import fresh_python
 
 
 class TestFractionRendering:
@@ -213,17 +212,6 @@ class TestStoreRoundtrip:
 
 def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
-
-
-def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
-    """Run a new interpreter that imports the package from this tree, with
-    env_vars added to the environment."""
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
-        [str(Path(amrdmd.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=timeout,
-                          preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -591,6 +579,34 @@ class TestCliProjectAndDmd:
                        "--field", "u", "--rank", "1", "--quiet")
         assert code == 3
 
+    @pytest.mark.parametrize("times", [(5, 5, 5), (6, 5, 4)])
+    def test_fit_on_times_that_do_not_increase_exit_3(self, tmp_path, rng, capsys,
+                                                      times):
+        m = M.build_interval_mesh(0, 1, 4)
+        store.write_store(tmp_path / "st", [
+            (Fraction(t), m, {"u": rng.normal(size=m.n_nodes)}) for t in times])
+        code = run_cli("dmd", "fit", tmp_path / "st", tmp_path / "m.dmd.txt",
+                       "--field", "u", "--rank", "1", "--quiet")
+        assert code == 3
+        assert f"{times[0]} then {times[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["more_nodes", "moved_nodes", "remeshed_in_time"])
+    def test_report_on_different_meshes_exit_3(self, tmp_path, rng, capsys, case):
+        m, finer = M.build_interval_mesh(0, 1, 4), M.build_interval_mesh(0, 1, 5)
+        moved = M.SimplicialMesh(dim=1, nodes=m.nodes ** 2, elements=m.elements)
+        meshes = {"more_nodes": ([m, m], [finer, finer]),
+                  "moved_nodes": ([m, m], [moved, moved]),
+                  "remeshed_in_time": ([m, finer], [m, finer])}[case]
+        for name, seq in zip(("truth", "approx"), meshes):
+            store.write_store(tmp_path / name, [
+                (Fraction(k), msh, {"s": rng.normal(size=msh.n_nodes)})
+                for k, msh in enumerate(seq)])
+        code = run_cli("report", "errors", tmp_path / "truth", tmp_path / "approx",
+                       tmp_path / "e.csv", "--field", "s", "--quiet")
+        assert code == 3
+        assert "different meshes; project first" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_report_identical_stores_zero_error(self, small_run, tmp_path):
         root, cfg, out = small_run
         csv = tmp_path / "zero.csv"
@@ -620,7 +636,8 @@ class TestCliProjectAndDmd:
         assert [e.time_str for e in entries] == ["0.5", "1.25", "3"]
 
     @pytest.mark.parametrize("when", [("--times", "a,b"), ("--until", "inf"),
-                                      ("--until", "nan")])
+                                      ("--until", "nan"), ("--times", "5,5,5"),
+                                      ("--times", "6,5,4")])
     def test_predict_bad_time_exit_2(self, small_run, tmp_path, when):
         root, cfg, out = small_run
         model_path = tmp_path / "m.dmd.txt"
@@ -911,11 +928,20 @@ class TestCliProjectAndDmd:
         assert modules == []
 
     def test_simulate_loads_no_scipy_sparse(self, small_run, tmp_path):
+        # nor any other scipy module but the LAPACK extension of the 1-d solves
         root, cfg, out = small_run
         code, modules = self.modules_loaded(
-            ["simulate", cfg, tmp_path / "sim", "--quiet"], "scipy.sparse")
+            ["simulate", cfg, tmp_path / "sim", "--quiet"], "scipy")
         assert code == 0
-        assert modules == []
+        assert modules == ["scipy.linalg._flapack"]
+
+    def test_project_1d_loads_only_the_lapack_module(self, small_run, tmp_path):
+        root, cfg, out = small_run
+        code, modules = self.modules_loaded(
+            ["project", out / "adaptive", out / "projected" / "mesh_0000.mesh.txt",
+             tmp_path / "p", "--quiet"], "scipy")
+        assert code == 0
+        assert modules == ["scipy.linalg._flapack"]
 
     def test_report_missing_field_exit_3(self, small_run, tmp_path, capsys):
         root, cfg, out = small_run
