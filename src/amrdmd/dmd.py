@@ -17,6 +17,7 @@ from . import linalg
 from .errors import FitError, InvalidArgumentError
 from .fem import unit_scale
 from .linalg import SvdResult
+from .mesh import _read_table
 
 ZERO_EIGENVALUE_TOL = 1e-14
 SIGMA_DROP_TOL = 1e-12
@@ -213,6 +214,8 @@ def errors(Y_truth: np.ndarray, Y_hat: np.ndarray) -> ErrorReport:
 #   "n r t0 dt_o field_name"
 # then r lines of lambda (re im), r of omega (re im), r of b (re im), then
 # n*r lines of Psi column-major (re im), all with 17 significant digits.
+# Every value is finite but omega where |lambda| < ZERO_EIGENVALUE_TOL,
+# which is nan 0.
 
 def save_model(model: DmdModel, path) -> None:
     with open(path, "w") as fh:
@@ -225,30 +228,29 @@ def save_model(model: DmdModel, path) -> None:
 
 
 def load_model(path) -> DmdModel:
-    with open(path) as fh:
-        try:
-            head = fh.readline().split()
-            if len(head) != 5:
-                raise ValueError("expected 'n r t0 dt_o field_name'")
-            n, r = int(head[0]), int(head[1])
-            t0, dt_o, name = float(head[2]), float(head[3]), head[4]
-            if not (np.isfinite(t0) and np.isfinite(dt_o) and dt_o > 0):
-                raise ValueError(f"t0 = {head[2]} must be finite and "
-                                 f"dt_o = {head[3]} finite and positive")
-            with warnings.catch_warnings():   # a short table fails the shape check
-                warnings.simplefilter("ignore", UserWarning)
-                raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
-            if fh.read().strip():
-                raise ValueError(f"rows after the {(3 + n) * r} table rows")
-        except (ValueError, OverflowError) as exc:
-            raise InvalidArgumentError(f"malformed model file {path}: {exc}") from exc
-    if raw.shape != ((3 + n) * r, 2):
-        raise InvalidArgumentError(f"model file {path} truncated")
-    z = raw[:, 0] + 1j * raw[:, 1]
+    def table(n, r, t0, dt_o, name):
+        if n < 1 or r < 1 or not dt_o > 0:
+            raise ValueError(f"n = {n}, r = {r} and dt_o = {dt_o} must be positive")
+        return [(r, "ff"), (r, "gg"), ((1 + n) * r, "ff")]   # omega may be nan
+
+    (n, r, t0, dt_o, name), table = _read_table(path, "model file", ["iiffn"], table,
+                                                _model_fault)
+    z = np.concatenate([re + 1j * im for re, im in table])
     lam = z[:r]
-    omega = z[r:2 * r]
-    b = z[2 * r:3 * r]
-    modes = z[3 * r:].reshape(r, n).T
     aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
-    return DmdModel(rank=r, lam=lam, omega=omega, modes=modes, amplitudes=b,
-                    t0=t0, dt_o=dt_o, field_name=name, aliased_modes=aliased)
+    return DmdModel(rank=r, lam=lam, omega=z[r:2 * r], modes=z[3 * r:].reshape(r, n).T,
+                    amplitudes=z[2 * r:3 * r], t0=t0, dt_o=dt_o, field_name=name,
+                    aliased_modes=aliased)
+
+
+def _model_fault(header, table):
+    """The first omega row that is not nan 0, as fit writes it, exactly where
+    |lambda| < ZERO_EIGENVALUE_TOL and finite elsewhere, and why."""
+    (lam_re, lam_im), (re, im) = table[:2]
+    zero = np.hypot(lam_re, lam_im)[:re.size] < ZERO_EIGENVALUE_TOL   # |lambda|, as in fit
+    ok = np.where(zero, np.isnan(re) & (im == 0), np.isfinite(re) & np.isfinite(im))
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    return header[1] + k, (f"omega {re[k]:g} {im[k]:g} must be nan 0 exactly where "
+                           f"|lambda| < {ZERO_EIGENVALUE_TOL:g}")

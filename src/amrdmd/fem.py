@@ -7,8 +7,11 @@ fixed Jacobi-Chebyshev sweep) and field files.
 
 A field is its nodal values, an array (n_nodes,) passed next to its mesh.
 Values are checked only where they enter or leave the program: load_fields
-and save_fields refuse non-finite or wrong-length fields, and cg_solve a
-non-finite right-hand side before any matvec and a non-finite residual.
+reads through the table reader that mesh, model and manifest files share
+(mesh._read_table), which refuses a malformed file and a non-finite value
+in a column it converts; save_fields refuses non-finite or wrong-length
+fields, and cg_solve a non-finite right-hand side before any matvec and a
+non-finite residual.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
-from .mesh import SimplicialMesh, band_layout, facets, locate_points
+from .mesh import SimplicialMesh, _read_table, band_layout, facets, locate_points
 
 
 @dataclass(frozen=True)
@@ -326,31 +329,13 @@ def load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, np.ndarray]
     those of `names` that it holds (the caller reports missing ones). The
     whole file's shape is checked; only the returned columns are converted
     to floats, and each must be finite."""
-    with open(path) as fh:
-        try:
-            head = fh.readline().split()
-            if len(head) != 2:
-                raise ValueError("expected 'n_nodes n_fields'")
-            n_nodes, n_fields = int(head[0]), int(head[1])
-            if n_nodes != mesh.n_nodes:
-                raise ValueError(f"{n_nodes} nodes, mesh has {mesh.n_nodes}")
-            file_names = fh.readline().split()
-            if len(file_names) != n_fields:
-                raise ValueError("field name count mismatch")
-            if len(set(file_names)) != n_fields:
-                raise ValueError(f"repeated field name in {file_names}")
-            body = fh.read()
-            if "_" in body or not body.isascii():  # float() takes 1_0, non-ASCII digits
-                raise ValueError("a value is not a plain decimal number")
-            rows = [row for row in map(str.split, body.split("\n")) if row]
-            if len(rows) != n_nodes or any(len(row) != n_fields for row in rows):
-                raise ValueError(f"expected {n_nodes} rows of {n_fields} values")
-            out = {name: np.array([row[j] for row in rows], dtype=float)
-                   for j, name in enumerate(file_names)
-                   if names is None or name in names}
-            bad = [name for name, v in out.items() if not np.isfinite(v).all()]
-            if bad:
-                raise ValueError(f"field '{bad[0]}' has non-finite values")
-            return out
-        except ValueError as exc:
-            raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
+    def table(n_nodes, n_fields, file_names):
+        if n_nodes != mesh.n_nodes:
+            raise ValueError(f"{n_nodes} nodes, mesh has {mesh.n_nodes}")
+        if len(file_names) != n_fields or len(set(file_names)) != n_fields:
+            raise ValueError(f"field names {file_names} are not {n_fields} distinct names")
+        return [(n_nodes, "".join("f" if names is None or name in names else "-"
+                                  for name in file_names))]
+
+    (*_, file_names), (columns,) = _read_table(path, "field file", ["ii", "*"], table)
+    return {name: values for name, values in zip(file_names, columns) if values is not None}

@@ -24,8 +24,8 @@ so siblings share (r, p >> 1) and the level is p.bit_length() - 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -579,6 +579,108 @@ def band_layout(mesh: SimplicialMesh) -> BandLayout:
 
 
 # ---------------------------------------------------------------------------
+# plain-text tables: the grammar of mesh, field, model and manifest files
+
+def _plain(text: str) -> bool:
+    """ASCII without "_", which int(), float() and Fraction() would read."""
+    return text.isascii() and "_" not in text
+
+
+def _convert(rows, sections):
+    """[[column per kind] per section] of the rows (see _read_table); a
+    ValueError or OverflowError names a fault."""
+    table, start = [], 0
+    for n, kinds in sections:
+        block, start = rows[start:start + n], start + n
+        if set(map(len, block)) - {len(kinds)}:
+            raise ValueError(f"expected {len(kinds)} values")
+        table.append(columns := [])
+        for j, kind in enumerate(kinds):
+            column = [] if kind == "-" else [row[j] for row in block]
+            if kind != "n" and not _plain("".join(column)):
+                raise ValueError(f"{' '.join(column)!r} is not plain ASCII without '_'")
+            if kind == "i":
+                column = np.array(list(map(int, column)), dtype=np.int64)
+            elif kind in "fgt":
+                values = np.array(list(map(float, column)))
+                if kind != "g" and not np.isfinite(values).all():
+                    raise ValueError(f"{' '.join(column)!r} is not finite")
+                column = column if kind == "t" else values
+            columns.append(None if kind == "-" else column)
+    return table
+
+
+def _read_table(path, what, head, body, check=None):
+    """Read the text file at path as a header and a table. Lines end at a
+    newline; tokens are separated by whitespace. Header line k + 1 holds a
+    token of each kind in head[k] ("i" int64, "f" finite float, "g" float,
+    "t" finite float kept as text, "n" any name) or, for "*", any names.
+    body(*header values) gives the table's sections (rows, kinds), rows
+    None for all rows of a one-section table; lines without tokens are
+    skipped, each row holds a token of each kind ("-" a number left as
+    text), and nothing follows. Numbers, and every line of a table without
+    names, are ASCII without "_". check(header, table) sees the rows before
+    the first fault and may give (row, reason) for an earlier one.
+
+    Returns (header values, [[column per kind] per section]); a fault raises
+    InvalidArgumentError naming the file and line. No allocation is sized
+    from a header value."""
+    def fault(line, reason):
+        at = f"line {line}: " if line else ""
+        return InvalidArgumentError(f"malformed {what} {path}: {at}{reason}")
+
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise fault(None, exc) from exc
+    lines, header, first = text.split("\n"), [], len(head)
+    for k, kinds in enumerate(head):
+        tokens = lines[k].split() if k < len(lines) else []
+        if kinds == "*":
+            header.append(tokens)
+            continue
+        try:
+            _convert([tokens], [(1, kinds)])
+        except (ValueError, OverflowError) as exc:
+            raise fault(k + 1, exc) from exc
+        header += [{"i": int, "f": float}.get(c, str)(t) for t, c in zip(tokens, kinds)]
+    try:
+        sections = body(*header)
+    except ValueError as exc:
+        raise fault(None, exc) from exc
+    rows = [row for row in map(str.split, lines[first:]) if row]
+    sections = [(len(rows) if n is None else n, kinds) for n, kinds in sections]
+    expected, bad = sum(n for n, _ in sections), None
+
+    def line(k):      # the line of table row k
+        return [i for i, s in enumerate(lines[first:], first + 1) if s.split()][k]
+
+    if len(rows) != expected:
+        raise fault(line(min(expected, len(rows) - 1)) if rows else first,
+                    f"{len(rows)} table rows, expected {expected}")
+    if not (_plain(text) or any("n" in kinds for _, kinds in sections)):
+        for i, s in enumerate(lines[first:], first + 1):
+            if not _plain(s):
+                raise fault(i, "not plain ASCII without '_'")
+    try:
+        table = _convert(rows, sections)
+    except (ValueError, OverflowError):
+        row_kinds = chain.from_iterable(repeat(kinds, n) for n, kinds in sections)
+        for k, (row, kinds) in enumerate(zip(rows, row_kinds)):
+            try:
+                _convert([row], [(1, kinds)])
+            except (ValueError, OverflowError) as exc:
+                bad, table = (k, exc), _convert(rows[:k], sections)
+                break
+    if check is not None:
+        bad = check(header, table) or bad
+    if bad:
+        raise fault(line(bad[0]), bad[1])
+    return header, table
+
+
+# ---------------------------------------------------------------------------
 # mesh file format: line 1 "dim n_nodes n_elems", then node coordinates,
 # then 0-based element connectivity. Extension ".mesh.txt". A mesh has at
 # least one element, and every node belongs to one.
@@ -598,32 +700,25 @@ def load_mesh(path) -> SimplicialMesh:
     loaded elements come back at level 0 with orientation normalized and,
     in 2-d, the longest edge chosen as refinement edge (ties broken by
     smallest sorted node pair)."""
-    with open(path) as fh:
-        first = fh.readline().split()
-        try:
-            if len(first) != 3:
-                raise ValueError("expected 'dim n_nodes n_elems'")
-            dim, n_nodes, n_elems = (int(v) for v in first)
-            if n_elems < 1 or n_nodes < 1:
-                raise ValueError("a mesh needs at least one element and one node")
-            with warnings.catch_warnings():   # a short table fails the reshape
-                warnings.simplefilter("ignore", UserWarning)
-                nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
-                                   dtype=float).reshape(n_nodes, dim)
-                elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
-                                      dtype=np.int64).reshape(n_elems, dim + 1)
-            if fh.read().strip():
-                raise ValueError(f"rows after the {n_elems} element rows")
-            _check_tables(dim, nodes, elements)   # before _normalize_elements
-            orphan = np.flatnonzero(np.bincount(elements.ravel(),
-                                                minlength=n_nodes) == 0)
-            if orphan.size:
-                raise ValueError(f"node {orphan[0]} belongs to no element")
-            mesh = SimplicialMesh(dim=dim, nodes=nodes,
-                                  elements=_normalize_elements(dim, nodes, elements))
-            validate_mesh(mesh)
-        except (ValueError, OverflowError) as exc:
-            raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
+    def table(dim, n_nodes, n_elems):
+        if dim not in (1, 2):
+            raise ValueError(f"unsupported dimension {dim}")
+        if n_elems < 1 or n_nodes < 1:
+            raise ValueError("a mesh needs at least one element and one node")
+        return [(n_nodes, "f" * dim), (n_elems, "i" * (dim + 1))]
+
+    (dim, n_nodes, _), tables = _read_table(path, "mesh file", ["iii"], table)
+    nodes, elements = (np.column_stack(columns) for columns in tables)
+    try:
+        _check_tables(dim, nodes, elements)   # before _normalize_elements
+        orphan = np.flatnonzero(np.bincount(elements.ravel(), minlength=n_nodes) == 0)
+        if orphan.size:
+            raise ValueError(f"node {orphan[0]} belongs to no element")
+        mesh = SimplicialMesh(dim=dim, nodes=nodes,
+                              elements=_normalize_elements(dim, nodes, elements))
+        validate_mesh(mesh)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
     return mesh
 
 

@@ -1,10 +1,11 @@
 """On-disk snapshot stores and run manifests.
 
 A store is a directory with a ``manifest.txt`` whose lines read
-``index time mesh_file field_file``; mesh and field files use the plain
-text formats of the mesh and fem modules. Times are carried as exact
-rationals (snapshot index times the output interval) and rendered as
-decimals, so manifests never accumulate float drift.
+``index time mesh_file field_file``, the indices 0..N-1 in line order and
+the times strictly increasing; mesh and field files use the plain text
+formats of the mesh and fem modules. Times are carried as exact rationals
+(snapshot index times the output interval) and rendered as decimals, so
+manifests never accumulate float drift.
 """
 
 from __future__ import annotations
@@ -153,7 +154,9 @@ def write_store(out_dir, snapshots) -> Path:
     manifest once every child has succeeded. Exceptions are raised in file
     order with their own type and message; an interrupt, or an exception
     from snapshots, kills and reaps the children. With one CPU or no os.fork
-    every file is written in process; the bytes do not depend on it.
+    every file is written in process; the bytes do not depend on it. A
+    time that does not exceed the one before raises InvalidArgumentError,
+    and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,6 +167,12 @@ def write_store(out_dir, snapshots) -> Path:
     values = 0                  # in the batch
     try:
         for idx, (t_frac, msh, fields) in enumerate(snapshots):
+            t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
+            exact = Fraction(t_str)
+            if lines and exact <= last:
+                raise InvalidArgumentError(f"snapshot {idx} at time {t_str} does not "
+                                           f"follow {lines[-1].split()[1]}")
+            last = exact
             if id(msh) not in meshes:
                 meshes[id(msh)] = msh, f"mesh_{len(meshes):04d}.mesh.txt"
                 _in_order(children, out, [functools.partial(
@@ -171,7 +180,6 @@ def write_store(out_dir, snapshots) -> Path:
             field_file = f"snap_{idx:04d}.field.txt"
             batch.append(functools.partial(fem.save_fields, msh, fields,
                                            out / field_file))
-            t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
             lines.append(f"{idx} {t_str} {meshes[id(msh)][1]} {field_file}")
             values += msh.n_nodes * len(fields)
             if fork and values >= _BATCH_VALUES:
@@ -196,49 +204,46 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     mesh and field files are opened only for the snapshots with
     t_start <= time <= t_end, compared exactly (an omitted bound is open),
     the only entries returned; of each field file only the columns named in
-    fields (all when None) are converted. The first fault in manifest order
-    is raised: StoreError for a damaged manifest, mesh or field file, OSError
-    for a missing one."""
+    fields (all when None) are converted. The manifest's invariant: indices
+    0..N-1 in line order, exact times strictly increasing, and file names
+    inside the store. The first fault in manifest order is raised:
+    StoreError for a damaged manifest, mesh or field file, OSError for a
+    missing one."""
     root = Path(store_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise StoreError(f"no manifest.txt in {root}")
     if (root / ".failed").exists():
         raise StoreError(f"store {root} is marked failed")
-    mesh_cache = {}
-    entries = []
-    index_lines = {}
-    for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        try:
-            if len(parts) != 4:
-                raise ValueError("expected 'index time mesh_file field_file'")
-            idx, t_str, mesh_file, field_file = parts
-            index, time = int(idx), float(exact := Fraction(t_str))
+    meshes, entries = {}, []
+
+    def read(_, table):         # the lines before the first fault, in order
+        (index, times, mesh_files, field_files), = table
+        for k, (i, t_str, mesh_file, field_file) in enumerate(
+                zip(index.tolist(), times, mesh_files, field_files)):
+            exact = Fraction(t_str)
+            if i != k:
+                return k, f"index {i} where {k} belongs"
+            if k and exact <= Fraction(times[k - 1]):
+                return k, f"time {t_str} does not follow {times[k - 1]}"
             for name in (mesh_file, field_file):
                 if name in (".", "..") or "/" in name or "\\" in name:
-                    raise ValueError(f"file name {name!r} leaves the store")
-            if index_lines.setdefault(index, line_no) != line_no:
-                raise ValueError(f"index {index} repeats line {index_lines[index]}")
-        except (ValueError, OverflowError) as exc:
-            raise StoreError(f"malformed line {line_no} of {manifest}: "
-                             f"{raw!r} ({exc})") from exc
-        if not ((t_start is None or exact >= t_start)
-                and (t_end is None or exact <= t_end)):
-            continue
-        try:
-            if mesh_file not in mesh_cache:
-                mesh_cache[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
-            msh = mesh_cache[mesh_file]
-            read = fem.load_fields(root / field_file, msh, fields)
-        except InvalidArgumentError as exc:     # its message names the file
-            raise StoreError(str(exc)) from exc
-        entries.append(StoreEntry(index=index, time_str=t_str, time=time,
-                                  mesh_file=mesh_file, field_file=field_file, mesh=msh,
-                                  fields=read))
-    entries.sort(key=lambda e: e.index)
+                    return k, f"file name {name!r} leaves the store"
+            if not ((t_start is None or exact >= t_start)
+                    and (t_end is None or exact <= t_end)):
+                continue
+            if mesh_file not in meshes:
+                meshes[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
+            entries.append(StoreEntry(
+                index=k, time_str=t_str, time=float(exact), mesh_file=mesh_file,
+                field_file=field_file, mesh=meshes[mesh_file],
+                fields=fem.load_fields(root / field_file, meshes[mesh_file], fields)))
+        return None
+
+    try:        # a mesh or field file's message names it
+        mesh_mod._read_table(manifest, "manifest", (), lambda: [(None, "itnn")], read)
+    except InvalidArgumentError as exc:
+        raise StoreError(str(exc)) from exc
     return Store(path=root, entries=entries)
 
 
@@ -252,9 +257,6 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
         if field not in e.fields:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")
     first, second = (Fraction(e.time_str) for e in store.entries[:2])  # exact step
-    if second <= first:
-        raise StoreError(f"snapshot times do not increase: {store.entries[0].time_str}"
-                         f" then {store.entries[1].time_str}")
     times = np.array([e.time for e in store.entries])
     gaps = np.diff(times)
     if np.max(np.abs(gaps - gaps[0])) > 1e-9 * abs(gaps[0]):

@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+import warnings
 from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from amrdmd import fem, mesh as mesh_mod, seird_sim as S
-from amrdmd.dmd import SnapshotMatrix
-from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError
+from amrdmd.dmd import DmdModel, SnapshotMatrix
+from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError, StoreError
 from amrdmd.linalg import gaussian_matrix
+from amrdmd.mesh import (SimplicialMesh, _check_tables, _normalize_elements,
+                         validate_mesh)
+from amrdmd.store import Store, StoreEntry
 
 
 def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
@@ -627,3 +632,158 @@ def loop_normalize_elements_2d(nodes, elements):
         k = best[0]
         out[i] = [el[k], el[(k + 1) % 3], el[(k + 2) % 3]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the four readers that mesh._read_table replaced, verbatim but for their
+# names and old_read_store's calls of the other two: the oracles of
+# tests/test_tables.py
+
+def old_load_mesh(path) -> SimplicialMesh:
+    """Read a mesh file. Refinement history is not stored in the format, so
+    loaded elements come back at level 0 with orientation normalized and,
+    in 2-d, the longest edge chosen as refinement edge (ties broken by
+    smallest sorted node pair)."""
+    with open(path) as fh:
+        first = fh.readline().split()
+        try:
+            if len(first) != 3:
+                raise ValueError("expected 'dim n_nodes n_elems'")
+            dim, n_nodes, n_elems = (int(v) for v in first)
+            if n_elems < 1 or n_nodes < 1:
+                raise ValueError("a mesh needs at least one element and one node")
+            with warnings.catch_warnings():   # a short table fails the reshape
+                warnings.simplefilter("ignore", UserWarning)
+                nodes = np.loadtxt(fh, max_rows=n_nodes, ndmin=2,
+                                   dtype=float).reshape(n_nodes, dim)
+                elements = np.loadtxt(fh, max_rows=n_elems, ndmin=2,
+                                      dtype=np.int64).reshape(n_elems, dim + 1)
+            if fh.read().strip():
+                raise ValueError(f"rows after the {n_elems} element rows")
+            _check_tables(dim, nodes, elements)   # before _normalize_elements
+            orphan = np.flatnonzero(np.bincount(elements.ravel(),
+                                                minlength=n_nodes) == 0)
+            if orphan.size:
+                raise ValueError(f"node {orphan[0]} belongs to no element")
+            mesh = SimplicialMesh(dim=dim, nodes=nodes,
+                                  elements=_normalize_elements(dim, nodes, elements))
+            validate_mesh(mesh)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
+    return mesh
+
+
+def old_load_fields(path, mesh: SimplicialMesh, names=None) -> dict[str, np.ndarray]:
+    """Read a file written by save_fields as {name: values}: every field, or
+    those of `names` that it holds (the caller reports missing ones). The
+    whole file's shape is checked; only the returned columns are converted
+    to floats, and each must be finite."""
+    with open(path) as fh:
+        try:
+            head = fh.readline().split()
+            if len(head) != 2:
+                raise ValueError("expected 'n_nodes n_fields'")
+            n_nodes, n_fields = int(head[0]), int(head[1])
+            if n_nodes != mesh.n_nodes:
+                raise ValueError(f"{n_nodes} nodes, mesh has {mesh.n_nodes}")
+            file_names = fh.readline().split()
+            if len(file_names) != n_fields:
+                raise ValueError("field name count mismatch")
+            if len(set(file_names)) != n_fields:
+                raise ValueError(f"repeated field name in {file_names}")
+            body = fh.read()
+            if "_" in body or not body.isascii():  # float() takes 1_0, non-ASCII digits
+                raise ValueError("a value is not a plain decimal number")
+            rows = [row for row in map(str.split, body.split("\n")) if row]
+            if len(rows) != n_nodes or any(len(row) != n_fields for row in rows):
+                raise ValueError(f"expected {n_nodes} rows of {n_fields} values")
+            out = {name: np.array([row[j] for row in rows], dtype=float)
+                   for j, name in enumerate(file_names)
+                   if names is None or name in names}
+            bad = [name for name, v in out.items() if not np.isfinite(v).all()]
+            if bad:
+                raise ValueError(f"field '{bad[0]}' has non-finite values")
+            return out
+        except ValueError as exc:
+            raise InvalidArgumentError(f"malformed field file {path}: {exc}") from exc
+
+
+def old_load_model(path) -> DmdModel:
+    with open(path) as fh:
+        try:
+            head = fh.readline().split()
+            if len(head) != 5:
+                raise ValueError("expected 'n r t0 dt_o field_name'")
+            n, r = int(head[0]), int(head[1])
+            t0, dt_o, name = float(head[2]), float(head[3]), head[4]
+            if not (np.isfinite(t0) and np.isfinite(dt_o) and dt_o > 0):
+                raise ValueError(f"t0 = {head[2]} must be finite and "
+                                 f"dt_o = {head[3]} finite and positive")
+            with warnings.catch_warnings():   # a short table fails the shape check
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, max_rows=(3 + n) * r, ndmin=2, dtype=float)
+            if fh.read().strip():
+                raise ValueError(f"rows after the {(3 + n) * r} table rows")
+        except (ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"malformed model file {path}: {exc}") from exc
+    if raw.shape != ((3 + n) * r, 2):
+        raise InvalidArgumentError(f"model file {path} truncated")
+    z = raw[:, 0] + 1j * raw[:, 1]
+    lam = z[:r]
+    omega = z[r:2 * r]
+    b = z[2 * r:3 * r]
+    modes = z[3 * r:].reshape(r, n).T
+    aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
+    return DmdModel(rank=r, lam=lam, omega=omega, modes=modes, amplitudes=b,
+                    t0=t0, dt_o=dt_o, field_name=name, aliased_modes=aliased)
+
+
+def old_read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
+    """Read a store in this process. Every manifest line is checked, but the
+    mesh and field files are opened only for the snapshots with
+    t_start <= time <= t_end, compared exactly (an omitted bound is open),
+    the only entries returned; of each field file only the columns named in
+    fields (all when None) are converted. The first fault in manifest order
+    is raised: StoreError for a damaged manifest, mesh or field file, OSError
+    for a missing one."""
+    root = Path(store_dir)
+    manifest = root / "manifest.txt"
+    if not manifest.exists():
+        raise StoreError(f"no manifest.txt in {root}")
+    if (root / ".failed").exists():
+        raise StoreError(f"store {root} is marked failed")
+    mesh_cache = {}
+    entries = []
+    index_lines = {}
+    for line_no, raw in enumerate(manifest.read_text().splitlines(), start=1):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        try:
+            if len(parts) != 4:
+                raise ValueError("expected 'index time mesh_file field_file'")
+            idx, t_str, mesh_file, field_file = parts
+            index, time = int(idx), float(exact := Fraction(t_str))
+            for name in (mesh_file, field_file):
+                if name in (".", "..") or "/" in name or "\\" in name:
+                    raise ValueError(f"file name {name!r} leaves the store")
+            if index_lines.setdefault(index, line_no) != line_no:
+                raise ValueError(f"index {index} repeats line {index_lines[index]}")
+        except (ValueError, OverflowError) as exc:
+            raise StoreError(f"malformed line {line_no} of {manifest}: "
+                             f"{raw!r} ({exc})") from exc
+        if not ((t_start is None or exact >= t_start)
+                and (t_end is None or exact <= t_end)):
+            continue
+        try:
+            if mesh_file not in mesh_cache:
+                mesh_cache[mesh_file] = old_load_mesh(root / mesh_file)
+            msh = mesh_cache[mesh_file]
+            read = old_load_fields(root / field_file, msh, fields)
+        except InvalidArgumentError as exc:     # its message names the file
+            raise StoreError(str(exc)) from exc
+        entries.append(StoreEntry(index=index, time_str=t_str, time=time,
+                                  mesh_file=mesh_file, field_file=field_file, mesh=msh,
+                                  fields=read))
+    entries.sort(key=lambda e: e.index)
+    return Store(path=root, entries=entries)
