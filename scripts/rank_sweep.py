@@ -11,7 +11,7 @@ A store it cannot use (adaptive, damaged, or without the field) ends in one
 import argparse
 import sys
 
-from amrdmd import dmd, pipeline_cli, store
+from amrdmd import dmd, mesh, pipeline_cli, store
 from amrdmd.errors import AmrDmdError, InvalidArgumentError
 
 
@@ -21,8 +21,8 @@ def main():
     ap.add_argument("field")
     ap.add_argument("ranks", nargs="*", type=int,
                     default=[5, 10, 15, 30, 45, 60])
-    ap.add_argument("--t-start", type=pipeline_cli.exact_time, default=None)
-    ap.add_argument("--t-end", type=pipeline_cli.exact_time, default=None)
+    ap.add_argument("--t-start", type=mesh.exact_time, default=None)
+    ap.add_argument("--t-end", type=mesh.exact_time, default=None)
     args = ap.parse_args()
     try:
         src = store.read_store(args.store_dir, [args.field], args.t_start, args.t_end)

@@ -66,7 +66,7 @@ def main(argv=None):
             root / f"errors_{c}.csv", "--field", c,
             "--train-end", TRAIN_END, "--quiet")
 
-        truth, approx = ({Fraction(e.time_str): e.fields[c]
+        truth, approx = ({e.time: e.fields[c]
                           for e in store.read_store(path, [c]).entries}
                          for path in (root / "sim" / "projected", pred))
         train = [t for t in truth if TRAIN_START <= t <= TRAIN_END and t in approx]

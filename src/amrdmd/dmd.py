@@ -3,13 +3,14 @@
 A model is fit by factoring the leading snapshot block, projecting the
 one-step linear map onto the leading singular subspace, and taking its
 eigendecomposition. Signals are reconstructed or extrapolated as
-Psi @ exp(omega * (t - t0)) @ b.
+Psi @ exp(omega * (t - t0)) @ b, with t - t0 exact on Fraction times.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import linalg
 from .errors import FitError, InvalidArgumentError
 from .fem import unit_scale
 from .linalg import SvdResult
-from .mesh import _read_table
+from .mesh import _read_table, fraction_to_decimal
 
 ZERO_EIGENVALUE_TOL = 1e-14
 SIGMA_DROP_TOL = 1e-12
@@ -27,15 +28,16 @@ SIGMA_DROP_TOL = 1e-12
 class SnapshotMatrix:
     """Column-stacked snapshots, uniformly sampled in time.
 
-    data has shape (n, m + 1): column k is the state at t0 + k * dt_o.
+    data has shape (n, m + 1): column k is the state at t0 + k * dt_o, exactly.
     """
 
     data: np.ndarray
-    t0: float = 0.0
-    dt_o: float = 1.0
+    t0: Fraction = Fraction(0)
+    dt_o: Fraction = Fraction(1)
     field_name: str = "u"
 
     def __post_init__(self):
+        self.t0, self.dt_o = Fraction(self.t0), Fraction(self.dt_o)
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2:
             raise InvalidArgumentError("snapshot data must be 2-d")
@@ -55,8 +57,8 @@ class SnapshotMatrix:
         return self.data.shape[1] - 1
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt_o * np.arange(self.data.shape[1])
+    def times(self) -> list:
+        return [self.t0 + k * self.dt_o for k in range(self.data.shape[1])]
 
 
 @dataclass
@@ -66,8 +68,8 @@ class DmdModel:
     omega: np.ndarray      # continuous eigenvalues ln(lam)/dt_o, complex
     modes: np.ndarray      # (n, rank) complex
     amplitudes: np.ndarray # (rank,) complex
-    t0: float
-    dt_o: float
+    t0: Fraction
+    dt_o: Fraction
     field_name: str = "u"
     aliased_modes: tuple = field(default=())  # negative-real lam: omega at Nyquist
 
@@ -153,7 +155,7 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
 
     degenerate = np.abs(lam) < ZERO_EIGENVALUE_TOL
     omega = np.full(r, np.nan, dtype=complex)
-    omega[~degenerate] = np.log(lam[~degenerate]) / Y.dt_o
+    omega[~degenerate] = np.log(lam[~degenerate]) / float(Y.dt_o)
     aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
 
     b = linalg.pinv_apply(modes, Y.data[:, 0].astype(complex))
@@ -163,20 +165,20 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
                     aliased_modes=aliased)
 
 
-def evaluate(model: DmdModel, t: float) -> np.ndarray:
+def evaluate(model: DmdModel, t) -> np.ndarray:
     """Real part of the model signal at time t (see reconstruct)."""
     return reconstruct(model, [t])[:, 0]
 
 
 def reconstruct(model: DmdModel, times) -> np.ndarray:
-    """Real part of the model signal at the given times, one column per
-    time point. Modes with |lambda| below 1e-14 have no defined growth rate
-    and are dropped with a warning."""
-    times = np.asarray(times, dtype=float)
+    """Real part of the model signal at the given times (Fractions or
+    floats), one column per time point, with t - t0 exact. Modes with
+    |lambda| below 1e-14 have no defined growth rate and are dropped."""
+    offsets = [float(Fraction(t) - model.t0) for t in times]
     keep = ~np.isnan(model.omega.real)
     if not np.all(keep):
         warnings.warn(f"dropping {int(np.sum(~keep))} modes with |lambda| ~ 0")
-    growth = np.exp(np.outer(model.omega[keep], times - model.t0))
+    growth = np.exp(np.outer(model.omega[keep], offsets))
     # einsum, not BLAS, so the bits do not depend on the thread count
     return np.einsum("nk,kt->nt", model.modes[:, keep],
                      growth * model.amplitudes[keep, None]).real
@@ -212,15 +214,15 @@ def errors(Y_truth: np.ndarray, Y_hat: np.ndarray) -> ErrorReport:
 # ---------------------------------------------------------------------------
 # model file format (".dmd.txt"): one header line
 #   "n r t0 dt_o field_name"
-# then r lines of lambda (re im), r of omega (re im), r of b (re im), then
-# n*r lines of Psi column-major (re im), all with 17 significant digits.
-# Every value is finite but omega where |lambda| < ZERO_EIGENVALUE_TOL,
-# which is nan 0.
+# with t0 and dt_o exact decimals, then r lines of lambda (re im), r of omega
+# (re im), r of b (re im), then n*r lines of Psi column-major (re im), all
+# with 17 significant digits. Every value is finite but omega where |lambda|
+# < ZERO_EIGENVALUE_TOL, which is nan 0.
 
 def save_model(model: DmdModel, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{model.n} {model.rank} {model.t0:.17g} "
-                 f"{model.dt_o:.17g} {model.field_name}\n")
+        fh.write(f"{model.n} {model.rank} {fraction_to_decimal(Fraction(model.t0))} "
+                 f"{fraction_to_decimal(Fraction(model.dt_o))} {model.field_name}\n")
         z = np.concatenate([model.lam, model.omega, model.amplitudes,
                             model.modes.T.reshape(-1)])
         fh.writelines("%.17g %.17g\n" % r
@@ -233,7 +235,7 @@ def load_model(path) -> DmdModel:
             raise ValueError(f"n = {n}, r = {r} and dt_o = {dt_o} must be positive")
         return [(r, "ff"), (r, "gg"), ((1 + n) * r, "ff")]   # omega may be nan
 
-    (n, r, t0, dt_o, name), table = _read_table(path, "model file", ["iiffn"], table,
+    (n, r, t0, dt_o, name), table = _read_table(path, "model file", ["iittn"], table,
                                                 _model_fault)
     z = np.concatenate([re + 1j * im for re, im in table])
     lam = z[:r]

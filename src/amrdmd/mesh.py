@@ -24,7 +24,9 @@ so siblings share (r, p >> 1) and the level is p.bit_length() - 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -586,6 +588,34 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+# ASCII digits; at most 3 exponent digits, as float repr: Fraction slows with more
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]{1,3})?")
+
+
+def exact_time(text: str) -> Fraction:
+    """The exact value of a time token (see _DECIMAL) in the float range, or
+    InvalidArgumentError, a ValueError as argparse and _convert want."""
+    try:
+        if not _DECIMAL.fullmatch(text):
+            raise ValueError("not a decimal number with at most three exponent digits")
+        t = Fraction(text)      # a ValueError past int's digit limit
+        float(t)                # an OverflowError past the float range
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"bad time {text!r}: {exc}") from None
+    return t
+
+
+def fraction_to_decimal(fr: Fraction) -> str:
+    """The shortest exact decimal of fr, or InvalidArgumentError when its
+    denominator is not 2^a 5^b: then no power of ten is a multiple of it."""
+    shift = fr.denominator.bit_length()     # > max(a, b)
+    scaled, rest = divmod(abs(fr.numerator) * 10 ** shift, fr.denominator)
+    if rest:
+        raise InvalidArgumentError(f"time {fr} has no finite decimal")
+    text = f"{scaled // 10 ** shift}.{scaled % 10 ** shift:0{shift}d}"
+    return ("-" if fr < 0 else "") + text.rstrip("0").rstrip(".")
+
+
 def _convert(rows, sections):
     """[[column per kind] per section] of the rows (see _read_table); a
     ValueError or OverflowError names a fault."""
@@ -601,11 +631,13 @@ def _convert(rows, sections):
                 raise ValueError(f"{' '.join(column)!r} is not plain ASCII without '_'")
             if kind == "i":
                 column = np.array(list(map(int, column)), dtype=np.int64)
-            elif kind in "fgt":
+            elif kind == "t":       # checked, and kept as text
+                list(map(exact_time, column))
+            elif kind in "fg":
                 values = np.array(list(map(float, column)))
-                if kind != "g" and not np.isfinite(values).all():
+                if kind == "f" and not np.isfinite(values).all():
                     raise ValueError(f"{' '.join(column)!r} is not finite")
-                column = column if kind == "t" else values
+                column = values
             columns.append(None if kind == "-" else column)
     return table
 
@@ -614,7 +646,8 @@ def _read_table(path, what, head, body, check=None):
     """Read the text file at path as a header and a table. Lines end at a
     newline; tokens are separated by whitespace. Header line k + 1 holds a
     token of each kind in head[k] ("i" int64, "f" finite float, "g" float,
-    "t" finite float kept as text, "n" any name) or, for "*", any names.
+    "t" time, a Fraction by exact_time, in a table its text, "n" any name) or,
+    for "*", any names.
     body(*header values) gives the table's sections (rows, kinds), rows
     None for all rows of a one-section table; lines without tokens are
     skipped, each row holds a token of each kind ("-" a number left as
@@ -644,7 +677,8 @@ def _read_table(path, what, head, body, check=None):
             _convert([tokens], [(1, kinds)])
         except (ValueError, OverflowError) as exc:
             raise fault(k + 1, exc) from exc
-        header += [{"i": int, "f": float}.get(c, str)(t) for t, c in zip(tokens, kinds)]
+        header += [{"i": int, "f": float, "t": exact_time}.get(c, str)(t)
+                   for t, c in zip(tokens, kinds)]
     try:
         sections = body(*header)
     except ValueError as exc:

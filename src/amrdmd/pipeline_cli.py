@@ -11,7 +11,6 @@ import itertools
 import sys
 import time as _time
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +55,6 @@ def _output_dir(path, force, sub_stores=()):
     yield out
     for d in marked:
         (d / ".failed").unlink()
-
-
-def exact_time(text):
-    """Exact rational time from command-line text; must be a finite number.
-    Also an argparse type: its refusal is a ValueError."""
-    try:
-        t = Fraction(text)
-        float(t)
-    except (ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"bad time {text!r}: {exc}") from exc
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +140,7 @@ def cmd_dmd_fit(args) -> int:
     dmd.save_model(model, args.out_model)
     via = f"randomized svd, seed {args.seed}" if args.svd == "randomized" else "exact svd"
     _say(args, f"fit rank-{model.rank} model ({via}) for field {args.field!r} "
-               f"on t in [{Y.t0:g}, {Y.times[-1]:g}] -> {args.out_model}")
+               f"on t in [{float(Y.t0):g}, {float(Y.times[-1]):g}] -> {args.out_model}")
     return EXIT_OK
 
 
@@ -163,24 +151,22 @@ def cmd_dmd_predict(args) -> int:
         raise InvalidArgumentError(
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
     if args.times:
-        time_fracs = [exact_time(tok) for tok in args.times.split(",") if tok]
+        time_fracs = [mesh_mod.exact_time(tok) for tok in args.times.split(",") if tok]
         if any(b <= a for a, b in zip(time_fracs, time_fracs[1:])):
             raise InvalidArgumentError(f"--times must strictly increase: {args.times}")
     else:
-        t0 = Fraction(repr(model.t0))
-        dt = Fraction(repr(model.dt_o))
-        n = max((args.until - t0) // dt + 1, 0)
+        n = max((args.until - model.t0) // model.dt_o + 1, 0)
         if n > MAX_PREDICT_TIMES:
             raise InvalidArgumentError(f"model {args.model}: --until {float(args.until):g}"
                                        f" is {n} times, more than {MAX_PREDICT_TIMES}")
-        time_fracs = [t0 + k * dt for k in range(n)]
+        time_fracs = [model.t0 + k * model.dt_o for k in range(n)]
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
     _refuse_existing(args.out_store, args.force)
     snapshots = []              # all evaluated before the output exists
     for t in time_fracs:
         with np.errstate(all="ignore"):         # checked on the next line
-            vec = dmd.evaluate(model, float(t))
+            vec = dmd.evaluate(model, t)
         if not np.isfinite(vec).all():
             raise NumericError(f"model {args.model}: the prediction at "
                                f"t={store.fraction_to_decimal(t)} is not finite")
@@ -205,14 +191,16 @@ def cmd_report_errors(args) -> int:
             raise InvalidArgumentError(
                 f"ambiguous field (common: {sorted(common)}); pass --field")
         field = common.pop()
-    # "0.25" and "2.500e-01" name one time: pair by the exact value
-    approx_by_time = {Fraction(e.time_str): e for e in approx.entries}
-    pairs = [(e, a) for e in truth.entries
-             if (a := approx_by_time.get(Fraction(e.time_str))) is not None]
+    # "0.25" and "2.500e-01" name one time: every approx time is a truth time
+    truth_by_time = {e.time: e for e in truth.entries}
+    pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
     if not pairs:
-        raise StoreError("no common snapshot times between the stores")
+        raise StoreError(f"no snapshots in {approx.path}")
     meshes = {}
     for t, a in pairs:
+        if t is None:
+            raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
+                             f"of {truth.path}")
         for src, e in ((truth, t), (approx, a)):
             if field not in e.fields:
                 raise StoreError(f"field {field!r} missing from "
@@ -230,7 +218,7 @@ def cmd_report_errors(args) -> int:
         fh.write("time,eta,regime\n")
         for (entry, _), eta in zip(pairs, report.eta_series):
             regime = ("reconstruction" if args.train_end is None
-                      or Fraction(entry.time_str) <= args.train_end else "prediction")
+                      or entry.time <= args.train_end else "prediction")
             fh.write(f"{entry.time_str},{eta:.17g},{regime}\n")
         fh.write(f"eta_F,{report.eta_F:.17g}\n")
     _say(args, f"eta_F = {report.eta_F:.6e} over {len(pairs)} snapshots")
@@ -290,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("store_dir")
     fit.add_argument("out_model")
     fit.add_argument("--field", required=True)
-    fit.add_argument("--t-start", type=exact_time, default=None)
-    fit.add_argument("--t-end", type=exact_time, default=None)
+    fit.add_argument("--t-start", type=mesh_mod.exact_time, default=None)
+    fit.add_argument("--t-end", type=mesh_mod.exact_time, default=None)
     rank_group = fit.add_mutually_exclusive_group(required=True)
     rank_group.add_argument("--rank", type=int, default=None)
     rank_group.add_argument("--tau", type=float, default=None)
@@ -307,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mesh file the model snapshots live on")
     when = pred.add_mutually_exclusive_group(required=True)
     when.add_argument("--times", help="comma-separated evaluation times")
-    when.add_argument("--until", type=exact_time,
+    when.add_argument("--until", type=mesh_mod.exact_time,
                       help="evaluate on the model grid up to this time")
     pred.set_defaults(func=cmd_dmd_predict)
 
@@ -319,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     err.add_argument("approx_store")
     err.add_argument("out_csv")
     err.add_argument("--field", default=None)
-    err.add_argument("--train-end", type=exact_time, default=None,
+    err.add_argument("--train-end", type=mesh_mod.exact_time, default=None,
                      help="times after this are labelled prediction")
     err.set_defaults(func=cmd_report_errors)
 

@@ -17,7 +17,7 @@ from . import fem, l2projection
 from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
                      StepError)
 from .fem import cg_solve
-from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, band_layout,
+from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, _plain, band_layout,
                    barycentric, build_interval_mesh,
                    build_structured_triangle_mesh, refine, uniform_refine)
 
@@ -62,17 +62,17 @@ class SeirdParams:
         if self.dt <= 0 or self.t_end <= 0:
             raise InvalidArgumentError("dt and t_end must be positive")
         for name, value in (("dt_o", self.dt_o), ("t_end", self.t_end)):
-            j = value / self.dt
-            if abs(j - round(j)) > 1e-9 or round(j) < 1:
+            j = Fraction(str(value)) / Fraction(str(self.dt))   # the decimals, exactly
+            if j.denominator != 1 or j < 1:
                 raise InvalidArgumentError(f"{name} must be an integer multiple of dt")
 
     @property
     def output_every(self) -> int:
-        return int(round(self.dt_o / self.dt))
+        return int(Fraction(str(self.dt_o)) / Fraction(str(self.dt)))
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return int(Fraction(str(self.t_end)) / Fraction(str(self.dt)))
 
 
 @dataclass
@@ -122,6 +122,8 @@ def parse_run_config(path) -> tuple[SeirdParams, AmrPolicy, int]:
             raise ConfigError(f"duplicate key {key!r} on line {line_no} "
                               f"(first set on line {seen[key]})", line_no=line_no)
         try:
+            if not _plain(value):       # the number rule of the table files
+                raise ValueError(f"{value!r} is not plain ASCII without '_'")
             if key == "n_elems":
                 n_elems = int(value)
             elif key in _PARAM_FIELDS:
@@ -165,8 +167,7 @@ class SeirdState:
     mesh: SimplicialMesh
     fields: dict
     prev_fields: dict | None
-    time: float
-    step_index: int
+    time: Fraction              # k * dt after k steps, exactly
 
 
 def seird_initial_conditions(mesh: SimplicialMesh) -> dict[str, np.ndarray]:
@@ -308,19 +309,19 @@ def step(state: SeirdState, params: SeirdParams,
                 break
         else:
             raise StepError(
-                f"Picard iteration stalled at t={state.time + dt:.4g} "
+                f"Picard iteration stalled at t={float(state.time + dt):.4g} "
                 f"(last update {change:.3e} > {PICARD_TOL:g})")
     except InvalidArgumentError as exc:
         # coefficients computed by the step, not given by the caller, made a
         # system indefinite (a large A_e drives sigma far below zero) or
         # overflowed (a rate of 1e308)
-        raise StepError(f"step to t={state.time + dt:.4g} failed: {exc}") from exc
+        raise StepError(f"step to t={float(state.time + dt):.4g} failed: {exc}") from exc
 
     out = np.empty_like(new)
     out[:, order] = new
     return SeirdState(mesh=mesh, fields=dict(zip(COMPARTMENTS, out)),
                       prev_fields=dict(zip(COMPARTMENTS, u)),
-                      time=state.time + dt, step_index=state.step_index + 1)
+                      time=state.time + Fraction(str(dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,33 +366,31 @@ def remesh_state(state: SeirdState, policy: AmrPolicy) -> SeirdState:
     prev = None
     if state.prev_fields is not None:
         prev = dict(zip(state.prev_fields, moved[len(fields):]))
-    return SeirdState(mesh=new_mesh, fields=fields, prev_fields=prev,
-                      time=state.time, step_index=state.step_index)
+    return SeirdState(mesh=new_mesh, fields=fields, prev_fields=prev, time=state.time)
 
 
 def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
                   n_base_elements: int = 125):
     """Run the adaptive SEIRD simulation on [0, 1], yielding every output
-    snapshot as soon as it is computed, on its adaptive mesh, as (Fraction
-    time, mesh, {compartment: values}), the shape store.write_store takes.
+    snapshot as soon as it is computed, on its adaptive mesh, as (the exact
+    time k * dt, mesh, {compartment: values}), as store.write_store takes it.
     The first snapshot's mesh is the reference mesh: n_base_elements uniform
     elements refined initial_uniform_levels times."""
     reference = uniform_refine(build_interval_mesh(0.0, 1.0, n_base_elements),
                                policy.initial_uniform_levels)
 
     state = SeirdState(mesh=reference, fields=seird_initial_conditions(reference),
-                       prev_fields=None, time=0.0, step_index=0)
+                       prev_fields=None, time=Fraction(0))
 
-    dt_o_frac = Fraction(str(params.dt_o))
     # snapshots share the state's arrays: step and remesh_state make new ones
-    yield Fraction(0), reference, dict(state.fields)
+    yield state.time, reference, dict(state.fields)
     out_every = params.output_every
     for k in range(1, params.n_steps + 1):
         if policy.remesh_every and k % policy.remesh_every == 0:
             state = remesh_state(state, policy)
         state = step(state, params)
         if k % out_every == 0:
-            yield k // out_every * dt_o_frac, state.mesh, dict(state.fields)
+            yield state.time, state.mesh, dict(state.fields)
 
 
 # ---------------------------------------------------------------------------

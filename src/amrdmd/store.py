@@ -3,9 +3,9 @@
 A store is a directory with a ``manifest.txt`` whose lines read
 ``index time mesh_file field_file``, the indices 0..N-1 in line order and
 the times strictly increasing; mesh and field files use the plain text
-formats of the mesh and fem modules. Times are carried as exact rationals
-(snapshot index times the output interval) and rendered as decimals, so
-manifests never accumulate float drift.
+formats of the mesh and fem modules. Times are exact Fractions with a
+finite decimal, written by mesh.fraction_to_decimal and read back by
+mesh.exact_time, so no time ever passes through a float.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from . import fem, mesh as mesh_mod
 from .dmd import SnapshotMatrix
 from .errors import InvalidArgumentError, StoreError
+from .mesh import exact_time, fraction_to_decimal
 
 TOOL_VERSION = "0.1.0"
 # A batch of field files closes once it holds this many values, 24 files of
@@ -33,35 +34,11 @@ TOOL_VERSION = "0.1.0"
 _BATCH_VALUES = 24 * 6 * 501
 
 
-def fraction_to_decimal(fr: Fraction) -> str:
-    """Exact decimal rendering when the denominator is 2^a 5^b, else the
-    shortest float representation."""
-    den = fr.denominator
-    d2 = d5 = 0
-    while den % 2 == 0:
-        den //= 2
-        d2 += 1
-    while den % 5 == 0:
-        den //= 5
-        d5 += 1
-    if den != 1:
-        return repr(float(fr))
-    shift = max(d2, d5)
-    scaled = fr.numerator * 10 ** shift // fr.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    if shift == 0:
-        return sign + digits
-    out = sign + digits[:-shift] + "." + digits[-shift:]
-    out = out.rstrip("0").rstrip(".")
-    return out if out not in ("", "-") else "0"
-
-
 @dataclass
 class StoreEntry:
     index: int
-    time_str: str
-    time: float
+    time_str: str               # the manifest's text
+    time: Fraction
     mesh_file: str
     field_file: str
     mesh: object
@@ -140,7 +117,7 @@ def _in_order(children, root, jobs):
 
 
 def write_store(out_dir, snapshots) -> Path:
-    """Write snapshots, any iterable of (time_fraction, mesh, {name: values})
+    """Write snapshots, any iterable of (time, mesh, {name: values})
     consumed once, as a store into out_dir as it is: the caller decides
     whether it may be reused, and marks it failed while it is written.
 
@@ -154,9 +131,10 @@ def write_store(out_dir, snapshots) -> Path:
     manifest once every child has succeeded. Exceptions are raised in file
     order with their own type and message; an interrupt, or an exception
     from snapshots, kills and reaps the children. With one CPU or no os.fork
-    every file is written in process; the bytes do not depend on it. A
-    time that does not exceed the one before raises InvalidArgumentError,
-    and no manifest is written.
+    every file is written in process; the bytes do not depend on it. A time,
+    a Fraction (or float) written as its exact decimal or a decimal text
+    written as it is, that has none or does not exceed the one before raises
+    InvalidArgumentError, and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,9 +144,9 @@ def write_store(out_dir, snapshots) -> Path:
     lines, batch, children = [], [], []     # children: [pid, pipe], oldest first
     values = 0                  # in the batch
     try:
-        for idx, (t_frac, msh, fields) in enumerate(snapshots):
-            t_str = t_frac if isinstance(t_frac, str) else fraction_to_decimal(t_frac)
-            exact = Fraction(t_str)
+        for idx, (t, msh, fields) in enumerate(snapshots):
+            exact = exact_time(t) if isinstance(t, str) else Fraction(t)
+            t_str = t if isinstance(t, str) else fraction_to_decimal(exact)
             if lines and exact <= last:
                 raise InvalidArgumentError(f"snapshot {idx} at time {t_str} does not "
                                            f"follow {lines[-1].split()[1]}")
@@ -205,8 +183,8 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     t_start <= time <= t_end, compared exactly (an omitted bound is open),
     the only entries returned; of each field file only the columns named in
     fields (all when None) are converted. The manifest's invariant: indices
-    0..N-1 in line order, exact times strictly increasing, and file names
-    inside the store. The first fault in manifest order is raised:
+    0..N-1 in line order, times (see mesh.exact_time) strictly increasing,
+    and file names inside the store. The first fault in manifest order is raised:
     StoreError for a damaged manifest, mesh or field file, OSError for a
     missing one."""
     root = Path(store_dir)
@@ -221,7 +199,7 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
         (index, times, mesh_files, field_files), = table
         for k, (i, t_str, mesh_file, field_file) in enumerate(
                 zip(index.tolist(), times, mesh_files, field_files)):
-            exact = Fraction(t_str)
+            exact = Fraction(t_str)             # a time token, by _read_table
             if i != k:
                 return k, f"index {i} where {k} belongs"
             if k and exact <= Fraction(times[k - 1]):
@@ -235,7 +213,7 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
             if mesh_file not in meshes:
                 meshes[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
             entries.append(StoreEntry(
-                index=k, time_str=t_str, time=float(exact), mesh_file=mesh_file,
+                index=k, time_str=t_str, time=exact, mesh_file=mesh_file,
                 field_file=field_file, mesh=meshes[mesh_file],
                 fields=fem.load_fields(root / field_file, meshes[mesh_file], fields)))
         return None
@@ -248,7 +226,8 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
 
 
 def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
-    """One field of every entry; read_store takes the time window."""
+    """One field of every entry; read_store takes the time window, which is
+    uniform when every gap equals the first exactly."""
     if not store.is_uniform():
         raise StoreError("store snapshots live on different meshes; project first")
     if len(store.entries) < 2:
@@ -256,14 +235,12 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
     for e in store.entries:
         if field not in e.fields:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")
-    first, second = (Fraction(e.time_str) for e in store.entries[:2])  # exact step
-    times = np.array([e.time for e in store.entries])
-    gaps = np.diff(times)
-    if np.max(np.abs(gaps - gaps[0])) > 1e-9 * abs(gaps[0]):
+    times = [e.time for e in store.entries]
+    gaps = {b - a for a, b in zip(times, times[1:])}
+    if len(gaps) > 1:
         raise StoreError("snapshots are not uniformly sampled in the window")
     data = np.column_stack([e.fields[field] for e in store.entries])
-    return SnapshotMatrix(data=data, t0=float(times[0]), dt_o=float(second - first),
-                          field_name=field)
+    return SnapshotMatrix(data=data, t0=times[0], dt_o=gaps.pop(), field_name=field)
 
 
 # ---------------------------------------------------------------------------

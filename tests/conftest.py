@@ -497,7 +497,7 @@ def node_order_step(state, params, dirichlet_right=True):
 
     return S.SeirdState(mesh=mesh, fields=new,
                         prev_fields={c: u[c].copy() for c in S.COMPARTMENTS},
-                        time=state.time + dt, step_index=state.step_index + 1)
+                        time=state.time + Fraction(str(dt)))
 
 
 def element_keys(mesh):

@@ -156,12 +156,12 @@ def test_criterion_3_nested_projection_theory():
 def _window_eta(sim_dir, root, compartment, t_lo, t_hi):
     truth = store.read_store(sim_dir / "projected")
     pred = store.read_store(root / f"pred_{compartment}")
-    pred_by_time = {e.time_str: e for e in pred.entries}
+    pred_by_time = {e.time: e for e in pred.entries}
     cols_truth, cols_pred, times = [], [], []
     for e in truth.entries:
-        if t_lo - 1e-9 <= e.time <= t_hi + 1e-9 and e.time_str in pred_by_time:
+        if t_lo <= e.time <= t_hi and e.time in pred_by_time:
             cols_truth.append(e.fields[compartment])
-            cols_pred.append(pred_by_time[e.time_str].fields[compartment])
+            cols_pred.append(pred_by_time[e.time].fields[compartment])
             times.append(e.time)
     Y = np.column_stack(cols_truth)
     Yh = np.column_stack(cols_pred)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,13 @@ class TestEvaluate:
         model = dmd.fit(Y, rank=1)
         t = 4.0   # (t - t0)/dt_o = 1.5 sampling intervals
         assert dmd.evaluate(model, t)[0] == pytest.approx(0.5 ** 1.5, abs=1e-12)
+
+    def test_time_offset_is_exact_at_a_late_start(self):
+        Y = make_snapshots([[1.0, 0.5, 0.25, 0.125]], dt_o=0.25)
+        late = dmd.SnapshotMatrix(Y.data, t0=Fraction(10 ** 20), dt_o=Y.dt_o)
+        assert late.times[1] == Fraction(10 ** 20) + Fraction(1, 4)
+        a, b = dmd.fit(Y, rank=1), dmd.fit(late, rank=1)
+        assert (dmd.reconstruct(a, Y.times) == dmd.reconstruct(b, late.times)).all()
 
     def test_imaginary_residual_small_for_real_data(self):
         Y = synth_linear_series(

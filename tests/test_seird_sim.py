@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import (composite_integral_1d, coo_p1_operator, element_keys,
 
 def fresh_state(mesh):
     return S.SeirdState(mesh=mesh, fields=S.seird_initial_conditions(mesh),
-                        prev_fields=None, time=0.0, step_index=0)
+                        prev_fields=None, time=Fraction(0))
 
 
 class TestParams:
@@ -34,6 +35,15 @@ class TestParams:
     def test_dt_o_must_divide(self):
         with pytest.raises(InvalidArgumentError):
             S.SeirdParams(dt=0.25, dt_o=0.3)
+
+    def test_multiples_of_dt_are_exact(self):
+        with pytest.raises(InvalidArgumentError, match="t_end must be an integer"):
+            S.SeirdParams(dt=0.1, dt_o=0.1, t_end=0.30000000001)
+        params = S.SeirdParams(dt=0.1, dt_o=0.2, t_end=0.6)
+        assert (params.n_steps, params.output_every) == (6, 2)
+        times = [t for t, _, _ in S.run_seird_amr(params, S.AmrPolicy(),
+                                                  n_base_elements=8)]
+        assert times == [Fraction(k, 5) for k in range(4)]
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -190,7 +200,7 @@ class TestStep:
     def test_zero_state_is_fixed_point(self):
         mesh = M.build_interval_mesh(0, 1, 20)
         st = S.SeirdState(mesh, {c: np.zeros(mesh.n_nodes) for c in S.COMPARTMENTS},
-                          None, 0.0, 0)
+                          None, Fraction(0))
         out = S.step(st, S.SeirdParams(t_end=1.0))
         for c in S.COMPARTMENTS:
             np.testing.assert_allclose(out.fields[c], 0.0, atol=1e-14)
@@ -220,7 +230,7 @@ class TestStep:
         params = S.SeirdParams(beta_i=0, beta_e=0, alpha=0, gamma_e=0,
                                gamma_i=0, delta=0, nu_s=nu, nu_e=0, nu_i=0,
                                nu_r=0, dt=dt, dt_o=dt, t_end=1.0)
-        st = S.SeirdState(mesh, fields, None, 0.0, 0)
+        st = S.SeirdState(mesh, fields, None, Fraction(0))
         j0 = int(np.argmin(x))
         j1 = int(np.argmax(x))
         a0 = 0.5 * (st.fields["s"][j0] - st.fields["s"][j1])
@@ -273,7 +283,7 @@ class TestStep:
         sol = solve_ivp(rhs, [0, params.t_end], y0, method="BDF",
                         rtol=1e-10, atol=1e-12)
         st = S.SeirdState(mesh, {c: init[c].copy() for c in names},
-                          None, 0.0, 0)
+                          None, Fraction(0))
         for _ in range(params.n_steps):
             st = S.step(st, params, dirichlet_right=False)
         for k, c in enumerate(names):
@@ -310,7 +320,7 @@ def renumbered(state, rng):
     elements = new_id[mesh.elements][rng.permutation(mesh.n_elems)]
     shuffled = M.SimplicialMesh(dim=1, nodes=mesh.nodes[perm], elements=elements)
     return S.SeirdState(shuffled, {c: v[perm] for c, v in state.fields.items()},
-                        None, state.time, state.step_index)
+                        None, state.time)
 
 
 def mesh_digest(meshes):
@@ -356,7 +366,7 @@ class TestBandLayoutStep:
             for c in S.COMPARTMENTS:
                 assert same_bits(new.fields[c], old.fields[c]), c
                 assert same_bits(new.prev_fields[c], old.prev_fields[c]), c
-            assert (new.time, new.step_index) == (old.time, old.step_index)
+            assert new.time == old.time
 
     def test_layout_computed_once_per_mesh(self, monkeypatch):
         built = []
@@ -385,7 +395,7 @@ class TestBandLayoutStep:
     def test_bad_chain_raises(self, nodes, elements, match):
         mesh = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements)
         state = S.SeirdState(mesh, {c: np.zeros(mesh.n_nodes)
-                                    for c in S.COMPARTMENTS}, None, 0.0, 0)
+                                    for c in S.COMPARTMENTS}, None, Fraction(0))
         with pytest.raises(AssemblyError, match=match):
             S.step(state, S.SeirdParams())
         if match != "one chain":
@@ -425,10 +435,10 @@ class TestAmrLoop:
         fields = {c: rng.normal(size=m.n_nodes) for c in S.COMPARTMENTS}
         prev = ({c: rng.normal(size=m.n_nodes) for c in S.COMPARTMENTS}
                 if with_prev else None)
-        state = S.SeirdState(m, fields, prev, 0.5, 2)
+        state = S.SeirdState(m, fields, prev, Fraction(1, 2))
         moved = S.remesh_state(state, S.AmrPolicy(refine_fraction=0.5,
                                                   coarsen_fraction=0.0))
-        assert moved.mesh is not m and (moved.time, moved.step_index) == (0.5, 2)
+        assert moved.mesh is not m and moved.time == Fraction(1, 2)
         assert (moved.prev_fields is None) == (prev is None)
         for old, new in ((fields, moved.fields), (prev, moved.prev_fields)):
             for c, values in (old or {}).items():
@@ -512,13 +522,13 @@ class TestAmrLoop:
         for _ in range(2):      # random coarsening, then refinement again
             plan = S.build_amr_plan(
                 S.SeirdState(m, {c: rng.normal(size=m.n_nodes)
-                                 for c in S.COMPARTMENTS}, None, 0.0, 0),
+                                 for c in S.COMPARTMENTS}, None, Fraction(0)),
                 S.AmrPolicy(refine_fraction=rng.uniform(0, 0.3),
                             coarsen_fraction=rng.uniform(0, 0.7),
                             max_level=4))
             m = M.refine(m, plan)
         state = S.SeirdState(m, {c: rng.normal(size=m.n_nodes)
-                                 for c in S.COMPARTMENTS}, None, 0.0, 0)
+                                 for c in S.COMPARTMENTS}, None, Fraction(0))
         policy = S.AmrPolicy(refine_fraction=0.0,
                              coarsen_fraction=rng.uniform(0, 1))
         plan = S.build_amr_plan(state, policy)

@@ -31,9 +31,14 @@ class TestFractionRendering:
     def test_exact_decimals(self, frac, text):
         assert store.fraction_to_decimal(frac) == text
 
-    def test_non_decimal_denominator_falls_back(self):
-        out = store.fraction_to_decimal(Fraction(1, 3))
-        assert abs(float(out) - 1 / 3) < 1e-15
+    def test_non_decimal_denominator_is_refused(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="no finite decimal"):
+            store.fraction_to_decimal(Fraction(1, 3))
+        m = M.build_interval_mesh(0, 1, 2)
+        with pytest.raises(InvalidArgumentError, match="no finite decimal"):
+            store.write_store(tmp_path / "st", [(Fraction(k, 3), m, {"u": np.ones(3)})
+                                                for k in range(2)])
+        assert not (tmp_path / "st" / "manifest.txt").exists()
 
 
 class TestRunConfig:
@@ -63,6 +68,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             seird_sim.parse_run_config(cfg)
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("line", ["n_elems = 1_0", "remesh_every = ٤",
+                                      "dt = 0.2_5"])
+    def test_values_follow_the_number_rule(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_end = 1\n{line}\n")
+        with pytest.raises(ConfigError, match="on line 2.*not plain ASCII") as err:
+            seird_sim.parse_run_config(cfg)
+        assert err.value.line_no == 2
+        assert pipeline_cli.main(["simulate", str(cfg), str(tmp_path / "out"),
+                                  "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_empty_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -154,12 +171,14 @@ class TestStoreRoundtrip:
                                     min_size=2, max_size=5),
                            min_size=1, max_size=3),
            mesh_of=st.lists(st.integers(0, 2), min_size=1, max_size=6),
-           times=st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4),
+           times=st.lists(st.builds(lambda n, a, b: Fraction(n, 2 ** a * 5 ** b),
+                                    st.integers(-10 ** 10, 10 ** 10),
+                                    st.integers(0, 80), st.integers(0, 8)),
                           min_size=6, max_size=6),
            values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=30, max_size=30))
     @example(coords=[[-MAX, -0.0, 1.0], [5e-324, 1.0, MAX]], mesh_of=[0, 1, 0],
-             times=[Fraction(0), Fraction(1, 3), Fraction(-5, 2)] * 2,
+             times=[Fraction(0), Fraction(3, 2 ** 70), Fraction(-5, 2)] * 2,
              values=[-0.0, 5e-324, -MAX, MAX, -2.5e-310] * 6)
     def test_values_and_nodes_come_back_bit_for_bit(self, coords, mesh_of, times,
                                                     values):
@@ -177,7 +196,7 @@ class TestStoreRoundtrip:
         assert n_files == len({id(m) for _, m, _ in snaps})
         assert len(back.entries) == len(snaps)
         for a, (ta, ma, fa) in zip(back.entries, snaps):
-            assert a.time_str == store.fraction_to_decimal(ta)
+            assert (a.time_str, a.time) == (store.fraction_to_decimal(ta), ta)
             assert a.mesh.nodes.tobytes() == ma.nodes.tobytes()
             assert a.fields["u"].tobytes() == fa["u"].tobytes()
             for b, (_, mb, _) in zip(back.entries, snaps):
@@ -1279,6 +1298,77 @@ class TestExactTimes:
                        "--train-end", "3e-10", "--quiet") == 0
         regimes = [row.split(",")[2] for row in out.read_text().splitlines()[1:-1]]
         assert regimes == ["reconstruction"] * 4 + ["prediction"] * 4
+
+    def test_gaps_must_be_equal_exactly(self, tmp_path, rng, capsys):
+        m = M.build_interval_mesh(0, 1, 4)
+        st = store.write_store(tmp_path / "st", [
+            (Fraction(t), m, {"u": rng.uniform(size=m.n_nodes)})
+            for t in ("0", "1", "2.0000000001")])
+        assert self.fit(st, tmp_path, "--quiet") == 3
+        assert "not uniformly sampled" in capsys.readouterr().err
+
+    def test_model_header_holds_exact_decimals(self, tmp_path, rng):
+        st = decimal_time_store(tmp_path / "st", rng, range(11), "0.1")
+        assert self.fit(st, tmp_path, "--t-start", "0.7", "--quiet") == 0
+        path = tmp_path / "m.dmd.txt"
+        assert path.read_text().split("\n")[0].split()[2:4] == ["0.7", "0.1"]
+        model = dmd.load_model(path)
+        assert (model.t0, model.dt_o) == (Fraction(7, 10), Fraction(1, 10))
+        # a header written as %.17g reads as the exact value of its text
+        lines = path.read_text().split("\n")
+        lines[0] = lines[0].replace(" 0.7 0.1 ", " 0.69999999999999996 0.10000000000000001 ")
+        path.write_text("\n".join(lines))
+        model = dmd.load_model(path)
+        assert model.dt_o == Fraction("0.10000000000000001")
+
+    @pytest.mark.parametrize("token", ["3_0", "٣٠", "1/3", "1e-3000000",
+                                       "1e-0004", "1e400"],
+                             ids=["underscore", "arabic_indic", "ratio",
+                                  "long_exponent", "four_exponent_digits", "overflow"])
+    @pytest.mark.parametrize("command", ["fit --t-start", "fit --t-end",
+                                         "predict --until", "predict --times",
+                                         "report --train-end"])
+    def test_time_flags_follow_the_number_rule(self, tmp_path, rng, capsys, token,
+                                               command):
+        st = decimal_time_store(tmp_path / "st", rng, range(4), "1")
+        assert self.fit(st, tmp_path, "--quiet") == 0
+        which, flag = command.split()
+        argv = {"fit": ["dmd", "fit", st, tmp_path / "m2.dmd.txt", "--field", "u",
+                        "--rank", "1"],
+                "predict": ["dmd", "predict", tmp_path / "m.dmd.txt", tmp_path / "p",
+                            "--mesh", st / "mesh_0000.mesh.txt"],
+                "report": ["report", "errors", st, st, tmp_path / "e.csv"]}[which]
+        capsys.readouterr()
+        assert run_cli(*argv, flag, token, "--quiet") == 2
+        assert not any(p.exists() for p in (tmp_path / "m2.dmd.txt", tmp_path / "p",
+                                            tmp_path / "e.csv"))
+
+    @pytest.mark.parametrize("token", [
+        "3_0", "1/3", "1e-3000000", "1e-0004",
+        pytest.param("1" * 100000 + "x", id="long_mantissa_then_a_letter")])
+    def test_stored_times_follow_the_number_rule(self, tmp_path, rng, token):
+        st = decimal_time_store(tmp_path / "st", rng, range(4), "1")
+        manifest = st / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("0 0 ", f"0 {token} ", 1))
+        with pytest.raises(StoreError, match=r"manifest.txt: line 1: "):
+            store.read_store(st)
+        assert self.fit(decimal_time_store(tmp_path / "ok", rng, range(4), "1"),
+                        tmp_path, "--quiet") == 0
+        model = tmp_path / "m.dmd.txt"
+        head, rest = model.read_text().split("\n", 1)
+        n, r, _, dt_o, name = head.split()
+        model.write_text(f"{n} {r} {token} {dt_o} {name}\n{rest}")
+        with pytest.raises(InvalidArgumentError, match=r"m.dmd.txt: line 1: "):
+            dmd.load_model(model)
+
+    def test_report_refuses_an_approx_time_the_truth_lacks(self, tmp_path, rng, capsys):
+        truth = decimal_time_store(tmp_path / "truth", rng, range(4), "0.25")
+        approx = decimal_time_store(tmp_path / "approx", rng, range(4), "0.125")
+        capsys.readouterr()
+        assert run_cli("report", "errors", truth, approx, tmp_path / "e.csv",
+                       "--field", "u", "--quiet") == 3
+        assert f"{approx}: time 0.125 is not a time of {truth}" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestReadContract:

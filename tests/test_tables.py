@@ -199,15 +199,17 @@ def valid_files(root):
     def same_fields(a, b):
         return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
-    def same_model(a, b):
-        return ((a.rank, a.n, a.t0, a.dt_o, a.field_name, a.aliased_modes)
-                == (b.rank, b.n, b.t0, b.dt_o, b.field_name, b.aliased_modes)
+    def same_model(a, b):     # the library's times are exact, the old ones floats
+        return ((a.rank, a.n, float(a.t0), float(a.dt_o), a.field_name, a.aliased_modes)
+                == (b.rank, b.n, float(b.t0), float(b.dt_o), b.field_name,
+                    b.aliased_modes)
                 and all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
                         for k in ("lam", "omega", "amplitudes", "modes")))
 
     def same_store(a, b):
-        key = [(e.index, e.time_str, e.time, e.mesh_file, e.field_file) for e in a.entries]
-        return (key == [(e.index, e.time_str, e.time, e.mesh_file, e.field_file)
+        key = [(e.index, e.time_str, float(e.time), e.mesh_file, e.field_file)
+               for e in a.entries]
+        return (key == [(e.index, e.time_str, float(e.time), e.mesh_file, e.field_file)
                         for e in b.entries]
                 and all(same_mesh(x.mesh, y.mesh) and same_fields(x.fields, y.fields)
                         for x, y in zip(a.entries, b.entries)))
