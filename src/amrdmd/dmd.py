@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import FitError, InvalidArgumentError
+from .errors import FitError, InvalidArgumentError, NumericError
 from .fem import unit_scale
 from .linalg import SvdResult
 from .mesh import _read_table, fraction_to_decimal
@@ -155,7 +155,11 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
 
     degenerate = np.abs(lam) < ZERO_EIGENVALUE_TOL
     omega = np.full(r, np.nan, dtype=complex)
-    omega[~degenerate] = np.log(lam[~degenerate]) / float(Y.dt_o)
+    with np.errstate(all="ignore"):     # checked on the next lines
+        omega[~degenerate] = np.log(lam[~degenerate]) / float(Y.dt_o)
+    if not np.isfinite(omega[~degenerate]).all():
+        raise NumericError(f"growth rates log(lambda) / dt_o are not finite for "
+                           f"dt_o = {float(Y.dt_o):g}")
     aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
 
     b = linalg.pinv_apply(modes, Y.data[:, 0].astype(complex))

@@ -6,24 +6,28 @@ snapshot, and its CSV output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import fem
 from .errors import InvalidArgumentError
+from .mesh import fraction_to_decimal
 
 COMPARTMENTS = ("s", "e", "i", "r", "d")
 
 
 @dataclass
 class QoiSeries:
-    times: np.ndarray
+    """Values at exact times: a tuple of Fractions (floats convert exactly)."""
+
+    times: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = tuple(map(Fraction, self.times))
         self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape:
+        if (len(self.times),) != self.values.shape:
             raise InvalidArgumentError("times and values lengths differ")
 
 
@@ -50,13 +54,13 @@ def population_series(snapshots) -> QoiSeries:
     ref = values[0]
     if ref == 0:
         raise InvalidArgumentError("first-snapshot population is zero")
-    return QoiSeries(times=[float(t) for t, _, _ in snapshots],
-                     values=values / ref)
+    return QoiSeries(times=[t for t, _, _ in snapshots], values=values / ref)
 
 
 def save_qoi_csv(series: QoiSeries, path) -> None:
-    """CSV output with header time,value and 17 significant digits."""
+    """CSV output with header time,value: each time as its shortest exact
+    decimal, each value with 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("time,value\n")
-        fh.writelines("%.17g,%.17g\n" % r for r in
-                      zip(series.times.tolist(), series.values.tolist()))
+        fh.writelines(f"{fraction_to_decimal(t)},{v:.17g}\n"
+                      for t, v in zip(series.times, series.values.tolist()))

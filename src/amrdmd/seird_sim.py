@@ -469,10 +469,11 @@ def build_jittered_mesh(nx: int = 100, ny: int = 100,
                         seed: int = _JITTER_SEED) -> SimplicialMesh:
     """Unstructured-looking target: a structured grid whose interior nodes
     are deterministically jittered by a fraction of the cell size."""
+    from . import linalg        # only the demo's target needs the stream
     mesh = build_structured_triangle_mesh([-1, 1], [-1, 1], nx, ny)
     h = 2.0 / nx
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    offsets = (gen.random((mesh.n_nodes, 2)) - 0.5) * 2.0 * amplitude * h
+    draws = linalg.philox_uniform(seed, 2 * mesh.n_nodes).reshape(-1, 2)
+    offsets = (draws - 0.5) * 2.0 * amplitude * h
     interior = ((np.abs(np.abs(mesh.nodes[:, 0]) - 1.0) > 1e-12)
                 & (np.abs(np.abs(mesh.nodes[:, 1]) - 1.0) > 1e-12))
     nodes = mesh.nodes.copy()
@@ -483,7 +484,9 @@ def build_jittered_mesh(nx: int = 100, ny: int = 100,
 def indicator_projection_demo() -> dict:
     """Adaptive interpolation of a box indicator projected onto a matching
     structured mesh and a finer jittered mesh: {"donor", "structured",
-    "unstructured"}, in that order, each a (mesh, values) pair."""
+    "unstructured"}, in that order, each a (mesh, values) pair. Each target's
+    projection operator is released before the next one is built, so one is
+    alive at a time."""
     donor, chi = build_demo_donor()
     outputs = {"donor": (donor, chi)}
     for name, target in (
@@ -491,4 +494,5 @@ def indicator_projection_demo() -> dict:
             ("unstructured", build_jittered_mesh())):
         op = l2projection.build_projection(donor, target)
         outputs[name] = (target, l2projection.project(op, chi))
+        del op
     return outputs

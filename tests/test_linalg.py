@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amrdmd import linalg
@@ -119,6 +121,35 @@ class TestRandomizedSvd:
         z = linalg.gaussian_matrix(2000, 10, seed=3)
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+
+class TestPhilox:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 128 - 1), n=st.integers(0, 41))
+    @example(seed=0, n=41)
+    @example(seed=2 ** 63 + 5, n=5)
+    @example(seed=2 ** 64, n=4)
+    @example(seed=2 ** 128 - 1, n=3)
+    def test_matches_numpy_philox(self, seed, n):
+        # numpy's own generator is the oracle
+        from numpy.random import Generator, Philox
+        want = Generator(Philox(key=seed)).random(n)
+        got = linalg.philox_uniform(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.0])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        with pytest.raises(InvalidArgumentError, match=r"seed .* outside \[0, 2\^128\)"):
+            linalg.philox_uniform(seed, 4)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "771802db557e0ebe41ceab1b577e71900ba79dc163501252e20c3ec848db691f"),
+        (2 ** 64 + 3, "6a502112b12c2f1c904c48f4d823b39b4714e1404a84000841652f5bac47495b"),
+    ])
+    def test_gaussian_matrix_stream_is_pinned(self, seed, digest):
+        z = linalg.gaussian_matrix(7, 5, seed)
+        assert hashlib.sha256(np.ascontiguousarray(z).tobytes()).hexdigest() == digest
 
 
 class TestEig:

@@ -579,6 +579,9 @@ class TestIndicatorDemoPieces:
         b = S.build_jittered_mesh()
         assert np.array_equal(a.nodes, b.nodes)
         assert a.element_measures().min() > 0
+        # the jitter stream itself is pinned, not only its repeatability
+        assert hashlib.sha256(a.nodes.tobytes()).hexdigest() == (
+            "bdcd97e2fa6f62dd9a12c533ac155eee1d6a8ec5b57734af8a969de54fc132b5")
 
 
 class TestSynthSeries:

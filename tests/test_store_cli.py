@@ -536,6 +536,16 @@ class TestCliProjectAndDmd:
             written[name] = csv.read_bytes()
         assert written["huge"] == written["plain"]
 
+    def test_report_qoi_writes_the_manifest_times(self, tmp_path, rng):
+        m = M.build_interval_mesh(0, 1, 6)
+        store.write_store(tmp_path / "st", [
+            (Fraction(k, 10), m, {c: rng.uniform(0.5, 1.0, m.n_nodes) for c in "seird"})
+            for k in range(4)])
+        csv = tmp_path / "q.csv"
+        assert run_cli("report", "qoi", tmp_path / "st", csv, "--quiet") == 0
+        times = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+        assert times == ["0", "0.1", "0.2", "0.3"]
+
     def test_project_onto_gapped_target(self, small_run, tmp_path):
         # a 1-d target of two disjoint pieces has a block-diagonal mass matrix
         root, cfg, out = small_run
@@ -760,6 +770,31 @@ class TestCliProjectAndDmd:
                        *knob, "--quiet") == 2
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_fit_seed_outside_the_key_range_exit_2(self, small_run, tmp_path,
+                                                   capsys, seed):
+        root, cfg, out = small_run
+        model_path = tmp_path / "m.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model_path,
+                       "--field", "e", "--rank", "2", "--svd", "randomized",
+                       "--seed", seed, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"seed {seed} outside [0, 2^128)" in err and "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_fit_with_non_finite_growth_rates_exit_3(self, tmp_path, rng, capsys):
+        # a subnormal output interval: log(lambda) / dt_o is not finite, and
+        # a model with such omega would be refused by dmd predict
+        m = M.build_interval_mesh(0, 1, 6)
+        u = rng.uniform(0.5, 1.0, m.n_nodes)
+        store.write_store(tmp_path / "st", [
+            (k * Fraction("1e-320"), m, {"u": 0.5 ** k * u}) for k in range(4)])
+        model_path = tmp_path / "m.dmd.txt"
+        assert run_cli("dmd", "fit", tmp_path / "st", model_path,
+                       "--field", "u", "--rank", "1", "--quiet") == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("bad", ["x 0", "1 zz"])
     def test_malformed_manifest_line_exit_3(self, tmp_path, rng, capsys, bad):
         m = M.build_interval_mesh(0, 1, 4)
@@ -951,6 +986,19 @@ class TestCliProjectAndDmd:
             ["demo", "indicator", tmp_path / "demo", "--quiet"], "scipy")
         assert code == 0
         assert modules == []
+
+    def test_random_draws_load_no_numpy_random(self, small_run, tmp_path):
+        # numpy 1.x imports numpy.random with numpy itself: compare with that
+        proc = fresh_python("-c", "import json, sys, numpy\n"
+                                  "print(json.dumps(sorted(m for m in sys.modules\n"
+                                  "      if m.startswith('numpy.random'))))")
+        assert proc.returncode == 0, proc.stderr
+        with_numpy = json.loads(proc.stdout)
+        root, cfg, out = small_run
+        for argv in (["demo", "indicator", tmp_path / "demo", "--quiet"],
+                     ["dmd", "fit", out / "projected", tmp_path / "m.dmd.txt",
+                      "--field", "e", "--rank", "2", "--svd", "randomized", "--quiet"]):
+            assert self.modules_loaded(argv, "numpy.random") == [0, with_numpy]
 
     def test_simulate_loads_no_scipy_sparse(self, small_run, tmp_path):
         # nor any other scipy module but the LAPACK extension of the 1-d solves
