@@ -3,10 +3,11 @@
 Meshes are immutable after construction. Refinement bisects flagged
 elements, in 2-d by newest-vertex bisection with marked-edge closure, so
 the result is always conforming (no hanging nodes). Coarsening merges
-complete sibling groups back into their parent. Point location bins the
-elements in a uniform grid held as CSR arrays, tests the candidates of all
-query points in vectorized passes, lowest id first, and falls back to an
-exhaustive scan; the same bins give the elements meeting a box.
+complete sibling groups back into their parent. A flag refine cannot
+honour is left alone. Point location bins the elements in a uniform grid
+held as CSR arrays, tests the candidates of all query points in vectorized
+passes, lowest id first, and falls back to an exhaustive scan; the same
+bins give the elements meeting a box.
 
 Element storage conventions (these carry the bisection bookkeeping):
   1-d: element (a, b) with x[a] < x[b]; bisection splits at the midpoint.
@@ -15,11 +16,13 @@ Element storage conventions (these carry the bisection bookkeeping):
        inserts the midpoint M of (a, b) and emits children (M, p, a) and
        (M, b, p), which keeps orientation and the newest-vertex labeling.
 
-Refinement history: element keys (root, path) in a forest of binary
-bisection trees, holding no node ids. A mesh with no history has lineage
-None, and its element i is the root (i, 1). Bisecting (r, p) gives (r, 2p)
-to the child made first, (a, M) or (M, p, a), and (r, 2p + 1) to the other,
-so siblings share (r, p >> 1) and the level is p.bit_length() - 1.
+Refinement history: lineage, a read-only (n_elems, 2) int64 array whose
+row e is element e's key (root, path) in a forest of binary bisection
+trees, holding no node ids. A mesh with no history has lineage None, and
+its element i is the root (i, 1). Bisecting (r, p) gives (r, 2p) to the
+child made first, (a, M) or (M, p, a), and (r, 2p + 1) to the other, so
+siblings share (r, p >> 1) and the level is p.bit_length() - 1. Paths stay
+below 2^63: refine refuses to bisect a path of 2^62 or more.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class SimplicialMesh:
     dim: int
     nodes: np.ndarray      # (n_nodes, dim) float
     elements: np.ndarray   # (n_elems, dim + 1) int
-    lineage: tuple | None = None   # per-element (root, path) keys, or None
+    lineage: np.ndarray | None = None   # (n_elems, 2) int (root, path) keys, or None
     level: np.ndarray = field(init=False)   # (n_elems,) int, refinement depth
     _locator: object = field(default=None, repr=False, compare=False)
     _band: object = field(default=None, repr=False, compare=False)
@@ -58,8 +61,12 @@ class SimplicialMesh:
         if self.lineage is None:
             self.level = np.zeros(self.n_elems, dtype=np.int64)
         else:
-            self.level = np.fromiter((p.bit_length() - 1 for _, p in self.lineage),
-                                     dtype=np.int64, count=len(self.lineage))
+            self.lineage = np.ascontiguousarray(
+                np.asarray(self.lineage, dtype=np.int64).reshape(-1, 2))
+            # the powers of two up to 2^62 that are at most the path, less one
+            self.level = np.searchsorted(1 << np.arange(63), self.lineage[:, 1],
+                                         side="right") - 1
+            self.lineage.setflags(write=False)
         self.nodes.setflags(write=False)
         self.elements.setflags(write=False)
         self.level.setflags(write=False)
@@ -87,7 +94,8 @@ class SimplicialMesh:
 
 @dataclass(frozen=True)
 class RefinementPlan:
-    """Element ids flagged for refinement / coarsening on one mesh."""
+    """Element ids flagged for refinement / coarsening on one mesh; refine
+    bisects no flagged element at max_level or deeper."""
 
     refine: frozenset = frozenset()
     coarsen: frozenset = frozenset()
@@ -235,64 +243,57 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
 # refinement / coarsening
 
 def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
-    """Apply a refinement/coarsening plan, returning a new conforming mesh.
+    """Apply a refinement/coarsening plan, returning a new conforming mesh,
+    or mesh itself when nothing merges and nothing is bisected.
 
     Coarsening runs first on complete sibling groups (both children
     flagged), then flagged elements are bisected with marked-edge closure.
-    A sibling group whose midpoint is still used by finer neighbors is left
-    alone to preserve conformity. Untouched elements keep their order,
-    merged parents follow by (midpoint, smaller child id), and children come
-    last in their parents' order; new midpoints are numbered in the order
-    of first split.
+    Flags that cannot be honoured are left alone: a refine flag at
+    plan.max_level or deeper, a coarsen flag on a root or without its
+    flagged sibling, and a sibling group whose midpoint is still used by
+    finer neighbors, which preserves conformity. Untouched elements keep
+    their order, merged parents follow by (midpoint, smaller child id), and
+    children come last in their parents' order; new midpoints are numbered
+    in the order of first split. Raises InvalidPlanError for an element id
+    out of range, or before bisecting an element whose path is 2^62 or
+    more, whose children's paths int64 cannot hold.
     """
-    if not plan.refine and not plan.coarsen:
-        return mesh
     n = mesh.n_elems
     ids = plan.refine | plan.coarsen
-    for eid in (min(ids), max(ids)):
+    for eid in (min(ids), max(ids)) if ids else ():
         if not 0 <= eid < n:
             raise InvalidPlanError(f"plan references element {eid} of {n}")
     split = np.zeros(n, dtype=bool)
     split[list(plan.refine)] = True
-    if plan.max_level is not None and np.any(mesh.level[split] >= plan.max_level):
-        raise InvalidPlanError("plan would exceed max_level")
-    keys = (np.array(mesh.lineage, dtype=np.int64).reshape(n, 2) if mesh.lineage
+    if plan.max_level is not None:
+        split &= mesh.level < plan.max_level
+    keys = (mesh.lineage if mesh.lineage is not None
             else np.column_stack([np.arange(n), np.ones(n, dtype=np.int64)]))
     elements, keys, split = _coarsen(mesh, keys, split,
                                      np.array(sorted(plan.coarsen), dtype=np.int64))
+    if len(elements) == n and not split.any():
+        return mesh
     nodes, elements, keys = _bisect(mesh.dim, mesh.nodes, elements, keys, split)
     used = np.unique(elements)
     remap = np.full(len(nodes), -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    lineage = tuple(zip(*keys.T.tolist()))
-    if mesh.lineage:    # reuse the key objects of kept elements: meshes share them
-        same = dict(zip(mesh.lineage, mesh.lineage))
-        lineage = tuple(map(same.get, lineage, lineage))
     out = SimplicialMesh(dim=mesh.dim, nodes=nodes[used], elements=remap[elements],
-                         lineage=lineage)
+                         lineage=keys)
     validate_mesh(out)
     return out
 
 
 def _coarsen(mesh, keys, split, ids):
     """Merge the sibling pairs among the flagged ids (ascending) whose
-    midpoint no other element uses. Returns the elements, keys and split
-    flags of the result: the untouched elements in order, then the parents.
-    Raises InvalidPlanError for a flagged root or a partial sibling group."""
+    midpoint no other element uses; any other flagged id is left alone.
+    Returns the elements, keys and split flags of the result: the untouched
+    elements in order, then the parents."""
     el = mesh.elements
     # sorted by key, siblings (r, 2q) and (r, 2q + 1) are adjacent
     order = np.lexsort(keys[ids].T[::-1])
     r, p = keys[ids[order]].T
     lead = np.zeros(ids.size, dtype=bool)     # first of a flagged pair
     lead[:-1] = (r[1:] == r[:-1]) & (p[1:] == p[:-1] + 1) & (p[:-1] % 2 == 0)
-    bad = np.empty(ids.size, dtype=bool)
-    bad[order] = ~(lead | np.roll(lead, 1))
-    if bad.any():
-        eid = ids[np.argmax(bad)]
-        r, p = keys[eid].tolist()
-        if p < 2:
-            raise InvalidPlanError(f"element {eid} has no parent to merge into")
-        raise InvalidPlanError(f"partial sibling group for parent {(r, p >> 1)}")
     first, second = ids[order][lead], ids[order][np.roll(lead, 1)]
     mid = el[first, 1 if mesh.dim == 1 else 0]
     # a pair merges iff the pairs at its midpoint hold every element there
@@ -335,6 +336,8 @@ def _bisect(dim, nodes, elements, keys, split):
         if not cut.any():
             return nodes, elements, keys
         el, e, (r, p) = elements[cut], edge[cut], keys[cut].T
+        if p.max() >= 1 << 62:
+            raise InvalidPlanError(f"bisecting path {p.max()} would overflow int64")
         # a midpoint for each edge not split before, in order of first split
         fresh = np.flatnonzero(mid[e[:, 0]] < 0)
         _, first = np.unique(e[fresh, 0], return_index=True)

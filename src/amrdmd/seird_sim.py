@@ -328,9 +328,10 @@ def step(state: SeirdState, params: SeirdParams,
 # adaptive loop
 
 def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
-    """Rank elements by the flux-jump indicator summed over s, e, i; refine
-    the top fraction (below max_level), coarsen complete sibling groups in
-    the bottom fraction."""
+    """Rank elements by the flux-jump indicator summed over s, e, i, largest
+    first and ties by id; flag the top refine_fraction for refinement and the
+    bottom coarsen_fraction for coarsening, capped at max_level. refine
+    leaves alone the flags it cannot honour."""
     mesh = state.mesh
     score = np.zeros(mesh.n_elems)
     for c in ("s", "e", "i"):
@@ -338,18 +339,8 @@ def build_amr_plan(state: SeirdState, policy: AmrPolicy) -> RefinementPlan:
     order = np.lexsort((np.arange(mesh.n_elems), -score))
     n_ref = int(policy.refine_fraction * mesh.n_elems)
     n_coar = int(policy.coarsen_fraction * mesh.n_elems)
-    refine_ids = [int(e) for e in order[:n_ref]
-                  if mesh.level[e] < policy.max_level]
-    # sorted by key, sibling pairs (r, 2q), (r, 2q + 1) of the pool are adjacent
-    pool = order[mesh.n_elems - n_coar:] if mesh.lineage else order[:0]
-    keys = np.array([mesh.lineage[e] for e in pool.tolist()],
-                    dtype=np.int64).reshape(-1, 2)
-    by_key = np.lexsort(keys.T[::-1])
-    pool, (r, p) = pool[by_key], keys[by_key].T
-    lead = (r[1:] == r[:-1]) & (p[1:] == p[:-1] + 1) & (p[:-1] % 2 == 0)
-    return RefinementPlan(refine=frozenset(refine_ids),
-                          coarsen=frozenset([*pool[:-1][lead].tolist(),
-                                             *pool[1:][lead].tolist()]),
+    return RefinementPlan(refine=frozenset(order[:n_ref].tolist()),
+                          coarsen=frozenset(order[mesh.n_elems - n_coar:].tolist()),
                           max_level=policy.max_level)
 
 
@@ -442,8 +433,11 @@ def refine_elements_one_level(mesh: SimplicialMesh, flagged) -> SimplicialMesh:
     passes, so each flagged triangle ends up split along all three edges."""
     flagged = frozenset(int(e) for e in flagged)
     first = refine(mesh, RefinementPlan(refine=flagged))
-    parents = {(e, 1) if mesh.lineage is None else mesh.lineage[e] for e in flagged}
-    kids = frozenset(i for i, (r, p) in enumerate(first.lineage or ())
+    if first is mesh:
+        return mesh
+    parents = {(e, 1) if mesh.lineage is None else tuple(mesh.lineage[e].tolist())
+               for e in flagged}
+    kids = frozenset(i for i, (r, p) in enumerate(first.lineage.tolist())
                      if (r, p >> 1) in parents)
     return refine(first, RefinementPlan(refine=kids))
 

@@ -54,10 +54,6 @@ class Store:
     def field_names(self):
         return list(self.entries[0].fields) if self.entries else []
 
-    def is_uniform(self) -> bool:
-        """All snapshots on one mesh (same mesh file)."""
-        return len({e.mesh_file for e in self.entries}) <= 1
-
 
 def _fork_batch(jobs) -> list:
     """Fork a child that runs jobs and sends back its first exception, or
@@ -227,11 +223,15 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
 
 def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
     """One field of every entry; read_store takes the time window, which is
-    uniform when every gap equals the first exactly."""
-    if not store.is_uniform():
-        raise StoreError("store snapshots live on different meshes; project first")
+    uniform when every gap equals the first exactly. The entries' meshes are
+    one mesh when their node arrays are equal exactly, each compared once,
+    whatever their files are called."""
     if len(store.entries) < 2:
         raise StoreError("selected window contains fewer than two snapshots")
+    nodes = store.entries[0].mesh.nodes
+    meshes = {id(e.mesh): e.mesh for e in store.entries}
+    if any(not np.array_equal(m.nodes, nodes) for m in meshes.values()):
+        raise StoreError("store snapshots live on different meshes; project first")
     for e in store.entries:
         if field not in e.fields:
             raise StoreError(f"field {field!r} missing from snapshot {e.index}")

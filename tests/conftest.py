@@ -505,7 +505,7 @@ def element_keys(mesh):
     refinement history is the root (i, 1)."""
     if mesh.lineage is None:
         return [(i, 1) for i in range(mesh.n_elems)]
-    return list(mesh.lineage)
+    return list(map(tuple, mesh.lineage.tolist()))
 
 
 def element_rows(nodes, elements, keys):

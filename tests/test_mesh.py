@@ -103,7 +103,7 @@ class TestRefine:
     def test_refine_then_coarsen_restores_parent(self):
         m = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)
         r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
-        created = [i for i, (_, p) in enumerate(r.lineage) if p > 1]
+        created = [i for i, (_, p) in enumerate(element_keys(r)) if p > 1]
         back = M.refine(r, M.RefinementPlan(coarsen=frozenset(created)))
         orig = {tuple(sorted(el)) for el in m.elements[np.argsort(m.elements[:, 0])]}
         rest = {tuple(sorted(el)) for el in back.elements}
@@ -112,18 +112,79 @@ class TestRefine:
         assert orig == rest
         assert back.n_elems == m.n_elems
 
-    def test_partial_sibling_group_rejected(self):
+    def test_partial_sibling_group_left_alone(self):
         m = M.build_interval_mesh(0, 1, 2)
         r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
-        children = [i for i, (_, p) in enumerate(r.lineage) if p > 1]
-        with pytest.raises(InvalidPlanError):
-            M.refine(r, M.RefinementPlan(coarsen=frozenset(children[:1])))
+        children = [i for i, (_, p) in enumerate(element_keys(r)) if p > 1]
+        assert M.refine(r, M.RefinementPlan(coarsen=frozenset(children[:1]))) is r
 
-    def test_max_level_guard(self):
+    def test_max_level_caps_refine_flags(self):
         m = M.build_interval_mesh(0, 1, 2)
+        r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
+        assert r.level.tolist() == [0, 1, 1]
+        assert M.refine(r, M.RefinementPlan(refine=frozenset({1, 2}), max_level=1)) is r
+        capped = M.refine(r, M.RefinementPlan(refine=frozenset({0, 1, 2}), max_level=1))
+        want = M.refine(r, M.RefinementPlan(refine=frozenset({0})))
+        assert capped.nodes.tolist() == want.nodes.tolist()
+        assert capped.elements.tolist() == want.elements.tolist()
+        assert capped.lineage.tolist() == want.lineage.tolist()
+
+    def test_coarsen_flag_on_a_root_left_alone(self):
+        m = M.build_interval_mesh(0, 1, 2)
+        assert M.refine(m, M.RefinementPlan(coarsen=frozenset({0, 1}))) is m
+        r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
+        assert M.refine(r, M.RefinementPlan(coarsen=frozenset({0}))) is r
+
+    def test_lineage_is_a_read_only_int64_array(self):
+        m = M.build_interval_mesh(0, 1, 2)
+        assert m.lineage is None
         r = M.uniform_refine(m, 1)
+        assert r.lineage.dtype == np.int64 and r.lineage.shape == (4, 2)
+        assert r.lineage.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        with pytest.raises(ValueError):
+            r.lineage[0, 1] = 1
+
+    @pytest.mark.parametrize("path, level", [
+        (2 ** 53 - 1, 52), (2 ** 53, 53), (2 ** 53 + 1, 53),
+        (2 ** 60 - 1, 59), (2 ** 62, 62), (2 ** 63 - 1, 62)])
+    def test_level_is_exact_for_every_int64_path(self, path, level):
+        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
+                             lineage=[[0, path]])
+        assert m.level.tolist() == [level]
+
+    def test_path_that_would_overflow_is_refused(self):
+        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
+                             lineage=[[0, 2 ** 62]])
         with pytest.raises(InvalidPlanError):
-            M.refine(r, M.RefinementPlan(refine=frozenset({0}), max_level=1))
+            M.refine(m, M.RefinementPlan(refine=frozenset({0})))
+
+    def test_deepest_path_that_fits_refines(self):
+        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
+                             lineage=[[0, 2 ** 62 - 1]])
+        r = M.refine(m, M.RefinementPlan(refine=frozenset({0})))
+        assert r.lineage.tolist() == [[0, 2 ** 63 - 2], [0, 2 ** 63 - 1]]
+        assert r.level.tolist() == [62, 62]
+
+    def test_refining_one_corner_stops_before_paths_wrap(self):
+        """The 94th bisection of the element at a corner would give a
+        path past 2^63 - 1; every path before it is positive."""
+        m = M.build_structured_triangle_mesh([0, 1], [0, 1], 1, 1)
+        for _ in range(93):
+            e = int(M.locate_points(m, [[1e-300, 1e-300]])[0][0])
+            m = M.refine(m, M.RefinementPlan(refine=frozenset({e})))
+        assert m.lineage[:, 1].min() > 0 and m.level.max() == 62
+        e = int(M.locate_points(m, [[1e-300, 1e-300]])[0][0])
+        with pytest.raises(InvalidPlanError):
+            M.refine(m, M.RefinementPlan(refine=frozenset({e})))
+
+    def test_closure_refuses_an_overflowing_neighbour(self):
+        """The closure bisects element 1 across the shared diagonal, and
+        its path is too deep to bisect."""
+        m = M.build_structured_triangle_mesh([0, 1], [0, 1], 1, 1)
+        deep = M.SimplicialMesh(dim=2, nodes=m.nodes, elements=m.elements,
+                                lineage=[[0, 1], [1, 2 ** 62]])
+        with pytest.raises(InvalidPlanError):
+            M.refine(deep, M.RefinementPlan(refine=frozenset({0})))
 
     def test_overlapping_plan_rejected(self):
         with pytest.raises(InvalidPlanError):
@@ -156,8 +217,9 @@ class TestRefine:
 
     def test_coarsening_leaves_no_reference_cycle(self):
         m = M.uniform_refine(M.build_interval_mesh(0, 1, 4), 2)
-        parent = (m.lineage[0][0], m.lineage[0][1] >> 1)
-        group = [e for e, (root, path) in enumerate(m.lineage)
+        keys = element_keys(m)
+        parent = (keys[0][0], keys[0][1] >> 1)
+        group = [e for e, (root, path) in enumerate(keys)
                  if (root, path >> 1) == parent]
         gc.collect()
         gc.disable()
@@ -169,9 +231,8 @@ class TestRefine:
         assert found == 0
         assert r.n_nodes == m.n_nodes - 1        # the group's midpoint is gone
 
-        before = {tuple(m.nodes[el, 0]): key
-                  for el, key in zip(m.elements, m.lineage)}
-        for el, key in zip(r.elements, r.lineage):
+        before = {tuple(m.nodes[el, 0]): key for el, key in zip(m.elements, keys)}
+        for el, key in zip(r.elements, element_keys(r)):
             assert key == before.get(tuple(r.nodes[el, 0]), parent)
 
 
@@ -193,6 +254,16 @@ def random_plan(rng, m):
     share = rng.uniform(0, 0.6)
     refine = {e for e in range(m.n_elems)
               if e not in coarsen and rng.uniform() < share}
+    return M.RefinementPlan(refine=frozenset(refine), coarsen=frozenset(coarsen))
+
+
+def honoured_plan(m, plan):
+    """The flags of plan that refine can honour: the refine flags below
+    max_level and the coarsen flags whose sibling is flagged too."""
+    refine = {e for e in plan.refine
+              if plan.max_level is None or m.level[e] < plan.max_level}
+    coarsen = {e for g in sibling_groups(m).values()
+               if len(g) == 2 and plan.coarsen.issuperset(g) for e in g}
     return M.RefinementPlan(refine=frozenset(refine), coarsen=frozenset(coarsen))
 
 
@@ -256,6 +327,36 @@ class TestBisectionKeys:
                 assert m.nodes.tolist() == nodes.tolist()
                 assert m.elements.tolist() == elements.tolist()
                 assert element_keys(m) == keys
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_flags_it_cannot_honour_are_left_alone(self, seed, dim):
+        """Random flags on a mesh with history refine as the plain-loop
+        reference refines their honoured share, and the result is the
+        mesh itself exactly when nothing merges and nothing bisects."""
+        rng = np.random.default_rng(seed)
+        m = start_mesh(rng, dim)
+        for _ in range(int(rng.integers(0, 4))):
+            m = M.refine(m, random_plan(rng, m))
+        draw = rng.uniform(size=m.n_elems)
+        share_r, share_c = (rng.choice([0.0, rng.uniform(0, 0.5)]) for _ in "rc")
+        plan = M.RefinementPlan(refine=frozenset(np.flatnonzero(draw < share_r).tolist()),
+                                coarsen=frozenset(np.flatnonzero(draw >= 1 - share_c).tolist()),
+                                max_level=rng.choice([None, 0, 1, 2, 3]))
+        honoured = honoured_plan(m, plan)
+        nodes, elements, keys = loop_refine(m, honoured)
+        r = M.refine(m, plan)
+        assert (r is m) == (keys == element_keys(m))
+        assert (element_rows(r.nodes, r.elements, element_keys(r))
+                == element_rows(nodes, elements, keys))
+        if dim == 1:
+            assert r.nodes.tolist() == nodes.tolist()
+            assert r.elements.tolist() == elements.tolist()
+            assert element_keys(r) == keys
+        same = M.refine(m, honoured)     # the left-alone flags change no numbering
+        assert r.nodes.tolist() == same.nodes.tolist()
+        assert r.elements.tolist() == same.elements.tolist()
+        assert element_keys(r) == element_keys(same)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),

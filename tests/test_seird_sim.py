@@ -10,8 +10,8 @@ from amrdmd import dmd, fem, l2projection, mesh as M, qoi_metrics, seird_sim as 
 from amrdmd.errors import AssemblyError, InvalidArgumentError
 
 from conftest import (composite_integral_1d, coo_p1_operator, element_keys,
-                      element_rows, gauss_product_load, node_order_step,
-                      p1_tridiagonal, piecewise_linear_1d,
+                      element_rows, gauss_product_load, loop_refine,
+                      node_order_step, p1_tridiagonal, piecewise_linear_1d,
                       random_refined_interval, spd_matrix, synth_linear_series)
 
 
@@ -512,10 +512,11 @@ class TestAmrLoop:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
-    def test_coarsen_set_is_complete_sibling_pairs_of_pool(self, seed):
-        """Brute force: an element of the coarsening pool is coarsened iff
-        exactly two elements of the mesh share its parent and both are in
-        the pool."""
+    def test_plan_is_the_ranking_and_refine_honours_what_it_can(self, seed):
+        """Brute force: the plan flags the top refine_fraction and the
+        bottom coarsen_fraction of the ranking as they are; refine bisects
+        the refine flags below max_level and merges the coarsen flags whose
+        sibling is flagged too, as the plain-loop reference does."""
         rng = np.random.default_rng(seed)
         m = random_refined_interval(rng, n_base=int(rng.integers(1, 10)),
                                     passes=3)
@@ -529,25 +530,34 @@ class TestAmrLoop:
             m = M.refine(m, plan)
         state = S.SeirdState(m, {c: rng.normal(size=m.n_nodes)
                                  for c in S.COMPARTMENTS}, None, Fraction(0))
-        policy = S.AmrPolicy(refine_fraction=0.0,
-                             coarsen_fraction=rng.uniform(0, 1))
+        policy = S.AmrPolicy(refine_fraction=rng.uniform(0, 0.3),
+                             coarsen_fraction=rng.uniform(0, 0.7),
+                             max_level=int(rng.integers(0, 5)))
         plan = S.build_amr_plan(state, policy)
         score = sum(fem.flux_jump_indicator(m, state.fields[c])
                     for c in ("s", "e", "i"))
+        n_ref = int(policy.refine_fraction * m.n_elems)
         n_coar = int(policy.coarsen_fraction * m.n_elems)
         order = sorted(range(m.n_elems), key=lambda e: (-score[e], e))
         pool = set(order[m.n_elems - n_coar:]) if n_coar else set()
-        want = set()
+        assert plan.refine == set(order[:n_ref])
+        assert plan.coarsen == pool
+        assert plan.max_level == policy.max_level
         keys = element_keys(m)
+        coarsen = set()
         for e in pool:
             root, path = keys[e]
-            if path < 2:
-                continue
             sibs = [i for i, (r, p) in enumerate(keys)
-                    if (r, p >> 1) == (root, path >> 1)]
+                    if p > 1 and (r, p >> 1) == (root, path >> 1)]
             if len(sibs) == 2 and pool.issuperset(sibs):
-                want.add(e)
-        assert plan.coarsen == want
+                coarsen.add(e)
+        refine = {e for e in plan.refine if m.level[e] < policy.max_level}
+        nodes, elements, keys = loop_refine(m, M.RefinementPlan(
+            refine=frozenset(refine), coarsen=frozenset(coarsen)))
+        r = M.refine(m, plan)
+        assert r.nodes.tolist() == nodes.tolist()
+        assert r.elements.tolist() == elements.tolist()
+        assert element_keys(r) == keys
 
 
 class TestIndicatorDemoPieces:

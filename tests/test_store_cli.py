@@ -141,7 +141,7 @@ class TestStoreRoundtrip:
         store.write_store(tmp_path / "st", snaps)
         back = store.read_store(tmp_path / "st")
         assert len(back.entries) == 3
-        assert back.is_uniform()
+        assert {e.mesh_file for e in back.entries} == {"mesh_0000.mesh.txt"}
         assert back.entries[1].time == 0.25
         assert back.entries[1].time_str == "0.25"
         np.testing.assert_allclose(back.entries[2].fields["v"],
@@ -225,8 +225,7 @@ class TestStoreRoundtrip:
                  (Fraction(1), m2, {"u": rng.normal(size=m2.n_nodes)})]
         store.write_store(tmp_path / "st", snaps)
         back = store.read_store(tmp_path / "st")
-        assert not back.is_uniform()
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError, match="project first"):
             store.store_to_snapshot_matrix(back, "u")
 
 
@@ -257,7 +256,7 @@ class TestCliSimulate:
         assert (out / "run_manifest.txt").exists()
         proj = store.read_store(out / "projected")
         assert len(proj.entries) == 9
-        assert proj.is_uniform()
+        assert {e.mesh_file for e in proj.entries} == {"mesh_0000.mesh.txt"}
 
     def test_collision_exit_4(self, small_run):
         root, cfg, out = small_run
@@ -445,7 +444,7 @@ class TestCliProjectAndDmd:
         dest = tmp_path / "proj"
         assert run_cli("project", out / "adaptive", target, dest, "--quiet") == 0
         re_proj = store.read_store(dest)
-        assert re_proj.is_uniform()
+        assert {e.mesh_file for e in re_proj.entries} == {"mesh_0000.mesh.txt"}
         ref = store.read_store(out / "projected")
         for a, b in zip(re_proj.entries, ref.entries):
             np.testing.assert_allclose(a.fields["s"], b.fields["s"], atol=1e-9)
@@ -608,6 +607,27 @@ class TestCliProjectAndDmd:
         code = run_cli("dmd", "fit", tmp_path / "st", tmp_path / "m.dmd.txt",
                        "--field", "u", "--rank", "1", "--quiet")
         assert code == 3
+
+    @pytest.mark.parametrize("moved, code", [(False, 0), (True, 3)])
+    def test_fit_compares_nodes_not_mesh_files(self, tmp_path, rng, capsys,
+                                               moved, code):
+        """Two mesh files with equal nodes hold one mesh, as report errors
+        sees it; nodes that moved make another mesh. rank_sweep.py agrees."""
+        m = M.build_interval_mesh(0, 1, 8)
+        twin = (M.SimplicialMesh(dim=1, nodes=m.nodes ** 2, elements=m.elements)
+                if moved else M.build_interval_mesh(0, 1, 8))
+        st_dir = store.write_store(tmp_path / "st", [
+            (Fraction(k), msh, {"u": rng.normal(size=msh.n_nodes)})
+            for k, msh in enumerate([m, twin, m, twin])])
+        assert {line.split()[2] for line in
+                (st_dir / "manifest.txt").read_text().splitlines()} == {
+            "mesh_0000.mesh.txt", "mesh_0001.mesh.txt"}
+        assert run_cli("dmd", "fit", st_dir, tmp_path / "m.dmd.txt",
+                       "--field", "u", "--rank", "1", "--quiet") == code
+        assert ("different meshes; project first" in capsys.readouterr().err) == moved
+        script = Path(__file__).resolve().parents[1] / "scripts" / "rank_sweep.py"
+        proc = fresh_python(script, st_dir, "u", "1")
+        assert proc.returncode == code, proc.stderr
 
     @pytest.mark.parametrize("times", [(5, 5, 5), (6, 5, 4)])
     def test_fit_on_times_that_do_not_increase_exit_3(self, tmp_path, rng, capsys,
