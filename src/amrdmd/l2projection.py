@@ -144,11 +144,12 @@ def build_projection(donor: SimplicialMesh,
     ids = np.arange(target.n_elems)
     keys, blocks = zip(*[_chunk_blocks(donor, target, eids, measures[eids])
                          for eids in np.split(ids, range(2048, ids.size, 2048))])
+    # the chunks' blocks are freed before the index arrays are made
+    blocks = np.concatenate(blocks, axis=1).reshape(k, k, -1)
     t_elem, d_elem = np.divmod(np.concatenate(keys), donor.n_elems)
     P = ElementBlocks(rows=target.elements.T.take(t_elem, axis=1),
                       cols=donor.elements.T.take(d_elem, axis=1),
-                      blocks=np.concatenate(blocks, axis=1).reshape(k, k, -1),
-                      n_rows=target.n_nodes)
+                      blocks=blocks, n_rows=target.n_nodes)
     return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 

@@ -235,8 +235,19 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
     if pairs.size:
         raise InvalidArgumentError(
             f"duplicate nodes within tolerance: {pairs[:3].tolist()}")
-    if mesh.lineage is not None and len(mesh.lineage) != mesh.n_elems:
+    if mesh.lineage is None:
+        return
+    if len(mesh.lineage) != mesh.n_elems:
         raise InvalidArgumentError("lineage length mismatch")
+    if mesh.lineage[:, 1].min(initial=1) < 1:
+        bad = int(np.argmin(mesh.lineage[:, 1]))
+        raise InvalidArgumentError(f"element {bad} has lineage path "
+                                   f"{mesh.lineage[bad, 1]}, below 1")
+    root, path = mesh.lineage[np.lexsort(mesh.lineage.T[::-1])].T   # by root, path
+    same = np.flatnonzero((root[1:] == root[:-1]) & (path[1:] == path[:-1]))
+    if same.size:
+        raise InvalidArgumentError(f"two elements share the lineage key (root, path) "
+                                   f"{[int(root[same[0]]), int(path[same[0]])]}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ damaged store, 4 filesystem safety (existing output without --force).
 from __future__ import annotations
 
 import argparse
-import itertools
+import collections
 import sys
 import time as _time
 from contextlib import contextmanager
@@ -63,23 +63,33 @@ def _output_dir(path, force, sub_stores=()):
 def cmd_simulate(args) -> int:
     from . import l2projection, seird_sim
     params, policy, n_elems = seird_sim.parse_run_config(args.config)
+
+    def keep(run, kept):
+        for snapshot in run:
+            kept.append(snapshot)
+            yield snapshot
+
     # readers open the sub-stores, so a failed forced rerun marks them too
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
+        # one series is held at a time: the adaptive snapshots from the
+        # step that makes them (the store is formatted while the run steps)
+        # until each is projected, then the projected ones until written
+        adaptive = collections.deque()
         with np.errstate(all="ignore"):     # steps and store writes check
-            # the adaptive store is formatted while the run steps; tee keeps
-            # every snapshot for the projection and the CSVs
-            run, kept = itertools.tee(seird_sim.run_seird_amr(
-                params, policy, n_base_elements=n_elems))
-            store.write_store(out / "adaptive", run)
-            adaptive = list(kept)
-            projected, _ = l2projection.project_snapshots(adaptive, adaptive[0][1])
+            store.write_store(out / "adaptive", keep(seird_sim.run_seird_amr(
+                params, policy, n_base_elements=n_elems), adaptive))
+        n_snapshots, target = len(adaptive), adaptive[0][1]
+        adaptive_qoi = qoi_metrics.population_series(adaptive)
+        with np.errstate(all="ignore"):
+            projected, _ = l2projection.project_snapshots(
+                (adaptive.popleft() for _ in range(n_snapshots)), target)
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
         store.write_store(out / "projected", projected)
-        for name, snapshots in (("adaptive", adaptive), ("projected", projected)):
-            qoi_metrics.save_qoi_csv(qoi_metrics.population_series(snapshots),
-                                     out / f"population_{name}.csv")
+        qoi_metrics.save_qoi_csv(adaptive_qoi, out / "population_adaptive.csv")
+        qoi_metrics.save_qoi_csv(qoi_metrics.population_series(projected),
+                                 out / "population_projected.csv")
         io_s = _time.perf_counter() - t1
         store.write_run_manifest(
             out, command="simulate", seed=args.seed,
@@ -87,7 +97,7 @@ def cmd_simulate(args) -> int:
             outputs=["adaptive/manifest.txt", "projected/manifest.txt",
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
-    _say(args, f"wrote {len(adaptive)} snapshots to {out}")
+    _say(args, f"wrote {n_snapshots} snapshots to {out}")
     return EXIT_OK
 
 

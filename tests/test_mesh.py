@@ -1,4 +1,5 @@
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,33 @@ class TestRefine:
         m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
                              lineage=[[0, path]])
         assert m.level.tolist() == [level]
+
+    @pytest.mark.parametrize("lineage, match", [
+        ([[0, 0]], "path 0, below 1"),
+        ([[0, -3]], "path -3, below 1"),
+        ([[0, 1], [0, 2]], "length mismatch")])
+    def test_bad_lineage_of_one_element_is_refused(self, lineage, match):
+        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
+                             lineage=lineage)
+        with pytest.raises(InvalidArgumentError, match=match):
+            M.validate_mesh(m)
+
+    def test_shared_lineage_key_is_refused(self):
+        nodes, elements = [[0.0], [0.5], [1.0]], [[0, 1], [1, 2]]
+        M.validate_mesh(M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
+                                         lineage=[[0, 2], [0, 3]]))
+        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
+                             lineage=[[0, 2], [0, 2]])
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape("share the lineage key (root, path) [0, 2]")):
+            M.validate_mesh(m)
+
+    def test_refined_meshes_keep_valid_lineage(self):
+        for m in (M.uniform_refine(M.build_interval_mesh(0, 1, 3), 3),
+                  M.refine(M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2),
+                           M.RefinementPlan(refine=frozenset({0, 3, 5})))):
+            M.validate_mesh(m)
+            assert m.lineage[:, 1].min() >= 1
 
     def test_path_that_would_overflow_is_refused(self):
         m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import signal
 import tempfile
 import time
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
+from amrdmd import (dmd, fem, l2projection, linalg, mesh as M, pipeline_cli,
+                    seird_sim, store)
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
@@ -258,6 +261,48 @@ class TestCliSimulate:
         assert len(proj.entries) == 9
         assert {e.mesh_file for e in proj.entries} == {"mesh_0000.mesh.txt"}
 
+    def test_adaptive_series_is_freed_before_the_projected_write(
+            self, tmp_path, monkeypatch):
+        """simulate holds one series at a time: by the time the projected
+        store is written, every adaptive field array is gone."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.25\nt_end = 2.0\nn_elems = 10\n"
+                       "initial_uniform_levels = 1\nmax_level = 2\nremesh_every = 2\n")
+        adaptive_refs, calls = [], []
+        run_seird_amr, write_store = seird_sim.run_seird_amr, store.write_store
+
+        def watched_run(*args, **kwargs):
+            for snapshot in run_seird_amr(*args, **kwargs):
+                adaptive_refs.extend(weakref.ref(v) for v in snapshot[2].values())
+                yield snapshot
+
+        def watched_write(out_dir, snapshots):
+            calls.append(out_dir)
+            if len(calls) == 2:
+                gc.collect()
+                alive = [r for r in adaptive_refs if r() is not None]
+                assert not alive, f"{len(alive)} of {len(adaptive_refs)} adaptive arrays alive"
+            return write_store(out_dir, snapshots)
+
+        monkeypatch.setattr(seird_sim, "run_seird_amr", watched_run)
+        monkeypatch.setattr(store, "write_store", watched_write)
+        assert run_cli("simulate", cfg, tmp_path / "out", "--quiet") == 0
+        assert [Path(p).name for p in calls] == ["adaptive", "projected"]
+        assert len(adaptive_refs) == 9 * len(seird_sim.COMPARTMENTS)
+
+        # the one-shot iterator simulate hands over projects bit for bit
+        # as the list does, with one operator per donor mesh either way
+        params, policy, n_elems = seird_sim.parse_run_config(cfg)
+        snapshots = list(run_seird_amr(params, policy, n_base_elements=n_elems))
+        assert len({id(m) for _, m, _ in snapshots}) > 1
+        target = snapshots[0][1]
+        from_list, res_list = l2projection.project_snapshots(snapshots, target)
+        from_iter, res_iter = l2projection.project_snapshots(iter(snapshots), target)
+        assert res_list == res_iter
+        for (t, m, a), (u, n, b) in zip(from_list, from_iter, strict=True):
+            assert t == u and m is n and a.keys() == b.keys()
+            assert all(a[c].tobytes() == b[c].tobytes() for c in a)
+
     def test_collision_exit_4(self, small_run):
         root, cfg, out = small_run
         assert run_cli("simulate", cfg, out, "--quiet") == 4
@@ -272,6 +317,22 @@ class TestCliSimulate:
         bad = tmp_path / "empty.cfg"
         bad.write_text("")
         assert run_cli("simulate", bad, tmp_path / "y", "--quiet") == 2
+
+    @pytest.mark.parametrize("setting,message", [
+        ("remesh_every = 0", "remesh_every must be >= 1"),
+        ("refine_fraction = 1.5", "fractions must lie in [0, 1]"),
+        ("dt = 0", "dt and t_end must be positive"),
+        ("t_end = -1", "dt and t_end must be positive"),
+        ("dt 0.25", "error (line 2): expected 'key = value' on line 2"),
+    ], ids=["remesh_every", "fraction", "dt", "t_end", "no_equals"])
+    def test_config_refusal_exit_2_before_output(self, tmp_path, capsys,
+                                                  setting, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_elems = 10\n{setting}\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", cfg, out, "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["t_end = inf", "beta_i = nan",
                                          "t_end = 1.1", "max_level = -1",
