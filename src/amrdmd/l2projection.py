@@ -9,6 +9,8 @@ are linear, int_S phi_a lam_b = |S| / (k (k + 1)) * (sum_c phi_a(v_c)
 sum_c lam_b(v_c) + sum_c phi_a(v_c) lam_b(v_c)), with k = dim + 1. P holds
 one k x k block per (target element, donor element) pair, summed over the
 pieces by bincount; P u is a gather, a block product and a bincount.
+project_snapshots projects a series in one pass, one snapshot at a time,
+and holds the operator of one donor mesh and no series.
 """
 
 from __future__ import annotations
@@ -174,23 +176,21 @@ def projection_residual(op: ProjectionOperator, load: np.ndarray,
 
 
 def project_snapshots(snapshots, target: SimplicialMesh):
-    """Project snapshots [(time, mesh, {name: values})] onto target.
-
-    One operator is built per distinct donor mesh object. Returns the
-    projected snapshots [(time, target, {name: values})] and, per snapshot,
-    the worst projection_residual over its fields.
-    """
-    ops = {}
-    projected, residuals = [], []
+    """Project snapshots (time, mesh, {name: values}), any iterable consumed
+    once, onto target, one at a time: yields each projected snapshot
+    (time, target, {name: values}) with the worst projection_residual over
+    its fields. Only the operator of the current donor mesh object is held;
+    it is dropped, and another built, when the donor object changes, so a
+    donor that comes back after another is built again."""
+    op = None
     for time, donor, fields in snapshots:
-        op = ops.get(id(donor))
-        if op is None:          # op.donor keeps the id from being reused
-            op = ops[id(donor)] = build_projection(donor, target)
+        if op is None or op.donor is not donor:
+            op = None           # freed before the next one is built
+            op = build_projection(donor, target)
         values, res = {}, []
         for name, vals in fields.items():
             load = op.P.dot(vals)           # one P u for the solve and residual
             values[name] = project(op, vals, load)
             res.append(projection_residual(op, load, values[name]))
-        projected.append((time, target, values))
-        residuals.append(float(np.max(res, initial=0.0)))   # keeps a NaN
-    return projected, residuals
+        fields = vals = None    # the donor fields are freed before the yield
+        yield (time, target, values), float(np.max(res, initial=0.0))   # keeps a NaN

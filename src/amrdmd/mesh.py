@@ -285,7 +285,7 @@ def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
     if len(elements) == n and not split.any():
         return mesh
     nodes, elements, keys = _bisect(mesh.dim, mesh.nodes, elements, keys, split)
-    used = np.unique(elements)
+    used = np.flatnonzero(np.bincount(elements.ravel()))   # np.unique loads numpy.ma
     remap = np.full(len(nodes), -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
     out = SimplicialMesh(dim=mesh.dim, nodes=nodes[used], elements=remap[elements],
@@ -396,8 +396,10 @@ class _Locator:
         self.mesh = mesh
         self.lo, self.hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
         pts = mesh.nodes[mesh.elements]
-        diam = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
-        cell = max(0.5 * float(np.median(diam)), 1e-300)
+        diam = np.sort(np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1))
+        # the mean of the middle one or two is np.median, which loads numpy.ma
+        middle = diam[(diam.size - 1) // 2:diam.size // 2 + 1].mean()
+        cell = max(0.5 * float(middle), 1e-300)
         extent = np.maximum(self.hi - self.lo, 1e-300)
         box_lo, box_hi = pts.min(axis=1), pts.max(axis=1)
         while True:

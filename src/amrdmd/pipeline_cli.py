@@ -64,32 +64,36 @@ def cmd_simulate(args) -> int:
     from . import l2projection, seird_sim
     params, policy, n_elems = seird_sim.parse_run_config(args.config)
 
-    def keep(run, kept):
-        for snapshot in run:
-            kept.append(snapshot)
+    def tap(snapshots, terms, kept=None):
+        """Pass snapshots on, appending each one's population term to terms
+        and, when kept is given, the snapshot to kept."""
+        for snapshot in snapshots:
+            terms.append(qoi_metrics.population_term(snapshot))
+            if kept is not None:
+                kept.append(snapshot)
             yield snapshot
 
     # readers open the sub-stores, so a failed forced rerun marks them too
     with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
         t0 = _time.perf_counter()
-        # one series is held at a time: the adaptive snapshots from the
-        # step that makes them (the store is formatted while the run steps)
-        # until each is projected, then the projected ones until written
-        adaptive = collections.deque()
+        # one series is held: the adaptive snapshots, from the step that
+        # makes them (the store is formatted while the run steps) until each
+        # is projected; each projected one goes straight to the store writer
+        adaptive, adaptive_terms, projected_terms = collections.deque(), [], []
         with np.errstate(all="ignore"):     # steps and store writes check
-            store.write_store(out / "adaptive", keep(seird_sim.run_seird_amr(
-                params, policy, n_base_elements=n_elems), adaptive))
+            store.write_store(out / "adaptive", tap(seird_sim.run_seird_amr(
+                params, policy, n_base_elements=n_elems), adaptive_terms, adaptive))
         n_snapshots, target = len(adaptive), adaptive[0][1]
-        adaptive_qoi = qoi_metrics.population_series(adaptive)
-        with np.errstate(all="ignore"):
-            projected, _ = l2projection.project_snapshots(
-                (adaptive.popleft() for _ in range(n_snapshots)), target)
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
-        store.write_store(out / "projected", projected)
-        qoi_metrics.save_qoi_csv(adaptive_qoi, out / "population_adaptive.csv")
-        qoi_metrics.save_qoi_csv(qoi_metrics.population_series(projected),
-                                 out / "population_projected.csv")
+        with np.errstate(all="ignore"):
+            projected = l2projection.project_snapshots(
+                (adaptive.popleft() for _ in range(n_snapshots)), target)
+            store.write_store(out / "projected",
+                              tap((s for s, _ in projected), projected_terms))
+        for terms, name in ((adaptive_terms, "adaptive"), (projected_terms, "projected")):
+            qoi_metrics.save_qoi_csv(qoi_metrics.population_series(terms),
+                                     out / f"population_{name}.csv")
         io_s = _time.perf_counter() - t1
         store.write_run_manifest(
             out, command="simulate", seed=args.seed,
@@ -126,13 +130,17 @@ def cmd_project(args) -> int:
     from . import l2projection
     src = store.read_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
+
+    def tap(projected):
+        """Pass the projected snapshots on, printing each one's residual."""
+        for entry, (snapshot, worst) in zip(src.entries, projected):
+            _say(args, f"snapshot {entry.index}: projection residual {worst:.3e}")
+            yield snapshot
+
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
-        projected, residuals = l2projection.project_snapshots(
-            [(e.time_str, e.mesh, e.fields) for e in src.entries], target)
-        for entry, worst in zip(src.entries, residuals):
-            _say(args, f"snapshot {entry.index}: projection residual {worst:.3e}")
-        store.write_store(out, projected)
+        store.write_store(out, tap(l2projection.project_snapshots(
+            ((e.time_str, e.mesh, e.fields) for e in src.entries), target)))
         store.write_run_manifest(
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
@@ -242,7 +250,7 @@ def cmd_report_qoi(args) -> int:
         if missing:
             raise StoreError(f"snapshot {e.index} misses compartments {missing}")
     series = qoi_metrics.population_series(
-        [(e.time, e.mesh, e.fields) for e in src.entries])
+        qoi_metrics.population_term((e.time, e.mesh, e.fields)) for e in src.entries)
     qoi_metrics.save_qoi_csv(series, args.out_csv)
     _say(args, f"population range [{series.values.min():.6f}, "
                f"{series.values.max():.6f}] -> {args.out_csv}")

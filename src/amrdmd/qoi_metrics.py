@@ -5,6 +5,7 @@ snapshot, and its CSV output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,21 +41,33 @@ def total_population(mesh, fields: dict) -> float:
     return total / mesh.total_measure()
 
 
-def population_series(snapshots) -> QoiSeries:
-    """Total population over snapshots [(time, mesh, {name: values})],
-    normalized by its first value. The fields are integrated in units of
-    their largest |value|, a power of two, so no sum overflows."""
-    top = max((fem.inf_norm(fields[c]) for _, _, fields in snapshots
-               for c in COMPARTMENTS if c in fields), default=0.0)
-    scale = fem.unit_scale(top)
-    values = np.array([total_population(msh, {c: scale * v for c, v in fields.items()})
-                       for _, msh, fields in snapshots])
-    if values.size == 0:
+def population_term(snapshot) -> tuple:
+    """(time, total, exponent) of one snapshot (time, mesh, {name: values}):
+    its total population is total * 2**exponent, total integrated in units
+    of the snapshot's largest |value| (fem.unit_scale), so no sum overflows."""
+    time, msh, fields = snapshot
+    scale = fem.unit_scale(max((fem.inf_norm(fields[c]) for c in COMPARTMENTS
+                                if c in fields), default=0.0))
+    total = total_population(msh, {c: scale * fields[c] for c in COMPARTMENTS
+                                   if c in fields})
+    return time, total, 1 - math.frexp(scale)[1]
+
+
+def population_series(terms) -> QoiSeries:
+    """Total population over the population_term of each snapshot of a
+    series, taken in one pass, normalized by its first value. Each total is
+    rescaled exactly to the units of the series' largest |value|, so the
+    values are those of the whole series integrated in those units, bit for
+    bit unless a scaled product is subnormal."""
+    terms = list(terms)
+    if not terms:
         raise InvalidArgumentError("empty series")
-    ref = values[0]
-    if ref == 0:
+    times, totals, exponents = zip(*terms)
+    top = max(exponents)
+    values = np.array([math.ldexp(t, e - top) for t, e in zip(totals, exponents)])
+    if values[0] == 0:
         raise InvalidArgumentError("first-snapshot population is zero")
-    return QoiSeries(times=[t for t, _, _ in snapshots], values=values / ref)
+    return QoiSeries(times=times, values=values / values[0])
 
 
 def save_qoi_csv(series: QoiSeries, path) -> None:

@@ -119,18 +119,19 @@ def write_store(out_dir, snapshots) -> Path:
 
     Each mesh object is written by this process when it first appears, and
     shared through the manifest. The field files are cut into batches that
-    close once they hold _BATCH_VALUES values; if the process may run on two
-    or more CPUs, a forked child writes each full batch as soon as it is
-    full, so a generator's files are formatted while it computes the next
-    snapshots. At most one child per CPU is alive: the oldest is reaped
-    before another is forked. This process writes the last batch, and the
-    manifest once every child has succeeded. Exceptions are raised in file
-    order with their own type and message; an interrupt, or an exception
-    from snapshots, kills and reaps the children. With one CPU or no os.fork
-    every file is written in process; the bytes do not depend on it. A time,
-    a Fraction (or float) written as its exact decimal or a decimal text
-    written as it is, that has none or does not exceed the one before raises
-    InvalidArgumentError, and no manifest is written.
+    close once they hold _BATCH_VALUES values, and each full batch is
+    written and dropped at once, so no snapshot outlives its batch: if the
+    process may run on two or more CPUs, by a forked child, so a generator's
+    files are formatted while it computes the next snapshots. At most one
+    child per CPU is alive: the oldest is reaped before another is forked.
+    This process writes the last batch, and the manifest once every child
+    has succeeded. Exceptions are raised in file order with their own type
+    and message; an interrupt, or an exception from snapshots, kills and
+    reaps the children. With one CPU or no os.fork every file is written in
+    process; the bytes do not depend on it. A time, a Fraction (or float)
+    written as its exact decimal or a decimal text written as it is, that
+    has none or does not exceed the one before raises InvalidArgumentError,
+    and no manifest is written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,10 +157,13 @@ def write_store(out_dir, snapshots) -> Path:
                                            out / field_file))
             lines.append(f"{idx} {t_str} {meshes[id(msh)][1]} {field_file}")
             values += msh.n_nodes * len(fields)
-            if fork and values >= _BATCH_VALUES:
-                if len(children) == cpus:
-                    _reap_oldest(children, out)
-                children.append(_fork_batch(batch))
+            if values >= _BATCH_VALUES:
+                if fork:
+                    if len(children) == cpus:
+                        _reap_oldest(children, out)
+                    children.append(_fork_batch(batch))
+                else:
+                    _in_order(children, out, batch)
                 batch, values = [], 0
         _in_order(children, out, batch)
         while children:

@@ -328,7 +328,8 @@ class TestCgSolve:
         A = fem.assemble_mass(m)
         b = rng.normal(size=m.n_nodes) * 10.0 ** rng.uniform(-5, 5, m.n_nodes)
         x = fem.cg_solve(A, b)
-        scaled_b, scaled_x = np.ldexp(b, k), np.ldexp(x, k)
+        with np.errstate(over="ignore"):    # an overflowing draw is discarded below
+            scaled_b, scaled_x = np.ldexp(b, k), np.ldexp(x, k)
         tiny = np.finfo(float).tiny
         assume(np.isfinite(scaled_x).all() and np.isfinite(scaled_b).all()
                and np.abs(scaled_x).min() >= tiny and np.abs(scaled_b).min() >= tiny)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -361,26 +362,33 @@ class TestProject:
 
 
 class TestProjectSnapshots:
-    def test_one_build_per_mesh_object_and_same_bits(self, rng, monkeypatch):
+    def test_one_build_per_run_of_one_mesh_object_and_same_bits(self, rng, monkeypatch):
+        """A generator holding one operator: a build per run of consecutive
+        snapshots on one mesh object, the last operator freed before the next
+        is built, and each snapshot's bits those of its own operator."""
         a = M.build_interval_mesh(0, 1, 5)
         b = M.build_interval_mesh(0, 1, 9)
         target = M.build_interval_mesh(0, 1, 7)
+        donors = [a, a, b, a, b]
         snapshots = [(k, mesh, {name: rng.normal(size=mesh.n_nodes)
                                 for name in ("u", "v")})
-                     for k, mesh in enumerate([a, a, b, a, b])]
+                     for k, mesh in enumerate(donors)]
         built = []
         plain = L2.build_projection
 
         def counted(donor, tgt):
-            built.append(donor)
-            return plain(donor, tgt)
+            assert all(op() is None for _, op in built), "two operators alive"
+            op = plain(donor, tgt)
+            built.append((donor, weakref.ref(op)))
+            return op
 
         monkeypatch.setattr(L2, "build_projection", counted)
-        projected, residuals = L2.project_snapshots(snapshots, target)
-        assert [id(m) for m in built] == [id(a), id(b)]
-        assert len(residuals) == len(snapshots)
-        for (t, mesh, fields), (pt, pmesh, pfields), worst in zip(
-                snapshots, projected, residuals):
+        stream = L2.project_snapshots(iter(snapshots), target)
+        for k, ((t, mesh, fields), ((pt, pmesh, pfields), worst)) in enumerate(
+                zip(snapshots, stream, strict=True)):
+            # only the operator of this snapshot's donor is alive
+            assert [op() is not None for _, op in built].count(True) == 1
+            assert built[-1][0] is mesh and built[-1][1]() is not None
             assert (pt, pmesh) == (t, target)
             assert list(pfields) == list(fields)
             op = plain(mesh, target)
@@ -390,6 +398,8 @@ class TestProjectSnapshots:
             assert worst == max(
                 L2.projection_residual(op, op.P.dot(vals), alone[name])
                 for name, vals in fields.items())
+        assert [id(donor) for donor, _ in built] == [id(a), id(b), id(a), id(b)]
+        assert all(op() is None for _, op in built)
 
     def test_nan_residual_is_reported(self, rng, monkeypatch):
         # Python's max(0.0, nan) is 0.0: the worst residual must keep a NaN
@@ -405,7 +415,7 @@ class TestProjectSnapshots:
             return float("nan") if len(calls) == 3 else plain(op, load, proj)
 
         monkeypatch.setattr(L2, "projection_residual", poisoned)
-        _, residuals = L2.project_snapshots(snapshots, target)
+        residuals = [worst for _, worst in L2.project_snapshots(snapshots, target)]
         assert len(calls) == 4
         assert np.isfinite(residuals[0]) and np.isnan(residuals[1])
 

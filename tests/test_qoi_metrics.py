@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from amrdmd import mesh as M, qoi_metrics as Q
+from amrdmd import fem, mesh as M, qoi_metrics as Q
 from amrdmd.errors import InvalidArgumentError
 
 
@@ -26,7 +30,7 @@ class TestTotalPopulation:
             scale = 2.0 + 0.1 * k
             snapshots.append((float(k), m, {
                 c: np.full(n, scale / 5) for c in ("s", "e", "i", "r", "d")}))
-        series = Q.population_series(snapshots)
+        series = Q.population_series(map(Q.population_term, snapshots))
         assert series.values[0] == 1.0
         assert series.values[1] == pytest.approx(2.1 / 2.0, rel=1e-12)
         assert Q.total_population(m, snapshots[0][2]) == pytest.approx(2.0, rel=1e-12)
@@ -42,6 +46,47 @@ class TestTotalPopulation:
         p0 = Q.total_population(donor, vals)
         p1 = Q.total_population(target, proj_vals)
         assert p1 == pytest.approx(p0, rel=1e-8)
+
+
+def two_pass_population(snapshots):
+    """The series integrated in units of its largest |value|, found first."""
+    top = max(fem.inf_norm(fields[c]) for _, _, fields in snapshots
+              for c in Q.COMPARTMENTS)
+    scale = fem.unit_scale(top)
+    values = np.array([Q.total_population(m, {c: scale * v for c, v in fields.items()})
+                       for _, m, fields in snapshots])
+    return values / values[0]
+
+
+class TestPopulationSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(n_elems=st.integers(1, 8),
+           exponents=st.lists(st.integers(-400, 400), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_elems=3, exponents=[-400, 400, 0], seed=0)
+    @example(n_elems=1, exponents=[400, -400], seed=1)
+    def test_one_pass_is_the_two_pass_formula_bit_for_bit(self, n_elems, exponents, seed):
+        # snapshot maxima 2**-430..2**400 apart: no scaled product is subnormal
+        rng = np.random.default_rng(seed)
+        meshes = [M.build_interval_mesh(0, 1, n_elems),
+                  M.build_interval_mesh(-1, 2, n_elems + 3)]
+        snapshots = [(Fraction(k, 4), meshes[k % 2],
+                      {c: np.ldexp(rng.uniform(0, 1, meshes[k % 2].n_nodes),
+                                   e - int(rng.integers(0, 31)))
+                       for c in Q.COMPARTMENTS})
+                     for k, e in enumerate(exponents)]
+        series = Q.population_series(iter([Q.population_term(s) for s in snapshots]))
+        assert series.times == tuple(t for t, _, _ in snapshots)
+        assert series.values.tobytes() == two_pass_population(snapshots).tobytes()
+
+    def test_empty_and_zero_first_series_are_refused(self):
+        m = M.build_interval_mesh(0, 1, 2)
+        zero = {c: np.zeros(m.n_nodes) for c in Q.COMPARTMENTS}
+        one = {c: np.ones(m.n_nodes) for c in Q.COMPARTMENTS}
+        with pytest.raises(InvalidArgumentError, match="empty series"):
+            Q.population_series(iter([]))
+        with pytest.raises(InvalidArgumentError, match="first-snapshot population is zero"):
+            Q.population_series(map(Q.population_term, [(0, m, zero), (1, m, one)]))
 
 
 class TestCsv:

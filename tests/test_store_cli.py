@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import signal
@@ -14,8 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from amrdmd import (dmd, fem, l2projection, linalg, mesh as M, pipeline_cli,
-                    seird_sim, store)
+from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
@@ -261,14 +259,18 @@ class TestCliSimulate:
         assert len(proj.entries) == 9
         assert {e.mesh_file for e in proj.entries} == {"mesh_0000.mesh.txt"}
 
-    def test_adaptive_series_is_freed_before_the_projected_write(
-            self, tmp_path, monkeypatch):
-        """simulate holds one series at a time: by the time the projected
-        store is written, every adaptive field array is gone."""
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpus"])
+    def test_snapshots_are_freed_as_they_stream(self, tmp_path, monkeypatch, cpus):
+        """simulate holds one series: each adaptive snapshot is freed once it
+        is projected, and no projected snapshot outlives the writer batch
+        that holds it (here one snapshot, forked or written in process)."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt = 0.25\nt_end = 2.0\nn_elems = 10\n"
                        "initial_uniform_levels = 1\nmax_level = 2\nremesh_every = 2\n")
-        adaptive_refs, calls = [], []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(store, "_BATCH_VALUES", 1)
+        n = len(seird_sim.COMPARTMENTS)
+        adaptive_refs, projected_refs, calls = [], [], []
         run_seird_amr, write_store = seird_sim.run_seird_amr, store.write_store
 
         def watched_run(*args, **kwargs):
@@ -276,32 +278,32 @@ class TestCliSimulate:
                 adaptive_refs.extend(weakref.ref(v) for v in snapshot[2].values())
                 yield snapshot
 
+        def alive(refs):
+            return sum(r() is not None for r in refs)
+
+        def watched_projection(snapshots):
+            for k, snapshot in enumerate(snapshots):
+                # adaptive snapshots 0..k are projected; the writer's loop
+                # still names projected k - 1, whose batch is written
+                assert not alive(adaptive_refs[:(k + 1) * n]), k
+                assert alive(adaptive_refs) == len(adaptive_refs) - (k + 1) * n
+                assert not alive(projected_refs[:(k - 1) * n]), k
+                projected_refs.extend(weakref.ref(v) for v in snapshot[2].values())
+                yield snapshot
+
         def watched_write(out_dir, snapshots):
-            calls.append(out_dir)
-            if len(calls) == 2:
-                gc.collect()
-                alive = [r for r in adaptive_refs if r() is not None]
-                assert not alive, f"{len(alive)} of {len(adaptive_refs)} adaptive arrays alive"
+            calls.append(Path(out_dir).name)
+            if calls[-1] == "projected":
+                snapshots = watched_projection(snapshots)
             return write_store(out_dir, snapshots)
 
         monkeypatch.setattr(seird_sim, "run_seird_amr", watched_run)
         monkeypatch.setattr(store, "write_store", watched_write)
         assert run_cli("simulate", cfg, tmp_path / "out", "--quiet") == 0
-        assert [Path(p).name for p in calls] == ["adaptive", "projected"]
-        assert len(adaptive_refs) == 9 * len(seird_sim.COMPARTMENTS)
-
-        # the one-shot iterator simulate hands over projects bit for bit
-        # as the list does, with one operator per donor mesh either way
-        params, policy, n_elems = seird_sim.parse_run_config(cfg)
-        snapshots = list(run_seird_amr(params, policy, n_base_elements=n_elems))
-        assert len({id(m) for _, m, _ in snapshots}) > 1
-        target = snapshots[0][1]
-        from_list, res_list = l2projection.project_snapshots(snapshots, target)
-        from_iter, res_iter = l2projection.project_snapshots(iter(snapshots), target)
-        assert res_list == res_iter
-        for (t, m, a), (u, n, b) in zip(from_list, from_iter, strict=True):
-            assert t == u and m is n and a.keys() == b.keys()
-            assert all(a[c].tobytes() == b[c].tobytes() for c in a)
+        assert calls == ["adaptive", "projected"]
+        assert len(adaptive_refs) == len(projected_refs) == 9 * n
+        assert not alive(adaptive_refs + projected_refs)
+        assert len(store.read_store(tmp_path / "out" / "projected").entries) == 9
 
     def test_collision_exit_4(self, small_run):
         root, cfg, out = small_run
@@ -1081,6 +1083,29 @@ class TestCliProjectAndDmd:
                       "--field", "e", "--rank", "2", "--svd", "randomized", "--quiet"]):
             assert self.modules_loaded(argv, "numpy.random") == [0, with_numpy]
 
+    def test_no_command_loads_numpy_ma(self, small_run, tmp_path):
+        # np.median and a bare np.unique import numpy.ma on numpy 2.x; numpy
+        # 1.x imports it with numpy itself: compare with that
+        proc = fresh_python("-c", "import json, sys, numpy\n"
+                                  "print(json.dumps(sorted(m for m in sys.modules\n"
+                                  "      if m.startswith('numpy.ma'))))")
+        assert proc.returncode == 0, proc.stderr
+        with_numpy = json.loads(proc.stdout)
+        root, cfg, out = small_run
+        mesh = out / "projected" / "mesh_0000.mesh.txt"
+        for argv in (["simulate", cfg, tmp_path / "sim"],
+                     ["demo", "indicator", tmp_path / "demo"],
+                     ["project", out / "adaptive", mesh, tmp_path / "p"],
+                     ["dmd", "fit", out / "projected", tmp_path / "m.dmd.txt",
+                      "--field", "e", "--rank", "2"],
+                     ["dmd", "predict", tmp_path / "m.dmd.txt", tmp_path / "pred",
+                      "--mesh", mesh, "--until", "2"],
+                     ["report", "errors", out / "projected", tmp_path / "pred",
+                      tmp_path / "e.csv", "--field", "e"],
+                     ["report", "qoi", out / "projected", tmp_path / "q.csv"]):
+            loaded = self.modules_loaded([*argv, "--quiet"], "numpy.ma")
+            assert loaded == [0, with_numpy], argv
+
     def test_simulate_loads_no_scipy_sparse(self, small_run, tmp_path):
         # nor any other scipy module but the LAPACK extension of the 1-d solves
         root, cfg, out = small_run
@@ -1103,6 +1128,27 @@ class TestCliProjectAndDmd:
                        tmp_path / "x.csv", "--field", "zz", "--quiet")
         assert code == 3
         assert "snap_0000.field.txt" in capsys.readouterr().err
+
+    def test_predict_no_times_exit_2(self, small_run, tmp_path, capsys):
+        root, cfg, out = small_run
+        model = tmp_path / "e.dmd.txt"
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "e",
+                       "--rank", "2", "--quiet") == 0
+        capsys.readouterr()
+        assert run_cli("dmd", "predict", model, tmp_path / "pred", "--mesh",
+                       out / "projected" / "mesh_0000.mesh.txt", "--times", ",") == 2
+        assert capsys.readouterr().err == "error: no prediction times requested\n"
+        assert not (tmp_path / "pred").exists()
+
+    def test_report_errors_without_field_on_six_fields_exit_2(self, small_run, tmp_path,
+                                                              capsys):
+        root, cfg, out = small_run
+        assert len(store.read_store(out / "projected").field_names) == 6
+        assert run_cli("report", "errors", out / "projected", out / "projected",
+                       tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: ambiguous field (common: ['c', 'd', 'e', 'i', 'r', 's']); pass --field\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("damage", ["trailing_rows", "t0_nan", "header_only"])
     def test_damaged_model_exit_2(self, small_run, tmp_path, damage):
