@@ -49,10 +49,6 @@ class SnapshotMatrix:
             raise InvalidArgumentError("snapshot data has non-finite entries")
 
     @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def m(self) -> int:
         return self.data.shape[1] - 1
 
@@ -86,13 +82,6 @@ class ErrorReport:
     eta_F: float
 
 
-def split(Y: SnapshotMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Leading and trailing snapshot blocks (columns 0..m-1 and 1..m)."""
-    if Y.data.shape[1] < 2:
-        raise InvalidArgumentError("cannot split a single-column snapshot matrix")
-    return Y.data[:, :-1], Y.data[:, 1:]
-
-
 def choose_rank(sigma, tau: float) -> int:
     """Smallest rank whose discarded spectral energy fraction is <= tau."""
     sigma = np.asarray(sigma, dtype=float)
@@ -118,31 +107,32 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
     threshold) selects the rank. svd_method "randomized" uses a seeded
     Gaussian sketch; threshold selection needs the full spectrum, so tau
     always goes through the exact SVD. Amplitudes come from the first
-    snapshot.
+    snapshot. The arguments are checked before the SVD, and a leading block
+    whose largest singular value is zero raises FitError.
     """
     if (rank is None) == (tau is None):
         raise InvalidArgumentError("specify exactly one of rank or tau")
-    if Y.m < 2:
+    if svd_method not in ("exact", "randomized"):
+        raise InvalidArgumentError(f"unknown svd_method {svd_method!r}")
+    m = Y.m
+    if m < 2:
         raise InvalidArgumentError("fit needs at least three snapshots")
-    Y1, Y2 = split(Y)
-    m = Y1.shape[1]
+    if rank is not None and not 1 <= rank <= m:
+        raise InvalidArgumentError(f"rank {rank} outside [1, {m}]")
+    Y1, Y2 = Y.data[:, :-1], Y.data[:, 1:]
 
     if tau is not None or svd_method == "exact":
         res = linalg.svd(Y1)
-    elif svd_method == "randomized":
+    else:
         sketch = min(rank + oversample, min(Y1.shape))
         res = linalg.randomized_svd(Y1, rank, oversample=sketch - rank,
                                     power_iters=power_iters, seed=seed)
-    else:
-        raise InvalidArgumentError(f"unknown svd_method {svd_method!r}")
+    if not res.sigma[0] > 0:
+        raise FitError("snapshot matrix is numerically zero")
 
     r = choose_rank(res.sigma, tau) if tau is not None else int(rank)
-    if r < 1 or r > m:
-        raise InvalidArgumentError(f"rank {r} outside [1, {m}]")
     r = min(r, res.rank_kept)
     usable = int(np.sum(res.sigma > SIGMA_DROP_TOL * res.sigma[0]))
-    if usable == 0:
-        raise FitError("snapshot matrix is numerically zero")
     if r > usable:
         warnings.warn(f"rank reduced from {r} to {usable}: "
                       "trailing singular values below drop tolerance")

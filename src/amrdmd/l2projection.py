@@ -155,42 +155,26 @@ def build_projection(donor: SimplicialMesh,
     return ProjectionOperator(donor=donor, target=target, M=M, P=P)
 
 
-def project(op: ProjectionOperator, values: np.ndarray, load=None) -> np.ndarray:
+def project(op: ProjectionOperator, values: np.ndarray) -> np.ndarray:
     """Project the donor field values onto the target mesh: solve
-    M u_proj = P u. load, when given, is P u as the caller already computed it."""
+    M u_proj = P u. cg_solve refuses a solve that misses its tolerance."""
     if values.shape != (op.donor.n_nodes,):
         raise InvalidArgumentError(f"field has {values.shape} values, the donor "
                                    f"mesh {op.donor.n_nodes} nodes")
-    return cg_solve(op.M, op.P.dot(values) if load is None else load)
-
-
-def projection_residual(op: ProjectionOperator, load: np.ndarray,
-                        proj: np.ndarray) -> float:
-    """Relative residual |M proj - load| / |load| of a projection with
-    load P u; 0 when the load vanishes. Both are first scaled by
-    fem.unit_scale of max|load|, so no norm over- or underflows."""
-    scale = fem.unit_scale(fem.inf_norm(load))
-    load = load * scale
-    nrm = float(np.linalg.norm(load))
-    return float(np.linalg.norm(op.M.dot(proj * scale) - load) / nrm) if nrm else 0.0
+    return cg_solve(op.M, op.P.dot(values))
 
 
 def project_snapshots(snapshots, target: SimplicialMesh):
     """Project snapshots (time, mesh, {name: values}), any iterable consumed
     once, onto target, one at a time: yields each projected snapshot
-    (time, target, {name: values}) with the worst projection_residual over
-    its fields. Only the operator of the current donor mesh object is held;
-    it is dropped, and another built, when the donor object changes, so a
-    donor that comes back after another is built again."""
+    (time, target, {name: values}). Only the operator of the current donor
+    mesh object is held; it is dropped, and another built, when the donor
+    object changes, so a donor that comes back after another is built again."""
     op = None
     for time, donor, fields in snapshots:
         if op is None or op.donor is not donor:
             op = None           # freed before the next one is built
             op = build_projection(donor, target)
-        values, res = {}, []
-        for name, vals in fields.items():
-            load = op.P.dot(vals)           # one P u for the solve and residual
-            values[name] = project(op, vals, load)
-            res.append(projection_residual(op, load, values[name]))
-        fields = vals = None    # the donor fields are freed before the yield
-        yield (time, target, values), float(np.max(res, initial=0.0))   # keeps a NaN
+        values = {name: project(op, vals) for name, vals in fields.items()}
+        fields = None           # the donor fields are freed before the yield
+        yield time, target, values

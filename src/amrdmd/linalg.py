@@ -54,7 +54,7 @@ def svd(A: np.ndarray) -> SvdResult:
         raise InvalidArgumentError("svd input has non-finite entries")
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
     return SvdResult(U=U, sigma=s, V=Vt.T)
 
@@ -111,8 +111,6 @@ def gaussian_matrix(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     interleaving the cos/sin outputs row-major.
     """
     n = n_rows * n_cols
-    if n == 0:
-        return np.zeros((n_rows, n_cols))
     n_pairs = (n + 1) // 2
     u1, u2 = philox_uniform(seed, 2 * n_pairs).reshape(2, n_pairs)
     radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log is finite

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import ctypes
 import sys
 import time as _time
 from contextlib import contextmanager
@@ -89,8 +90,7 @@ def cmd_simulate(args) -> int:
         with np.errstate(all="ignore"):
             projected = l2projection.project_snapshots(
                 (adaptive.popleft() for _ in range(n_snapshots)), target)
-            store.write_store(out / "projected",
-                              tap((s for s, _ in projected), projected_terms))
+            store.write_store(out / "projected", tap(projected, projected_terms))
         for terms, name in ((adaptive_terms, "adaptive"), (projected_terms, "projected")):
             qoi_metrics.save_qoi_csv(qoi_metrics.population_series(terms),
                                      out / f"population_{name}.csv")
@@ -130,21 +130,15 @@ def cmd_project(args) -> int:
     from . import l2projection
     src = store.read_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
-
-    def tap(projected):
-        """Pass the projected snapshots on, printing each one's residual."""
-        for entry, (snapshot, worst) in zip(src.entries, projected):
-            _say(args, f"snapshot {entry.index}: projection residual {worst:.3e}")
-            yield snapshot
-
     with _output_dir(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
-        store.write_store(out, tap(l2projection.project_snapshots(
-            ((e.time_str, e.mesh, e.fields) for e in src.entries), target)))
+        store.write_store(out, l2projection.project_snapshots(
+            ((e.time_str, e.mesh, e.fields) for e in src.entries), target))
         store.write_run_manifest(
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
             timings={"project": _time.perf_counter() - t0})
+    _say(args, f"wrote {len(src.entries)} snapshots to {out}")
     return EXIT_OK
 
 
@@ -214,23 +208,12 @@ def cmd_report_errors(args) -> int:
     pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
     if not pairs:
         raise StoreError(f"no snapshots in {approx.path}")
-    meshes = {}
     for t, a in pairs:
         if t is None:
             raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
                              f"of {truth.path}")
-        for src, e in ((truth, t), (approx, a)):
-            if field not in e.fields:
-                raise StoreError(f"field {field!r} missing from "
-                                 f"{src.path / e.field_file}")
-            meshes.setdefault(src.path / e.mesh_file, e)
-    first = pairs[0][0]
-    for path, e in meshes.items():
-        if not np.array_equal(e.mesh.nodes, first.mesh.nodes):
-            raise StoreError(f"{path} (t={e.time_str}) and {truth.path / first.mesh_file} "
-                             f"(t={first.time_str}) are different meshes; project first")
-    Y = np.column_stack([t.fields[field] for t, _ in pairs])
-    Yhat = np.column_stack([a.fields[field] for _, a in pairs])
+    Y, Yhat = store.field_columns(field, (truth.path, [t for t, _ in pairs]),
+                                  (approx.path, [a for _, a in pairs]))
     report = dmd.errors(Y, Yhat)
     with open(args.out_csv, "w") as fh:
         fh.write("time,eta,regime\n")
@@ -337,7 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unmap_large_blocks():
+    """Fix glibc's mmap threshold at its default, 128 KiB, so that every
+    larger block, as most arrays are, is mapped on its own and unmapped when
+    freed. Left dynamic, the threshold rises to the size of each large block
+    freed, up to 32 MiB; the arrays below it then share the heap, and its
+    layout, which moves with as little as the length of a path, set the
+    demo's peak RSS within about 2 MB. Without glibc this does nothing."""
+    try:
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)      # M_MMAP_THRESHOLD
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _unmap_large_blocks()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

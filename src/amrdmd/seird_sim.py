@@ -378,7 +378,7 @@ def run_seird_amr(params: SeirdParams, policy: AmrPolicy,
     yield state.time, reference, dict(state.fields)
     out_every = params.output_every
     for k in range(1, params.n_steps + 1):
-        if policy.remesh_every and k % policy.remesh_every == 0:
+        if k % policy.remesh_every == 0:
             state = remesh_state(state, policy)
         state = step(state, params)
         if k % out_every == 0:

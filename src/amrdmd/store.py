@@ -225,25 +225,40 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     return Store(path=root, entries=entries)
 
 
+def field_columns(field: str, *runs) -> list:
+    """The columns of field, one (n_nodes, len(entries)) array for each run
+    (path, entries) of entries read from the store at path, the first run
+    not empty. Every entry must hold field, and every mesh the nodes of the
+    first entry's mesh, compared exactly and once per mesh object, whatever
+    its file is called; else StoreError."""
+    first_path, first = runs[0][0], runs[0][1][0]
+    seen = set()
+    for path, entries in runs:
+        for e in entries:
+            if field not in e.fields:
+                raise StoreError(f"field {field!r} missing from {path / e.field_file}")
+            if id(e.mesh) not in seen:
+                seen.add(id(e.mesh))
+                if not np.array_equal(e.mesh.nodes, first.mesh.nodes):
+                    raise StoreError(
+                        f"{path / e.mesh_file} (t={e.time_str}) and "
+                        f"{first_path / first.mesh_file} (t={first.time_str}) "
+                        f"are different meshes; project first")
+    return [np.column_stack([e.fields[field] for e in entries])
+            for _, entries in runs]
+
+
 def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
-    """One field of every entry; read_store takes the time window, which is
-    uniform when every gap equals the first exactly. The entries' meshes are
-    one mesh when their node arrays are equal exactly, each compared once,
-    whatever their files are called."""
+    """One field of every entry, on one node set (see field_columns);
+    read_store takes the time window, which is uniform when every gap
+    equals the first exactly."""
     if len(store.entries) < 2:
-        raise StoreError("selected window contains fewer than two snapshots")
-    nodes = store.entries[0].mesh.nodes
-    meshes = {id(e.mesh): e.mesh for e in store.entries}
-    if any(not np.array_equal(m.nodes, nodes) for m in meshes.values()):
-        raise StoreError("store snapshots live on different meshes; project first")
-    for e in store.entries:
-        if field not in e.fields:
-            raise StoreError(f"field {field!r} missing from snapshot {e.index}")
+        raise InvalidArgumentError("selected window contains fewer than two snapshots")
+    data, = field_columns(field, (store.path, store.entries))
     times = [e.time for e in store.entries]
     gaps = {b - a for a, b in zip(times, times[1:])}
     if len(gaps) > 1:
         raise StoreError("snapshots are not uniformly sampled in the window")
-    data = np.column_stack([e.fields[field] for e in store.entries])
     return SnapshotMatrix(data=data, t0=times[0], dt_o=gaps.pop(), field_name=field)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrdmd import dmd
-from amrdmd.errors import InvalidArgumentError
+from amrdmd import dmd, linalg
+from amrdmd.errors import FitError, InvalidArgumentError
 
 from conftest import synth_linear_series
 
@@ -17,27 +17,21 @@ def make_snapshots(data, dt_o=1.0, t0=0.0):
 
 
 class TestSplit:
-    def test_three_columns(self):
-        Y = make_snapshots(np.arange(6.0).reshape(2, 3))
-        Y1, Y2 = dmd.split(Y)
-        np.testing.assert_array_equal(Y1, Y.data[:, :2])
-        np.testing.assert_array_equal(Y2, Y.data[:, 1:])
-
-    def test_two_columns(self):
-        Y = make_snapshots(np.arange(4.0).reshape(2, 2))
-        Y1, Y2 = dmd.split(Y)
-        assert Y1.shape == (2, 1) and Y2.shape == (2, 1)
-
     def test_single_column_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_snapshots(np.ones((3, 1)))
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 30))
-    def test_split_widths_equal(self, m):
-        Y = make_snapshots(np.random.default_rng(m).normal(size=(4, m + 1)))
-        Y1, Y2 = dmd.split(Y)
-        assert Y1.shape == Y2.shape == (4, m)
+
+class TestSnapshotMatrix:
+    @pytest.mark.parametrize("data, dt_o, match", [
+        (np.ones(3), 1.0, "must be 2-d"),
+        (np.ones((2, 3)), 0.0, "dt_o must be positive"),
+        (np.ones((2, 3)), -1.0, "dt_o must be positive"),
+        (np.array([[1.0, np.nan, 1.0]]), 1.0, "non-finite"),
+    ], ids=["1d", "zero_dt_o", "negative_dt_o", "nan"])
+    def test_bad_snapshots_rejected(self, data, dt_o, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            dmd.SnapshotMatrix(data, dt_o=dt_o)
 
 
 class TestChooseRank:
@@ -56,6 +50,10 @@ class TestChooseRank:
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidArgumentError):
             dmd.choose_rank([0.0, 0.0], 0.1)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="empty singular value"):
+            dmd.choose_rank([], 0.1)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -121,6 +119,38 @@ class TestFit:
             dmd.fit(Y, rank=2, tau=0.1)
         with pytest.raises(InvalidArgumentError):
             dmd.fit(Y)
+
+    @pytest.mark.parametrize("columns, kwargs, match", [
+        (4, {}, "exactly one of rank or tau"),
+        (4, {"tau": 0.1, "svd_method": "bogus"}, "unknown svd_method 'bogus'"),
+        (4, {"rank": 1, "svd_method": "bogus"}, "unknown svd_method 'bogus'"),
+        (2, {"tau": 0.1}, "at least three snapshots"),
+        (4, {"rank": 0}, r"rank 0 outside \[1, 3\]"),
+        (4, {"rank": 4, "svd_method": "randomized"}, r"rank 4 outside \[1, 3\]"),
+    ], ids=["neither", "tau_bogus", "rank_bogus", "two_columns", "rank_0",
+            "randomized_rank_4"])
+    def test_arguments_checked_before_the_svd(self, monkeypatch, columns, kwargs,
+                                              match):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD before the arguments were checked")
+
+        monkeypatch.setattr(linalg, "svd", no_svd)
+        monkeypatch.setattr(linalg, "randomized_svd", no_svd)
+        Y = make_snapshots(np.random.default_rng(0).normal(size=(4, columns)))
+        with pytest.raises(InvalidArgumentError, match=match):
+            dmd.fit(Y, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"rank": 2}, {"tau": 0.5},
+                                        {"rank": 2, "svd_method": "randomized"}],
+                             ids=["rank", "tau", "randomized"])
+    def test_zero_block_is_a_fit_error_before_choose_rank(self, monkeypatch, kwargs):
+        def no_choice(*args):
+            raise AssertionError("choose_rank on a zero block")
+
+        monkeypatch.setattr(dmd, "choose_rank", no_choice)
+        Y = make_snapshots(np.zeros((4, 4)))
+        with pytest.raises(FitError, match="numerically zero"):
+            dmd.fit(Y, **kwargs)
 
     def test_rank_reduced_for_tiny_singular_values(self):
         data = np.outer([1.0, 2.0, 3.0], 0.5 ** np.arange(6))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amrdmd import fem, mesh as M
@@ -61,6 +61,13 @@ class TestMassMatrix:
         A = spd_matrix(fem.assemble_mass(m)).toarray()
         h = 0.3
         np.testing.assert_allclose(A, h / 6 * np.array([[2, 1], [1, 2]]), atol=1e-16)
+
+    def test_flat_triangle_is_an_assembly_error(self):
+        # validate_mesh refuses this mesh first; assemble_mass does not rely on it
+        flat = M.SimplicialMesh(dim=2, nodes=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                                elements=[[0, 1, 2]])
+        with pytest.raises(AssemblyError, match="degenerate element 0"):
+            fem.assemble_mass(flat)
 
     def test_unit_square_total_measure(self):
         m = M.build_structured_triangle_mesh([0, 1], [0, 1], 1, 1)
@@ -267,6 +274,18 @@ class TestCgSolve:
         b = np.arange(5.0)
         np.testing.assert_allclose(fem.cg_solve(A, b), b, atol=1e-14)
 
+    def test_rhs_of_the_wrong_shape_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"rhs has shape \(4,\)"):
+            fem.cg_solve(dense_spd(np.eye(5)), np.ones(4))
+
+    def test_overflowing_solve_is_refused(self):
+        # the second LDL^T pivot is subnormal, so x overflows and A x is nan
+        A = fem.SparseSpd(bands=(None, np.array([1e-300, 1e-300 * (1 + 2 ** -52)]),
+                                 np.array([1e-300])))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(InvalidArgumentError, match=r"non-finite values \(nan\)"):
+            fem.cg_solve(A, np.array([1.0, -1.0]))
+
     def test_manufactured_solution(self):
         m = M.build_interval_mesh(0, 1, 40)
         A = fem.assemble_mass(m)
@@ -321,6 +340,8 @@ class TestCgSolve:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1000, 1000),
            form=st.sampled_from(["band", "blocks"]))
+    @example(seed=0, k=-700, form="blocks")
+    @example(seed=0, k=700, form="blocks")
     def test_power_of_two_scaling_is_bitwise(self, seed, k, form):
         rng = np.random.default_rng(seed)
         m = random_refined_interval(rng) if form == "band" \

@@ -1,4 +1,3 @@
-import math
 import weakref
 
 import numpy as np
@@ -329,36 +328,9 @@ class TestProject:
         target = M.build_interval_mesh(0, 1, 10)
         op = L2.build_projection(donor, target)
         u = rng.normal(size=donor.n_nodes)
-        proj = L2.project(op, u)
-        assert L2.projection_residual(op, op.P.dot(u), proj) <= 1e-11
-
-    @pytest.mark.parametrize("k", [-700, 700])
-    def test_residual_does_not_depend_on_magnitude(self, rng, k):
-        # the squared norms of 2**700 or 2**-700 times the load over- or
-        # underflow; in units of max|load| they do not
-        donor = random_refined_square(rng)
-        target = M.build_structured_triangle_mesh([0, 1], [0, 1], 5, 4)
-        op = L2.build_projection(donor, target)
-        u = rng.normal(size=donor.n_nodes)
         load = op.P.dot(u)
-        proj = L2.project(op, u, load)
-        want = L2.projection_residual(op, load, proj)
-        assert 0 < want <= fem.SOLVE_TOL
-        assert L2.projection_residual(op, np.ldexp(load, k),
-                                      np.ldexp(proj, k)) == want
-
-
-    def test_residual_of_a_subnormal_load(self, rng):
-        # below 2**-1022 the scale stops at 2**1022 instead of overflowing
-        donor = random_refined_square(rng)
-        target = M.build_structured_triangle_mesh([0, 1], [0, 1], 5, 4)
-        op = L2.build_projection(donor, target)
-        u = rng.normal(size=donor.n_nodes)
-        load = op.P.dot(u)
-        proj = L2.project(op, u, load)
-        k = -1025 - math.frexp(fem.inf_norm(load))[1]  # max|load| near 2**-1026
-        assert L2.projection_residual(op, np.ldexp(load, k),
-                                      np.ldexp(proj, k)) <= 1e-10
+        residual = op.M.dot(L2.project(op, u)) - load
+        assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(load)
 
 
 class TestProjectSnapshots:
@@ -384,8 +356,8 @@ class TestProjectSnapshots:
 
         monkeypatch.setattr(L2, "build_projection", counted)
         stream = L2.project_snapshots(iter(snapshots), target)
-        for k, ((t, mesh, fields), ((pt, pmesh, pfields), worst)) in enumerate(
-                zip(snapshots, stream, strict=True)):
+        for (t, mesh, fields), (pt, pmesh, pfields) in zip(snapshots, stream,
+                                                          strict=True):
             # only the operator of this snapshot's donor is alive
             assert [op() is not None for _, op in built].count(True) == 1
             assert built[-1][0] is mesh and built[-1][1]() is not None
@@ -393,31 +365,10 @@ class TestProjectSnapshots:
             assert list(pfields) == list(fields)
             op = plain(mesh, target)
             alone = {name: L2.project(op, vals) for name, vals in fields.items()}
-            for name, vals in fields.items():
+            for name in fields:
                 assert pfields[name].tobytes() == alone[name].tobytes()
-            assert worst == max(
-                L2.projection_residual(op, op.P.dot(vals), alone[name])
-                for name, vals in fields.items())
         assert [id(donor) for donor, _ in built] == [id(a), id(b), id(a), id(b)]
         assert all(op() is None for _, op in built)
-
-    def test_nan_residual_is_reported(self, rng, monkeypatch):
-        # Python's max(0.0, nan) is 0.0: the worst residual must keep a NaN
-        mesh = M.build_interval_mesh(0, 1, 5)
-        target = M.build_interval_mesh(0, 1, 7)
-        snapshots = [(k, mesh, {name: rng.normal(size=mesh.n_nodes)
-                                for name in ("u", "v")}) for k in range(2)]
-        plain = L2.projection_residual
-        calls = []
-
-        def poisoned(op, load, proj):    # NaN for field u of snapshot 1
-            calls.append(load)
-            return float("nan") if len(calls) == 3 else plain(op, load, proj)
-
-        monkeypatch.setattr(L2, "projection_residual", poisoned)
-        residuals = [worst for _, worst in L2.project_snapshots(snapshots, target)]
-        assert len(calls) == 4
-        assert np.isfinite(residuals[0]) and np.isnan(residuals[1])
 
 
 class TestRankCheck:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amrdmd import linalg
-from amrdmd.errors import InvalidArgumentError
+from amrdmd.errors import InvalidArgumentError, NumericError
 
 
 class TestSvd:
@@ -40,6 +40,23 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             linalg.svd(np.array([[np.inf, 0.0]]))
+
+    def test_one_d_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="2-d"):
+            linalg.svd(np.ones(3))
+
+
+@pytest.mark.parametrize("name, call, match", [
+    ("svd", lambda: linalg.svd(np.eye(2)), "SVD did not converge"),
+    ("eig", lambda: linalg.eig(np.eye(2)), "eigendecomposition did not converge"),
+])
+def test_lapack_failure_is_a_numeric_error(monkeypatch, name, call, match):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NumericError, match=match):
+        call()
 
 
 class TestTruncate:
@@ -100,6 +117,15 @@ class TestRandomizedSvd:
         A = rng.normal(size=(10, 6))
         with pytest.raises(InvalidArgumentError):
             linalg.randomized_svd(A, 5, oversample=10)
+
+    def test_rank_zero_rejected(self, rng):
+        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
+            linalg.randomized_svd(rng.normal(size=(10, 6)), 0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_gaussian_matrix(self, shape):
+        z = linalg.gaussian_matrix(*shape, seed=1)
+        assert z.shape == shape and z.dtype == np.float64
 
     @pytest.mark.parametrize("knobs", [{"oversample": -5},
                                        {"oversample": 0, "power_iters": -1}])
@@ -194,6 +220,14 @@ class TestEig:
             else:
                 j += 1
 
+    @pytest.mark.parametrize("A, match", [
+        (np.ones((2, 3)), "square"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "non-finite"),
+    ], ids=["non_square", "non_finite"])
+    def test_bad_input_rejected(self, A, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            linalg.eig(A)
+
     def test_symmetric_real_eigenvalues(self, rng):
         G = rng.normal(size=(10, 10))
         A = G + G.T
@@ -221,6 +255,10 @@ class TestPinvApply:
         y = rng.normal(size=5).astype(complex)
         x = linalg.pinv_apply(B, y)
         assert x[1] == 0.0
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=">= 1 row"):
+            linalg.pinv_apply(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestAcceptanceScaleProperties:

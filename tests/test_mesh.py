@@ -88,6 +88,10 @@ class TestBuilders:
         with pytest.raises(InvalidArgumentError):
             M.build_structured_triangle_mesh([0, 0], [0, 1], 2, 2)
 
+    def test_structured_without_cells(self):
+        with pytest.raises(InvalidArgumentError, match="nx and ny must be >= 1"):
+            M.build_structured_triangle_mesh([0, 1], [0, 1], 0, 2)
+
 
 class TestRefine:
     def test_uniform_bisection_1d(self):
@@ -213,6 +217,11 @@ class TestRefine:
                                 lineage=[[0, 1], [1, 2 ** 62]])
         with pytest.raises(InvalidPlanError):
             M.refine(deep, M.RefinementPlan(refine=frozenset({0})))
+
+    def test_plan_id_out_of_range_rejected(self):
+        m = M.build_interval_mesh(0, 1, 4)
+        with pytest.raises(InvalidPlanError, match="plan references element 4 of 4"):
+            M.refine(m, M.RefinementPlan(refine=frozenset({4})))
 
     def test_overlapping_plan_rejected(self):
         with pytest.raises(InvalidPlanError):
@@ -520,6 +529,11 @@ class TestCloseNodePairs:
         near = M.SimplicialMesh(dim=dim, nodes=near.nodes * scale, elements=near.elements)
         with pytest.raises(InvalidArgumentError, match="duplicate nodes"):
             M.validate_mesh(near)
+
+    def test_unsupported_dimension_rejected(self):
+        m = M.SimplicialMesh(dim=3, nodes=np.eye(4, 3), elements=[[0, 1, 2, 3]])
+        with pytest.raises(InvalidArgumentError, match="unsupported dimension 3"):
+            M.validate_mesh(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, bad):

@@ -89,6 +89,11 @@ class TestPopulationSeries:
             Q.population_series(map(Q.population_term, [(0, m, zero), (1, m, one)]))
 
 
+    def test_series_of_mismatched_lengths_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="lengths differ"):
+            Q.QoiSeries(times=(0, 1), values=[1.0])
+
+
 class TestCsv:
     def test_header_and_precision(self, tmp_path):
         series = Q.QoiSeries(times=[0.0, 0.25], values=[1.0, 1 / 3])

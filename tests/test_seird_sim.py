@@ -468,7 +468,7 @@ class TestAmrLoop:
         adaptive = list(S.run_seird_amr(params, S.AmrPolicy(),
                                         n_base_elements=25))
         reference = adaptive[0][1]
-        projected = [s for s, _ in l2projection.project_snapshots(adaptive, reference)]
+        projected = list(l2projection.project_snapshots(adaptive, reference))
         for snapshots in (adaptive, projected):
             series = qoi_metrics.population_series(
                 map(qoi_metrics.population_term, snapshots))
@@ -480,8 +480,13 @@ class TestAmrLoop:
         adaptive = list(S.run_seird_amr(params, S.AmrPolicy(),
                                         n_base_elements=10))
         reference = adaptive[0][1]
-        assert max(worst for _, worst in l2projection.project_snapshots(
-            adaptive, reference)) <= 1e-10
+        projected = l2projection.project_snapshots(adaptive, reference)
+        for (_, donor, fields), (_, _, proj) in zip(adaptive, projected, strict=True):
+            op = l2projection.build_projection(donor, reference)
+            for name, values in fields.items():
+                load = op.P.dot(values)
+                residual = op.M.dot(proj[name]) - load
+                assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(load)
 
     def test_meshes_of_a_small_run_are_pinned(self):
         """sha256 of the nodes, elements and levels of every mesh a small

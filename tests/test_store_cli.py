@@ -204,6 +204,13 @@ class TestStoreRoundtrip:
                 assert (a.mesh is b.mesh) == (a.mesh_file == b.mesh_file) \
                     == (ma is mb)
 
+    def test_run_manifest_naming_a_missing_output_is_refused(self, tmp_path):
+        with pytest.raises(StoreError, match="references missing file gone.txt"):
+            store.write_run_manifest(tmp_path, command="x", seed=0,
+                                     config_snapshot="-", outputs=["gone.txt"],
+                                     timings={})
+        assert not (tmp_path / "run_manifest.txt").exists()
+
     def test_failed_marker_blocks_read(self, tmp_path, rng):
         mesh, snaps = self.make_snapshots(rng)
         store.write_store(tmp_path / "st", snaps)
@@ -541,8 +548,8 @@ class TestCliProjectAndDmd:
                    (out / f"population_{sub}.csv").read_bytes()
 
     def test_project_2d_store_near_1e200(self, tmp_path, capsys, rng):
-        # the solve and the residual work in units of max|load|, so values
-        # near 1e200 project like any others and report a finite residual
+        # the solve works in units of max|load|, so values near 1e200
+        # project like any others
         donor = M.refine(M.build_structured_triangle_mesh([0, 1], [0, 1], 10, 10),
                          M.RefinementPlan(refine=frozenset(range(0, 200, 3))))
         target = M.build_structured_triangle_mesh([0, 1], [0, 1], 7, 9)
@@ -554,9 +561,8 @@ class TestCliProjectAndDmd:
                               [(Fraction(0), donor, {"u": scale * u})])
             assert run_cli("project", tmp_path / name, tmp_path / "target.mesh.txt",
                            tmp_path / f"{name}_proj") == 0
-            said = capsys.readouterr().out
-            residual = float(said.split("projection residual")[1].split()[0])
-            assert residual <= 1e-12, said
+            assert capsys.readouterr().out == \
+                f"wrote 1 snapshots to {tmp_path / f'{name}_proj'}\n"
             entry = store.read_store(tmp_path / f"{name}_proj").entries[0]
             projected[name] = entry.fields["u"]
         want = 1e200 * projected["plain"]
@@ -1400,6 +1406,99 @@ class TestCliProjectAndDmd:
         assert "Warning" not in err and not recwarn.list
         assert not (tmp_path / "out").exists()
 
+
+
+def u_store(path, columns, mesh=None):
+    """A store of field u on mesh (21 nodes by default), one snapshot per
+    column at times 0, 1, 2, ..."""
+    mesh = M.build_interval_mesh(0, 1, 20) if mesh is None else mesh
+    return store.write_store(path, [(Fraction(k), mesh, {"u": col})
+                                    for k, col in enumerate(columns)])
+
+
+class TestFitRefusals:
+    """dmd fit checks its arguments before the SVD, each once, and the CLI
+    names the same refusal for the same fact on every path."""
+
+    @pytest.mark.parametrize("how", [["--rank", "1"], ["--tau", "0.5"]])
+    def test_zero_field_exit_3(self, tmp_path, capsys, how):
+        st_dir = u_store(tmp_path / "st", [np.zeros(21)] * 6)
+        assert run_cli("dmd", "fit", st_dir, tmp_path / "m.dmd.txt",
+                       "--field", "u", *how, "--quiet") == 3
+        assert "snapshot matrix is numerically zero" in capsys.readouterr().err
+        assert not (tmp_path / "m.dmd.txt").exists()
+
+    @pytest.mark.parametrize("svd", ["exact", "randomized"])
+    @pytest.mark.parametrize("rank", ["0", "99"])
+    def test_rank_outside_the_snapshots_exit_2(self, tmp_path, capsys, rng, svd,
+                                               rank):
+        st_dir = u_store(tmp_path / "st", rng.normal(size=(6, 21)))
+        assert run_cli("dmd", "fit", st_dir, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--svd", svd, "--rank", rank, "--quiet") == 2
+        assert f"rank {rank} outside [1, 5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_start, message", [
+        ("4", "selected window contains fewer than two snapshots"),
+        ("3", "fit needs at least three snapshots"),
+    ], ids=["one", "two"])
+    def test_window_of_too_few_snapshots_exit_2(self, tmp_path, capsys, rng,
+                                                t_start, message):
+        st_dir = u_store(tmp_path / "st", rng.normal(size=(5, 21)))
+        assert run_cli("dmd", "fit", st_dir, tmp_path / "m.dmd.txt", "--field", "u",
+                       "--rank", "1", "--t-start", t_start, "--quiet") == 2
+        assert message in capsys.readouterr().err
+
+    def test_field_zero_after_t0_fits_and_predicts_zeros(self, tmp_path, rng):
+        """Y2 = 0: the one eigenvalue is 0, so omega is nan 0 and the
+        amplitude the zero of a zero least-squares system; predict drops the
+        mode and writes zeros."""
+        mesh = M.build_interval_mesh(0, 1, 20)
+        st_dir = u_store(tmp_path / "st", [rng.uniform(0.5, 1.0, 21)]
+                         + [np.zeros(21)] * 3, mesh)
+        model_path = tmp_path / "m.dmd.txt"
+        assert run_cli("dmd", "fit", st_dir, model_path, "--field", "u",
+                       "--rank", "1", "--quiet") == 0
+        lines = model_path.read_text().splitlines()
+        assert lines[1:4] == ["0 0", "nan 0", "0 0"]      # lambda, omega, b
+        M.save_mesh(mesh, tmp_path / "mesh.txt")
+        with pytest.warns(UserWarning, match="dropping 1 modes with"):
+            assert run_cli("dmd", "predict", model_path, tmp_path / "pred",
+                           "--mesh", tmp_path / "mesh.txt", "--until", "3",
+                           "--quiet") == 0
+        pred = store.read_store(tmp_path / "pred")
+        assert len(pred.entries) == 4
+        assert all(not e.fields["u"].any() for e in pred.entries)
+
+
+class TestCliRefusals:
+    def test_report_errors_on_an_empty_approx_store_exit_3(self, tmp_path, capsys,
+                                                           rng):
+        truth = u_store(tmp_path / "truth", rng.normal(size=(2, 21)))
+        (tmp_path / "approx").mkdir()
+        (tmp_path / "approx" / "manifest.txt").write_text("\n")
+        assert run_cli("report", "errors", truth, tmp_path / "approx",
+                       tmp_path / "e.csv", "--field", "u", "--quiet") == 3
+        assert f"no snapshots in {tmp_path / 'approx'}" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_picard_stall_exit_3(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 0.25\nt_end = 1.0\nn_elems = 10\n"
+                       "initial_uniform_levels = 1\nmax_level = 1\n")
+        monkeypatch.setattr(seird_sim, "PICARD_MAX", 1)
+        assert run_cli("simulate", cfg, tmp_path / "out", "--quiet") == 3
+        assert "Picard iteration stalled at t=0.25" in capsys.readouterr().err
+        assert (tmp_path / "out" / ".failed").exists()
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
+def test_mmap_threshold_is_skipped_without_glibc(monkeypatch, error):
+    def no_mallopt(name):
+        raise error("no mallopt here")
+
+    monkeypatch.setattr(pipeline_cli.ctypes, "CDLL", no_mallopt)
+    pipeline_cli._unmap_large_blocks()
+    assert pipeline_cli.main(["report", "qoi", "--help"]) == 0
 
 def five_field_store(path, rng, n_snaps=3):
     m = M.build_interval_mesh(0, 1, 4)
