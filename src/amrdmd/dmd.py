@@ -114,11 +114,11 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
         raise InvalidArgumentError("specify exactly one of rank or tau")
     if svd_method not in ("exact", "randomized"):
         raise InvalidArgumentError(f"unknown svd_method {svd_method!r}")
-    m = Y.m
+    n, m = Y.data.shape[0], Y.m
     if m < 2:
         raise InvalidArgumentError("fit needs at least three snapshots")
-    if rank is not None and not 1 <= rank <= m:
-        raise InvalidArgumentError(f"rank {rank} outside [1, {m}]")
+    if rank is not None and not 1 <= rank <= min(n, m):
+        raise InvalidArgumentError(f"rank {rank} outside [1, {min(n, m)}]")
     Y1, Y2 = Y.data[:, :-1], Y.data[:, 1:]
 
     if tau is not None or svd_method == "exact":
@@ -131,7 +131,6 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
         raise FitError("snapshot matrix is numerically zero")
 
     r = choose_rank(res.sigma, tau) if tau is not None else int(rank)
-    r = min(r, res.rank_kept)
     usable = int(np.sum(res.sigma > SIGMA_DROP_TOL * res.sigma[0]))
     if r > usable:
         warnings.warn(f"rank reduced from {r} to {usable}: "

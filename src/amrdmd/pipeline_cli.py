@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import collections
 import ctypes
+import os
+import shutil
 import sys
 import time as _time
 from contextlib import contextmanager
@@ -34,28 +36,30 @@ def _say(args, msg):
         print(msg)
 
 
-def _refuse_existing(path, force):
-    """FileExistsError unless path is free, empty, or may be reused."""
-    out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise FileExistsError(f"{out} exists and is not empty (use --force)")
-    return out
-
-
 @contextmanager
-def _output_dir(path, force, sub_stores=()):
-    """Create (or, with force, reuse) the output directory and yield it.
-    It and its sub_stores are marked failed until the body completes, so
-    a run that fails, is killed or is interrupted leaves no store readable;
-    the markers are cleared sub-stores first."""
-    out = _refuse_existing(path, force)
-    marked = (*(out / s for s in sub_stores), out)
-    for d in marked:
-        d.mkdir(parents=True, exist_ok=True)
-        (d / ".failed").touch()
-    yield out
-    for d in marked:
-        (d / ".failed").unlink()
+def _published(path, force=False, is_dir=True):
+    """Yield <path>.tmp-<pid>, a directory when is_dir, to build the output in;
+    rename it to path once the body succeeds, else remove it. A non-empty
+    directory at path is refused before any work unless force; rename(2)
+    replaces only an empty one, so it is renamed aside to <path>.old-<pid>."""
+    out = Path(os.path.realpath(path))         # a link: replace its target
+    tmp, old = (out.parent / f"{out.name}.{tag}-{os.getpid()}" for tag in ("tmp", "old"))
+    swap = is_dir and out.exists() and any(out.iterdir())
+    if swap and not force:
+        raise FileExistsError(f"{Path(path)} exists and is not empty (use --force)")
+    if is_dir:
+        tmp.mkdir(parents=True)
+    try:
+        yield tmp
+        if swap:
+            out.rename(old)
+        os.replace(tmp, out)
+    finally:                    # a tree or a file; nothing after a success
+        if tmp.is_dir():
+            shutil.rmtree(tmp)
+        tmp.unlink(missing_ok=True)
+    if swap:
+        shutil.rmtree(old)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +78,7 @@ def cmd_simulate(args) -> int:
                 kept.append(snapshot)
             yield snapshot
 
-    # readers open the sub-stores, so a failed forced rerun marks them too
-    with _output_dir(args.out_dir, args.force, ("adaptive", "projected")) as out:
+    with _published(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
         # one series is held: the adaptive snapshots, from the step that
         # makes them (the store is formatted while the run steps) until each
@@ -101,13 +104,13 @@ def cmd_simulate(args) -> int:
             outputs=["adaptive/manifest.txt", "projected/manifest.txt",
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
-    _say(args, f"wrote {n_snapshots} snapshots to {out}")
+    _say(args, f"wrote {n_snapshots} snapshots to {Path(args.out_dir)}")
     return EXIT_OK
 
 
 def cmd_demo_indicator(args) -> int:
     from . import seird_sim
-    with _output_dir(args.out_dir, args.force) as out:
+    with _published(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
         report = []
         for name, (msh, values) in seird_sim.indicator_projection_demo().items():
@@ -130,7 +133,7 @@ def cmd_project(args) -> int:
     from . import l2projection
     src = store.read_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
-    with _output_dir(args.out_dir, args.force) as out:
+    with _published(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
         store.write_store(out, l2projection.project_snapshots(
             ((e.time_str, e.mesh, e.fields) for e in src.entries), target))
@@ -138,7 +141,7 @@ def cmd_project(args) -> int:
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
             timings={"project": _time.perf_counter() - t0})
-    _say(args, f"wrote {len(src.entries)} snapshots to {out}")
+    _say(args, f"wrote {len(src.entries)} snapshots to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -149,7 +152,8 @@ def cmd_dmd_fit(args) -> int:
     model = dmd.fit(Y, rank=args.rank, tau=args.tau,
                     svd_method=args.svd, seed=args.seed,
                     oversample=args.oversample, power_iters=args.power_iters)
-    dmd.save_model(model, args.out_model)
+    with _published(args.out_model, is_dir=False) as tmp:
+        dmd.save_model(model, tmp)
     via = f"randomized svd, seed {args.seed}" if args.svd == "randomized" else "exact svd"
     _say(args, f"fit rank-{model.rank} model ({via}) for field {args.field!r} "
                f"on t in [{float(Y.t0):g}, {float(Y.times[-1]):g}] -> {args.out_model}")
@@ -164,8 +168,6 @@ def cmd_dmd_predict(args) -> int:
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
     if args.times:
         time_fracs = [mesh_mod.exact_time(tok) for tok in args.times.split(",") if tok]
-        if any(b <= a for a, b in zip(time_fracs, time_fracs[1:])):
-            raise InvalidArgumentError(f"--times must strictly increase: {args.times}")
     else:
         n = max((args.until - model.t0) // model.dt_o + 1, 0)
         if n > MAX_PREDICT_TIMES:
@@ -174,21 +176,21 @@ def cmd_dmd_predict(args) -> int:
         time_fracs = [model.t0 + k * model.dt_o for k in range(n)]
     if not time_fracs:
         raise InvalidArgumentError("no prediction times requested")
-    _refuse_existing(args.out_store, args.force)
-    snapshots = []              # all evaluated before the output exists
-    for t in time_fracs:
+
+    def predicted(t):
         with np.errstate(all="ignore"):         # checked on the next line
             vec = dmd.evaluate(model, t)
         if not np.isfinite(vec).all():
             raise NumericError(f"model {args.model}: the prediction at "
                                f"t={store.fraction_to_decimal(t)} is not finite")
-        snapshots.append((t, target, {model.field_name: vec}))
-    with _output_dir(args.out_store, args.force) as out:
-        store.write_store(out, snapshots)
+        return t, target, {model.field_name: vec}
+
+    with _published(args.out_store, args.force) as out:
+        store.write_store(out, map(predicted, time_fracs))  # each as it is written
         store.write_run_manifest(
             out, command="dmd predict", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"], timings={})
-    _say(args, f"wrote {len(time_fracs)} predicted snapshots to {out}")
+    _say(args, f"wrote {len(time_fracs)} predicted snapshots to {Path(args.out_store)}")
     return EXIT_OK
 
 
@@ -215,7 +217,7 @@ def cmd_report_errors(args) -> int:
     Y, Yhat = store.field_columns(field, (truth.path, [t for t, _ in pairs]),
                                   (approx.path, [a for _, a in pairs]))
     report = dmd.errors(Y, Yhat)
-    with open(args.out_csv, "w") as fh:
+    with _published(args.out_csv, is_dir=False) as tmp, open(tmp, "w") as fh:
         fh.write("time,eta,regime\n")
         for (entry, _), eta in zip(pairs, report.eta_series):
             regime = ("reconstruction" if args.train_end is None
@@ -234,7 +236,8 @@ def cmd_report_qoi(args) -> int:
             raise StoreError(f"snapshot {e.index} misses compartments {missing}")
     series = qoi_metrics.population_series(
         qoi_metrics.population_term((e.time, e.mesh, e.fields)) for e in src.entries)
-    qoi_metrics.save_qoi_csv(series, args.out_csv)
+    with _published(args.out_csv, is_dir=False) as tmp:
+        qoi_metrics.save_qoi_csv(series, tmp)
     _say(args, f"population range [{series.values.min():.6f}, "
                f"{series.values.max():.6f}] -> {args.out_csv}")
     return EXIT_OK
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized stages (recorded in manifests)")
     common.add_argument("--force", action="store_true",
-                        help="overwrite non-empty output directories")
+                        help="replace non-empty output directories")
     common.add_argument("--quiet", action="store_true", help="suppress progress")
 
     p = argparse.ArgumentParser(prog="amrdmd", description=__doc__)

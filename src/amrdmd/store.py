@@ -114,8 +114,7 @@ def _in_order(children, root, jobs):
 
 def write_store(out_dir, snapshots) -> Path:
     """Write snapshots, any iterable of (time, mesh, {name: values})
-    consumed once, as a store into out_dir as it is: the caller decides
-    whether it may be reused, and marks it failed while it is written.
+    consumed once, as a store into out_dir, made if it does not exist.
 
     Each mesh object is written by this process when it first appears, and
     shared through the manifest. The field files are cut into batches that
@@ -191,7 +190,7 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise StoreError(f"no manifest.txt in {root}")
-    if (root / ".failed").exists():
+    if (root / ".failed").exists():     # older versions marked it while written
         raise StoreError(f"store {root} is marked failed")
     meshes, entries = {}, []
 
@@ -267,7 +266,7 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
 # wall-clock timings; stores, models, and CSVs stay byte-identical)
 
 def write_run_manifest(out_dir, command: str, seed, config_snapshot: str,
-                       outputs: list, timings: dict) -> Path:
+                       outputs: list, timings: dict) -> None:
     out = Path(out_dir)
     for rel in outputs:
         if not (out / rel).exists():
@@ -284,6 +283,4 @@ def write_run_manifest(out_dir, command: str, seed, config_snapshot: str,
         lines.append(f"time_{stage}_s = {secs:.3f}")
     for rel in outputs:
         lines.append(f"output = {rel}")
-    path = out / "run_manifest.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    (out / "run_manifest.txt").write_text("\n".join(lines) + "\n")

@@ -22,15 +22,19 @@ from amrdmd.mesh import (SimplicialMesh, _check_tables, _normalize_elements,
 from amrdmd.store import Store, StoreEntry
 
 
-def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
-    """Run a new interpreter that imports the package from this tree, with
-    env_vars added to the environment."""
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+def python_env(**env_vars):
+    """The environment of a new interpreter that imports the package from
+    this tree, with env_vars added."""
+    return dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         [str(Path(fem.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
+
+
+def fresh_python(*args, cwd=None, preexec_fn=None, timeout=120, **env_vars):
+    """Run a new interpreter in python_env(**env_vars)."""
     return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=timeout,
-                          preexec_fn=preexec_fn)
+                          capture_output=True, text=True, env=python_env(**env_vars),
+                          timeout=timeout, preexec_fn=preexec_fn)
 
 
 def exhaustive_locate(mesh, x, tol=1e-10):

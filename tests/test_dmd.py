@@ -156,7 +156,7 @@ class TestFit:
         data = np.outer([1.0, 2.0, 3.0], 0.5 ** np.arange(6))
         Y = make_snapshots(data)
         with pytest.warns(UserWarning, match="rank reduced"):
-            model = dmd.fit(Y, rank=4)
+            model = dmd.fit(Y, rank=3)
         assert model.rank == 1
 
     def test_amplitude_residual_optimality(self, rng):

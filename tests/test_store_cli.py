@@ -1,6 +1,9 @@
 import json
 import os
+import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -17,7 +20,7 @@ from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
-from conftest import fresh_python
+from conftest import fresh_python, python_env
 
 
 class TestFractionRendering:
@@ -241,6 +244,23 @@ def run_cli(*argv):
     return pipeline_cli.main([str(a) for a in argv])
 
 
+def tree_bytes(path):
+    """{name under path: bytes} of every file under path, or {".": bytes}
+    when path is a file."""
+    path = Path(path)
+    if path.is_file():
+        return {".": path.read_bytes()}
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in path.rglob("*") if p.is_file()}
+
+
+def leftovers(path):
+    """The names of the temporaries and set-aside outputs beside path."""
+    path = Path(path)
+    return sorted(p.name for tag in ("tmp", "old")
+                  for p in path.parent.glob(f"{path.name}.{tag}-*"))
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One small simulate invocation shared by the CLI tests."""
@@ -412,33 +432,36 @@ class TestCliSimulate:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "t=0.25" in lines[0]
 
-    def test_failed_forced_rerun_marks_sub_stores(self, small_run, tmp_path,
-                                                  monkeypatch):
+    def test_failed_forced_rerun_keeps_the_old_output(self, small_run, tmp_path,
+                                                      monkeypatch):
         root, cfg, _ = small_run
         out = tmp_path / "sim"
         assert run_cli("simulate", cfg, out, "--quiet") == 0
+        old = tree_bytes(out)
 
         def boom(*args, **kwargs):
             raise StepError("injected failure")
 
         monkeypatch.setattr(seird_sim, "run_seird_amr", boom)
         assert run_cli("simulate", cfg, out, "--force", "--quiet") == 3
+        assert tree_bytes(out) == old and not leftovers(out)
         model = tmp_path / "s.model.txt"
         for sub in ("adaptive", "projected"):
             assert run_cli("dmd", "fit", out / sub, model, "--field", "s",
-                           "--rank", "2", "--quiet") == 3
-        assert not model.exists()
+                           "--rank", "2", "--quiet") == 0
         monkeypatch.undo()
         assert run_cli("simulate", cfg, out, "--force", "--quiet") == 0
+        assert not leftovers(out)
         assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
                        "--rank", "2", "--quiet") == 0
 
-    def test_interrupted_forced_rerun_leaves_stores_failed(self, small_run,
+    def test_interrupted_forced_rerun_keeps_the_old_output(self, small_run,
                                                            tmp_path,
                                                            monkeypatch):
         root, cfg, _ = small_run
         out = tmp_path / "sim"
         assert run_cli("simulate", cfg, out, "--quiet") == 0
+        old = tree_bytes(out)
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -446,9 +469,9 @@ class TestCliSimulate:
         monkeypatch.setattr(seird_sim, "run_seird_amr", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_cli("simulate", cfg, out, "--force", "--quiet")
-        assert (out / ".failed").exists()
+        assert tree_bytes(out) == old and not leftovers(out)
         assert run_cli("dmd", "fit", out / "projected", tmp_path / "s.model.txt",
-                       "--field", "s", "--rank", "2", "--quiet") == 3
+                       "--field", "s", "--rank", "2", "--quiet") == 0
 
     @staticmethod
     def assert_no_store_readable(out, tmp_path):
@@ -473,7 +496,7 @@ class TestCliSimulate:
         with pytest.raises(KeyboardInterrupt):
             run_cli("simulate", cfg, out, "--quiet")
         monkeypatch.undo()
-        assert (out / "adaptive" / "manifest.txt").exists()   # whole, yet marked
+        assert not out.exists() and not leftovers(out)
         self.assert_no_store_readable(out, tmp_path)
 
     def test_step_error_mid_run_leaves_both_stores_failed(self, small_run,
@@ -481,19 +504,20 @@ class TestCliSimulate:
                                                           monkeypatch):
         root, cfg, _ = small_run
         out = tmp_path / "sim"
-        plain, calls = seird_sim.step, []
+        plain, calls, streamed = seird_sim.step, [], []
 
         def fails_on_step_5(state, params):
             calls.append(state.time)
             if len(calls) == 5:
+                streamed.extend(tmp_path.glob("sim.tmp-*/adaptive/mesh_0000.mesh.txt"))
                 raise StepError("injected failure")
             return plain(state, params)
 
         monkeypatch.setattr(seird_sim, "step", fails_on_step_5)
         assert run_cli("simulate", cfg, out, "--quiet") == 3
         monkeypatch.undo()
-        assert len(calls) == 5
-        assert (out / "adaptive" / "mesh_0000.mesh.txt").exists()  # streamed
+        assert len(calls) == 5 and len(streamed) == 1
+        assert not out.exists() and not leftovers(out)
         self.assert_no_store_readable(out, tmp_path)
 
     def test_deterministic_artifacts(self, small_run, tmp_path):
@@ -813,10 +837,45 @@ class TestCliProjectAndDmd:
         lines = proc.stderr.splitlines()       # no numpy warning text
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "t=2 " in lines[0]
-        assert not pred.exists()
+        assert not pred.exists() and not leftovers(pred)
         pred.mkdir()
         (pred / "kept.txt").write_text("")
         assert run_cli(*argv) == 4          # an existing output comes first
+
+    def test_forced_rerun_leaves_only_its_own_files(self, small_run, tmp_path,
+                                                    monkeypatch):
+        root, cfg, out = small_run
+        model, pred = tmp_path / "s.dmd.txt", tmp_path / "pred"
+        assert run_cli("dmd", "fit", out / "projected", model, "--field", "s",
+                       "--rank", "2", "--quiet") == 0
+        argv = ("dmd", "predict", model, pred, "--mesh",
+                out / "projected" / "mesh_0000.mesh.txt", "--quiet", "--until")
+        assert run_cli(*argv, "3") == 0
+        assert run_cli(*argv, "1", "--force") == 0
+        named = {"manifest.txt", "run_manifest.txt"}
+        for line in (pred / "manifest.txt").read_text().splitlines():
+            named.update(line.split()[2:])
+        for line in (pred / "run_manifest.txt").read_text().splitlines():
+            if line.startswith("output = "):
+                named.add(line.split(" = ")[1])
+        assert {p.name for p in pred.iterdir()} == named
+        assert len(store.read_store(pred).entries) == 5 and not leftovers(pred)
+        kept = tree_bytes(pred)
+        monkeypatch.setattr(dmd, "evaluate", lambda model, t: np.full(model.n, np.nan))
+        assert run_cli(*argv, "2", "--force") == 3
+        assert tree_bytes(pred) == kept and not leftovers(pred)
+        monkeypatch.undo()
+        # a model is a file: it is written, then refused by the directory
+        assert run_cli("dmd", "fit", out / "projected", pred, "--field", "s",
+                       "--rank", "2", "--quiet") == 3
+        assert tree_bytes(pred) == kept and not leftovers(pred)
+        link = tmp_path / "link"
+        link.symlink_to(pred)       # a forced run through a link replaces its target
+        assert run_cli("dmd", "predict", model, link, "--mesh",
+                       out / "projected" / "mesh_0000.mesh.txt", "--quiet",
+                       "--until", "2", "--force") == 0
+        assert link.is_symlink() and len(store.read_store(link).entries) == 9
+        assert not leftovers(link) and not leftovers(pred)
 
     @pytest.mark.parametrize("command,flag", [("fit", "--t-start"),
                                               ("fit", "--t-end"),
@@ -1429,13 +1488,20 @@ class TestFitRefusals:
         assert not (tmp_path / "m.dmd.txt").exists()
 
     @pytest.mark.parametrize("svd", ["exact", "randomized"])
-    @pytest.mark.parametrize("rank", ["0", "99"])
+    @pytest.mark.parametrize("rank,shape,top", [
+        pytest.param("0", (6, 21), 5, id="0"),
+        pytest.param("99", (6, 21), 5, id="99"),
+        # above the node count, within the snapshots
+        pytest.param("5", (8, 3), 3, id="5"),
+    ])
     def test_rank_outside_the_snapshots_exit_2(self, tmp_path, capsys, rng, svd,
-                                               rank):
-        st_dir = u_store(tmp_path / "st", rng.normal(size=(6, 21)))
+                                               rank, shape, top):
+        st_dir = u_store(tmp_path / "st", rng.normal(size=shape),
+                         M.build_interval_mesh(0, 1, shape[1] - 1))
         assert run_cli("dmd", "fit", st_dir, tmp_path / "m.dmd.txt", "--field", "u",
                        "--svd", svd, "--rank", rank, "--quiet") == 2
-        assert f"rank {rank} outside [1, 5]" in capsys.readouterr().err
+        assert f"rank {rank} outside [1, {top}]" in capsys.readouterr().err
+        assert not (tmp_path / "m.dmd.txt").exists()
 
     @pytest.mark.parametrize("t_start, message", [
         ("4", "selected window contains fewer than two snapshots"),
@@ -1470,6 +1536,92 @@ class TestFitRefusals:
         assert all(not e.fields["u"].any() for e in pred.entries)
 
 
+KILL_CONFIG = ("dt = 0.25\ndt_o = 0.25\nn_elems = 20\ninitial_uniform_levels = 1\n"
+               "max_level = 2\nremesh_every = 4\nt_end = {}\n")
+
+
+class TestKilledRuns:
+    """A command killed by SIGKILL at any moment leaves at its path the old
+    output, byte for byte, or the complete new one, never a mix. One other
+    state is allowed: a forced directory swap killed between its two renames
+    leaves nothing at the path and the old output whole at <path>.old-<pid>."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """{command: (argv(out, new), directory of its old output, the files
+        of the old and of the new output, the start-up and wall times of the
+        new run)}."""
+        root = tmp_path_factory.mktemp("killed")
+        for t_end in (2, 6):
+            (root / f"t{t_end}.cfg").write_text(KILL_CONFIG.format(t_end))
+        assert run_cli("simulate", root / "t2.cfg", root / "sim", "--quiet") == 0
+        projected, model = root / "sim" / "projected", root / "u.dmd.txt"
+        x = np.linspace(0, 1, 2001)
+        u_store(root / "u", [0.9 ** k * np.sin(np.pi * x) + 0.5 ** k * np.sin(2 * np.pi * x)
+                             for k in range(6)], M.build_interval_mesh(0, 1, 2000))
+        assert run_cli("dmd", "fit", root / "u", model, "--field", "u",
+                       "--rank", "2", "--quiet") == 0
+        commands = {    # the new prediction is more than one batch: it forks
+            "simulate": lambda out, new: (
+                "simulate", root / ("t6.cfg" if new else "t2.cfg"), out,
+                "--quiet", "--force"),
+            "predict": lambda out, new: (
+                "dmd", "predict", model, out, "--mesh", root / "u" / "mesh_0000.mesh.txt",
+                "--until", "40" if new else "2", "--quiet", "--force"),
+            "fit": lambda out, new: (
+                "dmd", "fit", projected, out, "--field", "s",
+                "--rank", "2" if new else "1", "--quiet"),
+        }
+        started = time.monotonic()
+        assert fresh_python("-c", "import amrdmd.pipeline_cli").returncode == 0
+        startup, runs = time.monotonic() - started, {}
+        for name, argv in commands.items():
+            d = root / name
+            d.mkdir()
+            assert run_cli(*argv(d / "old", False)) == 0
+            started = time.monotonic()
+            proc = fresh_python("-m", "amrdmd.pipeline_cli", *argv(d / "new", True))
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = (argv, d, tree_bytes(d / "old"), tree_bytes(d / "new"),
+                          startup, time.monotonic() - started)
+        for d in ("simulate/old/projected", "simulate/new/projected",
+                  "predict/old", "predict/new"):
+            store.read_store(root / d)
+        for name in ("old", "new"):
+            dmd.load_model(root / "fit" / name)
+        return runs
+
+    @pytest.mark.parametrize("name", ["simulate", "predict", "fit"])
+    @settings(max_examples=4, deadline=None)
+    @example(moment=1.5)
+    @given(moment=st.floats(0, 1))
+    def test_killed_run_leaves_the_old_or_the_new_output(self, runs, name, moment):
+        argv, d, old, new, startup, wall = runs[name]
+        work = d / "work"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        if (d / "old").is_dir():
+            shutil.copytree(d / "old", work / "out")
+        else:
+            shutil.copyfile(d / "old", work / "out")
+        # a session of its own, so that killing its group kills the forked writers
+        proc = subprocess.Popen([sys.executable, "-m", "amrdmd.pipeline_cli",
+                                 *map(str, argv(work / "out", True))], env=python_env(),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+        time.sleep(startup + moment * (wall - startup))
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        left = leftovers(work / "out")
+        assert set(left) <= {f"out.tmp-{proc.pid}", f"out.old-{proc.pid}"}
+        if not (work / "out").exists():         # between the two renames
+            assert tree_bytes(work / f"out.old-{proc.pid}") == old
+            return
+        got = tree_bytes(work / "out")
+        assert got == old or (got.keys() == new.keys() and all(
+            got[k] == new[k] for k in got if not k.endswith("run_manifest.txt")))
+
+
 class TestCliRefusals:
     def test_report_errors_on_an_empty_approx_store_exit_3(self, tmp_path, capsys,
                                                            rng):
@@ -1488,7 +1640,7 @@ class TestCliRefusals:
         monkeypatch.setattr(seird_sim, "PICARD_MAX", 1)
         assert run_cli("simulate", cfg, tmp_path / "out", "--quiet") == 3
         assert "Picard iteration stalled at t=0.25" in capsys.readouterr().err
-        assert (tmp_path / "out" / ".failed").exists()
+        assert not (tmp_path / "out").exists() and not leftovers(tmp_path / "out")
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
