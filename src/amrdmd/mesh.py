@@ -50,8 +50,6 @@ class SimplicialMesh:
     elements: np.ndarray   # (n_elems, dim + 1) int
     lineage: np.ndarray | None = None   # (n_elems, 2) int (root, path) keys, or None
     level: np.ndarray = field(init=False)   # (n_elems,) int, refinement depth
-    _locator: object = field(default=None, repr=False, compare=False)
-    _band: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(np.atleast_2d(np.asarray(self.nodes, dtype=float)))
@@ -515,10 +513,18 @@ class _Locator:
             raise err
 
 
+# the locator of the mesh located last, which holds that mesh: one locator
+# is alive per process and no mesh refers to one, so a mesh dropped is freed
+# at once; no hot loop alternates between two meshes
+_last_locator = None
+
+
 def _locator(mesh: SimplicialMesh) -> _Locator:
-    if mesh._locator is None:
-        mesh._locator = _Locator(mesh)
-    return mesh._locator
+    global _last_locator
+    if _last_locator is None or _last_locator.mesh is not mesh:
+        _last_locator = None            # freed before the next one is built
+        _last_locator = _Locator(mesh)
+    return _last_locator
 
 
 def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -572,11 +578,17 @@ class BandLayout(NamedTuple):
     h: np.ndarray
 
 
+# (mesh, its band layout) of the mesh laid out last, as _last_locator
+_last_band = (None, None)
+
+
 def band_layout(mesh: SimplicialMesh) -> BandLayout:
-    """The band layout of a 1-d mesh, computed once per mesh and read-only.
-    Raises AssemblyError unless every element has positive length and joins
-    two coordinate neighbours."""
-    if mesh._band is None:
+    """The band layout of a 1-d mesh, read-only; computed again only when
+    another mesh was laid out since. Raises AssemblyError unless every
+    element has positive length and joins two coordinate neighbours."""
+    global _last_band
+    if _last_band[0] is not mesh:
+        _last_band = (None, None)
         h = mesh.element_measures()
         if np.any(h <= 0):
             bad = int(np.argmin(h))
@@ -589,11 +601,12 @@ def band_layout(mesh: SimplicialMesh) -> BandLayout:
         if apart.size:
             raise AssemblyError(f"element {apart[0]} joins nodes that are not "
                                 f"coordinate neighbours")
-        mesh._band = BandLayout(order, np.zeros(order.size - 1))
-        mesh._band.h[p0] = h
-        for a in mesh._band:
+        layout = BandLayout(order, np.zeros(order.size - 1))
+        layout.h[p0] = h
+        for a in layout:
             a.setflags(write=False)
-    return mesh._band
+        _last_band = (mesh, layout)
+    return _last_band[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-# seird_sim and l2projection are imported only by the commands that run them
-from . import dmd, fem, mesh as mesh_mod, qoi_metrics, store
+# seird_sim, l2projection and dmd are imported only by the commands that run them
+from . import fem, mesh as mesh_mod, qoi_metrics, store
 from .errors import (AmrDmdError, ConfigError, InvalidArgumentError,
                      InvalidPlanError, NumericError, StoreError)
 
@@ -36,14 +36,26 @@ def _say(args, msg):
         print(msg)
 
 
+def _remove(path):
+    """Remove the tree or the file at path, if there is one."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    path.unlink(missing_ok=True)
+
+
 @contextmanager
 def _published(path, force=False, is_dir=True):
     """Yield <path>.tmp-<pid>, a directory when is_dir, to build the output in;
     rename it to path once the body succeeds, else remove it. A non-empty
     directory at path is refused before any work unless force; rename(2)
-    replaces only an empty one, so it is renamed aside to <path>.old-<pid>."""
+    replaces only an empty one, so it is renamed aside to <path>.old-<pid>.
+    Both names carry this process's pid, so no live process owns one found
+    before the build: it is left by a dead one whose pid was reused, and
+    removed."""
     out = Path(os.path.realpath(path))         # a link: replace its target
     tmp, old = (out.parent / f"{out.name}.{tag}-{os.getpid()}" for tag in ("tmp", "old"))
+    for stale in (tmp, old):
+        _remove(stale)
     swap = is_dir and out.exists() and any(out.iterdir())
     if swap and not force:
         raise FileExistsError(f"{Path(path)} exists and is not empty (use --force)")
@@ -54,10 +66,8 @@ def _published(path, force=False, is_dir=True):
         if swap:
             out.rename(old)
         os.replace(tmp, out)
-    finally:                    # a tree or a file; nothing after a success
-        if tmp.is_dir():
-            shutil.rmtree(tmp)
-        tmp.unlink(missing_ok=True)
+    finally:                    # nothing after a success
+        _remove(tmp)
     if swap:
         shutil.rmtree(old)
 
@@ -146,6 +156,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_dmd_fit(args) -> int:
+    from . import dmd
     src = store.read_store(args.store_dir, [args.field],
                            t_start=args.t_start, t_end=args.t_end)
     Y = store.store_to_snapshot_matrix(src, args.field)
@@ -161,6 +172,7 @@ def cmd_dmd_fit(args) -> int:
 
 
 def cmd_dmd_predict(args) -> int:
+    from . import dmd
     model = dmd.load_model(args.model)
     target = mesh_mod.load_mesh(args.mesh)
     if target.n_nodes != model.n:
@@ -195,9 +207,21 @@ def cmd_dmd_predict(args) -> int:
 
 
 def cmd_report_errors(args) -> int:
+    from . import dmd
     fields = None if args.field is None else [args.field]
-    truth = store.read_store(args.truth_store, fields)
+    # of the truth, only the snapshots in the approx store's time span are read
     approx = store.read_store(args.approx_store, fields)
+    if not approx.entries:
+        raise StoreError(f"no snapshots in {approx.path}")
+    truth = store.read_store(args.truth_store, fields, t_start=approx.entries[0].time,
+                             t_end=approx.entries[-1].time)
+    # "0.25" and "2.500e-01" name one time: every approx time is a truth time
+    truth_by_time = {e.time: e for e in truth.entries}
+    pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
+    for t, a in pairs:
+        if t is None:
+            raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
+                             f"of {truth.path}")
     field = args.field
     if field is None:
         common = set(truth.field_names) & set(approx.field_names)
@@ -205,15 +229,6 @@ def cmd_report_errors(args) -> int:
             raise InvalidArgumentError(
                 f"ambiguous field (common: {sorted(common)}); pass --field")
         field = common.pop()
-    # "0.25" and "2.500e-01" name one time: every approx time is a truth time
-    truth_by_time = {e.time: e for e in truth.entries}
-    pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
-    if not pairs:
-        raise StoreError(f"no snapshots in {approx.path}")
-    for t, a in pairs:
-        if t is None:
-            raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
-                             f"of {truth.path}")
     Y, Yhat = store.field_columns(field, (truth.path, [t for t, _ in pairs]),
                                   (approx.path, [a for _, a in pairs]))
     report = dmd.errors(Y, Yhat)

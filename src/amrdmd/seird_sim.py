@@ -464,10 +464,10 @@ def build_jittered_mesh(nx: int = 100, ny: int = 100,
                         seed: int = _JITTER_SEED) -> SimplicialMesh:
     """Unstructured-looking target: a structured grid whose interior nodes
     are deterministically jittered by a fraction of the cell size."""
-    from . import linalg        # only the demo's target needs the stream
+    from .philox import philox_uniform      # only the demo's target draws
     mesh = build_structured_triangle_mesh([-1, 1], [-1, 1], nx, ny)
     h = 2.0 / nx
-    draws = linalg.philox_uniform(seed, 2 * mesh.n_nodes).reshape(-1, 2)
+    draws = philox_uniform(seed, 2 * mesh.n_nodes).reshape(-1, 2)
     offsets = (draws - 0.5) * 2.0 * amplitude * h
     interior = ((np.abs(np.abs(mesh.nodes[:, 0]) - 1.0) > 1e-12)
                 & (np.abs(np.abs(mesh.nodes[:, 1]) - 1.0) > 1e-12))

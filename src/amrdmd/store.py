@@ -15,7 +15,6 @@ import os
 import pickle
 import signal
 import time as _time
-import uuid
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, mesh as mesh_mod
-from .dmd import SnapshotMatrix
 from .errors import InvalidArgumentError, StoreError
 from .mesh import exact_time, fraction_to_decimal
 
@@ -251,6 +249,7 @@ def store_to_snapshot_matrix(store: Store, field: str) -> SnapshotMatrix:
     """One field of every entry, on one node set (see field_columns);
     read_store takes the time window, which is uniform when every gap
     equals the first exactly."""
+    from .dmd import SnapshotMatrix     # only the commands that fit load dmd
     if len(store.entries) < 2:
         raise InvalidArgumentError("selected window contains fewer than two snapshots")
     data, = field_columns(field, (store.path, store.entries))
@@ -272,7 +271,7 @@ def write_run_manifest(out_dir, command: str, seed, config_snapshot: str,
         if not (out / rel).exists():
             raise StoreError(f"manifest references missing file {rel}")
     lines = [
-        f"run_id = {uuid.uuid4().hex}",
+        f"run_id = {os.urandom(16).hex()}",
         f"tool_version = {TOOL_VERSION}",
         f"command = {command}",
         f"seed = {seed}",

@@ -1,5 +1,6 @@
 import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -700,6 +701,21 @@ class TestLocate:
         with pytest.raises(PointNotFoundError) as err:
             M.locate_points(m, [[0.25, 0.25], [0.75, 0.75]])
         np.testing.assert_array_equal(err.value.points, [[0.75, 0.75]])
+
+    def test_a_dropped_mesh_is_freed_without_the_collector(self):
+        # the locator and band layout kept are those of the mesh used last,
+        # and no mesh refers to them, so no reference cycle holds a mesh
+        m = M.build_interval_mesh(0, 1, 8)
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            for mesh in (m, M.build_interval_mesh(0, 1, 4)):
+                M.locate_points(mesh, [[0.3]])
+                M.band_layout(mesh)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_barycentric_sums_to_one(self, rng):
         m = random_refined_interval(rng)

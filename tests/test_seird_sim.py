@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from fractions import Fraction
 
@@ -383,8 +384,18 @@ class TestBandLayoutStep:
         assert len(meshes) >= 2                 # the run did remesh
         assert len(built) == len(meshes)
         for m in meshes.values():
-            assert M.band_layout(m) is m._band
-        assert len(built) == len(meshes)
+            assert M.band_layout(m) is M.band_layout(m)
+
+    def test_one_locator_and_one_band_layout_alive_after_a_run(self):
+        # each is held for the mesh used last only, not by every mesh kept
+        policy = S.AmrPolicy(max_level=4, initial_uniform_levels=1)
+        snapshots = list(S.run_seird_amr(S.SeirdParams(t_end=3.0), policy,
+                                         n_base_elements=10))
+        assert len({id(m) for _, m, _ in snapshots}) >= 4   # 3 remeshes or more
+        gc.collect()
+        alive = gc.get_objects()
+        assert sum(isinstance(o, M._Locator) for o in alive) <= 1
+        assert sum(isinstance(o, M.BandLayout) for o in alive) <= 1
 
     @pytest.mark.parametrize("nodes, elements, match", [
         ([0.0, 0.25, 0.5, 1.0], [[0, 1], [2, 3]], "one chain"),       # gap

@@ -473,6 +473,22 @@ class TestCliSimulate:
         assert run_cli("dmd", "fit", out / "projected", tmp_path / "s.model.txt",
                        "--field", "s", "--rank", "2", "--quiet") == 0
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_siblings_left_under_this_pid_are_removed(self, small_run, tmp_path, force):
+        # a dead process whose pid this one reuses left both: no live one owns them
+        root, cfg, ran = small_run
+        out = tmp_path / "sim"
+        if force:
+            assert run_cli("simulate", cfg, out, "--quiet") == 0
+        for tag in ("tmp", "old"):
+            stale = tmp_path / f"sim.{tag}-{os.getpid()}"
+            (stale / "adaptive").mkdir(parents=True)
+            (stale / "adaptive" / "manifest.txt").write_text("stale\n")
+        argv = ["simulate", cfg, out, "--quiet"] + ["--force"] * force
+        assert run_cli(*argv) == 0
+        assert tree_bytes(out / "projected") == tree_bytes(ran / "projected")
+        assert not leftovers(out)
+
     @staticmethod
     def assert_no_store_readable(out, tmp_path):
         for sub in ("adaptive", "projected"):
@@ -1171,6 +1187,14 @@ class TestCliProjectAndDmd:
             loaded = self.modules_loaded([*argv, "--quiet"], "numpy.ma")
             assert loaded == [0, with_numpy], argv
 
+    def test_simulate_and_demo_load_no_dmd_and_no_uuid(self, small_run, tmp_path):
+        root, cfg, out = small_run
+        for argv in (["simulate", cfg, tmp_path / "sim"],
+                     ["demo", "indicator", tmp_path / "demo"]):
+            code, modules = self.modules_loaded([*argv, "--quiet"], "")
+            assert code == 0
+            assert not {"amrdmd.dmd", "amrdmd.linalg", "uuid"} & set(modules), argv
+
     def test_simulate_loads_no_scipy_sparse(self, small_run, tmp_path):
         # nor any other scipy module but the LAPACK extension of the 1-d solves
         root, cfg, out = small_run
@@ -1795,6 +1819,24 @@ class TestExactTimes:
                        "--field", "u", "--quiet") == 3
         assert f"{approx}: time 0.125 is not a time of {truth}" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    def test_report_reads_only_the_truth_in_the_approx_span(self, tmp_path, rng,
+                                                             monkeypatch):
+        truth = decimal_time_store(tmp_path / "truth", rng, range(8), "0.25")
+        approx = decimal_time_store(tmp_path / "approx", rng, range(2, 5), "0.25")
+        read, plain = [], fem.load_fields
+
+        def counted(path, *args):
+            read.append(Path(path))
+            return plain(path, *args)
+
+        monkeypatch.setattr(fem, "load_fields", counted)
+        assert run_cli("report", "errors", truth, approx, tmp_path / "e.csv",
+                       "--field", "u", "--quiet") == 0
+        assert sorted(p.name for p in read if p.parent == truth) == [
+            f"snap_{k:04d}.field.txt" for k in range(2, 5)]
+        assert [row.split(",")[0] for row in
+                (tmp_path / "e.csv").read_text().splitlines()[1:-1]] == ["0.5", "0.75", "1"]
 
 
 class TestReadContract:
