@@ -7,17 +7,16 @@ Runs pytest from the repository root (with no arguments, the whole suite)
 under a line tracer, stdlib sys.settrace only. The tracer is installed by a
 sitecustomize module put first on PYTHONPATH, so every interpreter the tests
 start with that PYTHONPATH, the CLI subprocesses included, records the lines
-of src/amrdmd it runs and writes them out at exit. A process that leaves
-through os._exit, as the store's forked writers do, records nothing.
+of src/amrdmd it runs and writes them out at exit. It also wraps os._exit,
+so a forked process that leaves through it, as the store's writers do,
+writes its lines out first.
 
 An ast pass then counts each statement inside a function body as reached
 when one of its lines ran: a simple statement by any of its lines, a
 compound statement by its header lines (a `try:` line included). Docstrings
 and global or nonlocal declarations are not counted. It prints every
 unreached statement as file:line and the count. It exits with pytest's
-status, or 1 when pytest passed but a statement outside the body of the
-forked child in store._fork_batch was never reached: the child leaves
-through os._exit, so its lines are never recorded.
+status, or 1 when pytest passed but a statement was never reached.
 """
 
 import ast
@@ -54,6 +53,14 @@ if _dump and _prefix:
         out = os.path.join(_dump, f"{os.getpid()}-{os.urandom(4).hex()}.txt")
         with open(out, "w") as fh:
             fh.writelines(f"{os.path.realpath(f)}\\t{n}\\n" for f, n in _lines)
+
+    def _exit(status, _leave=os._exit):     # skips atexit: write first
+        try:
+            _write()
+        finally:
+            _leave(status)
+
+    os._exit = _exit
 
     sys.settrace(_call)
     threading.settrace(_call)
@@ -92,16 +99,6 @@ def statement_spans(tree):
     return spans
 
 
-def forked_child_lines(tree):
-    """The lines of the body of the `if pid == 0:` in _fork_batch, or none."""
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef) and func.name == "_fork_batch":
-            for node in ast.walk(func):
-                if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0":
-                    return range(node.body[0].lineno, node.body[-1].end_lineno + 1)
-    return range(0)
-
-
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         hook, dump = Path(tmp, "hook"), Path(tmp, "dump")
@@ -119,22 +116,18 @@ def main(argv) -> int:
             for row in part.read_text().splitlines():
                 name, line = row.rsplit("\t", 1)
                 ran.add((name, int(line)))
-    total, unreached, outside = 0, [], 0
+    total, unreached = 0, []
     for path in sorted(PACKAGE.resolve().glob("*.py")):
         source = path.read_text()
-        tree = ast.parse(source)
-        child = forked_child_lines(tree)
-        for first, last in statement_spans(tree):
+        for first, last in statement_spans(ast.parse(source)):
             total += 1
             if not any((str(path), n) in ran for n in range(first, last + 1)):
                 unreached.append(f"{path.relative_to(ROOT.resolve())}:{first}: "
                                  f"{source.splitlines()[first - 1].strip()}")
-                outside += first not in child
     print("\n".join(unreached))
     print(f"{len(unreached)} of {total} statements in function bodies of "
-          f"src/amrdmd never ran, {outside} of them outside the forked "
-          f"child of store._fork_batch")
-    return status or int(outside > 0)
+          f"src/amrdmd never ran")
+    return status or int(bool(unreached))
 
 
 if __name__ == "__main__":

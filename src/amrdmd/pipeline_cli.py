@@ -7,11 +7,11 @@ damaged store, 4 filesystem safety (existing output without --force).
 from __future__ import annotations
 
 import argparse
-import collections
 import ctypes
 import os
 import shutil
 import sys
+import tempfile
 import time as _time
 from contextlib import contextmanager
 from pathlib import Path
@@ -79,30 +79,46 @@ def cmd_simulate(args) -> int:
     from . import l2projection, seird_sim
     params, policy, n_elems = seird_sim.parse_run_config(args.config)
 
-    def tap(snapshots, terms, kept=None):
-        """Pass snapshots on, appending each one's population term to terms
-        and, when kept is given, the snapshot to kept."""
+    def tap(snapshots, terms):
+        """Pass snapshots on, appending each one's population term to terms."""
         for snapshot in snapshots:
             terms.append(qoi_metrics.population_term(snapshot))
-            if kept is not None:
-                kept.append(snapshot)
             yield snapshot
 
-    with _published(args.out_dir, args.force) as out:
+    def spilled(snapshots, spill, kept):
+        """Pass snapshots on, appending each one's fields to spill as one raw
+        float64 block and (time, mesh, field names) to kept."""
+        for snapshot in snapshots:
+            t, msh, fields = snapshot
+            np.array(list(fields.values()), np.float64).tofile(spill)
+            kept.append((t, msh, list(fields)))
+            yield snapshot
+
+    def unspilled(kept, spill):
+        """The snapshots that spilled passed on, each read back when it is
+        reached: raw float64 round-trips bit for bit, and the mesh objects
+        are the ones the run made."""
+        spill.seek(0)
+        for t, msh, names in kept:
+            yield t, msh, dict(zip(names, np.fromfile(
+                spill, np.float64, len(names) * msh.n_nodes).reshape(len(names), -1)))
+
+    # the spill has no name, so nothing is left of it however the process ends
+    with _published(args.out_dir, args.force) as out, \
+            tempfile.TemporaryFile(dir=out) as spill:
         t0 = _time.perf_counter()
-        # one series is held: the adaptive snapshots, from the step that
-        # makes them (the store is formatted while the run steps) until each
-        # is projected; each projected one goes straight to the store writer
-        adaptive, adaptive_terms, projected_terms = collections.deque(), [], []
+        # no series is held: each adaptive snapshot goes to the store writer
+        # as the run steps (the store is formatted meanwhile) and its fields
+        # to the spill; each is read back, projected and passed straight to
+        # the projected store's writer
+        kept, adaptive_terms, projected_terms = [], [], []
         with np.errstate(all="ignore"):     # steps and store writes check
-            store.write_store(out / "adaptive", tap(seird_sim.run_seird_amr(
-                params, policy, n_base_elements=n_elems), adaptive_terms, adaptive))
-        n_snapshots, target = len(adaptive), adaptive[0][1]
+            store.write_store(out / "adaptive", spilled(tap(seird_sim.run_seird_amr(
+                params, policy, n_base_elements=n_elems), adaptive_terms), spill, kept))
         sim_s = _time.perf_counter() - t0
         t1 = _time.perf_counter()
         with np.errstate(all="ignore"):
-            projected = l2projection.project_snapshots(
-                (adaptive.popleft() for _ in range(n_snapshots)), target)
+            projected = l2projection.project_snapshots(unspilled(kept, spill), kept[0][1])
             store.write_store(out / "projected", tap(projected, projected_terms))
         for terms, name in ((adaptive_terms, "adaptive"), (projected_terms, "projected")):
             qoi_metrics.save_qoi_csv(qoi_metrics.population_series(terms),
@@ -114,7 +130,7 @@ def cmd_simulate(args) -> int:
             outputs=["adaptive/manifest.txt", "projected/manifest.txt",
                      "population_adaptive.csv", "population_projected.csv"],
             timings={"simulate": sim_s, "write": io_s})
-    _say(args, f"wrote {n_snapshots} snapshots to {Path(args.out_dir)}")
+    _say(args, f"wrote {len(kept)} snapshots to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -141,17 +157,23 @@ def cmd_demo_indicator(args) -> int:
 
 def cmd_project(args) -> int:
     from . import l2projection
-    src = store.read_store(args.store_dir)
+    src = store.iter_store(args.store_dir)
     target = mesh_mod.load_mesh(args.target_mesh)
+    n_snapshots = 0
+
+    def read():
+        nonlocal n_snapshots
+        for n_snapshots, e in enumerate(src, 1):
+            yield e.time_str, e.mesh, e.fields
+
     with _published(args.out_dir, args.force) as out:
         t0 = _time.perf_counter()
-        store.write_store(out, l2projection.project_snapshots(
-            ((e.time_str, e.mesh, e.fields) for e in src.entries), target))
+        store.write_store(out, l2projection.project_snapshots(read(), target))
         store.write_run_manifest(
             out, command="project", seed=args.seed, config_snapshot="-",
             outputs=["manifest.txt"],
             timings={"project": _time.perf_counter() - t0})
-    _say(args, f"wrote {len(src.entries)} snapshots to {Path(args.out_dir)}")
+    _say(args, f"wrote {n_snapshots} snapshots to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -244,13 +266,18 @@ def cmd_report_errors(args) -> int:
 
 
 def cmd_report_qoi(args) -> int:
-    src = store.read_store(args.store_dir, qoi_metrics.COMPARTMENTS)
-    for e in src.entries:
+    terms, incomplete = [], None
+    # the whole store is read before an incomplete snapshot is named, so a
+    # damaged file or manifest line anywhere is the fault reported
+    for e in store.iter_store(args.store_dir, qoi_metrics.COMPARTMENTS):
         missing = [c for c in qoi_metrics.COMPARTMENTS if c not in e.fields]
         if missing:
-            raise StoreError(f"snapshot {e.index} misses compartments {missing}")
-    series = qoi_metrics.population_series(
-        qoi_metrics.population_term((e.time, e.mesh, e.fields)) for e in src.entries)
+            incomplete = incomplete or f"snapshot {e.index} misses compartments {missing}"
+        elif incomplete is None:
+            terms.append(qoi_metrics.population_term((e.time, e.mesh, e.fields)))
+    if incomplete:
+        raise StoreError(incomplete)
+    series = qoi_metrics.population_series(terms)
     with _published(args.out_csv, is_dir=False) as tmp:
         qoi_metrics.save_qoi_csv(series, tmp)
     _say(args, f"population range [{series.values.min():.6f}, "

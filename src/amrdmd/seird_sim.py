@@ -24,9 +24,10 @@ from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, _plain, band_layout
 COMPARTMENTS = ("s", "e", "i", "r", "d", "c")
 PICARD_TOL = 1e-8       # relative update that ends the Picard loop
 PICARD_MAX = 25         # Picard iterations before a step fails
-# simulate refuses a run of more time steps, snapshots (the adaptive series
-# is held in memory until each snapshot is projected) or reference-mesh
-# elements, before it creates any output
+# simulate refuses a run of more time steps, snapshots or reference-mesh
+# elements, before it creates any output. No snapshot series is held in
+# memory: the snapshot limit bounds the two stores and the adaptive spill
+# file (8 bytes per value) on disk
 MAX_STEPS = 10 ** 7
 MAX_SNAPSHOTS = 10 ** 5
 MAX_ELEMENTS = 10 ** 8

@@ -174,25 +174,28 @@ def write_store(out_dir, snapshots) -> Path:
     return out
 
 
-def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
-    """Read a store in this process. Every manifest line is checked, but the
+def iter_store(store_dir, fields=None, t_start=None, t_end=None):
+    """The snapshots of a store as StoreEntry objects, each read when it is
+    reached. Every manifest line is checked before this returns, but the
     mesh and field files are opened only for the snapshots with
     t_start <= time <= t_end, compared exactly (an omitted bound is open),
-    the only entries returned; of each field file only the columns named in
-    fields (all when None) are converted. The manifest's invariant: indices
-    0..N-1 in line order, times (see mesh.exact_time) strictly increasing,
-    and file names inside the store. The first fault in manifest order is raised:
-    StoreError for a damaged manifest, mesh or field file, OSError for a
-    missing one."""
+    the only entries yielded; each mesh file is loaded once, when it is
+    first named, and of each field file only the columns named in fields
+    (all when None) are converted. The manifest's invariant: indices 0..N-1
+    in line order, times (see mesh.exact_time) strictly increasing, and file
+    names inside the store. The first fault in manifest order is raised, a
+    manifest fault at once when no entry comes before it, else once those
+    entries are yielded: StoreError for a damaged manifest, mesh or field
+    file, OSError for a missing one."""
     root = Path(store_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise StoreError(f"no manifest.txt in {root}")
     if (root / ".failed").exists():     # older versions marked it while written
         raise StoreError(f"store {root} is marked failed")
-    meshes, entries = {}, []
+    rows = []                   # (index, time text, time, mesh, field) in the window
 
-    def read(_, table):         # the lines before the first fault, in order
+    def check(_, table):        # the lines before the first fault, in order
         (index, times, mesh_files, field_files), = table
         for k, (i, t_str, mesh_file, field_file) in enumerate(
                 zip(index.tolist(), times, mesh_files, field_files)):
@@ -204,22 +207,41 @@ def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
             for name in (mesh_file, field_file):
                 if name in (".", "..") or "/" in name or "\\" in name:
                     return k, f"file name {name!r} leaves the store"
-            if not ((t_start is None or exact >= t_start)
+            if ((t_start is None or exact >= t_start)
                     and (t_end is None or exact <= t_end)):
-                continue
-            if mesh_file not in meshes:
-                meshes[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
-            entries.append(StoreEntry(
-                index=k, time_str=t_str, time=exact, mesh_file=mesh_file,
-                field_file=field_file, mesh=meshes[mesh_file],
-                fields=fem.load_fields(root / field_file, meshes[mesh_file], fields)))
+                rows.append((k, t_str, exact, mesh_file, field_file))
         return None
 
-    try:        # a mesh or field file's message names it
-        mesh_mod._read_table(manifest, "manifest", (), lambda: [(None, "itnn")], read)
+    try:
+        mesh_mod._read_table(manifest, "manifest", (), lambda: [(None, "itnn")], check)
+        fault = None
     except InvalidArgumentError as exc:
-        raise StoreError(str(exc)) from exc
-    return Store(path=root, entries=entries)
+        if not rows:            # no file comes before it
+            raise StoreError(str(exc)) from exc
+        fault = exc
+
+    def entries():
+        meshes = {}
+        for k, t_str, exact, mesh_file, field_file in rows:
+            try:        # a mesh or field file's message names it
+                if mesh_file not in meshes:
+                    meshes[mesh_file] = mesh_mod.load_mesh(root / mesh_file)
+                values = fem.load_fields(root / field_file, meshes[mesh_file], fields)
+            except InvalidArgumentError as exc:
+                raise StoreError(str(exc)) from exc
+            yield StoreEntry(index=k, time_str=t_str, time=exact, mesh_file=mesh_file,
+                             field_file=field_file, mesh=meshes[mesh_file], fields=values)
+        if fault is not None:
+            raise StoreError(str(fault)) from fault
+
+    return entries()
+
+
+def read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:
+    """Every entry of iter_store(store_dir, fields, t_start, t_end), read in
+    this process."""
+    return Store(path=Path(store_dir), entries=list(
+        iter_store(store_dir, fields, t_start, t_end)))
 
 
 def field_columns(field: str, *runs) -> list:

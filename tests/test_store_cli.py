@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from amrdmd import dmd, fem, linalg, mesh as M, pipeline_cli, seird_sim, store
+from amrdmd import (dmd, fem, l2projection, linalg, mesh as M, pipeline_cli,
+                    qoi_metrics, seird_sim, store)
 from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
@@ -288,9 +289,10 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpus"])
     def test_snapshots_are_freed_as_they_stream(self, tmp_path, monkeypatch, cpus):
-        """simulate holds one series: each adaptive snapshot is freed once it
-        is projected, and no projected snapshot outlives the writer batch
-        that holds it (here one snapshot, forked or written in process)."""
+        """simulate holds no series: no adaptive or projected snapshot
+        outlives the writer batch that holds it (here one snapshot, forked or
+        written in process). The adaptive fields wait in a spill file that
+        has no name, so the output tree never shows it."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt = 0.25\nt_end = 2.0\nn_elems = 10\n"
                        "initial_uniform_levels = 1\nmax_level = 2\nremesh_every = 2\n")
@@ -300,28 +302,32 @@ class TestCliSimulate:
         adaptive_refs, projected_refs, calls = [], [], []
         run_seird_amr, write_store = seird_sim.run_seird_amr, store.write_store
 
-        def watched_run(*args, **kwargs):
-            for snapshot in run_seird_amr(*args, **kwargs):
-                adaptive_refs.extend(weakref.ref(v) for v in snapshot[2].values())
-                yield snapshot
-
         def alive(refs):
             return sum(r() is not None for r in refs)
 
-        def watched_projection(snapshots):
+        def watched_run(*args, **kwargs):
+            for k, snapshot in enumerate(run_seird_amr(*args, **kwargs)):
+                # the writer's loop still names adaptive k - 1, whose batch
+                # is written
+                assert not alive(adaptive_refs[:(k - 1) * n]), k
+                adaptive_refs.extend(weakref.ref(v) for v in snapshot[2].values())
+                yield snapshot
+
+        def watched_projection(snapshots, build_dir):
             for k, snapshot in enumerate(snapshots):
-                # adaptive snapshots 0..k are projected; the writer's loop
-                # still names projected k - 1, whose batch is written
-                assert not alive(adaptive_refs[:(k + 1) * n]), k
-                assert alive(adaptive_refs) == len(adaptive_refs) - (k + 1) * n
+                # every adaptive snapshot is written and freed; the writer's
+                # loop still names projected k - 1, whose batch is written
+                assert not alive(adaptive_refs), k
                 assert not alive(projected_refs[:(k - 1) * n]), k
+                assert sorted(p.name for p in build_dir.iterdir()) == \
+                    ["adaptive", "projected"]
                 projected_refs.extend(weakref.ref(v) for v in snapshot[2].values())
                 yield snapshot
 
         def watched_write(out_dir, snapshots):
             calls.append(Path(out_dir).name)
             if calls[-1] == "projected":
-                snapshots = watched_projection(snapshots)
+                snapshots = watched_projection(snapshots, Path(out_dir).parent)
             return write_store(out_dir, snapshots)
 
         monkeypatch.setattr(seird_sim, "run_seird_amr", watched_run)
@@ -331,6 +337,10 @@ class TestCliSimulate:
         assert len(adaptive_refs) == len(projected_refs) == 9 * n
         assert not alive(adaptive_refs + projected_refs)
         assert len(store.read_store(tmp_path / "out" / "projected").entries) == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "adaptive", "population_adaptive.csv", "population_projected.csv",
+            "projected", "run_manifest.txt"]
 
     def test_collision_exit_4(self, small_run):
         root, cfg, out = small_run
@@ -586,6 +596,44 @@ class TestCliProjectAndDmd:
             assert run_cli("report", "qoi", out / sub, csv, "--quiet") == 0
             assert csv.read_bytes() == \
                    (out / f"population_{sub}.csv").read_bytes()
+
+    def test_project_and_report_qoi_hold_one_snapshot(self, small_run, tmp_path,
+                                                      monkeypatch):
+        """project and report qoi read the store as they go: at each snapshot
+        they pass on, one source snapshot is alive."""
+        root, cfg, out = small_run
+        loaded, alive_at = [], []
+        load_fields = fem.load_fields
+        project_snapshots = l2projection.project_snapshots
+        population_term = qoi_metrics.population_term
+
+        def alive():
+            return sum(any(r() is not None for r in refs) for refs in loaded)
+
+        def watched_load(*args, **kwargs):
+            fields = load_fields(*args, **kwargs)
+            loaded.append([weakref.ref(v) for v in fields.values()])
+            return fields
+
+        def watched_projection(snapshots, target):
+            for snapshot in project_snapshots(snapshots, target):
+                alive_at.append(("project", alive()))
+                yield snapshot
+
+        def watched_term(snapshot):
+            alive_at.append(("report qoi", alive()))
+            return population_term(snapshot)
+
+        monkeypatch.setattr(fem, "load_fields", watched_load)
+        monkeypatch.setattr(l2projection, "project_snapshots", watched_projection)
+        monkeypatch.setattr(qoi_metrics, "population_term", watched_term)
+        assert run_cli("project", out / "adaptive",
+                       out / "projected" / "mesh_0000.mesh.txt", tmp_path / "proj",
+                       "--quiet") == 0
+        assert run_cli("report", "qoi", out / "adaptive", tmp_path / "q.csv",
+                       "--quiet") == 0
+        assert len(loaded) == 18
+        assert alive_at == [("project", 1)] * 9 + [("report qoi", 1)] * 9
 
     def test_project_2d_store_near_1e200(self, tmp_path, capsys, rng):
         # the solve works in units of max|load|, so values near 1e200
@@ -1434,15 +1482,6 @@ class TestCliProjectAndDmd:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr and "nan" in proc.stderr
 
-    def test_indicator_demo_script(self, tmp_path):
-        script = (Path(__file__).resolve().parents[1] / "scripts"
-                  / "run_indicator_demo.py")
-        proc = fresh_python(script, tmp_path / "demo")
-        assert proc.returncode == 0, proc.stderr
-        assert "donor_elements = 1672" in proc.stdout
-        report = (tmp_path / "demo" / "report.txt").read_text()
-        assert report.splitlines()[0] == "donor_elements = 1672"
-
     def test_usage_error_exit_2(self):
         assert run_cli("dmd", "fit") == 2
 
@@ -1902,6 +1941,33 @@ class TestReadContract:
             (st / "manifest.txt").write_text("\n".join(lines) + "\n")
         assert run_cli("report", "qoi", st, tmp_path / "q.csv", "--quiet") == 3
         assert "snap_0020.field.txt" in capsys.readouterr().err
+
+    def test_project_stops_at_a_damaged_late_snapshot_and_leaves_no_output(
+            self, tmp_path, rng, capsys):
+        # project reads the store as it writes the projected one, so the
+        # fault surfaces after earlier snapshots were projected
+        st = five_field_store(tmp_path / "st", rng, n_snaps=4)
+        edit_rows(st / "snap_0003.field.txt", lambda rows: rows[:2])
+        assert run_cli("project", st, st / "mesh_0000.mesh.txt",
+                       tmp_path / "out", "--quiet") == 3
+        assert "snap_0003.field.txt" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["st"]
+
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_iter_store_raises_a_manifest_fault_after_the_entries_before_it(
+            self, tmp_path, rng, bad_line):
+        st = five_field_store(tmp_path / "st", rng, n_snaps=4)
+        lines = (st / "manifest.txt").read_text().splitlines()
+        lines[bad_line - 1] = "x " + lines[bad_line - 1].split(" ", 1)[1]
+        (st / "manifest.txt").write_text("\n".join(lines) + "\n")
+        if bad_line == 1:       # no entry comes before it: raised at the call
+            with pytest.raises(StoreError, match="line 1"):
+                store.iter_store(st)
+            return
+        entries = store.iter_store(st)
+        assert [next(entries).index, next(entries).index] == [0, 1]
+        with pytest.raises(StoreError, match="line 3"):
+            next(entries)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
