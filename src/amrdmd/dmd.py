@@ -9,7 +9,7 @@ Psi @ exp(omega * (t - t0)) @ b, with t - t0 exact on Fraction times.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg
 from .errors import FitError, InvalidArgumentError, NumericError
 from .fem import unit_scale
-from .linalg import SvdResult
 from .mesh import _read_table, fraction_to_decimal
 
 ZERO_EIGENVALUE_TOL = 1e-14
@@ -67,7 +66,6 @@ class DmdModel:
     t0: Fraction
     dt_o: Fraction
     field_name: str = "u"
-    aliased_modes: tuple = field(default=())  # negative-real lam: omega at Nyquist
 
     @property
     def n(self) -> int:
@@ -149,13 +147,10 @@ def fit(Y: SnapshotMatrix, rank: int | None = None, tau: float | None = None,
     if not np.isfinite(omega[~degenerate]).all():
         raise NumericError(f"growth rates log(lambda) / dt_o are not finite for "
                            f"dt_o = {float(Y.dt_o):g}")
-    aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
-
     b = linalg.pinv_apply(modes, Y.data[:, 0].astype(complex))
 
     return DmdModel(rank=r, lam=lam, omega=omega, modes=modes, amplitudes=b,
-                    t0=Y.t0, dt_o=Y.dt_o, field_name=Y.field_name,
-                    aliased_modes=aliased)
+                    t0=Y.t0, dt_o=Y.dt_o, field_name=Y.field_name)
 
 
 def evaluate(model: DmdModel, t) -> np.ndarray:
@@ -231,11 +226,8 @@ def load_model(path) -> DmdModel:
     (n, r, t0, dt_o, name), table = _read_table(path, "model file", ["iittn"], table,
                                                 _model_fault)
     z = np.concatenate([re + 1j * im for re, im in table])
-    lam = z[:r]
-    aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
-    return DmdModel(rank=r, lam=lam, omega=z[r:2 * r], modes=z[3 * r:].reshape(r, n).T,
-                    amplitudes=z[2 * r:3 * r], t0=t0, dt_o=dt_o, field_name=name,
-                    aliased_modes=aliased)
+    return DmdModel(rank=r, lam=z[:r], omega=z[r:2 * r], modes=z[3 * r:].reshape(r, n).T,
+                    amplitudes=z[2 * r:3 * r], t0=t0, dt_o=dt_o, field_name=name)
 
 
 def _model_fault(header, table):

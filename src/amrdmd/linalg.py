@@ -155,10 +155,10 @@ def eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, W
 
 
-def pinv_apply(B: np.ndarray, y: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def pinv_apply(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of B x ~= y via SVD.
 
-    Singular values below rcond * sigma_max are treated as exact zeros, so
+    Singular values below 1e-12 * sigma_max are treated as exact zeros, so
     rank-deficient systems return the minimum-norm representative.
     """
     B = np.asarray(B)
@@ -168,6 +168,6 @@ def pinv_apply(B: np.ndarray, y: np.ndarray, rcond: float = 1e-12) -> np.ndarray
     U, s, Vh = np.linalg.svd(B, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(B.shape[1], dtype=np.result_type(B.dtype, y.dtype))
-    keep = s > rcond * s[0]
+    keep = s > 1e-12 * s[0]
     coeffs = (U[:, keep].conj().T @ y) / s[keep]
     return Vh[keep].conj().T @ coeffs

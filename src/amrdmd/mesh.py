@@ -4,10 +4,10 @@ Meshes are immutable after construction. Refinement bisects flagged
 elements, in 2-d by newest-vertex bisection with marked-edge closure, so
 the result is always conforming (no hanging nodes). Coarsening merges
 complete sibling groups back into their parent. A flag refine cannot
-honour is left alone. Point location bins the elements in a uniform grid
-held as CSR arrays, tests the candidates of all query points in vectorized
-passes, lowest id first, and falls back to an exhaustive scan; the same
-bins give the elements meeting a box.
+honour is left alone. Point location lists every element that may hold a
+point in the bins of a uniform grid held as CSR arrays and tests the
+candidates of all query points in vectorized passes, lowest id first; the
+same bins give the elements meeting a box.
 
 Element storage conventions (these carry the bisection bookkeeping):
   1-d: element (a, b) with x[a] < x[b]; bisection splits at the midpoint.
@@ -385,10 +385,11 @@ def uniform_refine(mesh: SimplicialMesh, times: int = 1) -> SimplicialMesh:
 
 class _Locator:
     """Uniform bin grid over the mesh bounding box: bin_elems[bin_ptr[c]:
-    bin_ptr[c + 1]] are the ascending ids of elements whose box meets cell c.
-    Cells start at half the median element diameter, so a bin of a graded
-    mesh holds few of its many fine elements, and double until cells plus
-    (element, cell) pairs are at most BIN_ENTRIES_PER_ELEM per element."""
+    bin_ptr[c + 1]] are the ascending ids of every element that may hold a
+    point of cell c. Cells start at half the median element diameter, so a
+    bin of a graded mesh holds few of its many fine elements, and double
+    until cells plus (element, cell) pairs are at most BIN_ENTRIES_PER_ELEM
+    per element."""
 
     def __init__(self, mesh: SimplicialMesh):
         self.mesh = mesh
@@ -400,11 +401,15 @@ class _Locator:
         cell = max(0.5 * float(middle), 1e-300)
         extent = np.maximum(self.hi - self.lo, 1e-300)
         box_lo, box_hi = pts.min(axis=1), pts.max(axis=1)
+        # an element holds only points within dim * BARY_TOL times its
+        # diameter of itself; its box is grown by twice that at the mesh's
+        # diagonal, so a point's bin lists every element that may hold it
+        grow = 2 * mesh.dim * BARY_TOL * float(np.linalg.norm(self.hi - self.lo))
         while True:
             self.shape = np.minimum(np.maximum((extent / cell).astype(int), 1), 2048)
             self.cell = extent / self.shape
-            lo_idx = self._cell_index(box_lo)
-            span = self._cell_index(box_hi) - lo_idx + 1
+            lo_idx = self._cell_index(box_lo - grow)
+            span = self._cell_index(box_hi + grow) - lo_idx + 1
             if (np.prod(span, axis=1).sum() + np.prod(self.shape)
                     <= BIN_ENTRIES_PER_ELEM * max(mesh.n_elems, 1)):
                 break
@@ -430,8 +435,10 @@ class _Locator:
             self.coef = np.column_stack([origin, d / det, -b / det, -c / det, a / det])
 
     def _cell_index(self, pts):
-        idx = ((pts - self.lo) / self.cell).astype(int)
-        return np.clip(idx, 0, self.shape - 1)
+        # clipped to the mesh box (fmax and fmin take a nan there too) before
+        # the cast, so no point overflows it
+        idx = ((np.fmin(np.fmax(pts, self.lo), self.hi) - self.lo) / self.cell).astype(int)
+        return np.minimum(idx, self.shape - 1)
 
     def _box_cells(self, lo_idx, span):
         """A (box, cell) pair per cell of box i, span[i] cells from lo_idx[i]:
@@ -463,54 +470,34 @@ class _Locator:
     def locate(self, pts: np.ndarray):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
-        pad = BARY_TOL * float(np.max(self.hi - self.lo))   # scales with the mesh
-        outside = np.any((pts < self.lo - pad) | (pts > self.hi + pad), axis=1)
-        if outside.any():
-            err = PointNotFoundError(
-                f"{outside.sum()} points outside the mesh bounding box")
-            err.points = pts[outside]
-            raise err
         eid_out = -np.ones(n, dtype=np.int64)
         bary_out = np.zeros((n, self.mesh.dim + 1))
         key = np.ravel_multi_index(self._cell_index(pts).T, self.shape)
         first = self.bin_ptr[key]
         n_cands = self.bin_ptr[key + 1] - first
         # pass k tests the k-th candidate of every unresolved point; bins
-        # hold ascending ids, so the first hit is the lowest-id tie-break
+        # hold ascending ids, so the first hit is the lowest-id holder
         todo = np.arange(n)
         for k in range(int(n_cands.max(initial=0))):
             todo = todo[n_cands[todo] > k]
             if not todo.size:
                 break
             eids = self.bin_elems[first[todo] + k]
-            lam, inside = self.barycentric(eids, pts[todo])
+            # a far or non-finite point's barycentrics are inf or nan: no hit
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam, inside = self.barycentric(eids, pts[todo])
             hit = todo[inside]
             eid_out[hit] = eids[inside]
             for j, l in enumerate(lam):
                 bary_out[hit, j] = l[inside]
             todo = todo[~inside]
-        missing = np.where(eid_out < 0)[0]
-        if missing.size:
-            self._exhaustive(pts, missing, eid_out, bary_out)
-        return eid_out, bary_out
-
-    def _exhaustive(self, pts, missing, eid_out, bary_out):
-        failed = []
-        for i in missing:
-            pt = pts[i:i + 1]
-            lam, inside = self.barycentric(np.arange(self.mesh.n_elems),
-                                           np.repeat(pt, self.mesh.n_elems, axis=0))
-            if not inside.any():
-                failed.append(pt[0])
-                continue
-            eid_out[i] = np.argmax(inside)
-            bary_out[i] = [l[eid_out[i]] for l in lam]
-        if failed:
-            err = PointNotFoundError(
-                f"{len(failed)} points not inside any element "
-                f"(first: {failed[0]})")
-            err.points = np.asarray(failed)
+        missing = eid_out < 0
+        if missing.any():
+            err = PointNotFoundError(f"{missing.sum()} points not inside any element "
+                                     f"(first: {pts[missing][0]})")
+            err.points = pts[missing]
             raise err
+        return eid_out, bary_out
 
 
 # the locator of the mesh located last, which holds that mesh: one locator
@@ -530,8 +517,9 @@ def _locator(mesh: SimplicialMesh) -> _Locator:
 def locate_points(mesh: SimplicialMesh, pts) -> tuple[np.ndarray, np.ndarray]:
     """For each row of the (n, dim) array pts, the element containing it and
     its barycentric coordinates there: arrays of shape (n,) and
-    (n, dim + 1). A point on a shared facet resolves to the lowest incident
-    element id; a point outside the mesh raises PointNotFoundError."""
+    (n, dim + 1). A point lies in the lowest-id element whose barycentrics
+    there are all >= -BARY_TOL; a point in no element, or not finite, raises
+    PointNotFoundError."""
     return _locator(mesh).locate(pts)
 
 

@@ -200,8 +200,8 @@ def cmd_dmd_predict(args) -> int:
     if target.n_nodes != model.n:
         raise InvalidArgumentError(
             f"mesh has {target.n_nodes} nodes, model expects {model.n}")
-    if args.times:
-        time_fracs = [mesh_mod.exact_time(tok) for tok in args.times.split(",") if tok]
+    if args.times is not None:
+        time_fracs = [mesh_mod.exact_time(tok) for tok in args.times.split(",")]
     else:
         n = max((args.until - model.t0) // model.dt_o + 1, 0)
         if n > MAX_PREDICT_TIMES:

@@ -444,7 +444,7 @@ def refine_elements_one_level(mesh: SimplicialMesh, flagged) -> SimplicialMesh:
     return refine(first, RefinementPlan(refine=kids))
 
 
-def build_demo_donor(passes: int = 3) -> tuple[SimplicialMesh, np.ndarray]:
+def build_demo_donor() -> tuple[SimplicialMesh, np.ndarray]:
     """Adaptive donor for the projection demo.
 
     The box indicator is approximated once, by nodal interpolation on the
@@ -455,7 +455,7 @@ def build_demo_donor(passes: int = 3) -> tuple[SimplicialMesh, np.ndarray]:
     """
     coarse = build_structured_triangle_mesh([-1, 1], [-1, 1], 10, 10)
     mesh = coarse
-    for _ in range(passes):
+    for _ in range(3):
         mesh = refine_elements_one_level(mesh, transition_crossing_elements(mesh))
     return mesh, fem.evaluate_many(coarse, _indicator_values(coarse.nodes), mesh.nodes)
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from amrdmd import fem, mesh as mesh_mod, seird_sim as S
+from amrdmd import fem, mesh as mesh_mod, pipeline_cli, seird_sim as S
 from amrdmd.dmd import DmdModel, SnapshotMatrix
 from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError, StoreError
 from amrdmd.linalg import gaussian_matrix
@@ -79,6 +79,41 @@ def composite_integral_1d(f, a, b, n=10_000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# the benchmark preset with one adaptive level past its reference mesh, the
+# paper's AMR/C case: the only run whose 1-d projection cuts target elements
+AMR_C_CONFIG = """\
+dt = 0.25
+dt_o = 0.25
+t_end = 44
+n_elems = 125
+initial_uniform_levels = 2
+max_level = 3
+remesh_every = 4
+"""
+
+
+@pytest.fixture(scope="session")
+def amr_c_run(tmp_path_factory):
+    """root, with the AMR/C run's simulate in root / "sim" and, per
+    compartment c, a rank-15 fit on days 3..30 (c.dmd.txt), its prediction
+    to day 44 (pred_c) and its error report (errors_c.csv), made by the CLI
+    in this process."""
+    root = tmp_path_factory.mktemp("amr_c")
+    (root / "run.cfg").write_text(AMR_C_CONFIG)
+    sim, mesh = root / "sim", root / "sim" / "projected" / "mesh_0000.mesh.txt"
+    commands = [["simulate", root / "run.cfg", sim]]
+    for c in ("s", "e", "i", "r", "d", "c"):
+        commands += [["dmd", "fit", sim / "projected", root / f"{c}.dmd.txt", "--field", c,
+                      "--t-start", "3", "--t-end", "30", "--rank", "15"],
+                     ["dmd", "predict", root / f"{c}.dmd.txt", root / f"pred_{c}",
+                      "--mesh", mesh, "--until", "44"],
+                     ["report", "errors", sim / "projected", root / f"pred_{c}",
+                      root / f"errors_{c}.csv", "--field", c, "--train-end", "30"]]
+    for argv in commands:
+        assert pipeline_cli.main([str(a) for a in argv] + ["--quiet"]) == 0, argv
+    return root
 
 
 def blocks_matrix(B, n_cols):
@@ -737,9 +772,8 @@ def old_load_model(path) -> DmdModel:
     omega = z[r:2 * r]
     b = z[2 * r:3 * r]
     modes = z[3 * r:].reshape(r, n).T
-    aliased = tuple(int(i) for i in np.where((lam.real < 0) & (lam.imag == 0))[0])
     return DmdModel(rank=r, lam=lam, omega=omega, modes=modes, amplitudes=b,
-                    t0=t0, dt_o=dt_o, field_name=name, aliased_modes=aliased)
+                    t0=t0, dt_o=dt_o, field_name=name)
 
 
 def old_read_store(store_dir, fields=None, t_start=None, t_end=None) -> Store:

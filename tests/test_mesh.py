@@ -591,11 +591,35 @@ class TestLocate:
         assert eids[0] == 99
         assert bary[0, 1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_far_point_of_a_tiny_mesh_fails_the_box_test(self):
+    def test_far_point_of_a_tiny_mesh_is_in_no_element(self):
         """50 elements past the end of a mesh of extent 2**-40."""
         m = M.build_interval_mesh(0, 2.0 ** -40, 100)
-        with pytest.raises(PointNotFoundError, match="bounding box"):
+        with pytest.raises(PointNotFoundError, match="not inside any element"):
             M.locate_points(m, [[1.5 * 2.0 ** -40]])
+
+    def test_bin_boundary_point_goes_to_the_lowest_holder(self):
+        """Element 0 ends 1e-13 short of the bin boundary at 0.5 and holds
+        0.5 + 1e-13 within BARY_TOL, so it wins over element 1."""
+        m = M.SimplicialMesh(dim=1, nodes=np.array([[0.0], [0.5 - 1e-13], [1.0]]),
+                             elements=np.array([[0, 1], [1, 2]]))
+        x = np.array([0.5 + 1e-13])
+        eids, bary = M.locate_points(m, [x])
+        ref_eid, ref_lam = exhaustive_locate(m, x)
+        assert eids[0] == ref_eid == 0
+        np.testing.assert_allclose(bary[0], ref_lam, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_or_far_point_is_in_no_element(self, dim, value):
+        # with no numpy warning on the way, which the suite turns into an error
+        m = (M.build_interval_mesh(0, 1, 4) if dim == 1
+             else M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2))
+        bad = np.full(dim, 0.5)
+        bad[-1] = value
+        with pytest.raises(PointNotFoundError,
+                           match=r"^1 points not inside any element") as err:
+            M.locate_points(m, [np.full(dim, 0.25), bad])
+        np.testing.assert_array_equal(err.value.points, [bad])
 
     def test_agrees_with_exhaustive_scan(self, rng):
         m = random_refined_square(rng, nx=3, passes=2)
@@ -628,11 +652,10 @@ class TestLocate:
             assert eids[k] == ref_eid
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.booleans())
-    def test_agrees_with_exhaustive_oracle(self, seed, dim, fallback):
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_agrees_with_exhaustive_oracle(self, seed, dim):
         """Nodes and edge midpoints lie on shared facets, where the lowest
-        incident id must win; uniform points fill the interiors. With the
-        bins emptied, every point goes through the exhaustive fallback."""
+        incident id must win; uniform points fill the interiors."""
         rng = np.random.default_rng(seed)
         if dim == 1:
             m = random_refined_interval(rng, n_base=int(rng.integers(1, 8)),
@@ -643,9 +666,6 @@ class TestLocate:
         mids = 0.5 * (corners + np.roll(corners, 1, axis=1))
         pts = np.vstack([m.nodes, mids.reshape(-1, dim),
                          rng.uniform(0, 1, size=(60, dim))])
-        if fallback:
-            loc = M._locator(m)
-            loc.bin_ptr = np.zeros_like(loc.bin_ptr)
         eids, bary = M.locate_points(m, pts)
         for k, x in enumerate(pts):
             ref_eid, ref_lam = exhaustive_locate(m, x)
@@ -693,7 +713,7 @@ class TestLocate:
         eids, _ = M.locate_points(m, pts)
         assert [exhaustive_locate(m, x)[0] for x in pts] == eids.tolist()
 
-    def test_fallback_reports_points_outside_every_element(self):
+    def test_reports_points_outside_every_element(self):
         # L-shaped mesh: the upper-right cell's two triangles are removed,
         # so its centre is inside the bounding box but in no element
         full = M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2)

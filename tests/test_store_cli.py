@@ -22,6 +22,7 @@ from amrdmd.errors import (ConfigError, InvalidArgumentError, StepError,
                            StoreError)
 
 from conftest import fresh_python, python_env
+from test_acceptance import COMPARTMENTS, PREDICTION_FACTOR, RECON_BOUNDS
 
 
 class TestFractionRendering:
@@ -557,6 +558,36 @@ class TestCliSimulate:
                (out2 / "population_projected.csv").read_bytes()
 
 
+def test_amr_c_run_refines_past_its_reference(amr_c_run, tmp_path):
+    """The paper's step on a run whose snapshots are finer than the
+    reference: projecting them loses something, and criterion 4's bounds
+    and criterion 8's byte-identical rerun still hold."""
+    sim = amr_c_run / "sim"
+    projected = store.read_store(sim / "projected").entries
+    ref_mesh = projected[0].mesh
+    finest = min(e.mesh.element_measures().min()
+                 for e in store.iter_store(sim / "adaptive", []))
+    assert finest < ref_mesh.element_measures().min()
+    assert all(np.array_equal(e.mesh.nodes, ref_mesh.nodes) for e in projected)
+    for csv in ("population_adaptive.csv", "population_projected.csv"):
+        rows = (sim / csv).read_text().splitlines()[1:]
+        population = np.array([float(r.split(",")[1]) for r in rows])
+        assert 0.999 <= population.min() and population.max() <= 1.001, csv
+    truth = {e.time: e.fields for e in projected}
+    for c in COMPARTMENTS:
+        pred = {e.time: e.fields[c] for e in store.iter_store(amr_c_run / f"pred_{c}")}
+        train = [t for t in pred if t <= 30]
+        recon = dmd.errors(np.column_stack([truth[t][c] for t in train]),
+                           np.column_stack([pred[t] for t in train]))
+        assert recon.eta_F <= RECON_BOUNDS[c], c
+        eta44 = dmd.errors(truth[44][c][:, None], pred[44][:, None]).eta_F
+        assert eta44 <= PREDICTION_FACTOR * RECON_BOUNDS[c], c
+    assert run_cli("simulate", amr_c_run / "run.cfg", tmp_path / "sim", "--quiet") == 0
+    rerun, first = tree_bytes(tmp_path / "sim"), tree_bytes(sim)
+    assert rerun.pop("run_manifest.txt") and first.pop("run_manifest.txt")
+    assert rerun == first
+
+
 class TestCliProjectAndDmd:
     def test_project_adaptive_store(self, small_run, tmp_path):
         root, cfg, out = small_run
@@ -849,7 +880,8 @@ class TestCliProjectAndDmd:
 
     @pytest.mark.parametrize("when", [("--times", "a,b"), ("--until", "inf"),
                                       ("--until", "nan"), ("--times", "5,5,5"),
-                                      ("--times", "6,5,4")])
+                                      ("--times", "6,5,4"), ("--times", "3,,4"),
+                                      ("--times", "3,4,"), ("--times", "")])
     def test_predict_bad_time_exit_2(self, small_run, tmp_path, when):
         root, cfg, out = small_run
         model_path = tmp_path / "m.dmd.txt"
@@ -1272,8 +1304,9 @@ class TestCliProjectAndDmd:
         assert run_cli("dmd", "fit", out / "projected", model, "--field", "e",
                        "--rank", "2", "--quiet") == 0
         capsys.readouterr()
+        # the model starts at t = 0
         assert run_cli("dmd", "predict", model, tmp_path / "pred", "--mesh",
-                       out / "projected" / "mesh_0000.mesh.txt", "--times", ",") == 2
+                       out / "projected" / "mesh_0000.mesh.txt", "--until=-1") == 2
         assert capsys.readouterr().err == "error: no prediction times requested\n"
         assert not (tmp_path / "pred").exists()
 

@@ -200,9 +200,8 @@ def valid_files(root):
         return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
     def same_model(a, b):     # the library's times are exact, the old ones floats
-        return ((a.rank, a.n, float(a.t0), float(a.dt_o), a.field_name, a.aliased_modes)
-                == (b.rank, b.n, float(b.t0), float(b.dt_o), b.field_name,
-                    b.aliased_modes)
+        return ((a.rank, a.n, float(a.t0), float(a.dt_o), a.field_name)
+                == (b.rank, b.n, float(b.t0), float(b.dt_o), b.field_name)
                 and all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
                         for k in ("lam", "omega", "amplitudes", "modes")))
 
