@@ -21,10 +21,6 @@ class PointNotFoundError(AmrDmdError, LookupError):
     """A query point lies outside the mesh beyond tolerance."""
 
 
-class AssemblyError(AmrDmdError):
-    """Finite-element assembly hit a degenerate element."""
-
-
 class SolverError(AmrDmdError):
     """A linear system is not positive definite, or its solve missed the
     residual tolerance."""

@@ -1,13 +1,16 @@
 """Simplicial meshes in 1-d (segments) and 2-d (triangles).
 
-Meshes are immutable after construction. Refinement bisects flagged
-elements, in 2-d by newest-vertex bisection with marked-edge closure, so
-the result is always conforming (no hanging nodes). Coarsening merges
-complete sibling groups back into their parent. A flag refine cannot
-honour is left alone. Point location lists every element that may hold a
-point in the bins of a uniform grid held as CSR arrays and tests the
-candidates of all query points in vectorized passes, lowest id first; the
-same bins give the elements meeting a box.
+Meshes are immutable after construction, and valid: a mesh runs
+validate_mesh when it is made, and nothing downstream checks it again. In
+1-d every element joins two coordinate neighbours and no two elements join
+the same pair, so elements never overlap, though pieces may leave gaps.
+Refinement bisects flagged elements, in 2-d by newest-vertex bisection
+with marked-edge closure, so the result is always conforming (no hanging
+nodes). Coarsening merges complete sibling groups back into their parent.
+A flag refine cannot honour is left alone. Point location lists every
+element that may hold a point in the bins of a uniform grid held as CSR
+arrays and tests the candidates of all query points in vectorized passes,
+lowest id first; the same bins give the elements meeting a box.
 
 Element storage conventions (these carry the bisection bookkeeping):
   1-d: element (a, b) with x[a] < x[b]; bisection splits at the midpoint.
@@ -35,8 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AssemblyError, InvalidArgumentError, InvalidPlanError,
-                     PointNotFoundError)
+from .errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
 NODE_DEDUP_TOL = 1e-12
 BARY_TOL = 1e-10
@@ -68,6 +70,7 @@ class SimplicialMesh:
         self.nodes.setflags(write=False)
         self.elements.setflags(write=False)
         self.level.setflags(write=False)
+        validate_mesh(self)
 
     @property
     def n_nodes(self) -> int:
@@ -118,9 +121,7 @@ def build_interval_mesh(a: float, b: float, n_elems: int) -> SimplicialMesh:
         raise InvalidArgumentError(f"need a < b, got [{a}, {b}]")
     nodes = np.linspace(a, b, n_elems + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n_elems), np.arange(1, n_elems + 1)])
-    mesh = SimplicialMesh(dim=1, nodes=nodes, elements=elements)
-    validate_mesh(mesh)
-    return mesh
+    return SimplicialMesh(dim=1, nodes=nodes, elements=elements)
 
 
 def build_structured_triangle_mesh(x_range, y_range, nx: int, ny: int) -> SimplicialMesh:
@@ -143,9 +144,7 @@ def build_structured_triangle_mesh(x_range, y_range, nx: int, ny: int) -> Simpli
     lr, ul, ur = ll + 1, ll + (nx + 1), ll + (nx + 2)
     # peak-first storage; refinement edge = (ll, ur) diagonal
     elements = np.column_stack([lr, ur, ll, ul, ll, ur]).reshape(-1, 3)
-    mesh = SimplicialMesh(dim=2, nodes=nodes, elements=elements)
-    validate_mesh(mesh)
-    return mesh
+    return SimplicialMesh(dim=2, nodes=nodes, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +216,14 @@ def _check_tables(dim: int, nodes: np.ndarray, elements: np.ndarray) -> None:
         raise InvalidArgumentError("element node index out of range")
 
 
+def _positions(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
+    """A 1-d mesh's node ids in coordinate order, and each element's positions."""
+    order = np.argsort(mesh.nodes[:, 0], kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return order, pos[mesh.elements]
+
+
 def validate_mesh(mesh: SimplicialMesh) -> None:
     """Check the structural invariants; raises InvalidArgumentError."""
     _check_tables(mesh.dim, mesh.nodes, mesh.elements)
@@ -225,7 +232,18 @@ def validate_mesh(mesh: SimplicialMesh) -> None:
         bad = int(np.argmin(measures))
         raise InvalidArgumentError(
             f"element {bad} has non-positive measure {measures[bad]:g}")
-    facets(mesh)
+    if mesh.dim == 1:
+        p0, p1 = _positions(mesh)[1].T
+        apart = np.flatnonzero(p1 - p0 != 1)
+        if apart.size:
+            raise InvalidArgumentError(f"element {apart[0]} joins nodes that are not "
+                                       f"coordinate neighbours")
+        shared = np.bincount(p0)[p0] > 1
+        if shared.any():
+            a, b = np.flatnonzero(p0 == p0[shared][0])[:2]
+            raise InvalidArgumentError(f"elements {a} and {b} join the same nodes")
+    else:           # in 1-d the chain rule leaves no node in three elements
+        facets(mesh)
     # nodes closer than NODE_DEDUP_TOL of the extent; halves do not overflow
     half = mesh.nodes / 2
     extent = 2 * float(np.max(half.max(axis=0) - half.min(axis=0)))
@@ -286,10 +304,8 @@ def refine(mesh: SimplicialMesh, plan: RefinementPlan) -> SimplicialMesh:
     used = np.flatnonzero(np.bincount(elements.ravel()))   # np.unique loads numpy.ma
     remap = np.full(len(nodes), -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
-    out = SimplicialMesh(dim=mesh.dim, nodes=nodes[used], elements=remap[elements],
-                         lineage=keys)
-    validate_mesh(out)
-    return out
+    return SimplicialMesh(dim=mesh.dim, nodes=nodes[used], elements=remap[elements],
+                          lineage=keys)
 
 
 def _coarsen(mesh, keys, split, ids):
@@ -572,25 +588,14 @@ _last_band = (None, None)
 
 def band_layout(mesh: SimplicialMesh) -> BandLayout:
     """The band layout of a 1-d mesh, read-only; computed again only when
-    another mesh was laid out since. Raises AssemblyError unless every
-    element has positive length and joins two coordinate neighbours."""
+    another mesh was laid out since. Every element joins positions k and
+    k + 1 for a k of its own, as validate_mesh ensures."""
     global _last_band
     if _last_band[0] is not mesh:
         _last_band = (None, None)
-        h = mesh.element_measures()
-        if np.any(h <= 0):
-            bad = int(np.argmin(h))
-            raise AssemblyError(f"degenerate element {bad} (measure {h[bad]:g})")
-        order = np.argsort(mesh.nodes[:, 0], kind="stable")
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        p0, p1 = pos[mesh.elements].T
-        apart = np.flatnonzero(p1 - p0 != 1)
-        if apart.size:
-            raise AssemblyError(f"element {apart[0]} joins nodes that are not "
-                                f"coordinate neighbours")
+        order, pos = _positions(mesh)
         layout = BandLayout(order, np.zeros(order.size - 1))
-        layout.h[p0] = h
+        layout.h[pos[:, 0]] = mesh.element_measures()
         for a in layout:
             a.setflags(write=False)
         _last_band = (mesh, layout)
@@ -765,12 +770,10 @@ def load_mesh(path) -> SimplicialMesh:
         orphan = np.flatnonzero(np.bincount(elements.ravel(), minlength=n_nodes) == 0)
         if orphan.size:
             raise ValueError(f"node {orphan[0]} belongs to no element")
-        mesh = SimplicialMesh(dim=dim, nodes=nodes,
+        return SimplicialMesh(dim=dim, nodes=nodes,
                               elements=_normalize_elements(dim, nodes, elements))
-        validate_mesh(mesh)
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
-    return mesh
 
 
 def _normalize_elements(dim, nodes, elements):

@@ -45,22 +45,27 @@ def _remove(path):
 
 @contextmanager
 def _published(path, force=False, is_dir=True):
-    """Yield <path>.tmp-<pid>, a directory when is_dir, to build the output in;
-    rename it to path once the body succeeds, else remove it. A non-empty
-    directory at path is refused before any work unless force; rename(2)
-    replaces only an empty one, so it is renamed aside to <path>.old-<pid>.
-    Both names carry this process's pid, so no live process owns one found
-    before the build: it is left by a dead one whose pid was reused, and
-    removed."""
+    """Yield <path>.tmp-<pid>, a directory when is_dir, to build the output in,
+    its parent directories made; rename it to path once the body succeeds,
+    else remove it. Refused before any work: a directory at path when not
+    is_dir, and, unless force, a non-empty directory or a file at path when
+    is_dir. rename(2) replaces only an empty directory, so a forced one
+    moves aside to <path>.old-<pid> first. Both names carry this process's
+    pid, so no live process owns one found before the build: it is left by
+    a dead one whose pid was reused, and removed."""
     out = Path(os.path.realpath(path))         # a link: replace its target
     tmp, old = (out.parent / f"{out.name}.{tag}-{os.getpid()}" for tag in ("tmp", "old"))
     for stale in (tmp, old):
         _remove(stale)
-    swap = is_dir and out.exists() and any(out.iterdir())
+    if not is_dir and out.is_dir():
+        raise FileExistsError(f"{Path(path)} is a directory")
+    swap = is_dir and out.exists() and (not out.is_dir() or any(out.iterdir()))
     if swap and not force:
-        raise FileExistsError(f"{Path(path)} exists and is not empty (use --force)")
+        raise FileExistsError(f"{Path(path)} exists and is not an empty directory "
+                              f"(use --force)")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     if is_dir:
-        tmp.mkdir(parents=True)
+        tmp.mkdir()
     try:
         yield tmp
         if swap:
@@ -68,8 +73,7 @@ def _published(path, force=False, is_dir=True):
         os.replace(tmp, out)
     finally:                    # nothing after a success
         _remove(tmp)
-    if swap:
-        shutil.rmtree(old)
+    _remove(old)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +183,13 @@ def cmd_project(args) -> int:
 
 def cmd_dmd_fit(args) -> int:
     from . import dmd
-    src = store.read_store(args.store_dir, [args.field],
-                           t_start=args.t_start, t_end=args.t_end)
-    Y = store.store_to_snapshot_matrix(src, args.field)
-    model = dmd.fit(Y, rank=args.rank, tau=args.tau,
-                    svd_method=args.svd, seed=args.seed,
-                    oversample=args.oversample, power_iters=args.power_iters)
     with _published(args.out_model, is_dir=False) as tmp:
+        src = store.read_store(args.store_dir, [args.field],
+                               t_start=args.t_start, t_end=args.t_end)
+        Y = store.store_to_snapshot_matrix(src, args.field)
+        model = dmd.fit(Y, rank=args.rank, tau=args.tau,
+                        svd_method=args.svd, seed=args.seed,
+                        oversample=args.oversample, power_iters=args.power_iters)
         dmd.save_model(model, tmp)
     via = f"randomized svd, seed {args.seed}" if args.svd == "randomized" else "exact svd"
     _say(args, f"fit rank-{model.rank} model ({via}) for field {args.field!r} "
@@ -231,30 +235,30 @@ def cmd_dmd_predict(args) -> int:
 def cmd_report_errors(args) -> int:
     from . import dmd
     fields = None if args.field is None else [args.field]
-    # of the truth, only the snapshots in the approx store's time span are read
-    approx = store.read_store(args.approx_store, fields)
-    if not approx.entries:
-        raise StoreError(f"no snapshots in {approx.path}")
-    truth = store.read_store(args.truth_store, fields, t_start=approx.entries[0].time,
-                             t_end=approx.entries[-1].time)
-    # "0.25" and "2.500e-01" name one time: every approx time is a truth time
-    truth_by_time = {e.time: e for e in truth.entries}
-    pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
-    for t, a in pairs:
-        if t is None:
-            raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
-                             f"of {truth.path}")
-    field = args.field
-    if field is None:
-        common = set(truth.field_names) & set(approx.field_names)
-        if len(common) != 1:
-            raise InvalidArgumentError(
-                f"ambiguous field (common: {sorted(common)}); pass --field")
-        field = common.pop()
-    Y, Yhat = store.field_columns(field, (truth.path, [t for t, _ in pairs]),
-                                  (approx.path, [a for _, a in pairs]))
-    report = dmd.errors(Y, Yhat)
     with _published(args.out_csv, is_dir=False) as tmp, open(tmp, "w") as fh:
+        # of the truth, only the snapshots in the approx store's time span are read
+        approx = store.read_store(args.approx_store, fields)
+        if not approx.entries:
+            raise StoreError(f"no snapshots in {approx.path}")
+        truth = store.read_store(args.truth_store, fields, t_start=approx.entries[0].time,
+                                 t_end=approx.entries[-1].time)
+        # "0.25" and "2.500e-01" name one time: every approx time is a truth time
+        truth_by_time = {e.time: e for e in truth.entries}
+        pairs = [(truth_by_time.get(a.time), a) for a in approx.entries]
+        for t, a in pairs:
+            if t is None:
+                raise StoreError(f"{approx.path}: time {a.time_str} is not a time "
+                                 f"of {truth.path}")
+        field = args.field
+        if field is None:
+            common = set(truth.field_names) & set(approx.field_names)
+            if len(common) != 1:
+                raise InvalidArgumentError(
+                    f"ambiguous field (common: {sorted(common)}); pass --field")
+            field = common.pop()
+        Y, Yhat = store.field_columns(field, (truth.path, [t for t, _ in pairs]),
+                                      (approx.path, [a for _, a in pairs]))
+        report = dmd.errors(Y, Yhat)
         fh.write("time,eta,regime\n")
         for (entry, _), eta in zip(pairs, report.eta_series):
             regime = ("reconstruction" if args.train_end is None
@@ -267,18 +271,18 @@ def cmd_report_errors(args) -> int:
 
 def cmd_report_qoi(args) -> int:
     terms, incomplete = [], None
-    # the whole store is read before an incomplete snapshot is named, so a
-    # damaged file or manifest line anywhere is the fault reported
-    for e in store.iter_store(args.store_dir, qoi_metrics.COMPARTMENTS):
-        missing = [c for c in qoi_metrics.COMPARTMENTS if c not in e.fields]
-        if missing:
-            incomplete = incomplete or f"snapshot {e.index} misses compartments {missing}"
-        elif incomplete is None:
-            terms.append(qoi_metrics.population_term((e.time, e.mesh, e.fields)))
-    if incomplete:
-        raise StoreError(incomplete)
-    series = qoi_metrics.population_series(terms)
     with _published(args.out_csv, is_dir=False) as tmp:
+        # the whole store is read before an incomplete snapshot is named, so a
+        # damaged file or manifest line anywhere is the fault reported
+        for e in store.iter_store(args.store_dir, qoi_metrics.COMPARTMENTS):
+            missing = [c for c in qoi_metrics.COMPARTMENTS if c not in e.fields]
+            if missing:
+                incomplete = incomplete or f"snapshot {e.index} misses compartments {missing}"
+            elif incomplete is None:
+                terms.append(qoi_metrics.population_term((e.time, e.mesh, e.fields)))
+        if incomplete:
+            raise StoreError(incomplete)
+        series = qoi_metrics.population_series(terms)
         qoi_metrics.save_qoi_csv(series, tmp)
     _say(args, f"population range [{series.values.min():.6f}, "
                f"{series.values.max():.6f}] -> {args.out_csv}")
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized stages (recorded in manifests)")
     common.add_argument("--force", action="store_true",
-                        help="replace non-empty output directories")
+                        help="replace a non-empty output directory or a file at its path")
     common.add_argument("--quiet", action="store_true", help="suppress progress")
 
     p = argparse.ArgumentParser(prog="amrdmd", description=__doc__)

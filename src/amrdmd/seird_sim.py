@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, l2projection
-from .errors import (AssemblyError, ConfigError, InvalidArgumentError,
-                     StepError)
+from .errors import ConfigError, InvalidArgumentError, StepError
 from .fem import cg_solve
 from .mesh import (BARY_TOL, RefinementPlan, SimplicialMesh, _plain, band_layout,
                    barycentric, build_interval_mesh,
@@ -245,15 +244,16 @@ def step(state: SeirdState, params: SeirdParams,
     couplings (products s*i, s*e and the population-weighted diffusion)
     until the largest relative update is <= PICARD_TOL, else StepError after
     PICARD_MAX iterations; StepError also when a system loses its positive
-    diagonal. dirichlet_right pins all fields to 0 at x = 1.
+    diagonal. dirichlet_right pins all fields to 0 at x = 1. A mesh whose
+    elements leave a gap is an InvalidArgumentError.
 
     The step runs in the band layout of the mesh: the fields are permuted
     into coordinate order once on entry and back once on return."""
     mesh = state.mesh
     order, h = band_layout(mesh)
     if not h.all():
-        raise AssemblyError("the elements do not form one chain of "
-                            "coordinate neighbours")
+        raise InvalidArgumentError("the elements do not form one chain of "
+                                   "coordinate neighbours")
     n = mesh.n_nodes
     dt = params.dt
     M = fem.chain_mass(h)

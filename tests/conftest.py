@@ -15,10 +15,9 @@ import scipy.sparse as sp
 
 from amrdmd import fem, mesh as mesh_mod, pipeline_cli, seird_sim as S
 from amrdmd.dmd import DmdModel, SnapshotMatrix
-from amrdmd.errors import AssemblyError, InvalidArgumentError, StepError, StoreError
+from amrdmd.errors import InvalidArgumentError, StepError, StoreError
 from amrdmd.linalg import gaussian_matrix
-from amrdmd.mesh import (SimplicialMesh, _check_tables, _normalize_elements,
-                         validate_mesh)
+from amrdmd.mesh import SimplicialMesh, _check_tables, _normalize_elements
 from amrdmd.store import Store, StoreEntry
 
 
@@ -412,18 +411,13 @@ def p1_tridiagonal(mesh, w0, w1, off, bc_node=None):
     """Band form of the 1-d P1 matrix that gets, per element, w0 and w1 on
     the diagonal entries of its first and second node and off on the entry
     that couples them, built in node order: rows are ordered by node
-    coordinate, so every element must join two coordinate neighbours. The
-    row and column of bc_node, when given, are those of the identity."""
+    coordinate, and every element of a mesh joins two coordinate neighbours.
+    The row and column of bc_node, when given, are those of the identity."""
     n = mesh.n_nodes
     order = np.argsort(mesh.nodes[:, 0], kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     p0, p1 = pos[mesh.elements].T
-    apart = np.abs(p1 - p0) != 1
-    if np.any(apart):
-        bad = int(np.argmax(apart))
-        raise AssemblyError(f"element {bad} joins nodes that are not "
-                            f"coordinate neighbours")
     diag = np.bincount(p0, w0, n) + np.bincount(p1, w1, n)
     band = np.bincount(np.minimum(p0, p1), off, n - 1)
     if bc_node is not None:
@@ -706,7 +700,6 @@ def old_load_mesh(path) -> SimplicialMesh:
                 raise ValueError(f"node {orphan[0]} belongs to no element")
             mesh = SimplicialMesh(dim=dim, nodes=nodes,
                                   elements=_normalize_elements(dim, nodes, elements))
-            validate_mesh(mesh)
         except (ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed mesh file {path}: {exc}") from exc
     return mesh

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amrdmd import fem, mesh as M
-from amrdmd.errors import AssemblyError, InvalidArgumentError, SolverError
+from amrdmd.errors import InvalidArgumentError, SolverError
 
 from conftest import (coo_mass, element_mass_quadrature, fresh_python,
                       gauss_rule_1d, graded_square, l2_norm, p1_tridiagonal,
@@ -62,12 +62,11 @@ class TestMassMatrix:
         h = 0.3
         np.testing.assert_allclose(A, h / 6 * np.array([[2, 1], [1, 2]]), atol=1e-16)
 
-    def test_flat_triangle_is_an_assembly_error(self):
-        # validate_mesh refuses this mesh first; assemble_mass does not rely on it
-        flat = M.SimplicialMesh(dim=2, nodes=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-                                elements=[[0, 1, 2]])
-        with pytest.raises(AssemblyError, match="degenerate element 0"):
-            fem.assemble_mass(flat)
+    def test_flat_triangle_is_refused_when_made(self):
+        # so assemble_mass never sees an element of measure 0
+        with pytest.raises(InvalidArgumentError, match="element 0 has non-positive measure"):
+            M.SimplicialMesh(dim=2, nodes=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                             elements=[[0, 1, 2]])
 
     def test_unit_square_total_measure(self):
         m = M.build_structured_triangle_mesh([0, 1], [0, 1], 1, 1)
@@ -492,10 +491,9 @@ class TestBandForm:
 
     def test_element_joining_non_neighbours_raises(self):
         # node 1 at x = 0.5 lies between the nodes of element (0, 2)
-        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [0.5], [1.0]],
-                             elements=[[0, 2], [1, 2]])
-        with pytest.raises(AssemblyError, match="element 0"):
-            fem.assemble_mass(m)
+        with pytest.raises(InvalidArgumentError, match="element 0 joins nodes that are not "
+                                                       "coordinate neighbours"):
+            M.SimplicialMesh(dim=1, nodes=[[0.0], [0.5], [1.0]], elements=[[0, 2], [1, 2]])
 
     @pytest.mark.parametrize("form", ["band", "blocks"])
     @pytest.mark.parametrize("rhs", ["zero", "random"])

@@ -4,10 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amrdmd import mesh as M, seird_sim
+from amrdmd import fem, l2projection as L2, mesh as M, seird_sim
 from amrdmd.errors import InvalidArgumentError, InvalidPlanError, PointNotFoundError
 
 from conftest import (element_keys, element_rows, exhaustive_locate,
@@ -163,26 +163,22 @@ class TestRefine:
         ([[0, -3]], "path -3, below 1"),
         ([[0, 1], [0, 2]], "length mismatch")])
     def test_bad_lineage_of_one_element_is_refused(self, lineage, match):
-        m = M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
-                             lineage=lineage)
         with pytest.raises(InvalidArgumentError, match=match):
-            M.validate_mesh(m)
+            M.SimplicialMesh(dim=1, nodes=[[0.0], [1.0]], elements=[[0, 1]],
+                             lineage=lineage)
 
     def test_shared_lineage_key_is_refused(self):
         nodes, elements = [[0.0], [0.5], [1.0]], [[0, 1], [1, 2]]
-        M.validate_mesh(M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
-                                         lineage=[[0, 2], [0, 3]]))
-        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
-                             lineage=[[0, 2], [0, 2]])
+        M.SimplicialMesh(dim=1, nodes=nodes, elements=elements, lineage=[[0, 2], [0, 3]])
         with pytest.raises(InvalidArgumentError,
                            match=re.escape("share the lineage key (root, path) [0, 2]")):
-            M.validate_mesh(m)
+            M.SimplicialMesh(dim=1, nodes=nodes, elements=elements,
+                             lineage=[[0, 2], [0, 2]])
 
     def test_refined_meshes_keep_valid_lineage(self):
         for m in (M.uniform_refine(M.build_interval_mesh(0, 1, 3), 3),
                   M.refine(M.build_structured_triangle_mesh([0, 1], [0, 1], 2, 2),
                            M.RefinementPlan(refine=frozenset({0, 3, 5})))):
-            M.validate_mesh(m)
             assert m.lineage[:, 1].min() >= 1
 
     def test_path_that_would_overflow_is_refused(self):
@@ -450,11 +446,80 @@ class TestFacets:
     def test_three_triangles_on_one_edge_rejected(self):
         nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.2, 0.5]]
         elements = [[2, 0, 1], [3, 1, 0], [4, 0, 1]]
-        m = M.SimplicialMesh(dim=2, nodes=nodes, elements=elements)
         with pytest.raises(InvalidArgumentError, match="shared by >2"):
-            M.facets(m)
-        with pytest.raises(InvalidArgumentError, match="shared by >2"):
-            M.validate_mesh(m)
+            M.SimplicialMesh(dim=2, nodes=nodes, elements=elements)
+
+
+def chain_rule_holds(x, elements):
+    """Every element joins two coordinate neighbours, left to right, and no
+    two elements join the same pair: the oracle of the 1-d rule."""
+    rank = {int(node): k for k, node in enumerate(np.argsort(x))}
+    pairs = [(rank[a], rank[b]) for a, b in elements.tolist()]
+    return all(q == p + 1 for p, q in pairs) and len(set(pairs)) == len(pairs)
+
+
+def piecewise_uniform(mesh, n_per_piece):
+    """A 1-d mesh of n_per_piece uniform elements on each piece of mesh, so
+    it covers exactly what mesh covers, gaps left out."""
+    order, h = M.band_layout(mesh)
+    x = mesh.nodes[order, 0]
+    cut = np.flatnonzero(h == 0)
+    parts = [M.build_interval_mesh(a, b, n_per_piece)
+             for a, b in zip(x[np.r_[0, cut + 1]], x[np.r_[cut, x.size - 1]])]
+    return M.SimplicialMesh(
+        dim=1, nodes=np.concatenate([p.nodes for p in parts]),
+        elements=np.concatenate([p.elements + i * (n_per_piece + 1)
+                                 for i, p in enumerate(parts)]))
+
+
+class TestChainRule:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
+           defect=st.sampled_from([None, "gap", "overlap", "duplicate", "misoriented"]))
+    @example(seed=0, n=3, defect="duplicate")
+    @example(seed=0, n=3, defect="overlap")
+    def test_made_exactly_when_the_chain_rule_holds(self, seed, n, defect):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.1, 1.0, n + 1))
+        elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        k = int(rng.integers(1, n - 1))          # an interior element
+        if defect == "gap":
+            elements = np.delete(elements, k, axis=0)
+        elif defect == "overlap":                # it also covers element k + 1
+            elements[k, 1] = k + 2
+        elif defect == "duplicate":
+            elements = np.vstack([elements, elements[k]])
+        elif defect == "misoriented":
+            elements[k] = elements[k, ::-1]
+        # node ids and element rows in random order
+        perm = rng.permutation(n + 1)
+        new_id = np.empty_like(perm)
+        new_id[perm] = np.arange(n + 1)
+        nodes, elements = x[perm, None], new_id[elements][rng.permutation(len(elements))]
+        assert chain_rule_holds(x[perm], elements) == (defect in (None, "gap"))
+        if defect not in (None, "gap"):
+            with pytest.raises(InvalidArgumentError):
+                M.SimplicialMesh(dim=1, nodes=nodes, elements=elements)
+            return
+        mesh = M.SimplicialMesh(dim=1, nodes=nodes, elements=elements)
+        order, h = M.band_layout(mesh)
+        assert np.array_equal(mesh.nodes[order, 0], x)
+        assert (h == 0).sum() == (defect == "gap")
+        ones = np.ones(mesh.n_nodes)
+        assert fem.assemble_mass(mesh).dot(ones).sum() == pytest.approx(
+            mesh.total_measure(), rel=1e-12)
+        # mean conservation (criterion 7) onto a uniform mesh of each piece
+        target = piecewise_uniform(mesh, 7)
+        u = rng.uniform(0.5, 1.5, mesh.n_nodes)
+        proj = L2.project(L2.build_projection(mesh, target), u)
+        assert fem.integrate(target, proj) == pytest.approx(fem.integrate(mesh, u),
+                                                             rel=1e-12)
+
+    def test_element_given_twice_is_refused(self):
+        # facets and measures pass it: its total measure would be 2
+        with pytest.raises(InvalidArgumentError,
+                           match="elements 0 and 1 join the same nodes"):
+            M.SimplicialMesh(dim=1, nodes=[0.0, 1.0], elements=[[0, 1], [0, 1]])
 
 
 
@@ -518,31 +583,25 @@ class TestCloseNodePairs:
         # a mesh scaled by a power of two validates as the unit mesh does,
         # and a node pair 1e-13 of the extent apart is refused at any scale
         if dim == 1:
-            M.validate_mesh(M.build_interval_mesh(0, scale, 100))
-            near = M.SimplicialMesh(dim=1, nodes=np.array([[0.0], [1e-13], [0.5], [1.0]]),
-                                    elements=[[0, 1], [1, 2], [2, 3]])
+            M.build_interval_mesh(0, scale, 100)
+            nodes, elements = [[0.0], [1e-13], [0.5], [1.0]], [[0, 1], [1, 2], [2, 3]]
         else:
-            M.validate_mesh(M.build_structured_triangle_mesh([0, scale], [0, scale],
-                                                             10, 10))
-            near = M.SimplicialMesh(dim=2, nodes=np.array([[0.0, 0.0], [1e-13, 0.0],
-                                                           [1.0, 0.0], [0.0, 1.0]]),
-                                    elements=[[0, 1, 3], [1, 2, 3]])
-        near = M.SimplicialMesh(dim=dim, nodes=near.nodes * scale, elements=near.elements)
+            M.build_structured_triangle_mesh([0, scale], [0, scale], 10, 10)
+            nodes = [[0.0, 0.0], [1e-13, 0.0], [1.0, 0.0], [0.0, 1.0]]
+            elements = [[0, 1, 3], [1, 2, 3]]
         with pytest.raises(InvalidArgumentError, match="duplicate nodes"):
-            M.validate_mesh(near)
+            M.SimplicialMesh(dim=dim, nodes=np.array(nodes) * scale, elements=elements)
 
     def test_unsupported_dimension_rejected(self):
-        m = M.SimplicialMesh(dim=3, nodes=np.eye(4, 3), elements=[[0, 1, 2, 3]])
         with pytest.raises(InvalidArgumentError, match="unsupported dimension 3"):
-            M.validate_mesh(m)
+            M.SimplicialMesh(dim=3, nodes=np.eye(4, 3), elements=[[0, 1, 2, 3]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, bad):
         nodes = np.array([[0.0], [0.5], [1.0]])
         nodes[1, 0] = bad
-        m = M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]])
         with pytest.raises(InvalidArgumentError, match="non-finite"):
-            M.validate_mesh(m)
+            M.SimplicialMesh(dim=1, nodes=nodes, elements=[[0, 1], [1, 2]])
 
 
 class TestElementsMeeting:

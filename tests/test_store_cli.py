@@ -961,9 +961,9 @@ class TestCliProjectAndDmd:
         assert run_cli(*argv, "2", "--force") == 3
         assert tree_bytes(pred) == kept and not leftovers(pred)
         monkeypatch.undo()
-        # a model is a file: it is written, then refused by the directory
+        # a model is a file: the directory refuses it before the fit
         assert run_cli("dmd", "fit", out / "projected", pred, "--field", "s",
-                       "--rank", "2", "--quiet") == 3
+                       "--rank", "2", "--quiet") == 4
         assert tree_bytes(pred) == kept and not leftovers(pred)
         link = tmp_path / "link"
         link.symlink_to(pred)       # a forced run through a link replaces its target
@@ -2306,3 +2306,80 @@ class TestStoreFanOut:
                      if p.parent.name == sub and p.name.endswith(".field.txt")]
             assert sum(int(n) * int(k) for n, k in heads) > store._BATCH_VALUES, sub
         assert outs[0] == outs[1]
+
+
+def overlapping_store(path):
+    """A one-snapshot store of the five compartments, all 1, on a 1-d mesh
+    of the overlapping elements [0, 0.6] and [0.4, 1]: its integral of s
+    would be 1.2 on a domain of length 1."""
+    path.mkdir()
+    (path / "mesh_0000.mesh.txt").write_text("1 4 2\n0\n0.6\n0.4\n1\n0 1\n2 3\n")
+    (path / "snap_0000.field.txt").write_text("4 5\ns e i r d\n" + "1 1 1 1 1\n" * 4)
+    (path / "manifest.txt").write_text("0 0 mesh_0000.mesh.txt snap_0000.field.txt\n")
+    return path
+
+
+class TestOverlappingMesh:
+    def test_project_of_an_overlapping_store_exit_3_naming_the_mesh(self, tmp_path,
+                                                                    capsys):
+        st = overlapping_store(tmp_path / "st")
+        target = tmp_path / "t.mesh.txt"
+        M.save_mesh(M.build_interval_mesh(0, 1, 2), target)
+        out = tmp_path / "out"
+        assert run_cli("project", st, target, out, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert f"malformed mesh file {st / 'mesh_0000.mesh.txt'}" in err
+        assert "element 0 joins nodes that are not coordinate neighbours" in err
+        assert not out.exists() and not leftovers(out)
+
+    def test_project_onto_an_overlapping_target_exit_2(self, tmp_path, rng, capsys):
+        good = five_field_store(tmp_path / "good", rng)
+        target = overlapping_store(tmp_path / "st") / "mesh_0000.mesh.txt"
+        out = tmp_path / "out"
+        assert run_cli("project", good, target, out, "--quiet") == 2
+        assert f"malformed mesh file {target}" in capsys.readouterr().err
+        assert not out.exists() and not leftovers(out)
+
+
+class TestOutputKinds:
+    def test_directory_output_over_a_file_exit_4_unless_force(self, tmp_path, rng,
+                                                              capsys):
+        st = five_field_store(tmp_path / "st", rng)
+        target = st / "mesh_0000.mesh.txt"
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli("project", st, target, afile, "--quiet") == 4
+        assert f"{afile} exists and is not an empty directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n" and not leftovers(afile)
+        # --force replaces it as it replaces a non-empty directory
+        assert run_cli("project", st, target, afile, "--quiet", "--force") == 0
+        assert len(store.read_store(afile).entries) == 3 and not leftovers(afile)
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("command", ["report qoi", "report errors", "dmd fit"])
+    def test_file_output_over_a_directory_exit_4_before_the_work(
+            self, tmp_path, rng, capsys, monkeypatch, command, force):
+        st = five_field_store(tmp_path / "st", rng)
+        adir = tmp_path / "adir"
+        adir.mkdir()
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a store was read")
+
+        monkeypatch.setattr(store, "iter_store", unread)
+        argv = {"report qoi": ("report", "qoi", st, adir),
+                "report errors": ("report", "errors", st, st, adir, "--field", "s"),
+                "dmd fit": ("dmd", "fit", st, adir, "--field", "s", "--rank", "1")}
+        assert run_cli(*argv[command], "--quiet", *["--force"] * force) == 4
+        assert f"error: {adir} is a directory" in capsys.readouterr().err
+        assert not any(adir.iterdir()) and not leftovers(adir)
+
+    @pytest.mark.parametrize("command", ["report qoi", "report errors", "dmd fit"])
+    def test_file_output_makes_its_parent_directory(self, tmp_path, rng, command):
+        st = five_field_store(tmp_path / "st", rng)
+        out = tmp_path / "new" / "dir" / "out.txt"
+        argv = {"report qoi": ("report", "qoi", st, out),
+                "report errors": ("report", "errors", st, st, out, "--field", "s"),
+                "dmd fit": ("dmd", "fit", st, out, "--field", "s", "--rank", "1")}
+        assert run_cli(*argv[command], "--quiet") == 0
+        assert out.is_file() and not leftovers(out)
